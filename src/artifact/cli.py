@@ -32,6 +32,17 @@ _WEIGHTS = ("biv", "fivevar", "hat", "q")
 _COMPARE_METHODS = ("brute", "recurrence", "hyatt")
 
 
+def _job_count(text: str) -> int:
+    """The --jobs value: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artifact",
@@ -46,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="descent cutoff (required for groups G and H)")
     p_enum.add_argument("--weight", default="biv", choices=_WEIGHTS)
     p_enum.add_argument("--format", default="pretty", choices=("json", "csv", "pretty"))
-    p_enum.add_argument("--jobs", type=int, default=1)
+    p_enum.add_argument("--jobs", type=_job_count, default=1)
 
     p_check = sub.add_parser("check", help="run identity checks from the registry")
     target = p_check.add_mutually_exclusive_group(required=True)
@@ -57,14 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-n", type=int, default=None,
                          help="cap on the ranks the polynomial checks sweep")
     p_check.add_argument("--format", default="pretty", choices=("json", "pretty"))
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=_job_count, default=1)
 
     p_cmp = sub.add_parser("compare", help="compute one polynomial by several methods")
     p_cmp.add_argument("--group", required=True, choices=("B", "D"))
     p_cmp.add_argument("--n", required=True, type=int)
     p_cmp.add_argument("--methods", default="brute,recurrence",
                        help="comma-separated subset of brute,recurrence,hyatt")
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    p_cmp.add_argument("--jobs", type=_job_count, default=1)
     return parser
 
 
@@ -119,10 +130,17 @@ def _cmd_check(args) -> int:
         print("known ids: " + ", ".join(CHECK_IDS), file=sys.stderr)
         return 2
     started = time.perf_counter()
-    if args.check_id is not None:
-        reports = [run_check(args.check_id, order=args.order, max_n=args.max_n, jobs=args.jobs)]
-    else:
-        reports = run_all(order=args.order, max_n=args.max_n, jobs=args.jobs)
+    try:
+        if args.check_id is not None:
+            reports = [run_check(args.check_id, order=args.order, max_n=args.max_n, jobs=args.jobs)]
+        else:
+            reports = run_all(order=args.order, max_n=args.max_n, jobs=args.jobs)
+    except BoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - started
     if args.format == "json":
         print(json.dumps(reports, indent=2))
@@ -164,6 +182,9 @@ def _cmd_compare(args) -> int:
         except BoundExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - started
         print(f"{method}: {elapsed:.3f}s", file=sys.stderr)
     base = methods[0]

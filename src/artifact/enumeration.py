@@ -65,9 +65,12 @@ class BoundExceeded(ValueError):
 
 def enumeration_bound(group: str) -> int:
     override = os.environ.get(BOUND_ENV_VAR)
-    if override is not None:
+    if override is None:
+        return DEFAULT_BOUNDS[_FLAVOR[group]]
+    try:
         return int(override)
-    return DEFAULT_BOUNDS[_FLAVOR[group]]
+    except ValueError:
+        raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {override!r}") from None
 
 
 def work_estimate(group: str, n: int) -> int:
@@ -269,8 +272,9 @@ def _histogram(group: str, n: int, jobs: int = 1) -> np.ndarray:
         for lo in range(0, nsigns, chunk)
     ]
     _perm_array(n)  # populate the cache before any fork
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_chunk_worker, tasks)
     else:
         parts = [_chunk_worker(task) for task in tasks]

@@ -9,7 +9,11 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from math import prod
 from typing import Iterable, Mapping
+
+import numpy as np
 
 VARIABLES: tuple[str, ...] = ("s", "t", "q", "s0", "s1", "t0", "t1")
 NVARS = len(VARIABLES)
@@ -131,18 +135,12 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (
-                    e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3],
-                    e1[4] + e2[4], e1[5] + e2[5], e1[6] + e2[6],
-                )
-                new = out.get(exp, 0) + c1 * c2
-                if new:
-                    out[exp] = new
-                else:
-                    del out[exp]
+        a, b = self.terms, other.terms
+        out = None
+        if len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
+            out = _kronecker_product(a, b)
+        if out is None:
+            out = _schoolbook_product(a, b)
         result = LaurentPoly.__new__(LaurentPoly)
         result.terms = out
         return result
@@ -322,6 +320,130 @@ class LaurentPoly:
             key = tuple(exp)
             terms[key] = terms.get(key, 0) + int(item["coef"])
         return cls(terms)
+
+
+# ----------------------------------------------------------------------
+# product kernels
+# ----------------------------------------------------------------------
+Terms = dict[tuple[int, ...], int]
+
+# The Kronecker kernel runs on at least this many term pairs, and only when the
+# product's exponent box has at most _KRONECKER_FILL slots per operand term;
+# every other product takes the schoolbook loop.
+_KRONECKER_MIN_PAIRS = 512
+_KRONECKER_FILL = 8
+_DECODE_CHUNK = 1 << 12  # nonzero slots turned back into terms per step
+_EXP_LIMIT = 1 << 61
+
+
+def _schoolbook_product(a: Terms, b: Terms) -> Terms:
+    """The term-by-term product; the fallback and the reference for the kernel."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = (
+                e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3],
+                e1[4] + e2[4], e1[5] + e2[5], e1[6] + e2[6],
+            )
+            new = out.get(exp, 0) + c1 * c2
+            if new:
+                out[exp] = new
+            else:
+                del out[exp]
+    return out
+
+
+def _exponent_array(terms: Terms) -> np.ndarray | None:
+    """The exponents as an int64 array, or None if one is too large for the kernel.
+
+    Below _EXP_LIMIT in magnitude, box sides, offsets and product exponents
+    all stay inside int64.
+    """
+    try:
+        flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=len(terms) * NVARS)
+    except OverflowError:
+        return None
+    if flat.min() <= -_EXP_LIMIT or flat.max() >= _EXP_LIMIT:
+        return None
+    return flat.reshape(len(terms), NVARS)
+
+
+def _kronecker_product(a: Terms, b: Terms) -> Terms | None:
+    """Product by Kronecker substitution, or None when the exponent box is sparse.
+
+    Each exponent vector, shifted by its operand's per-variable minimum, is a
+    slot index in the product's exponent box (row-major, so the index of a sum
+    is the sum of the indices).  Slots are ``w`` 64-bit words wide, with ``w``
+    sized so every product coefficient, plus two guard bits, fits in a slot:
+    then one big-integer multiplication yields all coefficients at once.
+    """
+    ea, eb = _exponent_array(a), _exponent_array(b)
+    if ea is None or eb is None:
+        return None
+    lo_a, lo_b = ea.min(axis=0), eb.min(axis=0)
+    dims = (ea.max(axis=0) - lo_a + eb.max(axis=0) - lo_b + 1).tolist()
+    if prod(dims) > _KRONECKER_FILL * (len(a) + len(b)):
+        return None
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    w = (bound.bit_length() + 2 + 63) // 64
+    ia = np.ravel_multi_index((ea - lo_a).T, dims)
+    ib = np.ravel_multi_index((eb - lo_b).T, dims)
+    del ea, eb
+    nslots = int(ia.max() + ib.max()) + 1
+    product = _pack(ia, list(a.values()), w) * _pack(ib, list(b.values()), w)
+    buf = product.to_bytes(8 * w * nslots, "little", signed=True)
+    del product  # hold one copy of the product while decoding
+    return _unpack(buf, w, dims, (lo_a + lo_b).tolist())
+
+
+def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:
+    """The integer sum of coefs[i] * 2**(64*w*index[i]), built from its bytes.
+
+    The bytes hold balanced digits: a slot above a negative coefficient
+    carries a borrow of one, so empty slots there are all ones and a term's
+    slot holds its coefficient minus one.  Read as one signed little-endian
+    integer, the bytes are the exact signed sum.
+    """
+    order = np.argsort(index)
+    width = 8 * w
+    gaps = ((np.diff(index[order], prepend=-1) - 1) * width).tolist()
+    pieces = []
+    borrow = False
+    for gap, i in zip(gaps, order.tolist()):
+        coef = coefs[i]
+        pieces.append((b"\xff" if borrow else b"\x00") * gap)
+        pieces.append((coef - borrow).to_bytes(width, "little", signed=True))
+        borrow = coef < 0
+    return int.from_bytes(b"".join(pieces), "little", signed=True)
+
+
+def _unpack(buf: bytes, w: int, dims: list[int], lo: list[int]) -> Terms:
+    """Terms of a packed product, given as signed little-endian bytes.
+
+    A slot's coefficient is its signed value plus one when the slot below it
+    is negative, because the guard bits keep every partial sum below a slot
+    under half that slot's weight.
+    """
+    words = np.frombuffer(buf, dtype=np.int64).reshape(-1, w)
+    borrow = np.zeros(len(words), dtype=np.int8)
+    borrow[1:] = words[:-1, -1] < 0
+    # a zero coefficient is a slot whose words all equal minus its borrow
+    nonzero = np.flatnonzero((words != -borrow[:, None]).any(axis=1))
+    out: Terms = {}
+    width = 8 * w
+    view = memoryview(buf)
+    for start in range(0, len(nonzero), _DECODE_CHUNK):
+        slots = nonzero[start:start + _DECODE_CHUNK]
+        columns = [(digits + low).tolist() for digits, low in zip(np.unravel_index(slots, dims), lo)]
+        if w == 1:
+            coefs = (words[slots, 0] + borrow[slots]).tolist()
+        else:
+            coefs = [
+                int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
+                for k, t in zip(slots.tolist(), borrow[slots].tolist())
+            ]
+        out.update(zip(zip(*columns), coefs))
+    return out
 
 
 def first_difference(

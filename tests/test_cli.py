@@ -159,6 +159,53 @@ def test_compare_rejects_low_rank_closed_routes(capsys):
 
 
 # ---------------------------------------------------------------------------
+# argument and environment validation
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty brute-force cache, as in a fresh process, restored afterwards."""
+    import artifact.registry as registry
+
+    monkeypatch.setattr(registry, "_POLY_CACHE", {})
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--group", "B", "--n", "2"],
+    ["check", "--id", "lemma-2.1", "--max-n", "2"],
+    ["compare", "--group", "B", "--n", "2"],
+])
+def test_jobs_below_one_is_usage_error(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--jobs", jobs])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err and "at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--id", "typeB-recurrence", "--max-n", "2"],
+    ["compare", "--group", "B", "--n", "2", "--methods", "brute,recurrence"],
+    ["enumerate", "--group", "B", "--n", "2"],
+])
+def test_non_integer_bound_override_is_usage_error(capsys, monkeypatch, cold_cache, argv):
+    monkeypatch.setenv("ARTIFACT_MAX_N", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "ARTIFACT_MAX_N must be an integer" in err
+
+
+def test_check_bound_exceeded(capsys, monkeypatch, cold_cache):
+    monkeypatch.setenv("ARTIFACT_MAX_N", "2")
+    code, out, err = run_cli(capsys, "check", "--id", "typeB-recurrence", "--max-n", "3")
+    assert code == 3
+    assert out == ""
+    assert "ARTIFACT_MAX_N" in err
+
+
+# ---------------------------------------------------------------------------
 # determinism and packaging
 # ---------------------------------------------------------------------------
 def test_output_is_deterministic(capsys):

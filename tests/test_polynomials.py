@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 import pytest
 
+import artifact.polynomials as polynomials
 from artifact.polynomials import (
+    NVARS,
     VARIABLES,
     LaurentPoly,
+    _kronecker_product,
+    _schoolbook_product,
     first_difference,
     monomial_name,
     one_minus,
@@ -90,6 +94,124 @@ def test_reciprocal_substitution_is_involutive(a):
 @settings(max_examples=100)
 def test_json_round_trip(a):
     assert LaurentPoly.from_json_dict(a.to_json_dict()) == a
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker product kernel against the schoolbook reference
+# ---------------------------------------------------------------------------
+_WORD_EDGES = [2**62, 2**63, 2**64]
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda edge, d, sign: sign * (edge + d),
+              st.sampled_from(_WORD_EDGES), st.integers(-1, 1), st.sampled_from([-1, 1])),
+    st.integers(-(2**1000), 2**1000),
+).filter(bool)
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two operands in all seven variables, each filling its own exponent box.
+
+    Both operands spread over the same one to three variables (at most four
+    exponents each) and sit at independent offsets, negative ones included, in
+    every variable; the product box then has at most 3.2 slots per operand term.
+    """
+    spread = draw(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3, unique=True))
+
+    def operand():
+        offset = draw(st.lists(st.integers(-5, 5), min_size=NVARS, max_size=NVARS))
+        sizes = [draw(st.integers(1, 4)) for _ in spread]
+        terms = {}
+        for point in range(math.prod(sizes)):
+            exp = list(offset)
+            for var, size in zip(spread, sizes):
+                point, digit = divmod(point, size)
+                exp[var] += digit
+            terms[tuple(exp)] = draw(coefficients)
+        return terms
+
+    return operand(), operand()
+
+
+def _assert_kernel_matches(a, b):
+    out = _kronecker_product(a, b)
+    assert out is not None  # a dense box takes the kernel
+    assert out == _schoolbook_product(a, b)
+    assert all(out.values())  # no stored zero: __eq__ compares dicts
+
+
+@given(dense_pairs())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_schoolbook(pair):
+    _assert_kernel_matches(*pair)
+
+
+@given(dense_pairs(), coefficients)
+@settings(max_examples=100, deadline=None)
+def test_kernel_scaling_by_a_constant_and_by_one(pair, k):
+    a, _ = pair
+    _assert_kernel_matches(a, {(0,) * NVARS: k})
+    _assert_kernel_matches(a, LaurentPoly.one().terms)
+
+
+@given(st.integers(1, 80), coefficients, st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_kernel_cancellation_leaves_no_zero_terms(k, c, shift):
+    """(1 - q) [k]_q = 1 - q^k, and (1 - s)(1 + s) = 1 - s^2, at any scale."""
+    left = c * (LaurentPoly.one() - Q) * LaurentPoly.monomial(1, q=shift, t0=-1)
+    right = c * qint(k)
+    expected = c * c * (LaurentPoly.one() - LaurentPoly.variable("q", k))
+    expected = expected * LaurentPoly.monomial(1, q=shift, t0=-1)
+    _assert_kernel_matches(left.terms, right.terms)
+    assert left * right == expected
+    _assert_kernel_matches((c * (1 - S) * qint(k)).terms, ((1 + S) * qint(k)).terms)
+
+
+def test_kernel_decodes_in_chunks(monkeypatch):
+    a = ((1 + S - 2**70 * T) * qint(40)).terms
+    b = ((1 - S + Q * T) * qint(30)).terms
+    monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
+    _assert_kernel_matches(a, b)
+    assert len(_kronecker_product(a, b)) > 7
+
+
+@given(polys, polys, st.integers(-(2**70), 2**70))
+@settings(max_examples=200, deadline=None)
+def test_product_operator_equals_schoolbook(a, b, k):
+    """Sparse random operands take the fallback; either path gives the same terms."""
+    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+    assert (a * k).terms == _schoolbook_product(a.terms, LaurentPoly.constant(k).terms)
+    assert a * LaurentPoly.zero() == LaurentPoly.zero() == LaurentPoly.zero() * a
+    assert a * LaurentPoly.one() == a == LaurentPoly.one() * a
+    assert a * 0 == LaurentPoly.zero()
+
+
+def test_sparse_box_takes_the_fallback():
+    a = sum((LaurentPoly.monomial(3, s=10 * i, q=-i) for i in range(10)), LaurentPoly.zero())
+    b = sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero())
+    assert _kronecker_product(a.terms, b.terms) is None
+    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+    assert len((a * b).terms) == 100
+
+
+@pytest.mark.parametrize("shift", [2**61 - 1, 2**61, -(2**62), 2**70])
+def test_product_with_exponents_beyond_the_kernel_range(shift):
+    """Exponents near or past 64 bits give exact terms, on whichever path runs."""
+    a = (1 + S) ** 6 * qint(20) * LaurentPoly.monomial(1, t=shift)
+    b = (1 - S) ** 5 * qint(30) * LaurentPoly.monomial(-1, t=shift)
+    product = a * b
+    assert product.terms == _schoolbook_product(a.terms, b.terms)
+    assert product.coefficient(t=2 * shift) == -1
+    assert (_kronecker_product(a.terms, b.terms) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
+
+
+def test_large_dense_product_takes_the_kernel(monkeypatch):
+    a = (1 + S) ** 6 * (1 + T) * qint(20)
+    b = (1 - S) ** 5 * (1 - T) * qint(30)
+    assert len(a.terms) * len(b.terms) >= polynomials._KRONECKER_MIN_PAIRS
+    monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
+    product = a * b
+    assert product.terms == _schoolbook_product(a.terms, b.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def test_hyatt_plus_matches_brute_force():
         assert hyatt_plus("D", n) == poly_group("D+", n, "biv"), n
 
 
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_recurrence_matches_subset_expansion_at_high_rank(family):
+    """The two closed routes of ``compare`` agree well past the brute-force ceiling."""
+    for n in range(12, 15):
+        plus = hyatt_plus(family, n)
+        assert recurrence_poly(family, n) == plus + minus_transform(family, n, plus), n
+
+
 def test_hyatt_plus_specializes_to_classic_recurrence():
     """At q = 1 with one descent variable, the binomial-sum recurrence holds."""
     for n in range(1, 11):

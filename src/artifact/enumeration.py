@@ -5,8 +5,11 @@ Two independent routes compute every distribution:
 * a pure-Python route that walks the words one by one and counts each
   statistic by explicit comparisons (ascents counted directly, inversions by
   the definitional pair-counting formulas), and
-* a vectorized route that histograms (edes, odes, inv) over sign-pattern
-  chunks with numpy and derives ascent counts from the position totals.
+* a vectorized route that histograms each word of the flavor's whole group
+  by (descent-set bitmask, sign of the last entry, inv) over sign-pattern
+  chunks with numpy, projects that histogram onto the requested family
+  (every family is a condition on the mask and the last sign), and derives
+  ascent counts from the position totals.
 
 The two routes are cross-checked against each other in the test suite; the
 checks that probe the ascent/descent complementation itself always use the
@@ -24,13 +27,7 @@ import numpy as np
 
 from .permutations import (
     Word,
-    descent_set_A,
-    descent_set_B,
-    descent_set_D,
-    even_odd_positions_A,
-    even_odd_positions_B,
-    even_odd_positions_D,
-    in_type_d,
+    check_cutoff,
     inv_A,
     inv_B_definitional,
     inv_D_definitional,
@@ -178,100 +175,106 @@ def poly_group_python(
 # ----------------------------------------------------------------------
 # vectorized route
 # ----------------------------------------------------------------------
+# Words per chunk: one chunk's arrays stay within tens of MB, unless a single
+# sign pattern alone holds more permutations than this.
+_CHUNK_WORDS = 1 << 20
+
+# The kernel's narrow accumulators hold inv <= n*n in uint8 and the
+# (last sign, descent mask) pair in uint16, which fits every rank up to 15.
+_MAX_VECTOR_RANK = 15
+
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
-def _perm_array(n: int) -> np.ndarray:
+def _perm_rows(n: int) -> np.ndarray:
+    """Every permutation of 1..n as a column: one contiguous int8 row per position."""
     arr = _PERM_CACHE.get(n)
     if arr is None:
-        arr = np.array(
-            list(itertools.permutations(range(1, n + 1))), dtype=np.int16
-        )
+        perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+        arr = np.ascontiguousarray(perms.T)
         _PERM_CACHE[n] = arr
     return arr
 
 
-def _histogram_dims(group: str, n: int) -> tuple[int, int, int]:
-    flavor = _FLAVOR[group]
-    if flavor == "B":
-        evens, odds = even_odd_positions_B(n)
-        inv_max = n * n
-    elif flavor == "D":
-        evens, odds = even_odd_positions_D(n)
-        inv_max = n * (n - 1)
-    else:
-        evens, odds = even_odd_positions_A(n)
-        inv_max = n * (n - 1) // 2
-    return evens + 1, odds + 1, inv_max + 1
+def _sign_codes(flavor: str, n: int) -> np.ndarray:
+    """The flavor's sign patterns; bit j set means entry j is negated.
 
-
-def _chunk_histogram(group: str, n: int, sign_lo: int, sign_hi: int) -> np.ndarray:
-    """Bincount of (edes, odes, inv) over sign patterns sign_lo..sign_hi-1.
-
-    A sign pattern is an n-bit integer; bit j set means entry j is negated.
+    Type D gets only the patterns of even popcount: the low n-1 bits run
+    freely and the top bit restores the parity.
     """
-    flavor = _FLAVOR[group]
-    perms = _perm_array(n)
-    nperm = perms.shape[0]
-    de, do, di = _histogram_dims(group, n)
+    if flavor == "A":
+        return np.zeros(1, dtype=np.int64)
+    if flavor == "B":
+        return np.arange(2**n, dtype=np.int64)
+    low = np.arange(2 ** (n - 1), dtype=np.int64)
+    return low | (np.bitwise_count(low) & 1).astype(np.int64) << (n - 1)
 
-    codes = np.arange(sign_lo, sign_hi, dtype=np.int64)
-    signs = 1 - 2 * ((codes[:, None] >> np.arange(n)) & 1)  # (+1/-1) rows
-    signs = signs.astype(np.int16)
-    words = (signs[:, None, :] * perms[None, :, :]).reshape(-1, n)
 
+def _inv_bins(flavor: str, n: int) -> int:
+    if flavor == "B":
+        return n * n + 1
     if flavor == "D":
-        keep = (words < 0).sum(axis=1) % 2 == 0
-        words = words[keep]
-    if group.endswith("+"):
-        words = words[words[:, -1] > 0]
-    elif group.endswith("-"):
-        words = words[words[:, -1] < 0]
-    m = words.shape[0]
-    if m == 0:
-        return np.zeros(de * do * di, dtype=np.int64)
+        return n * (n - 1) + 1
+    return n * (n - 1) // 2 + 1
 
-    inv = np.zeros(m, dtype=np.int32)
+
+def _chunk_histogram(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
+    """Bincount of (last entry negative, descent mask, inv) over sign patterns lo..hi-1.
+
+    The key is ``((last << n) | mask) * bins + inv``.  Bit j of the mask is
+    position j for j >= 1; bit 0 is position 0 for B (0 > pi_1), position -1
+    for D (-pi_1 > pi_2), and never set for A.  Arrays are laid out as
+    (sign pattern, permutation), one array per position.
+    """
+    perms = _perm_rows(n)
+    bins = _inv_bins(flavor, n)
+    codes = _sign_codes(flavor, n)[lo:hi]
+    bits = (codes[:, None] >> np.arange(n)) & 1
+    signs = (1 - 2 * bits).astype(np.int8)
+    words = [signs[:, a, None] * perms[a] for a in range(n)]
+
+    # inv = inv_A + the negative magnitudes (less their count for D); uint8
+    # wraps in between but ends exact, since inv < 256
+    bits = bits.astype(np.uint8)
+    magnitudes = perms.view(np.uint8)
+    inv = np.zeros(words[0].shape, dtype=np.uint8)
+    for a in range(n):
+        inv += bits[:, a, None] * magnitudes[a]
+    if flavor == "D":
+        inv -= bits.sum(axis=1, dtype=np.uint8)[:, None]
+
+    head = (codes >> (n - 1) & 1) << n
+    if flavor == "B":
+        head |= codes & 1
+    mask = np.empty(words[0].shape, dtype=np.uint16)
+    mask[:] = head[:, None]
+    if flavor == "D":
+        mask += (words[0] + words[1]) < 0
     for a in range(n):
         for b in range(a + 1, n):
-            inv += words[:, a] > words[:, b]
-    neg = words < 0
-    if flavor == "B":
-        inv += np.where(neg, -words, 0).sum(axis=1, dtype=np.int32)
-        prev = np.concatenate(
-            [np.zeros((m, 1), dtype=np.int16), words[:, :-1]], axis=1
-        )
-        des = prev > words
-        edes = des[:, 0::2].sum(axis=1, dtype=np.int32)
-        odes = des[:, 1::2].sum(axis=1, dtype=np.int32)
-    elif flavor == "D":
-        inv += np.where(neg, -words, 0).sum(axis=1, dtype=np.int32)
-        inv -= neg.sum(axis=1, dtype=np.int32)
-        adj = words[:, :-1] > words[:, 1:]  # column j <-> position j+1
-        odes = (-words[:, 0] > words[:, 1]).astype(np.int32)
-        odes += adj[:, 0::2].sum(axis=1, dtype=np.int32)
-        edes = adj[:, 1::2].sum(axis=1, dtype=np.int32)
-    else:  # A: no signs involved
-        adj = words[:, :-1] > words[:, 1:]
-        odes = adj[:, 0::2].sum(axis=1, dtype=np.int32)
-        edes = adj[:, 1::2].sum(axis=1, dtype=np.int32)
-    keys = (edes * do + odes) * di + inv
-    return np.bincount(keys, minlength=de * do * di).astype(np.int64)
+            greater = words[a] > words[b]
+            inv += greater
+            if b == a + 1:
+                mask += greater * np.uint16(1 << b)
+    key = mask.astype(np.int32)
+    key *= bins
+    key += inv
+    return np.bincount(key.ravel(), minlength=bins << (n + 1)).astype(np.int64)
 
 
 def _chunk_worker(args) -> np.ndarray:
     return _chunk_histogram(*args)
 
 
-def _histogram(group: str, n: int, jobs: int = 1) -> np.ndarray:
-    flavor = _FLAVOR[group]
-    nsigns = 1 if flavor == "A" else 2**n
-    chunk = max(1, nsigns // 32)
+def _histogram(flavor: str, n: int, jobs: int = 1) -> np.ndarray:
+    nsigns = len(_sign_codes(flavor, n))
+    nperm = factorial(n)
+    chunk = max(1, min(nsigns // 32, _CHUNK_WORDS // nperm))
     tasks = [
-        (group, n, lo, min(lo + chunk, nsigns))
+        (flavor, n, lo, min(lo + chunk, nsigns))
         for lo in range(0, nsigns, chunk)
     ]
-    _perm_array(n)  # populate the cache before any fork
+    _perm_rows(n)  # populate the cache before any fork
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -284,32 +287,61 @@ def _histogram(group: str, n: int, jobs: int = 1) -> np.ndarray:
     return total
 
 
-def poly_group_numpy(group: str, n: int, weight: str, jobs: int = 1) -> LaurentPoly:
-    if n < 2:
-        return poly_group_python(group, n, weight)
-    flavor = _FLAVOR[group]
-    de, do, di = _histogram_dims(group, n)
-    if flavor == "B":
-        evens, odds = even_odd_positions_B(n)
-    elif flavor == "D":
-        evens, odds = even_odd_positions_D(n)
+def _position_bits(flavor: str, n: int) -> tuple[int, int]:
+    """Masks of the even and the odd positions among the descent-mask bits."""
+    even = sum(1 << j for j in range(2, n, 2)) | (flavor == "B")
+    odd = sum(1 << j for j in range(1, n, 2)) | (flavor == "D")
+    return even, odd
+
+
+def _accepted(group: str, n: int, i: int | None, odd: int) -> np.ndarray:
+    """Which (last entry negative, descent mask) keys belong to the family."""
+    last = np.arange(2)[:, None]
+    mask = np.arange(1 << n)[None, :]
+    if group.endswith("+"):
+        keep = last == 0
+    elif group.endswith("-"):
+        keep = last == 1
+    elif group == "G":
+        keep = mask >> (i + 1) == 0  # descents only at positions 0..i
+    elif group == "H":
+        keep = mask >> (max(i, 0) + 1) == 0  # only at -1 and 1..i
+    elif group == "X":
+        keep = mask >> 2 == 0  # only at -1 and 1
+    elif group.startswith("snake"):
+        keep = mask == odd
     else:
-        evens, odds = even_odd_positions_A(n)
-    hist = _histogram(group, n, jobs)
+        keep = np.ones((1, 1), dtype=bool)
+    return np.broadcast_to(keep, (2, 1 << n))
+
+
+def poly_group_numpy(
+    group: str, n: int, weight: str, i: int | None = None, jobs: int = 1
+) -> LaurentPoly:
+    check_cutoff(group, n, i)
+    if n < 2:
+        return poly_group_python(group, n, weight, i)
+    if n > _MAX_VECTOR_RANK:
+        raise ValueError(f"the vectorized route stops at rank {_MAX_VECTOR_RANK}, got {n}")
+    flavor = _FLAVOR[group]
+    even, odd = _position_bits(flavor, n)
+    evens, odds = even.bit_count(), odd.bit_count()
+    bins = _inv_bins(flavor, n)
+    hist = _histogram(flavor, n, jobs).reshape(2, 1 << n, bins)
+
+    # fold the accepted keys onto (edes, odes, inv)
+    last, mask = np.nonzero(_accepted(group, n, i, odd))
+    folded = np.zeros((evens + 1, odds + 1, bins), dtype=np.int64)
+    np.add.at(
+        folded, (np.bitwise_count(mask & even), np.bitwise_count(mask & odd)), hist[last, mask]
+    )
+
     terms: dict[tuple[int, ...], int] = {}
-    for key in np.nonzero(hist)[0]:
-        count = int(hist[key])
-        inv = int(key % di)
-        rest = key // di
-        odes = int(rest % do)
-        edes = int(rest // do)
+    for edes, odes, inv in zip(*(axis.tolist() for axis in np.nonzero(folded))):
         stats = StatVector(edes, odes, evens - edes, odds - odes, inv)
         exp = _exponent(stats, weight)
-        terms[exp] = terms.get(exp, 0) + count
+        terms[exp] = terms.get(exp, 0) + int(folded[edes, odes, inv])
     return LaurentPoly(terms)
-
-
-_NUMPY_GROUPS = frozenset({"A", "B", "D", "B+", "B-", "D+", "D-"})
 
 
 def poly_group(
@@ -322,9 +354,10 @@ def poly_group(
 ) -> LaurentPoly:
     """Exact distribution polynomial for a group family by brute force.
 
-    method 'auto' vectorizes plain group families and falls back to the
-    direct route for the descent-constrained families (G, H, X, snakes);
-    'python' forces the direct route; 'numpy' forces vectorization.
+    'auto' and 'numpy' take the vectorized route, which covers every family:
+    one histogram over the flavor's group, projected onto the family by its
+    descent set and last-entry sign.  'python' takes the direct route, which
+    walks the words one by one; it stays as the independent oracle.
     """
     if group not in _FLAVOR:
         raise ValueError(f"unknown group family {group!r}; choose from {tuple(_FLAVOR)}")
@@ -333,12 +366,6 @@ def poly_group(
     check_bound(group, n)
     if method == "python":
         return poly_group_python(group, n, weight, i)
-    if method == "numpy" or (method == "auto" and group in _NUMPY_GROUPS):
-        if group not in _NUMPY_GROUPS:
-            raise ValueError(f"family {group} has no vectorized route")
-        if i is not None:
-            raise ValueError(f"family {group} takes no cutoff")
-        return poly_group_numpy(group, n, weight, jobs)
-    if method == "auto":
-        return poly_group_python(group, n, weight, i)
+    if method in ("auto", "numpy"):
+        return poly_group_numpy(group, n, weight, i, jobs)
     raise ValueError(f"unknown method {method!r}")

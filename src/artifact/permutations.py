@@ -265,22 +265,26 @@ def _signed_words(n: int) -> Iterator[Word]:
             yield tuple(p * s for p, s in zip(perm, signs))
 
 
-def iterate_group(group: str, n: int, i: int | None = None) -> Iterator[Word]:
-    """Stream the requested family exactly once each, deterministically.
-
-    G and H require the cutoff parameter i with -1 <= i <= n-1: descents are
-    allowed only at positions <= i (the last n-i entries increase).
-    """
+def check_cutoff(group: str, n: int, i: int | None) -> None:
+    """Validate the rank, and the cutoff i that only G and H take (-1 <= i <= n-1)."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    needs_i = group in ("G", "H")
-    if needs_i:
+    if group in ("G", "H"):
         if i is None:
             raise ValueError(f"family {group} requires the cutoff i")
         if n < 1 or not -1 <= i <= n - 1:
             raise ValueError(f"cutoff i={i} outside -1..{n - 1}")
     elif i is not None:
         raise ValueError(f"family {group} takes no cutoff")
+
+
+def iterate_group(group: str, n: int, i: int | None = None) -> Iterator[Word]:
+    """Stream the requested family exactly once each, deterministically.
+
+    G and H require the cutoff parameter i with -1 <= i <= n-1: descents are
+    allowed only at positions <= i (the last n-i entries increase).
+    """
+    check_cutoff(group, n, i)
 
     if group == "A":
         if n == 0:

@@ -308,16 +308,25 @@ def verify_fraction_identity(
     computation stays in the polynomial ring.  The report names the first
     offending power of u and its residual when the identity fails.
     """
-    residual = lhs * den - num
-    if not (isinstance(clear, int) and clear == 1):
-        residual = residual * QFraction.coerce(clear)
-    for n in range(residual.order + 1):
-        c = residual.coefficient(n)
+    lhs._check_order(den)
+    lhs._check_order(num)
+    scale = None if isinstance(clear, int) and clear == 1 else QFraction.coerce(clear)
+    # one residual coefficient at a time, by the same operations in the same
+    # order as ``(lhs * den - num) * clear``, stopping at the first nonzero
+    for n in range(lhs.order + 1):
+        c = QFraction.zero()
+        for i in range(n + 1):
+            a, b = lhs.coeffs[i], den.coeffs[n - i]
+            if not (a.is_zero or b.is_zero):
+                c = c + a * b
+        c = c - num.coeffs[n]
+        if scale is not None:
+            c = c * scale
         if not c.is_zero:
             return {
                 "status": "fail",
                 "u_power": n,
                 "residual": str(c),
-                "order": residual.order,
+                "order": lhs.order,
             }
-    return {"status": "pass", "order": residual.order}
+    return {"status": "pass", "order": lhs.order}

@@ -1,5 +1,7 @@
 """Brute-force statistic enumeration: dual routes, frozen values, bounds."""
 
+import math
+
 import pytest
 
 from artifact.enumeration import (
@@ -116,6 +118,72 @@ def test_constrained_groups_enumerate_directly():
     assert poly_group("X", 3, "biv") == poly_group_python("X", 3, "biv")
 
 
+_SIGNED_FAMILIES = ("B", "D", "B+", "B-", "D+", "D-", "snakeB", "snakeD", "X", "G", "H")
+
+
+@pytest.mark.parametrize("group", _SIGNED_FAMILIES)
+def test_routes_agree_on_every_family_cutoff_and_weight(group):
+    """The descent-mask projection reproduces the direct walk, rank <= 6."""
+    needs_cutoff = group in ("G", "H")
+    for n in range(1 if needs_cutoff else 0, 7):
+        for i in range(-1, n) if needs_cutoff else (None,):
+            for weight in WEIGHTS:
+                direct = poly_group(group, n, weight, i=i, method="python")
+                vectorized = poly_group(group, n, weight, i=i, method="numpy")
+                assert direct == vectorized, (group, n, i, weight)
+
+
+def test_routes_agree_at_rank_seven():
+    for group in ("X", "snakeD"):
+        assert poly_group(group, 7, "biv", method="python") == poly_group(
+            group, 7, "biv", method="numpy"
+        ), group
+
+
+@pytest.mark.parametrize(
+    "group, n, i, message",
+    [
+        ("G", 3, None, "family G requires the cutoff i"),
+        ("H", 3, 3, "cutoff i=3 outside -1..2"),
+        ("G", 3, -2, "cutoff i=-2 outside -1..2"),
+        ("B", 3, 1, "family B takes no cutoff"),
+    ],
+)
+def test_both_routes_reject_a_bad_cutoff_alike(group, n, i, message):
+    for method in ("python", "numpy", "auto"):
+        with pytest.raises(ValueError, match=message):
+            poly_group(group, n, "biv", i=i, method=method)
+
+
+def test_chunks_respect_the_word_budget(monkeypatch):
+    """A small word budget splits the work finer without changing results."""
+    import artifact.enumeration as enumeration
+
+    expected = {group: poly_group(group, 7, "biv") for group in ("B", "D")}
+    words = []
+    real = enumeration._chunk_histogram
+
+    def recording(flavor, n, lo, hi):
+        words.append((hi - lo) * math.factorial(n))
+        return real(flavor, n, lo, hi)
+
+    monkeypatch.setattr(enumeration, "_chunk_histogram", recording)
+    budget = 3 * math.factorial(7)
+    monkeypatch.setattr(enumeration, "_CHUNK_WORDS", budget)
+    for group, want in expected.items():
+        words.clear()
+        assert poly_group(group, 7, "biv") == want
+        assert max(words) <= budget
+        assert sum(words) == work_estimate(group, 7) // (2 if group == "D" else 1)
+    assert len(words) == 32  # D_7's 64 sign patterns, two per chunk
+
+    # a budget below one sign pattern's words still runs, one pattern a chunk
+    monkeypatch.setattr(enumeration, "_CHUNK_WORDS", 100)
+    words.clear()
+    assert poly_group("B", 7, "biv") == expected["B"]
+    assert set(words) == {math.factorial(7)} and len(words) == 2**7
+
+
 # ---------------------------------------------------------------------------
 # direct statistics vs the fast statistic functions
 # ---------------------------------------------------------------------------
@@ -209,6 +277,12 @@ def test_bound_override_via_environment(monkeypatch):
         poly_group("B", 3, "biv")
     monkeypatch.setenv("ARTIFACT_MAX_N", "3")
     assert poly_group("B", 3, "biv") == poly_group_python("B", 3, "biv")
+
+
+def test_vectorized_route_refuses_ranks_past_its_accumulators(monkeypatch):
+    monkeypatch.setenv("ARTIFACT_MAX_N", "16")
+    with pytest.raises(ValueError, match="vectorized route stops at rank 15, got 16"):
+        poly_group("B", 16, "biv")
 
 
 def test_non_integer_bound_override_is_named(monkeypatch):

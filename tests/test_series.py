@@ -234,3 +234,58 @@ def test_verify_fraction_identity_with_clearing_factor():
     assert report["status"] == "fail"
     assert report["u_power"] == 1
     assert report["residual"] == "1 - q"
+
+
+def _eager_report(lhs, num, den, clear=1):
+    """The whole residual (lhs*den - num) * clear, then its first nonzero power."""
+    residual = lhs * den - num
+    if not (isinstance(clear, int) and clear == 1):
+        residual = residual * QFraction.coerce(clear)
+    n = residual.first_nonzero()
+    if n is None:
+        return {"status": "pass", "order": residual.order}
+    return {
+        "status": "fail",
+        "u_power": n,
+        "residual": str(residual.coefficient(n)),
+        "order": residual.order,
+    }
+
+
+def test_lazy_verification_matches_the_eager_residual():
+    s, t = LaurentPoly.variable("s"), LaurentPoly.variable("t")
+    order = 6
+    cases = [
+        (series_make("exp_B", s, order), series_make("cosh_B", t, order),
+         series_make("e_q", t, order), one_minus("s") * one_minus("t")),
+        (series_make("cosh_D", 1 - s, order), series_make("exp_D", s, order),
+         series_make("sinh_q", s * t, order) + TruncatedSeries.one(order), 1),
+        (series_make("e_q", 1, order), series_make("cosh_q", 1, order)
+         + series_make("sinh_q", 1, order), TruncatedSeries.one(order), 2),
+        (series_make("cos_B", s, order), series_make("sin_B", t, order),
+         series_make("exp_B", 1, order), one_minus("q")),
+    ]
+    # agrees through u^3, so the reported residual is a difference of two
+    # five-term convolutions at u^4, printed in unreduced form
+    lhs = series_make("exp_B", s, order)
+    den = series_make("cosh_q", t, order) + series_make("sinh_D", 1, order)
+    num = lhs * den - TruncatedSeries.u_power(4, order) * one_minus("s")
+    cases.append((lhs, num, den, one_minus("t")))
+    statuses = []
+    for lhs, num, den, clear in cases:
+        report = verify_fraction_identity(lhs, num, den, clear=clear)
+        assert report == _eager_report(lhs, num, den, clear)
+        statuses.append(report["status"])
+    assert statuses.count("fail") == 4 and statuses.count("pass") == 1
+    assert report["u_power"] == 4
+
+
+def test_verification_rejects_mismatched_orders():
+    with pytest.raises(ValueError, match="order mismatch: 2 != 3"):
+        verify_fraction_identity(
+            TruncatedSeries.one(2), TruncatedSeries.one(2), TruncatedSeries.one(3)
+        )
+    with pytest.raises(ValueError, match="order mismatch: 2 != 3"):
+        verify_fraction_identity(
+            TruncatedSeries.one(2), TruncatedSeries.one(3), TruncatedSeries.one(2)
+        )

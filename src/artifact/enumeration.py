@@ -243,6 +243,8 @@ def _chunk_histogram(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
     if flavor == "D":
         inv -= bits.sum(axis=1, dtype=np.uint8)[:, None]
 
+    # the sign pattern alone fixes the last-entry bit, and B's position 0
+    # (0 > pi_1 exactly when entry 0 is negated)
     head = (codes >> (n - 1) & 1) << n
     if flavor == "B":
         head |= codes & 1

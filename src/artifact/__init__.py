@@ -27,7 +27,7 @@ from .permutations import (
     stats_D,
 )
 from .polynomials import LaurentPoly, poincare, qbinom, qfact, qint
-from .recurrences import hyatt_plus, recur_B, recur_D, recurrence_poly, symmetry_check
+from .recurrences import hyatt_plus, recur_B, recur_D, recurrence_poly
 from .registry import CHECK_IDS, list_checks, run_all, run_check
 from .series import TruncatedSeries, series_from_polys, series_make, verify_fraction_identity
 
@@ -58,7 +58,6 @@ __all__ = [
     "recur_B",
     "recur_D",
     "recurrence_poly",
-    "symmetry_check",
     "CHECK_IDS",
     "list_checks",
     "run_all",

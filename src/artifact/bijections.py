@@ -11,8 +11,9 @@ The core construction relabels a signed permutation onto a target value set
 * map_fpp: B_k/D_k x (plain subsets) -> words ending in the subset written
            positive and descending.
 
-All maps come with inverses; the lemma sums and closed forms they certify
-live here too.
+All maps come with inverses; the lemma sums they certify live here too.
+Their closed forms are the coefficients ``c_coeff``/``cd_coeff`` of
+:mod:`artifact.recurrences`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .permutations import (
     negative_count,
     validate_word,
 )
-from .polynomials import LaurentPoly, qbinom
+from .polynomials import LaurentPoly
 
 SignedSubset = tuple[int, ...]  # distinct absolute values; sign = membership sign
 
@@ -142,12 +143,8 @@ def iterate_descending_suffix(family: str, n: int, k: int) -> Iterator[Word]:
 
 
 # ----------------------------------------------------------------------
-# lemma sums and closed forms
+# lemma sums
 # ----------------------------------------------------------------------
-def ascending_positive(values: Iterable[int]) -> Word:
-    return tuple(sorted(values))
-
-
 def poly_lemma21_sum(n: int, r: int) -> LaurentPoly:
     """Sum of q^{inv_B} over identity-prefixed signed-subset juxtapositions."""
     terms: dict[tuple[int, ...], int] = {}
@@ -161,34 +158,12 @@ def poly_lemma21_sum(n: int, r: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def lemma21_closed_form(n: int, r: int) -> LaurentPoly:
-    result = qbinom(n, r)
-    for x in range(r):
-        result = result * (
-            LaurentPoly.one() + LaurentPoly.variable("q", n - x)
-        )
-    return result
-
-
 def poly_lemma31_sum(n: int, r: int) -> LaurentPoly:
     """Sum of q^{inv_D} over parity-corrected subset juxtapositions."""
     terms: dict[tuple[int, ...], int] = {}
-    identity_prefix_len = n - r
+    sigma = tuple(range(1, n - r + 1))
     for subset in signed_subsets(n, r):
-        complement = tuple(
-            v for v in range(1, n + 1) if v not in {abs(a) for a in subset}
-        )
-        sigma = tuple(range(1, identity_prefix_len + 1))
         word = map_fD(sigma, subset, n)
         exp = (0, 0, inv_D(word), 0, 0, 0, 0)
         terms[exp] = terms.get(exp, 0) + 1
     return LaurentPoly(terms)
-
-
-def lemma31_closed_form(n: int, r: int) -> LaurentPoly:
-    result = qbinom(n, r)
-    for j in range(1, r + 1):
-        result = result * (
-            LaurentPoly.one() + LaurentPoly.variable("q", n - j)
-        )
-    return result

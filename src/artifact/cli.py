@@ -21,14 +21,13 @@ import json
 import sys
 import time
 
-from .enumeration import BoundExceeded, poly_group
+from .enumeration import WEIGHTS, BoundExceeded, poly_group
 from .permutations import GROUPS
 from .polynomials import VARIABLES, LaurentPoly
-from .recurrences import hyatt_plus, minus_transform, recurrence_poly
+from .recurrences import hyatt_plus, reciprocal_transform, recurrence_poly
 from .registry import CHECK_IDS, run_all, run_check
 from .series import DEFAULT_ORDER
 
-_WEIGHTS = ("biv", "fivevar", "hat", "q")
 _COMPARE_METHODS = ("brute", "recurrence", "hyatt")
 
 
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", required=True, type=int)
     p_enum.add_argument("--i", type=int, default=None,
                         help="descent cutoff (required for groups G and H)")
-    p_enum.add_argument("--weight", default="biv", choices=_WEIGHTS)
+    p_enum.add_argument("--weight", default="biv", choices=WEIGHTS)
     p_enum.add_argument("--format", default="pretty", choices=("json", "csv", "pretty"))
     p_enum.add_argument("--jobs", type=_job_count, default=1)
 
@@ -160,7 +159,7 @@ def _compare_method(method: str, group: str, n: int, jobs: int) -> LaurentPoly:
         return recurrence_poly(group, n)
     # positive-last-entry expansion plus its reciprocity-reflected half
     plus = hyatt_plus(group, n)
-    return plus + minus_transform(group, n, plus)
+    return plus + reciprocal_transform(group, n, plus)
 
 
 def _cmd_compare(args) -> int:
@@ -206,10 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         return _cmd_check(args)
     return _cmd_compare(args)
-
-
-def console_main() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

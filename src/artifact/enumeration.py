@@ -18,7 +18,6 @@ direct route so they stay non-circular.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 from math import factorial
@@ -38,7 +37,7 @@ from .polynomials import LaurentPoly
 
 WEIGHTS = ("biv", "fivevar", "hat", "q")
 
-_FLAVOR = {
+FLAVOR = {
     "A": "A",
     "B": "B", "B+": "B", "B-": "B", "G": "B", "snakeB": "B",
     "D": "D", "D+": "D", "D-": "D", "H": "D", "X": "D", "snakeD": "D",
@@ -63,7 +62,7 @@ class BoundExceeded(ValueError):
 def enumeration_bound(group: str) -> int:
     override = os.environ.get(BOUND_ENV_VAR)
     if override is None:
-        return DEFAULT_BOUNDS[_FLAVOR[group]]
+        return DEFAULT_BOUNDS[FLAVOR[group]]
     try:
         return int(override)
     except ValueError:
@@ -71,7 +70,7 @@ def enumeration_bound(group: str) -> int:
 
 
 def work_estimate(group: str, n: int) -> int:
-    if _FLAVOR[group] == "A":
+    if FLAVOR[group] == "A":
         return factorial(n)
     return 2**n * factorial(n)
 
@@ -169,7 +168,7 @@ def weighted_sum(words, flavor: str, weight: str) -> LaurentPoly:
 def poly_group_python(
     group: str, n: int, weight: str, i: int | None = None
 ) -> LaurentPoly:
-    return weighted_sum(iterate_group(group, n, i), _FLAVOR[group], weight)
+    return weighted_sum(iterate_group(group, n, i), FLAVOR[group], weight)
 
 
 # ----------------------------------------------------------------------
@@ -187,11 +186,24 @@ _PERM_CACHE: dict[int, np.ndarray] = {}
 
 
 def _perm_rows(n: int) -> np.ndarray:
-    """Every permutation of 1..n as a column: one contiguous int8 row per position."""
+    """Every permutation of 1..n as a column, in lexicographic order: one
+    contiguous int8 row per position.
+
+    The permutations of rank k are built from those of rank k-1: each first
+    entry f, followed by every rank-(k-1) permutation with its entries from f
+    up raised by one.
+    """
     arr = _PERM_CACHE.get(n)
     if arr is None:
-        perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
-        arr = np.ascontiguousarray(perms.T)
+        arr = np.zeros((0, 1), dtype=np.int8)
+        for k in range(1, n + 1):
+            m = arr.shape[1]
+            rows = np.empty((k, k * m), dtype=np.int8)
+            for f in range(1, k + 1):
+                block = slice((f - 1) * m, f * m)
+                rows[0, block] = f
+                rows[1:, block] = arr + (arr >= f)
+            arr = rows
         _PERM_CACHE[n] = arr
     return arr
 
@@ -325,7 +337,7 @@ def poly_group_numpy(
         return poly_group_python(group, n, weight, i)
     if n > _MAX_VECTOR_RANK:
         raise ValueError(f"the vectorized route stops at rank {_MAX_VECTOR_RANK}, got {n}")
-    flavor = _FLAVOR[group]
+    flavor = FLAVOR[group]
     even, odd = _position_bits(flavor, n)
     evens, odds = even.bit_count(), odd.bit_count()
     bins = _inv_bins(flavor, n)
@@ -361,8 +373,8 @@ def poly_group(
     descent set and last-entry sign.  'python' takes the direct route, which
     walks the words one by one; it stays as the independent oracle.
     """
-    if group not in _FLAVOR:
-        raise ValueError(f"unknown group family {group!r}; choose from {tuple(_FLAVOR)}")
+    if group not in FLAVOR:
+        raise ValueError(f"unknown group family {group!r}; choose from {tuple(FLAVOR)}")
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose from {WEIGHTS}")
     check_bound(group, n)

@@ -14,12 +14,8 @@ from typing import Callable
 
 from .polynomials import (
     LaurentPoly,
-    first_difference,
-    monomial_name,
     one_minus,
-    poincare,
     qbinom,
-    qfact,
     qint,
 )
 
@@ -34,9 +30,7 @@ __all__ = [
     "classic_plus_B",
     "reiner_poly",
     "reiner_recurrence_rhs",
-    "minus_transform",
     "reciprocal_transform",
-    "symmetry_check",
 ]
 
 _S = LaurentPoly.variable("s")
@@ -66,7 +60,8 @@ def c_coeff(n: int, j: int) -> LaurentPoly:
 def cd_coeff(n: int, j: int) -> LaurentPoly:
     """``qbinom(n, j) * prod_{i=n-j}^{n-1} (1 + q^i)``.
 
-    Equals ``D_n(1,q) / (D_{n-j}(1,q) [j]_q!)``.
+    Equals ``D_n(1,q) / (D_{n-j}(1,q) [j]_q!)`` for j < n, and twice that
+    for j = n, where the trivial D_0 takes the place of a group of order 2.
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
@@ -263,7 +258,13 @@ def _reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
     raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
 
 
-def _apply_reciprocal(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
+def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
+    """The image of a polynomial under (s,t,q) -> (1/s,1/t,1/q), times the
+    family's prefactor.
+
+    It maps the positive-last-entry polynomial to the negative-last-entry one,
+    and the full-group polynomial to itself.
+    """
     qpow, spow, tpow = _reciprocal_exponents(family, n)
     flipped = (
         poly.substitute("s", "reciprocal")
@@ -272,51 +273,3 @@ def _apply_reciprocal(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     )
     prefactor = LaurentPoly.monomial(1, q=qpow, s=spow, t=tpow)
     return prefactor * flipped
-
-
-def minus_transform(family: str, n: int, plus_poly: LaurentPoly) -> LaurentPoly:
-    """Predicted negative-last-entry polynomial from the positive one."""
-    return _apply_reciprocal(family, n, plus_poly)
-
-
-def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
-    """Predicted full-group polynomial from itself under (s,t,q) -> (1/s,1/t,1/q)."""
-    return _apply_reciprocal(family, n, poly)
-
-
-def symmetry_check(family: str, n: int, *, jobs: int = 1) -> dict:
-    """Check the minus/plus and self-reciprocity laws for one family and rank.
-
-    Returns a report dict per statement with status and, on failure, the first
-    differing monomial in graded-lexicographic order.
-    """
-    from .enumeration import poly_group
-
-    group = family
-    plus = poly_group(f"{group}+", n, "biv", jobs=jobs)
-    minus = poly_group(f"{group}-", n, "biv", jobs=jobs)
-    full = poly_group(group, n, "biv", jobs=jobs)
-    tag = "typeB" if family == "B" else "typeD"
-    statements = [
-        (f"{tag}-minus-symmetry", minus, minus_transform(family, n, plus)),
-        (f"{tag}-reciprocal", full, reciprocal_transform(family, n, full)),
-    ]
-    checks = []
-    for identity_id, lhs, rhs in statements:
-        diff = first_difference(lhs, rhs)
-        entry: dict = {"identity_id": identity_id, "n": n}
-        if diff is None:
-            entry["status"] = "pass"
-        else:
-            exp, lc, rc = diff
-            entry["status"] = "fail"
-            entry["witness_monomial"] = monomial_name(exp)
-            entry["lhs_coef"] = str(lc)
-            entry["rhs_coef"] = str(rc)
-        checks.append(entry)
-    return {
-        "family": family,
-        "n": n,
-        "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
-        "reports": checks,
-    }

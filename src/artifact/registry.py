@@ -20,19 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable
 
 from .bijections import (
-    lemma21_closed_form,
-    lemma31_closed_form,
     map_f,
     map_fD,
     poly_lemma21_sum,
     poly_lemma31_sum,
     signed_subsets,
 )
-from .enumeration import poly_group
+from .enumeration import FLAVOR, poly_group
 from .extension import (
     GEN_I,
     GEN_LITTLE_M,
@@ -46,6 +45,7 @@ from .extension import (
 from .permutations import (
     flip_all,
     flip_D,
+    format_word,
     inv_B,
     inv_D,
     iterate_group,
@@ -65,7 +65,6 @@ from .recurrences import (
     cd_coeff,
     classic_plus_B,
     hyatt_plus,
-    minus_transform,
     reciprocal_transform,
     recur_B,
     recur_D,
@@ -90,12 +89,10 @@ __all__ = [
 
 _S = LaurentPoly.variable("s")
 _T = LaurentPoly.variable("t")
-_Q = LaurentPoly.variable("q")
 _S0 = LaurentPoly.variable("s0")
 _S1 = LaurentPoly.variable("s1")
 _T0 = LaurentPoly.variable("t0")
 _T1 = LaurentPoly.variable("t1")
-_ONE = LaurentPoly.one()
 
 
 # --------------------------------------------------------------------------
@@ -104,12 +101,17 @@ _ONE = LaurentPoly.one()
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verifiable identity: stable id, human label, runner, defaults."""
+    """One verifiable identity: stable id, human label, runner, defaults.
+
+    A rank sweep starts at ``first_n``; a ``max_n`` below it would check
+    nothing and pass, so it is refused.
+    """
 
     id: str
     label: str
     parameters: dict
     runner: Callable[..., dict]
+    first_n: int = 0
 
     def run(self, *, order: int | None = None, max_n: int | None = None, jobs: int = 1) -> dict:
         params = dict(self.parameters)
@@ -117,6 +119,11 @@ class IdentityCheck:
             params["order"] = order
         if max_n is not None and "max_n" in params:
             params["max_n"] = max_n
+        if params.get("max_n", self.first_n) < self.first_n:
+            raise ValueError(
+                f"check {self.id!r} sweeps ranks from {self.first_n}, "
+                f"so max_n must be at least {self.first_n}, got {params['max_n']}"
+            )
         body = self.runner(jobs=jobs, **params)
         report = {"id": self.id, "label": self.label, "parameters": params}
         report.update(body)
@@ -141,9 +148,9 @@ def _brute(group: str, n: int, weight: str = "biv", i: int | None = None,
     return _POLY_CACHE[key]
 
 
-def _register(check_id: str, label: str, **defaults):
+def _register(check_id: str, label: str, first_n: int = 0, **defaults):
     def deco(fn):
-        _REGISTRY[check_id] = IdentityCheck(check_id, label, defaults, fn)
+        _REGISTRY[check_id] = IdentityCheck(check_id, label, defaults, fn, first_n)
         return fn
 
     return deco
@@ -165,12 +172,16 @@ def _poly_entry(identity_id: str, n: int, lhs: LaurentPoly, rhs: LaurentPoly) ->
     }
 
 
-def _collect(entries: list[dict], extra: dict | None = None) -> dict:
+def _witness_entry(identity_id: str, n: int, witness: str | None) -> dict:
+    """Per-rank entry of a check whose failure one witness string names."""
+    if witness is None:
+        return {"identity_id": identity_id, "n": n, "status": "pass"}
+    return {"identity_id": identity_id, "n": n, "status": "fail", "witness_monomial": witness}
+
+
+def _collect(entries: list[dict]) -> dict:
     status = "pass" if all(e["status"] == "pass" for e in entries) else "fail"
-    out = {"status": status, "cases": entries}
-    if extra:
-        out.update(extra)
-    return out
+    return {"status": status, "cases": entries}
 
 
 def _reading_set(readings: list[tuple[str, bool, Callable[[], dict]]]) -> dict:
@@ -185,28 +196,50 @@ def _reading_set(readings: list[tuple[str, bool, Callable[[], dict]]]) -> dict:
     return {"status": "pass" if ok else "fail", "readings": reports}
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What the type B and the type D statement of one law differ in."""
+
+    name: str  # the group, and the flavor of its statistics
+    first: int  # lowest rank of the sign-flip, reflection and power laws
+    map: Callable  # juxtaposition of a prefix with a signed subset
+    inv: Callable
+    stats: Callable
+    flip: Callable  # the negation the sign-flip law pairs words by
+    flip_sums: Callable[[int], tuple[int, int, int]]  # its constant inv, odes, edes sums
+    coeff: Callable[[int, int], LaurentPoly]  # closed form of the insertion sum
+    lemma_sum: Callable[[int, int], LaurentPoly]  # the insertion sum itself
+    ladder: str  # the bounded-descent classes
+
+
+_B = _Family("B", 1, map_f, inv_B, stats_B, flip_all,
+             lambda n: (n * n, n // 2, (n + 1) // 2), c_coeff, poly_lemma21_sum, "G")
+_D = _Family("D", 2, map_fD, inv_D, stats_D, flip_D,
+             lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff, poly_lemma31_sum, "H")
+
+
 # --------------------------------------------------------------------------
 # shared series ingredients
 
 
 def _egf(group: str, weight: str, parity: str, order: int, jobs: int,
-         start: int | None = None, q_one: bool = False, to_t: bool = False,
-         method: str = "auto") -> TruncatedSeries:
+         start: int | None = None, q_one: bool = False, to_t: bool = False) -> TruncatedSeries:
     """Exponential generating function of brute-force polynomials.
 
     Denominators are the inversion-number Poincaré polynomials of the
     ambient family (factorials once ``q_one`` collapses them to q = 1).
+    The type D sums start at rank 2.
     """
-    family = "A" if group.startswith("A") else ("D" if group[0] in "DHX" or group.startswith("snakeD") else "B")
+    family = FLAVOR[group]
     if start is None:
-        start = {"even": 0, "odd": 1, "all": 0}[parity]
+        start = {"even": 0, "odd": 1, "all": 0}[parity] + (2 if family == "D" else 0)
     polys: dict[int, LaurentPoly] = {}
     for n in range(start, order + 1):
         if parity == "even" and n % 2 == 1:
             continue
         if parity == "odd" and n % 2 == 0:
             continue
-        p = _brute(group, n, weight, jobs=jobs, method=method)
+        p = _brute(group, n, weight, jobs=jobs)
         if q_one:
             p = p.substitute("q", "value", 1)
         if to_t:
@@ -238,26 +271,24 @@ def _hyperbolic_kit(scale, order: int, family: str) -> dict:
     return kit
 
 
-def _trig_kit(scale, order: int, family: str | None = None) -> dict:
-    """cos/sin pieces at a common scale; sines both literal (carrying the
-    imaginary generator) and freed (that generator divided out)."""
+def _trig_kit(scale, order: int, family: str) -> dict:
+    """cos/sin pieces at a common scale, for one family; sines both literal
+    (carrying the imaginary generator) and freed (that generator divided out)."""
     cosq = series_make("cos_q", scale, order)
     sinq = series_make("sin_q", scale, order)
     e_i = series_make("e_q", ExtElement.coerce(scale) * GEN_I, order)
-    kit = {
+    sinX = series_make(f"sin_{family}", scale, order)
+    return {
         "one": TruncatedSeries.one(order),
         "u": TruncatedSeries.u_power(1, order),
         "cosq": cosq,
         "sinq_i": sinq,
         "sinq": sinq.divide_by_generator("i"),
         "E_i": e_i * e_i.negate_u(),
+        "cosX": series_make(f"cos_{family}", scale, order),
+        "sinX_i": sinX,
+        "sinX": sinX.divide_by_generator("i"),
     }
-    if family in ("B", "D"):
-        sinX = series_make(f"sin_{family}", scale, order)
-        kit["cosX"] = series_make(f"cos_{family}", scale, order)
-        kit["sinX_i"] = sinX
-        kit["sinX"] = sinX.divide_by_generator("i")
-    return kit
 
 
 # --------------------------------------------------------------------------
@@ -292,22 +323,16 @@ def _type_b_biv(parity: str, order: int, jobs: int) -> dict:
     return verify_fraction_identity(lhs, num, den)
 
 
-@_register(
+_register(
     "typeB-biv-even",
     "even-rank bivariate parity-descent egf for signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_b_biv_even(order: int, jobs: int) -> dict:
-    return _type_b_biv("even", order, jobs)
-
-
-@_register(
+)(partial(_type_b_biv, "even"))
+_register(
     "typeB-biv-odd",
     "odd-rank bivariate parity-descent egf for signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_b_biv_odd(order: int, jobs: int) -> dict:
-    return _type_b_biv("odd", order, jobs)
+)(partial(_type_b_biv, "odd"))
 
 
 @_register(
@@ -366,22 +391,16 @@ def _type_b_alt(parity: str, order: int, jobs: int) -> dict:
     return _reading_set(readings)
 
 
-@_register(
+_register(
     "typeB-alt-even",
     "even-rank ascent-descent mixed-statistic egf for signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_b_alt_even(order: int, jobs: int) -> dict:
-    return _type_b_alt("even", order, jobs)
-
-
-@_register(
+)(partial(_type_b_alt, "even"))
+_register(
     "typeB-alt-odd",
     "odd-rank ascent-descent mixed-statistic egf for signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_b_alt_odd(order: int, jobs: int) -> dict:
-    return _type_b_alt("odd", order, jobs)
+)(partial(_type_b_alt, "odd"))
 
 
 @_register(
@@ -445,18 +464,31 @@ def _chk_b_fivevar(order: int, jobs: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# type B polynomial identities
+# type B polynomial identities, and the bodies the type D ones share
 
 
-@_register(
+def _recurrence(check_id: str, fam: _Family, max_n: int, jobs: int, start: int = 0,
+                extra: Callable[[int], LaurentPoly] | None = None) -> dict:
+    """Brute force against the recurrence, with ``extra(n)`` added where a reading has it."""
+    recur = recur_B if fam.name == "B" else recur_D
+    entries = []
+    for n in range(start, max_n + 1):
+        rhs = recur(n) if extra is None else recur(n) + extra(n)
+        entries.append(_poly_entry(check_id, n, _brute(fam.name, n, "biv", jobs=jobs), rhs))
+    return _collect(entries)
+
+
+_register(
     "typeB-recurrence",
     "two-term descent recurrence versus brute force for signed permutations",
     max_n=8,
-)
-def _chk_b_recurrence(max_n: int, jobs: int) -> dict:
+)(partial(_recurrence, "typeB-recurrence", _B))
+
+
+def _hyatt(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
     entries = [
-        _poly_entry("typeB-recurrence", n, _brute("B", n, "biv", jobs=jobs), recur_B(n))
-        for n in range(max_n + 1)
+        _poly_entry(check_id, n, _brute(fam.name + "+", n, "biv", jobs=jobs), hyatt_plus(fam.name, n))
+        for n in range(1, max_n + 1)
     ]
     return _collect(entries)
 
@@ -464,13 +496,11 @@ def _chk_b_recurrence(max_n: int, jobs: int) -> dict:
 @_register(
     "typeB-hyatt",
     "positive-last-entry descent expansion and its one-variable specialization",
+    first_n=1,
     max_n=7,
 )
 def _chk_b_hyatt(max_n: int, jobs: int) -> dict:
-    entries = [
-        _poly_entry("typeB-hyatt", n, _brute("B+", n, "biv", jobs=jobs), hyatt_plus("B", n))
-        for n in range(1, max_n + 1)
-    ]
+    entries = _hyatt("typeB-hyatt", _B, max_n, jobs)["cases"]
     classic = []
     for n in range(1, 11):
         lhs = hyatt_plus("B", n).substitute("q", "value", 1).rename_variables({"s": "t"})
@@ -479,31 +509,29 @@ def _chk_b_hyatt(max_n: int, jobs: int) -> dict:
     return {"status": status, "cases": entries, "classic": classic}
 
 
-@_register(
+def _reflection(check_id: str, fam: _Family, max_n: int, jobs: int,
+                source: str = "", target: str = "") -> dict:
+    """The target class's polynomial from the source class's by reciprocity."""
+    entries = []
+    for n in range(fam.first, max_n + 1):
+        src = _brute(fam.name + source, n, "biv", jobs=jobs)
+        lhs = src if target == source else _brute(fam.name + target, n, "biv", jobs=jobs)
+        entries.append(_poly_entry(check_id, n, lhs, reciprocal_transform(fam.name, n, src)))
+    return _collect(entries)
+
+
+_register(
     "typeB-minus-symmetry",
     "negative-last-entry polynomial from the positive one by reciprocity (type B)",
+    first_n=_B.first,
     max_n=7,
-)
-def _chk_b_minus(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(1, max_n + 1):
-        plus = _brute("B+", n, "biv", jobs=jobs)
-        minus = _brute("B-", n, "biv", jobs=jobs)
-        entries.append(_poly_entry("typeB-minus-symmetry", n, minus, minus_transform("B", n, plus)))
-    return _collect(entries)
-
-
-@_register(
+)(partial(_reflection, "typeB-minus-symmetry", _B, source="+", target="-"))
+_register(
     "typeB-reciprocal",
     "self-reciprocity of the bivariate descent polynomial (type B)",
+    first_n=_B.first,
     max_n=7,
-)
-def _chk_b_reciprocal(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(1, max_n + 1):
-        full = _brute("B", n, "biv", jobs=jobs)
-        entries.append(_poly_entry("typeB-reciprocal", n, full, reciprocal_transform("B", n, full)))
-    return _collect(entries)
+)(partial(_reflection, "typeB-reciprocal", _B))
 
 
 @_register(
@@ -541,6 +569,7 @@ def _chk_reiner_egf(order: int, jobs: int) -> dict:
 @_register(
     "reiner-recurrence",
     "one-variable descent recurrence for signed permutations",
+    first_n=1,
     max_n=7,
 )
 def _chk_reiner_recurrence(max_n: int, jobs: int) -> dict:
@@ -554,117 +583,101 @@ def _chk_reiner_recurrence(max_n: int, jobs: int) -> dict:
     return _collect(entries)
 
 
-@_register(
+def _lemma(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+    """Inversion sum over signed-subset insertions against its closed product."""
+    entries = [
+        _poly_entry(f"{check_id}[n={n},r={r}]", n, fam.lemma_sum(n, r), fam.coeff(n, r))
+        for n in range(max_n + 1)
+        for r in range(n + 1)
+    ]
+    return _collect(entries)
+
+
+_register(
     "lemma-2.1",
     "inversion sum over signed-subset insertions equals a closed product (type B)",
     max_n=7,
-)
-def _chk_lemma21(max_n: int, jobs: int) -> dict:
+)(partial(_lemma, "lemma-2.1", _B))
+
+
+def _corollary(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+    """Insertion sums with a fixed prefix: per prefix, and weighted by its descents."""
     entries = []
     for n in range(max_n + 1):
         for r in range(n + 1):
-            entries.append(
-                _poly_entry(f"lemma-2.1[n={n},r={r}]", n, poly_lemma21_sum(n, r), lemma21_closed_form(n, r))
-            )
+            closed = fam.coeff(n, r)
+            weighted_total = LaurentPoly.zero()
+            witness = None
+            for sigma in iterate_group(fam.name, n - r):
+                acc = LaurentPoly.zero()
+                for subset in signed_subsets(n, r):
+                    acc = acc + LaurentPoly.monomial(1, q=fam.inv(fam.map(sigma, subset, n)))
+                if witness is None and acc != LaurentPoly.monomial(1, q=fam.inv(sigma)) * closed:
+                    witness = "prefix " + format_word(sigma)
+                sv = fam.stats(sigma)
+                weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
+            identity_id = f"{check_id}[n={n},r={r}]"
+            rhs = _brute(fam.name, n - r, "biv", jobs=jobs) * closed
+            if witness is None:
+                entries.append(_poly_entry(identity_id, n, weighted_total, rhs))
+            else:
+                entries.append(_witness_entry(identity_id, n, witness))
     return _collect(entries)
 
 
-@_register(
+_register(
     "corollary-2.2",
     "insertion sums with a fixed prefix, unweighted and descent-weighted (type B)",
     max_n=6,
-)
-def _chk_corollary22(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(max_n + 1):
-        for r in range(n + 1):
-            closed = lemma21_closed_form(n, r)
-            weighted_total = LaurentPoly.zero()
-            fixed_ok = True
-            witness = None
-            for sigma in iterate_group("B", n - r):
-                acc = LaurentPoly.zero()
-                for subset in signed_subsets(n, r):
-                    word = map_f(sigma, subset, n)
-                    acc = acc + LaurentPoly.monomial(1, q=inv_B(word))
-                expect = LaurentPoly.monomial(1, q=inv_B(sigma)) * closed
-                if fixed_ok and acc != expect:
-                    fixed_ok = False
-                    witness = ",".join(str(x) for x in sigma)
-                sv = stats_B(sigma)
-                weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
-            entry = {"identity_id": f"corollary-2.2[n={n},r={r}]", "n": n}
-            rhs = _brute("B", n - r, "biv", jobs=jobs) * closed
-            diff = first_difference(weighted_total, rhs)
-            if fixed_ok and diff is None:
-                entry["status"] = "pass"
-            else:
-                entry["status"] = "fail"
-                if not fixed_ok:
-                    entry["witness_monomial"] = f"prefix {witness}"
-                else:
-                    exp, a, b = diff
-                    entry["witness_monomial"] = monomial_name(exp)
-                    entry["lhs_coef"] = str(a)
-                    entry["rhs_coef"] = str(b)
-            entries.append(entry)
-    return _collect(entries)
+)(partial(_corollary, "corollary-2.2", _B))
 
 
-def _passing_entries(identity_id: str, family: str, max_n: int, jobs: int,
-                     i_start: int) -> list[dict]:
+def _passing(identity_id: str, fam: _Family, max_n: int, jobs: int, i_start: int = 0) -> dict:
     """Ladder relation between consecutive bounded-descent classes."""
-    group, full, coeff_fn = ("G", "B", c_coeff) if family == "B" else ("H", "D", cd_coeff)
     entries = []
     for n in range(1, max_n + 1):
         for i in range(i_start, n + 1):
-            cur = _brute(full, n, "biv", jobs=jobs) if i == n else _brute(group, n, "biv", i=i, jobs=jobs)
-            prev = _brute(group, n, "biv", i=i - 1, jobs=jobs)
-            rank_poly = _brute(full, i, "biv", jobs=jobs)
+            cur = (_brute(fam.name, n, "biv", jobs=jobs) if i == n
+                   else _brute(fam.ladder, n, "biv", i=i, jobs=jobs))
+            prev = _brute(fam.ladder, n, "biv", i=i - 1, jobs=jobs)
+            rank_poly = _brute(fam.name, i, "biv", jobs=jobs)
             if i % 2 == 1:
-                rhs = _T * rank_poly * coeff_fn(n, n - i) + one_minus("t") * prev
+                rhs = _T * rank_poly * fam.coeff(n, n - i) + one_minus("t") * prev
             else:
-                rhs = _S * rank_poly * coeff_fn(n, n - i) + one_minus("s") * prev
+                rhs = _S * rank_poly * fam.coeff(n, n - i) + one_minus("s") * prev
             entries.append(_poly_entry(f"{identity_id}[n={n},i={i}]", n, cur, rhs))
-    return entries
+    return _collect(entries)
 
 
-@_register(
+_register(
     "passing-G",
     "bounded-descent-class ladder relation (type B)",
+    first_n=_B.first,
     max_n=6,
-)
-def _chk_passing_g(max_n: int, jobs: int) -> dict:
-    return _collect(_passing_entries("passing-G", "B", max_n, jobs, i_start=0))
+)(partial(_passing, "passing-G", _B))
 
 
-@_register(
+def _signflip(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+    """Each word and its negation have constant inv, odes and edes sums."""
+    entries = []
+    for n in range(fam.first, max_n + 1):
+        sums = fam.flip_sums(n)
+        bad = None
+        for w in iterate_group(fam.name, n):
+            sw, sv = fam.stats(w), fam.stats(fam.flip(w))
+            if (sw.inv + sv.inv, sw.odes + sv.odes, sw.edes + sv.edes) != sums:
+                bad = format_word(w)
+                break
+        entries.append(_witness_entry(check_id, n, bad))
+    return _collect(entries)
+
+
+_register(
     "signflip-B",
     "entrywise negation pairs statistics to constant sums (type B)",
+    first_n=_B.first,
     max_n=6,
-)
-def _chk_signflip_b(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(1, max_n + 1):
-        bad = None
-        for w in iterate_group("B", n):
-            v = flip_all(w)
-            sw, sv = stats_B(w), stats_B(v)
-            if (
-                sw.inv + sv.inv != n * n
-                or sw.odes + sv.odes != n // 2
-                or sw.edes + sv.edes != (n + 1) // 2
-            ):
-                bad = ",".join(str(x) for x in w)
-                break
-        entry = {"identity_id": "signflip-B", "n": n}
-        if bad is None:
-            entry["status"] = "pass"
-        else:
-            entry["status"] = "fail"
-            entry["witness_monomial"] = bad
-        entries.append(entry)
-    return _collect(entries)
+)(partial(_signflip, "signflip-B", _B))
 
 
 # --------------------------------------------------------------------------
@@ -675,27 +688,28 @@ def _div_m_series(series: TruncatedSeries) -> TruncatedSeries:
     return series.divide_by_generator("M")
 
 
-def _d_building_blocks(order: int):
-    """The two auxiliary hyperbolic series of the type D closed forms,
-    rewritten without scalar division (every 1/M is an exact generator
-    division of a series whose coefficients all carry M)."""
-    k = _hyperbolic_kit(GEN_M, order, "D")
+def _ed_od(k: dict, cos, sin, cos_x, sin_x, t, omt, lead, gen, name: str):
+    """The two auxiliary series of the type D closed forms, from one kit's
+    cosine-like and sine-like pieces.  They are written without scalar
+    division: every 1/gen is an exact division by the generator ``name`` of a
+    series whose coefficients all carry it."""
     one, u = k["one"], k["u"]
-    coshq, sinhq = k["coshq"], k["sinhq"]
-    coshD, sinhD = k["coshX"], k["sinhX"]
-    omt, oms = one_minus("t"), one_minus("s")
-    ed = (2 * _T) * (coshq - one) + omt * (coshD - one) \
-        + (_T * _T * oms) * (u * _div_m_series(sinhq))
-    od = (_T * _T) * (u * (coshq - one)) \
-        + (omt * omt) * _div_m_series(sinhD - GEN_M * u) \
-        + (2 * _T * omt) * _div_m_series(sinhq - GEN_M * u)
-    return k, ed, od
+
+    def div(series: TruncatedSeries) -> TruncatedSeries:
+        return series.divide_by_generator(name)
+
+    ed = (2 * t) * (cos - one) + omt * (cos_x - one) + (t * t * lead) * (u * div(sin))
+    od = (t * t) * (u * (cos - one)) \
+        + (omt * omt) * div(sin_x - gen * u) \
+        + (2 * t * omt) * div(sin - gen * u)
+    return ed, od
 
 
 def _type_d_biv(parity: str, order: int, jobs: int) -> dict:
-    start = 2 if parity == "even" else 3
-    lhs = _egf("D", "biv", parity, order, jobs, start=start)
-    k, ed, od = _d_building_blocks(order)
+    lhs = _egf("D", "biv", parity, order, jobs)
+    k = _hyperbolic_kit(GEN_M, order, "D")
+    ed, od = _ed_od(k, k["coshq"], k["sinhq"], k["coshX"], k["sinhX"],
+                    _T, one_minus("t"), one_minus("s"), GEN_M, "M")
     one = k["one"]
     den = one - (_S + _T) * k["coshq"] + (_S * _T) * k["E"]
     if parity == "even":
@@ -705,38 +719,28 @@ def _type_d_biv(parity: str, order: int, jobs: int) -> dict:
     return verify_fraction_identity(lhs, num, den)
 
 
-@_register(
+_register(
     "typeD-biv-even",
     "even-rank bivariate parity-descent egf for even-signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_d_biv_even(order: int, jobs: int) -> dict:
-    return _type_d_biv("even", order, jobs)
-
-
-@_register(
+)(partial(_type_d_biv, "even"))
+_register(
     "typeD-biv-odd",
     "odd-rank bivariate parity-descent egf for even-signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_d_biv_odd(order: int, jobs: int) -> dict:
-    return _type_d_biv("odd", order, jobs)
+)(partial(_type_d_biv, "odd"))
 
 
 def _type_d_alt(parity: str, order: int, jobs: int) -> dict:
-    start = 2 if parity == "even" else 3
-    lhs = _egf("D", "hat", parity, order, jobs, start=start)
+    lhs = _egf("D", "hat", parity, order, jobs)
     k = _trig_kit(GEN_M, order, "D")
     one, u = k["one"], k["u"]
     den = _S * one - (_S * _T + 1) * k["cosq"] + _T * k["E_i"]
     oms_r = _S - 1  # the closed form uses s-1, the reverse of the hyperbolic case
 
     def derived():
-        ed_h = (2 * _T) * (k["cosq"] - one) + one_minus("t") * (k["cosX"] - one) \
-            + (_T * _T * (_S - 1)) * (u * _div_m_series(k["sinq"]))
-        od_h = (_T * _T) * (u * (k["cosq"] - one)) \
-            + (one_minus("t") * one_minus("t")) * _div_m_series(k["sinX"] - GEN_M * u) \
-            + (2 * _T * one_minus("t")) * _div_m_series(k["sinq"] - GEN_M * u)
+        ed_h, od_h = _ed_od(k, k["cosq"], k["sinq"], k["cosX"], k["sinX"],
+                            _T, one_minus("t"), oms_r, GEN_M, "M")
         if parity == "even":
             num = ed_h * (one - _T * k["cosq"]) + od_h * ((_T * oms_r) * _div_m_series(k["sinq"]))
         else:
@@ -769,22 +773,16 @@ def _type_d_alt(parity: str, order: int, jobs: int) -> dict:
     ])
 
 
-@_register(
+_register(
     "typeD-alt-even",
     "even-rank ascent-descent mixed-statistic egf for even-signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_d_alt_even(order: int, jobs: int) -> dict:
-    return _type_d_alt("even", order, jobs)
-
-
-@_register(
+)(partial(_type_d_alt, "even"))
+_register(
     "typeD-alt-odd",
     "odd-rank ascent-descent mixed-statistic egf for even-signed permutations",
     order=DEFAULT_ORDER,
-)
-def _chk_d_alt_odd(order: int, jobs: int) -> dict:
-    return _type_d_alt("odd", order, jobs)
+)(partial(_type_d_alt, "odd"))
 
 
 @_register(
@@ -798,18 +796,14 @@ def _chk_d_fivevar(order: int, jobs: int) -> dict:
     coshq, sinhq = k["coshq"], k["sinhq"]
     coshD, sinhD = k["coshX"], k["sinhX"]
     den = (_S0 * _S1) * one - (_S0 * _T1 + _S1 * _T0) * coshq + (_T0 * _T1) * k["E"]
-    lhs_even = _egf("D", "fivevar", "even", order, jobs, start=2)
-    lhs_odd = _egf("D", "fivevar", "odd", order, jobs, start=3)
+    lhs_even = _egf("D", "fivevar", "even", order, jobs)
+    lhs_odd = _egf("D", "fivevar", "odd", order, jobs)
 
     def divm(s):
         return s.divide_by_generator("m")
 
     def derived():
-        e5 = (2 * _T1) * (coshq - one) + (_S1 - _T1) * (coshD - one) \
-            + (_T1 * _T1 * (_S0 - _T0)) * (u * divm(sinhq))
-        o5 = (_T1 * _T1) * (u * (coshq - one)) \
-            + ((_S1 - _T1) * (_S1 - _T1)) * divm(sinhD - GEN_LITTLE_M * u) \
-            + (2 * _T1 * (_S1 - _T1)) * divm(sinhq - GEN_LITTLE_M * u)
+        e5, o5 = _ed_od(k, coshq, sinhq, coshD, sinhD, _T1, _S1 - _T1, _S0 - _T0, GEN_LITTLE_M, "m")
         num_e = e5 * (_S1 * one - _T1 * coshq) + o5 * ((_T1 * (_S0 - _T0)) * divm(sinhq))
         even = verify_fraction_identity(lhs_even, num_e, den)
         num_o = o5 * (_S0 * one - _T0 * coshq) + e5 * ((_T0 * (_S1 - _T1)) * divm(sinhq))
@@ -850,135 +844,59 @@ def _chk_d_fivevar(order: int, jobs: int) -> dict:
 @_register(
     "typeD-recurrence",
     "two-term descent recurrence versus brute force for even-signed permutations",
+    first_n=_D.first,
     max_n=8,
 )
 def _chk_d_recurrence(max_n: int, jobs: int) -> dict:
-    def derived():
-        entries = [
-            _poly_entry("typeD-recurrence", n, _brute("D", n, "biv", jobs=jobs), recur_D(n))
-            for n in range(2, max_n + 1)
-        ]
-        return _collect(entries)
-
-    def printed():
+    def printed_extra(n: int) -> LaurentPoly:
         # literal even-rank sum range includes one extra lowest-rank term
-        entries = []
-        for n in range(2, max_n + 1):
-            rhs = recur_D(n)
-            if n % 2 == 0:
-                k = n // 2
-                extra = _T * one_minus("t") ** (k - 1) * one_minus("s") ** (k - 1) \
-                    * cd_coeff(n, n - 1) * recur_D(1)
-                rhs = rhs + extra
-            entries.append(_poly_entry("typeD-recurrence", n, _brute("D", n, "biv", jobs=jobs), rhs))
-        return _collect(entries)
+        if n % 2 == 1:
+            return LaurentPoly.zero()
+        k = n // 2
+        return _T * one_minus("t") ** (k - 1) * one_minus("s") ** (k - 1) \
+            * cd_coeff(n, n - 1) * recur_D(1)
 
+    derived = partial(_recurrence, "typeD-recurrence", _D, max_n, jobs, start=_D.first)
     return _reading_set([
         ("derived", True, derived),
-        ("printed-literal", False, printed),
+        ("printed-literal", False, partial(derived, extra=printed_extra)),
     ])
 
 
-@_register(
+_register(
     "typeD-hyatt",
     "positive-last-entry descent expansion for even-signed permutations",
+    first_n=1,
     max_n=7,
-)
-def _chk_d_hyatt(max_n: int, jobs: int) -> dict:
-    entries = [
-        _poly_entry("typeD-hyatt", n, _brute("D+", n, "biv", jobs=jobs), hyatt_plus("D", n))
-        for n in range(1, max_n + 1)
-    ]
-    return _collect(entries)
-
-
-@_register(
+)(partial(_hyatt, "typeD-hyatt", _D))
+_register(
     "typeD-minus-symmetry",
     "negative-last-entry polynomial from the positive one by reciprocity (type D)",
+    first_n=_D.first,
     max_n=7,
-)
-def _chk_d_minus(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(2, max_n + 1):
-        plus = _brute("D+", n, "biv", jobs=jobs)
-        minus = _brute("D-", n, "biv", jobs=jobs)
-        entries.append(_poly_entry("typeD-minus-symmetry", n, minus, minus_transform("D", n, plus)))
-    return _collect(entries)
-
-
-@_register(
+)(partial(_reflection, "typeD-minus-symmetry", _D, source="+", target="-"))
+_register(
     "typeD-reciprocal",
     "self-reciprocity of the bivariate descent polynomial (type D)",
+    first_n=_D.first,
     max_n=7,
-)
-def _chk_d_reciprocal(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(2, max_n + 1):
-        full = _brute("D", n, "biv", jobs=jobs)
-        entries.append(_poly_entry("typeD-reciprocal", n, full, reciprocal_transform("D", n, full)))
-    return _collect(entries)
-
-
-@_register(
+)(partial(_reflection, "typeD-reciprocal", _D))
+_register(
     "lemma-3.1",
     "inversion sum over signed-subset insertions equals a closed product (type D)",
     max_n=7,
-)
-def _chk_lemma31(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(max_n + 1):
-        for r in range(n + 1):
-            entries.append(
-                _poly_entry(f"lemma-3.1[n={n},r={r}]", n, poly_lemma31_sum(n, r), lemma31_closed_form(n, r))
-            )
-    return _collect(entries)
-
-
-@_register(
+)(partial(_lemma, "lemma-3.1", _D))
+_register(
     "corollary-3.2/3.3",
     "insertion sums with a fixed prefix, unweighted and descent-weighted (type D)",
     max_n=6,
-)
-def _chk_corollary32(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(max_n + 1):
-        for r in range(n + 1):
-            closed = lemma31_closed_form(n, r)
-            weighted_total = LaurentPoly.zero()
-            fixed_ok = True
-            witness = None
-            for sigma in iterate_group("D", n - r):
-                acc = LaurentPoly.zero()
-                for subset in signed_subsets(n, r):
-                    word = map_fD(sigma, subset, n)
-                    acc = acc + LaurentPoly.monomial(1, q=inv_D(word))
-                expect = LaurentPoly.monomial(1, q=inv_D(sigma)) * closed
-                if fixed_ok and acc != expect:
-                    fixed_ok = False
-                    witness = ",".join(str(x) for x in sigma)
-                sv = stats_D(sigma)
-                weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
-            entry = {"identity_id": f"corollary-3.2/3.3[n={n},r={r}]", "n": n}
-            rhs = _brute("D", n - r, "biv", jobs=jobs) * closed
-            diff = first_difference(weighted_total, rhs)
-            if fixed_ok and diff is None:
-                entry["status"] = "pass"
-            else:
-                entry["status"] = "fail"
-                if not fixed_ok:
-                    entry["witness_monomial"] = f"prefix {witness}"
-                else:
-                    exp, a, b = diff
-                    entry["witness_monomial"] = monomial_name(exp)
-                    entry["lhs_coef"] = str(a)
-                    entry["rhs_coef"] = str(b)
-            entries.append(entry)
-    return _collect(entries)
+)(partial(_corollary, "corollary-3.2/3.3", _D))
 
 
 @_register(
     "X-lemma",
     "closed rational form for the two-lowest-position descent class (type D)",
+    first_n=2,
     max_n=7,
 )
 def _chk_x_lemma(max_n: int, jobs: int) -> dict:
@@ -993,55 +911,29 @@ def _chk_x_lemma(max_n: int, jobs: int) -> dict:
             - QFraction.coerce(ExtElement.from_poly(_T * omt))
             + QFraction.coerce(ExtElement.from_poly(omt))
         )
-        entry = {"identity_id": "X-lemma", "n": n}
-        if lhs == rhs:
-            entry["status"] = "pass"
-        else:
-            entry["status"] = "fail"
-            entry["witness_monomial"] = str(lhs - rhs)
-        entries.append(entry)
+        entries.append(_witness_entry("X-lemma", n, None if lhs == rhs else str(lhs - rhs)))
     return _collect(entries)
 
 
 @_register(
     "passing-H",
     "bounded-descent-class ladder relation (type D)",
+    first_n=_D.first,
     max_n=6,
 )
 def _chk_passing_h(max_n: int, jobs: int) -> dict:
     return _reading_set([
-        ("from-i=2", True, lambda: _collect(_passing_entries("passing-H", "D", max_n, jobs, i_start=2))),
-        ("from-i=1", False, lambda: _collect(_passing_entries("passing-H", "D", max_n, jobs, i_start=1))),
+        ("from-i=2", True, lambda: _passing("passing-H", _D, max_n, jobs, i_start=2)),
+        ("from-i=1", False, lambda: _passing("passing-H", _D, max_n, jobs, i_start=1)),
     ])
 
 
-@_register(
+_register(
     "signflip-D",
     "parity-preserving negation pairs statistics to constant sums (type D)",
+    first_n=_D.first,
     max_n=6,
-)
-def _chk_signflip_d(max_n: int, jobs: int) -> dict:
-    entries = []
-    for n in range(2, max_n + 1):
-        bad = None
-        for w in iterate_group("D", n):
-            v = flip_D(w)
-            sw, sv = stats_D(w), stats_D(v)
-            if (
-                sw.inv + sv.inv != n * (n - 1)
-                or sw.odes + sv.odes != n // 2 + 1
-                or sw.edes + sv.edes != (n - 1) // 2
-            ):
-                bad = ",".join(str(x) for x in w)
-                break
-        entry = {"identity_id": "signflip-D", "n": n}
-        if bad is None:
-            entry["status"] = "pass"
-        else:
-            entry["status"] = "fail"
-            entry["witness_monomial"] = bad
-        entries.append(entry)
-    return _collect(entries)
+)(partial(_signflip, "signflip-D", _D))
 
 
 # --------------------------------------------------------------------------
@@ -1074,8 +966,8 @@ def _chk_snakes_b(order: int, jobs: int) -> dict:
     order=DEFAULT_ORDER,
 )
 def _chk_snakes_d(order: int, jobs: int) -> dict:
-    lhs_even = _egf("snakeD", "q", "even", order, jobs, start=2)
-    lhs_odd = _egf("snakeD", "q", "odd", order, jobs, start=3)
+    lhs_even = _egf("snakeD", "q", "even", order, jobs)
+    lhs_odd = _egf("snakeD", "q", "odd", order, jobs)
     k = _trig_kit(ExtElement.one(), order, "D")
     one, u = k["one"], k["u"]
     den = -1 * k["cosq"]
@@ -1118,6 +1010,13 @@ def _rational_series_product(a: list[Fraction], b: list[Fraction], order: int) -
     return out
 
 
+def _first_mismatch(prod: list[Fraction], target: list[Fraction]) -> dict:
+    for n, (a, b) in enumerate(zip(prod, target)):
+        if a != b:
+            return {"status": "fail", "u_power": n, "residual": str(a - b)}
+    return {"status": "pass"}
+
+
 def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
     """Taylor coefficients of cos/sin at integer multiples of u."""
     name, mult = kind.split(":")
@@ -1143,18 +1042,8 @@ def _chk_springer_b(max_n: int, jobs: int) -> dict:
         a - b for a, b in zip(_classic_coeffs("cos:1", max_n), _classic_coeffs("sin:1", max_n))
     ]
     prod = _rational_series_product(lhs, cos_minus_sin, max_n)
-    expected = [Fraction(1)] + [Fraction(0)] * max_n
-    entry: dict = {"status": "pass", "counts": counts}
-    for n, (a, b) in enumerate(zip(prod, expected)):
-        if a != b:
-            entry = {
-                "status": "fail",
-                "counts": counts,
-                "u_power": n,
-                "residual": str(a - b),
-            }
-            break
-    return entry
+    mismatch = _first_mismatch(prod, [Fraction(1)] + [Fraction(0)] * max_n)
+    return {"status": mismatch.pop("status"), "counts": counts, **mismatch}
 
 
 @_register(
@@ -1169,13 +1058,6 @@ def _chk_springer_d(max_n: int, jobs: int) -> dict:
     sin1 = _classic_coeffs("sin:1", max_n)
     sin2 = _classic_coeffs("sin:2", max_n)
     neg_cos2 = [-c for c in cos2]
-    zeros = [Fraction(0)] * (max_n + 1)
-
-    def first_mismatch(prod: list[Fraction], target: list[Fraction]) -> dict:
-        for n, (a, b) in enumerate(zip(prod, target)):
-            if a != b:
-                return {"status": "fail", "u_power": n, "residual": str(a - b)}
-        return {"status": "pass"}
 
     even_series = [
         Fraction(counts[n], factorial(n)) if (n % 2 == 0 and n >= 2) else Fraction(0)
@@ -1189,7 +1071,7 @@ def _chk_springer_d(max_n: int, jobs: int) -> dict:
         src = list(even_series)
         if with_constant:
             src[0] += 1
-        return lambda: first_mismatch(_rational_series_product(src, neg_cos2, max_n), target)
+        return lambda: _first_mismatch(_rational_series_product(src, neg_cos2, max_n), target)
 
     even = _reading_set([
         ("with-constant-term", True, even_reading(True)),
@@ -1204,7 +1086,7 @@ def _chk_springer_d(max_n: int, jobs: int) -> dict:
     odd_target = [-a + c for a, c in zip(sin2, sin1)]
     for n in range(1, max_n + 1):
         odd_target[n] += cos2[n - 1]
-    odd = first_mismatch(_rational_series_product(odd_series, neg_cos2, max_n), odd_target)
+    odd = _first_mismatch(_rational_series_product(odd_series, neg_cos2, max_n), odd_target)
 
     status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
     return {"status": status, "counts": counts, "even": even, "odd": odd}
@@ -1214,16 +1096,15 @@ def _chk_springer_d(max_n: int, jobs: int) -> dict:
 # ascent-descent exchange power laws
 
 
-def _power_relation(family: str, max_n: int, jobs: int) -> dict:
+def _power_relation(fam: _Family, max_n: int, jobs: int) -> dict:
     """Find which power of s makes hat = s^e * biv(1/s, t, q), per rank."""
-    start = 2 if family == "D" else 1
     cases = []
     ok = True
-    for n in range(start, max_n + 1):
+    for n in range(fam.first, max_n + 1):
         # the direct route counts ascents by comparison, independent of the
         # complementation used by the fast enumeration route
-        hat = _brute(family, n, "hat", jobs=jobs, method="python")
-        biv = _brute(family, n, "biv", jobs=jobs)
+        hat = _brute(fam.name, n, "hat", jobs=jobs, method="python")
+        biv = _brute(fam.name, n, "biv", jobs=jobs)
         swapped = biv.substitute("s", "reciprocal")
         candidates = sorted({(n - 1) // 2, n // 2, (n + 1) // 2})
         verified = [e for e in candidates if LaurentPoly.monomial(1, s=e) * swapped == hat]
@@ -1237,22 +1118,18 @@ def _power_relation(family: str, max_n: int, jobs: int) -> dict:
     return {"status": "pass" if ok else "fail", "cases": cases}
 
 
-@_register(
+_register(
     "hatB-power-relation",
     "even-ascent/even-descent exchange power law (type B)",
+    first_n=_B.first,
     max_n=6,
-)
-def _chk_hat_b(max_n: int, jobs: int) -> dict:
-    return _power_relation("B", max_n, jobs)
-
-
-@_register(
+)(partial(_power_relation, _B))
+_register(
     "hatD-power-relation",
     "even-ascent/even-descent exchange power law (type D)",
+    first_n=_D.first,
     max_n=6,
-)
-def _chk_hat_d(max_n: int, jobs: int) -> dict:
-    return _power_relation("D", max_n, jobs)
+)(partial(_power_relation, _D))
 
 
 # --------------------------------------------------------------------------

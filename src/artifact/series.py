@@ -17,7 +17,6 @@ from .polynomials import LaurentPoly, poincare, qfact
 
 __all__ = [
     "DEFAULT_ORDER",
-    "EXTENDED_ORDER",
     "SERIES_FAMILIES",
     "TruncatedSeries",
     "series_make",
@@ -26,7 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 6
-EXTENDED_ORDER = 8
 
 
 class TruncatedSeries:

@@ -7,8 +7,6 @@ import pytest
 
 from artifact.bijections import (
     iterate_descending_suffix,
-    lemma21_closed_form,
-    lemma31_closed_form,
     map_f,
     map_fD,
     map_fD_inverse,
@@ -23,6 +21,7 @@ from artifact.bijections import (
 )
 from artifact.permutations import in_type_d, inv_B, iterate_group
 from artifact.polynomials import LaurentPoly, qbinom, qint
+from artifact.recurrences import c_coeff, cd_coeff
 
 Q = LaurentPoly.variable("q")
 
@@ -174,13 +173,13 @@ def test_map_f_inversion_additivity():
 def test_lemma21_sum_matches_closed_form():
     for n in range(0, 8):
         for r in range(0, n + 1):
-            assert poly_lemma21_sum(n, r) == lemma21_closed_form(n, r), (n, r)
+            assert poly_lemma21_sum(n, r) == c_coeff(n, r), (n, r)
 
 
 def test_lemma31_sum_matches_closed_form():
     for n in range(0, 8):
         for r in range(0, n + 1):
-            assert poly_lemma31_sum(n, r) == lemma31_closed_form(n, r), (n, r)
+            assert poly_lemma31_sum(n, r) == cd_coeff(n, r), (n, r)
 
 
 def test_lemma21_pinned_values():
@@ -202,8 +201,8 @@ def test_closed_forms_expand_to_stated_products():
             expected21 = qbinom(n, r)
             for x in range(r):
                 expected21 = expected21 * (1 + LaurentPoly.monomial(1, q=n - x))
-            assert lemma21_closed_form(n, r) == expected21
+            assert c_coeff(n, r) == expected21
             expected31 = qbinom(n, r)
             for x in range(1, r + 1):
                 expected31 = expected31 * (1 + LaurentPoly.monomial(1, q=n - x))
-            assert lemma31_closed_form(n, r) == expected31
+            assert cd_coeff(n, r) == expected31

@@ -205,6 +205,20 @@ def test_check_bound_exceeded(capsys, monkeypatch, cold_cache):
     assert "ARTIFACT_MAX_N" in err
 
 
+@pytest.mark.parametrize("check_id, max_n, first", [
+    ("typeB-recurrence", "-1", 0),
+    ("corollary-2.2", "-3", 0),
+    ("springer-B-q1", "-1", 0),
+    ("typeD-recurrence", "1", 2),
+    ("hatD-power-relation", "1", 2),
+])
+def test_empty_rank_sweep_is_usage_error(capsys, check_id, max_n, first):
+    code, out, err = run_cli(capsys, "check", "--id", check_id, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert f"error: check '{check_id}' sweeps ranks from {first}" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and packaging
 # ---------------------------------------------------------------------------

@@ -296,3 +296,20 @@ def test_bad_weight_and_group_rejected():
         poly_group("B", 2, "nope")
     with pytest.raises(ValueError):
         poly_group("Z", 2, "biv")
+
+
+def test_permutation_rows_are_in_lexicographic_order(monkeypatch):
+    """The int8 permutation array equals the itertools order, built without its tuples."""
+    import itertools
+
+    import numpy as np
+
+    from artifact import enumeration
+
+    monkeypatch.setattr(enumeration, "_PERM_CACHE", {})
+    for n in range(0, 9):
+        rows = enumeration._perm_rows(n)
+        expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8).T
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert rows.shape == expected.shape and (rows == expected).all(), n
+        assert enumeration._perm_rows(n) is rows  # cached

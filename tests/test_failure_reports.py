@@ -9,6 +9,7 @@ whole report by the sha256 of its JSON, in the layout ``check --format json``
 prints.  A change to how any of these checks reports a failure shows here.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -135,3 +136,20 @@ def test_signflip_report_names_the_first_bad_word(monkeypatch, family, sha):
     assert first_failure(report["cases"]) == {
         "identity_id": f"signflip-{family}", "n": 2, "status": "fail", "witness_monomial": "1,1"}
     assert digest(report) == sha
+
+
+@pytest.mark.parametrize("check_id, family", [("corollary-2.2", "_B"), ("corollary-3.2/3.3", "_D")])
+def test_corollary_names_the_first_prefix_whose_insertion_sum_breaks(check_id, family):
+    """Only a wrong closed form reaches the per-prefix witness, so corrupt it at r = 2."""
+    fam = getattr(registry, family)
+
+    def wrong_coeff(n, r):
+        good = fam.coeff(n, r)
+        return good + LaurentPoly.monomial(1, q=n) if r == 2 else good
+
+    report = registry._corollary(check_id, dataclasses.replace(fam, coeff=wrong_coeff), max_n=3, jobs=1)
+    assert report["status"] == "fail"
+    assert [c for c in report["cases"] if c["status"] == "fail"] == [
+        {"identity_id": f"{check_id}[n=2,r=2]", "n": 2, "status": "fail", "witness_monomial": "prefix "},
+        {"identity_id": f"{check_id}[n=3,r=2]", "n": 3, "status": "fail", "witness_monomial": "prefix 1"},
+    ]

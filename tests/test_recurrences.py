@@ -2,15 +2,13 @@
 
 import pytest
 
-from artifact.bijections import lemma21_closed_form, lemma31_closed_form
 from artifact.enumeration import poly_group
-from artifact.polynomials import LaurentPoly, one_minus, poincare
+from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact
 from artifact.recurrences import (
     c_coeff,
     cd_coeff,
     classic_plus_B,
     hyatt_plus,
-    minus_transform,
     pd_product,
     reciprocal_transform,
     recur_B,
@@ -18,8 +16,8 @@ from artifact.recurrences import (
     recurrence_poly,
     reiner_poly,
     reiner_recurrence_rhs,
-    symmetry_check,
 )
+from artifact.registry import run_check
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -72,10 +70,12 @@ def test_recurrence_poly_dispatch():
 # signed-subset coefficient polynomials
 # ---------------------------------------------------------------------------
 def test_coefficients_match_lemma_closed_forms():
+    """The lemma closed forms are the Poincare-polynomial ratios."""
     for n in range(0, 7):
         for j in range(0, n + 1):
-            assert c_coeff(n, j) == lemma21_closed_form(n, j)
-            assert cd_coeff(n, j) == lemma31_closed_form(n, j)
+            assert c_coeff(n, j) * poincare("B", n - j) * qfact(j) == poincare("B", n)
+            d_ratio = cd_coeff(n, j) * poincare("D", n - j) * qfact(j)
+            assert d_ratio == (2 if j == n > 0 else 1) * poincare("D", n), (n, j)
 
 
 def test_coefficient_pinned_strings():
@@ -105,7 +105,7 @@ def test_recurrence_matches_subset_expansion_at_high_rank(family):
     """The two closed routes of ``compare`` agree well past the brute-force ceiling."""
     for n in range(12, 15):
         plus = hyatt_plus(family, n)
-        assert recurrence_poly(family, n) == plus + minus_transform(family, n, plus), n
+        assert recurrence_poly(family, n) == plus + reciprocal_transform(family, n, plus), n
 
 
 def test_hyatt_plus_specializes_to_classic_recurrence():
@@ -154,8 +154,8 @@ def test_reiner_recurrence_rejects_rank_zero():
 def test_minus_transform_pinned_rank_one():
     plus = poly_group("B+", 1, "biv")
     assert plus == LaurentPoly.one()
-    assert minus_transform("B", 1, plus) == S * Q
-    assert minus_transform("B", 1, plus) == poly_group("B-", 1, "biv")
+    assert reciprocal_transform("B", 1, plus) == S * Q
+    assert reciprocal_transform("B", 1, plus) == poly_group("B-", 1, "biv")
 
 
 def test_reciprocal_transform_pinned_rank_two():
@@ -165,17 +165,10 @@ def test_reciprocal_transform_pinned_rank_two():
     assert reciprocal_transform("D", 2, d2) == d2
 
 
-def test_symmetry_check_report_shape():
-    report = symmetry_check("B", 3)
-    assert report["family"] == "B"
-    assert report["n"] == 3
-    assert report["status"] == "pass"
-    ids = [r["identity_id"] for r in report["reports"]]
-    assert ids == ["typeB-minus-symmetry", "typeB-reciprocal"]
-
-
 def test_symmetry_check_passes_small_ranks():
-    for n in range(1, 6):
-        assert symmetry_check("B", n)["status"] == "pass"
-    for n in range(2, 6):
-        assert symmetry_check("D", n)["status"] == "pass"
+    """The minus-symmetry and reciprocity checks cover ranks 1-5 (B) and 2-5 (D)."""
+    for family, first in (("B", 1), ("D", 2)):
+        for law in ("minus-symmetry", "reciprocal"):
+            report = run_check(f"type{family}-{law}", max_n=5)
+            assert report["status"] == "pass"
+            assert [case["n"] for case in report["cases"]] == list(range(first, 6))

@@ -258,6 +258,39 @@ def test_hyatt_reports_include_classic_specialization(quick):
     assert report["classic"][0]["identity_id"] == "typeB-hyatt-classic"
 
 
+# first rank of every rank sweep: a max_n below it would check nothing
+FIRST_RANK = {
+    "typeB-recurrence": 0, "typeB-hyatt": 1, "typeB-minus-symmetry": 1, "typeB-reciprocal": 1,
+    "reiner-recurrence": 1, "lemma-2.1": 0, "corollary-2.2": 0, "passing-G": 1, "signflip-B": 1,
+    "typeD-recurrence": 2, "typeD-hyatt": 1, "typeD-minus-symmetry": 2, "typeD-reciprocal": 2,
+    "lemma-3.1": 0, "corollary-3.2/3.3": 0, "X-lemma": 2, "passing-H": 2, "signflip-D": 2,
+    "springer-B-q1": 0, "springer-D-q1": 0, "hatB-power-relation": 1, "hatD-power-relation": 2,
+}
+
+
+def test_every_rank_sweep_has_a_first_rank():
+    swept = [c["id"] for c in list_checks() if "max_n" in c["parameters"]]
+    assert swept == list(FIRST_RANK)
+
+
+@pytest.mark.parametrize("cid", list(FIRST_RANK))
+def test_max_n_below_the_first_rank_is_refused(cid):
+    first = FIRST_RANK[cid]
+    message = f"check '{cid}' sweeps ranks from {first}, so max_n must be at least {first}, got {first - 1}"
+    with pytest.raises(ValueError) as excinfo:
+        run_check(cid, max_n=first - 1)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("cid", list(FIRST_RANK))
+def test_the_first_rank_alone_is_checked(cid):
+    report = run_check(cid, max_n=FIRST_RANK[cid])
+    assert report["status"] == "pass"
+    for part in report.get("readings", [report]):
+        if part.get("intended", True):
+            assert part.get("cases") or part.get("counts"), part
+
+
 def test_parametrized_case_identity_ids(quick):
     assert quick["lemma-2.1"]["cases"][0]["identity_id"] == "lemma-2.1[n=0,r=0]"
     assert quick["corollary-3.2/3.3"]["cases"][0]["identity_id"] == "corollary-3.2/3.3[n=0,r=0]"

@@ -12,6 +12,8 @@ The core construction relabels a signed permutation onto a target value set
            positive and descending.
 
 All maps come with inverses; the lemma sums they certify live here too.
+``juxtapose_array`` applies map_f or map_fD to every (prefix, subset) pair of
+two word arrays at once.
 Their closed forms are the coefficients ``c_coeff``/``cd_coeff`` of
 :mod:`artifact.recurrences`.
 """
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .permutations import (
     Word,
@@ -98,6 +102,34 @@ def map_fD(sigma: Word, subset: SignedSubset, n: int) -> Word:
     if negative_count(subset) % 2 == 1 and prefix:
         prefix = (-prefix[0],) + prefix[1:]
     return prefix + tuple(sorted(subset))
+
+
+def juxtapose_array(prefixes: np.ndarray, subsets: np.ndarray, n: int, family: str) -> np.ndarray:
+    """``map_f`` (family B) or ``map_fD`` (family D) of every (prefix, subset) pair.
+
+    ``prefixes`` holds one word of rank n - r per row and ``subsets`` one
+    signed r-subset of [n] per row.  Row [i, j] of the (p, m, n)
+    result juxtaposes prefix i with subset j.
+    """
+    p, k = prefixes.shape
+    m, r = subsets.shape
+    if k + r != n:
+        raise ValueError(f"sizes must add to {n}: prefix {k} + subset {r}")
+    if family == "D":
+        odd = np.flatnonzero((prefixes < 0).sum(axis=1) % 2)
+        if odd.size:
+            raise ValueError(f"prefix not in the even-signed group: {tuple(prefixes[odd[0]].tolist())}")
+    present = np.zeros((m, n + 1), dtype=bool)
+    present[np.arange(m)[:, None], np.abs(subsets)] = True
+    complement = (np.nonzero(~present[:, 1:])[1] + 1).reshape(m, k).astype(prefixes.dtype)
+    out = np.empty((p, m, n), dtype=prefixes.dtype)
+    # the relabel: entry x of a prefix becomes the |x|-th complement value, signed as x
+    out[:, :, :k] = complement[:, np.abs(prefixes) - 1].transpose(1, 0, 2)
+    out[:, :, :k] *= np.where(prefixes > 0, 1, -1).astype(prefixes.dtype)[:, None, :]
+    if family == "D" and k:
+        out[:, (subsets < 0).sum(axis=1) % 2 == 1, 0] *= -1
+    out[:, :, k:] = np.sort(subsets, axis=1)
+    return out
 
 
 def map_fD_inverse(word: Word, r: int) -> tuple[Word, SignedSubset]:

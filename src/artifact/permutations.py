@@ -8,6 +8,10 @@ Positions for the type-B statistics are 0..n-1, where position i compares
 pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 {-1, 1, ..., n-1} with pi_{-1} = -pi_1; position -1 counts as odd.  Type-A
 (ordinary permutation) positions are 1..n-1.
+
+Sweeps over many words at once hold them as an integer array, one word per
+row; ``array_stats`` and ``flip_array`` are the row-wise forms of
+``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 Word = tuple[int, ...]
 
@@ -211,6 +217,36 @@ def stats_A(word: Sequence[int]) -> StatVector:
     return StatVector(edes, odes, evens - edes, odds - odes, inv_A(word))
 
 
+def array_stats(words: np.ndarray, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edes, odes, inv) of every row of a word array, for flavor B or D.
+
+    Row by row these are the fields of ``stats_B``/``stats_D``: descents by
+    adjacent comparison (against pi_0 = 0 for B, -pi_1 against pi_2 at
+    position -1 for D), inv as inv_A plus the negative magnitudes, less
+    their count for D.
+    """
+    rows, n = words.shape
+    inv = np.zeros(rows, dtype=np.int64)
+    for a in range(n):
+        for b in range(a + 1, n):
+            inv += words[:, a] > words[:, b]
+    negative = words < 0
+    inv -= np.where(negative, words, 0).sum(axis=1, dtype=np.int64)
+    # column j of ``desc`` is the comparison at position j + 1
+    desc = words[:, :-1] > words[:, 1:]
+    if flavor == "B":
+        desc = np.concatenate([words[:, :1] < 0, desc], axis=1)  # position 0 first
+        edes, odes = desc[:, 0::2].sum(axis=1), desc[:, 1::2].sum(axis=1)
+    elif flavor == "D":
+        inv -= negative.sum(axis=1)
+        edes, odes = desc[:, 1::2].sum(axis=1), desc[:, 0::2].sum(axis=1)
+        if n >= 2:
+            odes += -words[:, 0] > words[:, 1]
+    else:
+        raise ValueError(f"unknown statistic flavor {flavor!r}")
+    return edes, odes, inv
+
+
 # ----------------------------------------------------------------------
 # snakes
 # ----------------------------------------------------------------------
@@ -245,6 +281,14 @@ def flip_D(word: Sequence[int]) -> Word:
     if len(word) % 2 == 0:
         return tuple(-x for x in word)
     return (word[0],) + tuple(-x for x in word[1:])
+
+
+def flip_array(words: np.ndarray, flavor: str) -> np.ndarray:
+    """``flip_all`` (flavor B) or ``flip_D`` (flavor D) of every row."""
+    out = -words
+    if flavor == "D" and words.shape[1] % 2 == 1:
+        out[:, 0] = words[:, 0]
+    return out
 
 
 # ----------------------------------------------------------------------

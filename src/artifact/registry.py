@@ -21,17 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .bijections import (
-    map_f,
-    map_fD,
+    juxtapose_array,
     poly_lemma21_sum,
     poly_lemma31_sum,
     signed_subsets,
 )
-from .enumeration import FLAVOR, poly_group
+from .enumeration import FLAVOR, check_bound, poly_group
 from .extension import (
     GEN_I,
     GEN_LITTLE_M,
@@ -43,14 +45,10 @@ from .extension import (
     QFraction,
 )
 from .permutations import (
-    flip_all,
-    flip_D,
+    array_stats,
+    flip_array,
     format_word,
-    inv_B,
-    inv_D,
     iterate_group,
-    stats_B,
-    stats_D,
 )
 from .polynomials import (
     LaurentPoly,
@@ -113,7 +111,8 @@ class IdentityCheck:
     runner: Callable[..., dict]
     first_n: int = 0
 
-    def run(self, *, order: int | None = None, max_n: int | None = None, jobs: int = 1) -> dict:
+    def resolve(self, *, order: int | None = None, max_n: int | None = None) -> dict:
+        """The parameters a run with these overrides takes; a refused one raises ValueError."""
         params = dict(self.parameters)
         if order is not None and "order" in params:
             params["order"] = order
@@ -124,6 +123,10 @@ class IdentityCheck:
                 f"check {self.id!r} sweeps ranks from {self.first_n}, "
                 f"so max_n must be at least {self.first_n}, got {params['max_n']}"
             )
+        return params
+
+    def run(self, *, order: int | None = None, max_n: int | None = None, jobs: int = 1) -> dict:
+        params = self.resolve(order=order, max_n=max_n)
         body = self.runner(jobs=jobs, **params)
         report = {"id": self.id, "label": self.label, "parameters": params}
         report.update(body)
@@ -200,22 +203,28 @@ def _reading_set(readings: list[tuple[str, bool, Callable[[], dict]]]) -> dict:
 class _Family:
     """What the type B and the type D statement of one law differ in."""
 
-    name: str  # the group, and the flavor of its statistics
+    name: str  # the group, and the flavor of its statistics and juxtaposition
     first: int  # lowest rank of the sign-flip, reflection and power laws
-    map: Callable  # juxtaposition of a prefix with a signed subset
-    inv: Callable
-    stats: Callable
-    flip: Callable  # the negation the sign-flip law pairs words by
-    flip_sums: Callable[[int], tuple[int, int, int]]  # its constant inv, odes, edes sums
+    flip_sums: Callable[[int], tuple[int, int, int]]  # the sign flip's constant inv, odes, edes sums
     coeff: Callable[[int, int], LaurentPoly]  # closed form of the insertion sum
     lemma_sum: Callable[[int, int], LaurentPoly]  # the insertion sum itself
     ladder: str  # the bounded-descent classes
 
 
-_B = _Family("B", 1, map_f, inv_B, stats_B, flip_all,
-             lambda n: (n * n, n // 2, (n + 1) // 2), c_coeff, poly_lemma21_sum, "G")
-_D = _Family("D", 2, map_fD, inv_D, stats_D, flip_D,
-             lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff, poly_lemma31_sum, "H")
+_B = _Family("B", 1, lambda n: (n * n, n // 2, (n + 1) // 2), c_coeff, poly_lemma21_sum, "G")
+_D = _Family("D", 2, lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff, poly_lemma31_sum, "H")
+
+
+# Words per array in the sweeps over group words; a batch of fixed-prefix
+# insertions holds more only when one prefix's insertions alone do.
+_BATCH_WORDS = 1 << 16
+
+
+def _word_batches(group: str, n: int, rows: int) -> Iterator[np.ndarray]:
+    """The words of ``iterate_group(group, n)``, in order, as int16 arrays of at most ``rows`` rows."""
+    words = iterate_group(group, n)
+    while batch := list(islice(words, rows)):
+        yield np.array(batch, dtype=np.int16).reshape(len(batch), n)
 
 
 # --------------------------------------------------------------------------
@@ -601,21 +610,35 @@ _register(
 
 
 def _corollary(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
-    """Insertion sums with a fixed prefix: per prefix, and weighted by its descents."""
+    """Insertion sums with a fixed prefix: per prefix, and weighted by its descents.
+
+    For each prefix, the inv gains of its insertions, inv(W) - inv(prefix),
+    must be distributed as the q-coefficients of the closed form; the first
+    prefix whose distribution differs is the witness.  The descent-weighted
+    total is a histogram over (edes, odes of the prefix, inv of W).
+    """
+    for n in range(max_n + 1):
+        check_bound(fam.name, n)
     entries = []
     for n in range(max_n + 1):
         for r in range(n + 1):
             closed = fam.coeff(n, r)
-            weighted_total = LaurentPoly.zero()
+            subset_list = list(signed_subsets(n, r))
+            m = len(subset_list)
+            subsets = np.array(subset_list, dtype=np.int16).reshape(m, r)
+            totals: dict[tuple[int, ...], int] = {}
             witness = None
-            for sigma in iterate_group(fam.name, n - r):
-                acc = LaurentPoly.zero()
-                for subset in signed_subsets(n, r):
-                    acc = acc + LaurentPoly.monomial(1, q=fam.inv(fam.map(sigma, subset, n)))
-                if witness is None and acc != LaurentPoly.monomial(1, q=fam.inv(sigma)) * closed:
-                    witness = "prefix " + format_word(sigma)
-                sv = fam.stats(sigma)
-                weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
+            for prefixes in _word_batches(fam.name, n - r, max(1, _BATCH_WORDS // m)):
+                p = len(prefixes)
+                words = juxtapose_array(prefixes, subsets, n, fam.name).reshape(p * m, n)
+                inv = array_stats(words, fam.name)[2].reshape(p, m)
+                edes, odes, prefix_inv = array_stats(prefixes, fam.name)
+                if witness is None:
+                    bad = _unequal_rows(inv - prefix_inv[:, None], closed)
+                    if len(bad):
+                        witness = "prefix " + format_word(prefixes[bad[0]].tolist())
+                _add_counts(totals, np.stack([np.repeat(edes, m), np.repeat(odes, m), inv.ravel()]))
+            weighted_total = LaurentPoly({(e, o, i, 0, 0, 0, 0): c for (e, o, i), c in totals.items()})
             identity_id = f"{check_id}[n={n},r={r}]"
             rhs = _brute(fam.name, n - r, "biv", jobs=jobs) * closed
             if witness is None:
@@ -623,6 +646,31 @@ def _corollary(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
             else:
                 entries.append(_witness_entry(identity_id, n, witness))
     return _collect(entries)
+
+
+def _unequal_rows(values: np.ndarray, closed: LaurentPoly) -> np.ndarray:
+    """Indices of the rows of ``values`` whose histogram, as a polynomial in q, is not ``closed``."""
+    target = {e[2]: c for e, c in closed.terms.items() if not any(e[:2] + e[3:])}
+    if len(target) < len(closed.terms):  # a term in another variable matches no row
+        return np.arange(len(values))
+    lo = min(int(values.min(initial=0)), min(target, default=0))
+    span = max(int(values.max(initial=0)), max(target, default=0)) - lo + 1
+    rows = len(values)
+    keys = (np.arange(rows)[:, None] * span + values - lo).ravel()
+    counts = np.bincount(keys, minlength=rows * span).reshape(rows, span)
+    want = np.zeros(span, dtype=np.int64)
+    for exp, coef in target.items():
+        want[exp - lo] = coef
+    return np.flatnonzero((counts != want).any(axis=1))
+
+
+def _add_counts(totals: dict[tuple[int, ...], int], keys: np.ndarray) -> None:
+    """Add the multiplicity of each column of a nonnegative key array to ``totals``."""
+    dims = tuple((keys.max(axis=1) + 1).tolist())
+    counts = np.bincount(np.ravel_multi_index(keys, dims))
+    seen = np.flatnonzero(counts)
+    for key, count in zip(zip(*(a.tolist() for a in np.unravel_index(seen, dims))), counts[seen].tolist()):
+        totals[key] = totals.get(key, 0) + count
 
 
 _register(
@@ -659,14 +707,18 @@ _register(
 
 def _signflip(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
     """Each word and its negation have constant inv, odes and edes sums."""
+    for n in range(fam.first, max_n + 1):
+        check_bound(fam.name, n)
     entries = []
     for n in range(fam.first, max_n + 1):
-        sums = fam.flip_sums(n)
+        inv_sum, odes_sum, edes_sum = fam.flip_sums(n)
         bad = None
-        for w in iterate_group(fam.name, n):
-            sw, sv = fam.stats(w), fam.stats(fam.flip(w))
-            if (sw.inv + sv.inv, sw.odes + sv.odes, sw.edes + sv.edes) != sums:
-                bad = format_word(w)
+        for words in _word_batches(fam.name, n, _BATCH_WORDS):
+            edes, odes, inv = (a + b for a, b in zip(array_stats(words, fam.name),
+                                                     array_stats(flip_array(words, fam.name), fam.name)))
+            rows = np.flatnonzero((inv != inv_sum) | (odes != odes_sum) | (edes != edes_sum))
+            if rows.size:
+                bad = format_word(words[rows[0]].tolist())
                 break
         entries.append(_witness_entry(check_id, n, bad))
     return _collect(entries)
@@ -1146,17 +1198,26 @@ def list_checks() -> list[dict]:
     ]
 
 
-def run_check(check_id: str, *, order: int | None = None, max_n: int | None = None,
-              jobs: int = 1) -> dict:
-    """Run one identity check and return its report."""
+def _lookup(check_id: str) -> IdentityCheck:
     if check_id not in _REGISTRY:
         known = ", ".join(_REGISTRY)
         raise KeyError(f"unknown check id {check_id!r}; known ids: {known}")
-    return _REGISTRY[check_id].run(order=order, max_n=max_n, jobs=jobs)
+    return _REGISTRY[check_id]
+
+
+def run_check(check_id: str, *, order: int | None = None, max_n: int | None = None,
+              jobs: int = 1) -> dict:
+    """Run one identity check and return its report."""
+    return _lookup(check_id).run(order=order, max_n=max_n, jobs=jobs)
 
 
 def run_all(*, order: int | None = None, max_n: int | None = None, jobs: int = 1,
             ids: list[str] | None = None) -> list[dict]:
-    """Run every check (or the given subset) in catalog order."""
+    """Run every check (or the given subset) in catalog order.
+
+    Every selected id and its parameters are validated before any check runs.
+    """
     selected = list(CHECK_IDS) if ids is None else list(ids)
+    for cid in selected:
+        _lookup(cid).resolve(order=order, max_n=max_n)
     return [run_check(cid, order=order, max_n=max_n, jobs=jobs) for cid in selected]

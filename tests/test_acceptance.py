@@ -184,6 +184,18 @@ def test_08_byte_identical_output_across_runs_and_jobs(capsys):
              "--jobs settings")
 
 
+def test_09_fixed_prefix_and_sign_flip_sweeps_within_budget():
+    """The corollary and sign-flip sweeps at their default ranks, cold cache."""
+    for cid in ("corollary-2.2", "corollary-3.2/3.3", "signflip-B", "signflip-D"):
+        clear_cache()
+        started = time.perf_counter()
+        report = run_check(cid)
+        elapsed = time.perf_counter() - started
+        assert report["status"] == "pass", (cid, report)
+        assert elapsed < 2.0, f"{cid} took {elapsed:.1f}s"
+    announce("fixed-prefix insertion sums and sign-flip laws at default ranks")
+
+
 def test_machine_readable_reports_are_json_serializable():
     report = run_check("typeB-recurrence", max_n=3)
     assert json.loads(json.dumps(report)) == report

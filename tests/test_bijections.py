@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from artifact.bijections import (
     iterate_descending_suffix,
+    juxtapose_array,
     map_f,
     map_fD,
     map_fD_inverse,
@@ -206,3 +208,32 @@ def test_closed_forms_expand_to_stated_products():
             for x in range(1, r + 1):
                 expected31 = expected31 * (1 + LaurentPoly.monomial(1, q=n - x))
             assert cd_coeff(n, r) == expected31
+
+
+# ---------------------------------------------------------------------------
+# the juxtaposition over word arrays
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("family, scalar", [("B", map_f), ("D", map_fD)])
+def test_juxtapose_array_matches_the_scalar_maps(family, scalar):
+    for n in range(6):
+        for r in range(n + 1):
+            prefixes = list(iterate_group(family, n - r))
+            subsets = list(signed_subsets(n, r))
+            out = juxtapose_array(
+                np.array(prefixes, dtype=np.int16).reshape(len(prefixes), n - r),
+                np.array(subsets, dtype=np.int16).reshape(len(subsets), r),
+                n,
+                family,
+            )
+            assert out.shape == (len(prefixes), len(subsets), n)
+            for i, sigma in enumerate(prefixes):
+                for j, subset in enumerate(subsets):
+                    assert tuple(out[i, j].tolist()) == scalar(sigma, subset, n), (sigma, subset)
+
+
+def test_juxtapose_array_rejects_what_the_scalar_maps_reject():
+    subsets = np.array([[1]], dtype=np.int16)
+    with pytest.raises(ValueError, match="sizes must add to 3"):
+        juxtapose_array(np.array([[1]], dtype=np.int16), subsets, 3, "B")
+    with pytest.raises(ValueError, match=r"prefix not in the even-signed group: \(-1, 2\)"):
+        juxtapose_array(np.array([[1, 2], [-1, 2]], dtype=np.int16), subsets, 3, "D")

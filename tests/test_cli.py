@@ -219,6 +219,18 @@ def test_empty_rank_sweep_is_usage_error(capsys, check_id, max_n, first):
     assert f"error: check '{check_id}' sweeps ranks from {first}" in err
 
 
+def test_check_all_refuses_a_low_max_n_before_running_any(capsys, monkeypatch):
+    import artifact.registry as registry
+
+    ran = []
+    monkeypatch.setattr(registry, "run_check", lambda cid, **kw: ran.append(cid))
+    code, out, err = run_cli(capsys, "check", "--all", "--max-n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: check 'typeD-recurrence' sweeps ranks from 2, so max_n must be at least 2, got 1\n"
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # determinism and packaging
 # ---------------------------------------------------------------------------

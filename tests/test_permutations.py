@@ -3,11 +3,15 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.permutations import (
     GROUPS,
     StatVector,
+    array_stats,
     descent_set_A,
     descent_set_B,
     descent_set_D,
@@ -16,6 +20,7 @@ from artifact.permutations import (
     even_odd_positions_D,
     flip_D,
     flip_all,
+    flip_array,
     format_word,
     in_type_d,
     inv_A,
@@ -243,6 +248,47 @@ def test_flip_d_is_involution_preserving_membership():
 def test_flip_d_spares_first_entry_for_odd_rank():
     assert flip_D((1, 2, 3)) == (1, -2, -3)
     assert flip_D((1, 2, 3, 4)) == (-1, -2, -3, -4)
+
+
+# ---------------------------------------------------------------------------
+# word arrays
+# ---------------------------------------------------------------------------
+SCALAR_STATS = {"B": (stats_B, inv_B, flip_all), "D": (stats_D, inv_D, flip_D)}
+
+
+def assert_rows_match(words, flavor):
+    stats, inv, flip = SCALAR_STATS[flavor]
+    array = np.array(words, dtype=np.int16).reshape(len(words), len(words[0]))
+    edes, odes, inv_array = array_stats(array, flavor)
+    for row, word in enumerate(words):
+        sv = stats(word)
+        assert (edes[row], odes[row], inv_array[row]) == (sv.edes, sv.odes, sv.inv), (flavor, word)
+        assert inv_array[row] == inv(word)
+    assert [tuple(row) for row in flip_array(array, flavor).tolist()] == [flip(w) for w in words]
+
+
+@pytest.mark.parametrize("flavor", ["B", "D"])
+@pytest.mark.parametrize("n", range(7))
+def test_array_stats_match_the_scalar_stats_on_every_word(flavor, n):
+    assert_rows_match(list(iterate_group(flavor, n)), flavor)
+
+
+def signed_words(n):
+    perms = st.permutations(range(1, n + 1))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    return st.builds(lambda perm, sign: tuple(p * s for p, s in zip(perm, sign)), perms, signs)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(signed_words(n), min_size=1, max_size=8)),
+       st.sampled_from(["B", "D"]))
+@settings(max_examples=200)
+def test_array_stats_match_the_scalar_stats_on_random_words(words, flavor):
+    assert_rows_match(words, flavor)
+
+
+def test_array_stats_reject_an_unknown_flavor():
+    with pytest.raises(ValueError, match="unknown statistic flavor 'A'"):
+        array_stats(np.ones((1, 2), dtype=np.int16), "A")
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,18 @@ def test_run_all_subset_preserves_order():
     assert [r["id"] for r in reports] == ids
 
 
+def test_run_all_validates_every_check_before_running_any(monkeypatch):
+    import artifact.registry as registry
+
+    ran = []
+    monkeypatch.setattr(registry, "run_check", lambda cid, **kw: ran.append(cid))
+    with pytest.raises(ValueError, match="check 'typeD-recurrence' sweeps ranks from 2"):
+        run_all(max_n=1)
+    with pytest.raises(KeyError, match="no-such-check"):
+        run_all(ids=["typeB-recurrence", "no-such-check"])
+    assert ran == []
+
+
 def test_every_check_passes_at_reduced_bounds(quick):
     for cid, report in quick.items():
         assert report["status"] == "pass", (cid, report)

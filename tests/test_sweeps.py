@@ -1,0 +1,158 @@
+"""The fixed-prefix and sign-flip sweeps against their word-by-word oracles.
+
+``registry._corollary`` and ``registry._signflip`` work on int16 arrays of
+words.  The bodies below are the word-at-a-time versions they replaced, kept
+as reference oracles: one ``LaurentPoly`` per prefix, the scalar maps and
+statistics per word.  Both read ``registry.iterate_group`` and
+``registry._brute`` when they run, as the array bodies do, so a word injected
+through ``iterate_group`` reaches both.
+"""
+
+import dataclasses
+
+import pytest
+
+import artifact.registry as registry
+from artifact.bijections import map_f, map_fD, signed_subsets
+from artifact.enumeration import BoundExceeded
+from artifact.permutations import flip_D, flip_all, format_word, inv_B, inv_D, stats_B, stats_D
+from artifact.polynomials import LaurentPoly
+
+# the scalar map, inv, stats and flip of each family
+SCALAR = {
+    "B": (map_f, inv_B, stats_B, flip_all),
+    "D": (map_fD, inv_D, stats_D, flip_D),
+}
+FAMILIES = {"B": ("corollary-2.2", "signflip-B"), "D": ("corollary-3.2/3.3", "signflip-D")}
+
+
+def oracle_corollary(check_id, fam, max_n, jobs):
+    fmap, finv, fstats, _ = SCALAR[fam.name]
+    entries = []
+    for n in range(max_n + 1):
+        for r in range(n + 1):
+            closed = fam.coeff(n, r)
+            weighted_total = LaurentPoly.zero()
+            witness = None
+            for sigma in registry.iterate_group(fam.name, n - r):
+                acc = LaurentPoly.zero()
+                for subset in signed_subsets(n, r):
+                    acc = acc + LaurentPoly.monomial(1, q=finv(fmap(sigma, subset, n)))
+                if witness is None and acc != LaurentPoly.monomial(1, q=finv(sigma)) * closed:
+                    witness = "prefix " + format_word(sigma)
+                sv = fstats(sigma)
+                weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
+            identity_id = f"{check_id}[n={n},r={r}]"
+            rhs = registry._brute(fam.name, n - r, "biv", jobs=jobs) * closed
+            if witness is None:
+                entries.append(registry._poly_entry(identity_id, n, weighted_total, rhs))
+            else:
+                entries.append(registry._witness_entry(identity_id, n, witness))
+    return registry._collect(entries)
+
+
+def oracle_signflip(check_id, fam, max_n, jobs):
+    _, _, fstats, fflip = SCALAR[fam.name]
+    entries = []
+    for n in range(fam.first, max_n + 1):
+        sums = fam.flip_sums(n)
+        bad = None
+        for w in registry.iterate_group(fam.name, n):
+            sw, sv = fstats(w), fstats(fflip(w))
+            if (sw.inv + sv.inv, sw.odes + sv.odes, sw.edes + sv.edes) != sums:
+                bad = format_word(w)
+                break
+        entries.append(registry._witness_entry(check_id, n, bad))
+    return registry._collect(entries)
+
+
+def family(name):
+    return {"B": registry._B, "D": registry._D}[name]
+
+
+def inject_bogus_word(monkeypatch, rank):
+    """Make ``iterate_group`` yield an all-ones word first at ``rank``."""
+    real = registry.iterate_group
+
+    def with_bogus_word(group, n, i=None):
+        if n == rank:
+            yield (1,) * n
+        yield from real(group, n, i)
+
+    monkeypatch.setattr(registry, "iterate_group", with_bogus_word)
+
+
+def wrong_coeff_at_r2(fam, extra):
+    def coeff(n, r):
+        good = fam.coeff(n, r)
+        return good + extra * LaurentPoly.monomial(1, q=n) if r == 2 else good
+
+    return dataclasses.replace(fam, coeff=coeff)
+
+
+def wrong_flip_sum_at_rank4(fam):
+    def flip_sums(n):
+        inv, odes, edes = fam.flip_sums(n)
+        return (inv, odes + (n == 4), edes)
+
+    return dataclasses.replace(fam, flip_sums=flip_sums)
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
+@pytest.mark.parametrize("case", ["clean", "extra q term", "extra s term", "bogus word"])
+def test_corollary_reports_as_the_oracle_does(monkeypatch, name, case):
+    fam = family(name)
+    if case == "extra q term":
+        fam = wrong_coeff_at_r2(fam, 1)
+    elif case == "extra s term":
+        fam = wrong_coeff_at_r2(fam, LaurentPoly.variable("s"))
+    elif case == "bogus word":
+        inject_bogus_word(monkeypatch, 3)
+    check_id = FAMILIES[name][0]
+    expected = oracle_corollary(check_id, fam, 5, 1)
+    assert registry._corollary(check_id, fam, 5, 1) == expected
+    assert (expected["status"] == "pass") == (case == "clean")
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
+@pytest.mark.parametrize("case", ["clean", "wrong sum", "bogus word"])
+def test_signflip_reports_as_the_oracle_does(monkeypatch, name, case):
+    fam = family(name)
+    if case == "wrong sum":
+        fam = wrong_flip_sum_at_rank4(fam)
+    elif case == "bogus word":
+        inject_bogus_word(monkeypatch, 3)
+    check_id = FAMILIES[name][1]
+    expected = oracle_signflip(check_id, fam, 5, 1)
+    assert registry._signflip(check_id, fam, 5, 1) == expected
+    assert (expected["status"] == "pass") == (case == "clean")
+
+
+def test_batches_stay_within_the_word_budget(monkeypatch):
+    """A small budget splits the sweeps finer without changing any report."""
+    expected = {cid: registry.run_check(cid, max_n=5) for cid in sum(FAMILIES.values(), ())}
+    budget = 100  # above the 80 insertions of one prefix at n = 5, r = 3
+    rows = []
+    real = registry.array_stats
+
+    def recording(words, flavor):
+        rows.append(len(words))
+        return real(words, flavor)
+
+    monkeypatch.setattr(registry, "_BATCH_WORDS", budget)
+    monkeypatch.setattr(registry, "array_stats", recording)
+    for cid, report in expected.items():
+        assert registry.run_check(cid, max_n=5) == report, cid
+    assert max(rows) <= budget
+    assert rows.count(budget) > 10  # B_5 and D_5 alone fill dozens of batches
+
+
+@pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()))
+def test_every_rank_is_bounded_before_any_word_is_read(monkeypatch, check_id):
+    def no_words(group, n, i=None):
+        raise AssertionError(f"{check_id} read the words of {group}_{n}")
+
+    monkeypatch.setattr(registry, "iterate_group", no_words)
+    monkeypatch.setenv("ARTIFACT_MAX_N", "3")
+    with pytest.raises(BoundExceeded, match="at rank 4 "):
+        registry.run_check(check_id, max_n=6)

@@ -217,14 +217,22 @@ _D = _Family("D", 2, lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff
 
 # Words per array in the sweeps over group words; a batch of fixed-prefix
 # insertions holds more only when one prefix's insertions alone do.
-_BATCH_WORDS = 1 << 16
+_BATCH_WORDS = 1 << 14
 
 
 def _word_batches(group: str, n: int, rows: int) -> Iterator[np.ndarray]:
-    """The words of ``iterate_group(group, n)``, in order, as int16 arrays of at most ``rows`` rows."""
+    """The words of ``iterate_group(group, n)``, in order, as int16 arrays of at most ``rows`` rows.
+
+    Each word is copied into the array as it is read, so no batch of tuples
+    is ever held.  Words of rank 0 have no entries, only a count.
+    """
     words = iterate_group(group, n)
-    while batch := list(islice(words, rows)):
-        yield np.array(batch, dtype=np.int16).reshape(len(batch), n)
+    if n == 0:
+        if count := sum(1 for _ in words):
+            yield np.zeros((count, 0), dtype=np.int16)
+        return
+    while len(batch := np.fromiter(islice(words, rows), dtype=(np.int16, n))):
+        yield batch
 
 
 # --------------------------------------------------------------------------

@@ -219,6 +219,20 @@ def test_empty_rank_sweep_is_usage_error(capsys, check_id, max_n, first):
     assert f"error: check '{check_id}' sweeps ranks from {first}" in err
 
 
+def test_check_beyond_the_bound_exits_before_reading_any_word(capsys, monkeypatch, cold_cache):
+    import artifact.registry as registry
+
+    def no_words(group, n, i=None):
+        raise AssertionError(f"read the words of {group}_{n}")
+
+    monkeypatch.setattr(registry, "iterate_group", no_words)
+    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # the default ceiling is rank 8
+    code, out, err = run_cli(capsys, "check", "--id", "corollary-2.2", "--max-n", "9")
+    assert code == 3
+    assert out == ""
+    assert "brute force over B at rank 9" in err
+
+
 def test_check_all_refuses_a_low_max_n_before_running_any(capsys, monkeypatch):
     import artifact.registry as registry
 

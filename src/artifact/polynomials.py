@@ -137,8 +137,10 @@ class LaurentPoly:
             return NotImplemented
         a, b = self.terms, other.terms
         out = None
-        if len(a) * len(b) >= _KRONECKER_MIN_PAIRS:
-            out = _kronecker_product(a, b)
+        pairs = len(a) * len(b)
+        if pairs >= _KRONECKER_MIN_PAIRS:
+            relabel = pairs >= _RELABEL_MIN_PAIRS and min(len(a), len(b)) >= _RELABEL_MIN_TERMS
+            out = _kronecker_product(a, b, relabel)
         if out is None:
             out = _schoolbook_product(a, b)
         result = LaurentPoly.__new__(LaurentPoly)
@@ -329,8 +331,13 @@ Terms = dict[tuple[int, ...], int]
 
 # The Kronecker kernel runs on at least this many term pairs, and only when the
 # product's exponent box has at most _KRONECKER_FILL slots per operand term;
-# every other product takes the schoolbook loop.
+# every other product takes the schoolbook loop.  A product whose box is too
+# sparse may retry on a relabelled box only with at least _RELABEL_MIN_PAIRS
+# pairs and _RELABEL_MIN_TERMS terms in each operand: below either, the
+# schoolbook loop measured faster.
 _KRONECKER_MIN_PAIRS = 512
+_RELABEL_MIN_PAIRS = 1024
+_RELABEL_MIN_TERMS = 5
 _KRONECKER_FILL = 8
 _DECODE_CHUNK = 1 << 12  # nonzero slots turned back into terms per step
 _EXP_LIMIT = 1 << 61
@@ -354,10 +361,10 @@ def _schoolbook_product(a: Terms, b: Terms) -> Terms:
 
 
 def _exponent_array(terms: Terms) -> np.ndarray | None:
-    """The exponents as an int64 array, or None if one is too large for the kernel.
+    """The exponents as an int64 array, one row per variable, or None if one is too large.
 
     Below _EXP_LIMIT in magnitude, box sides, offsets and product exponents
-    all stay inside int64.
+    all stay inside int64.  Rows keep the per-variable reductions contiguous.
     """
     try:
         flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=len(terms) * NVARS)
@@ -365,35 +372,92 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
         return None
     if flat.min() <= -_EXP_LIMIT or flat.max() >= _EXP_LIMIT:
         return None
-    return flat.reshape(len(terms), NVARS)
+    return np.ascontiguousarray(flat.reshape(len(terms), NVARS).T)
 
 
-def _kronecker_product(a: Terms, b: Terms) -> Terms | None:
+def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None:
     """Product by Kronecker substitution, or None when the exponent box is sparse.
 
     Each exponent vector, shifted by its operand's per-variable minimum, is a
     slot index in the product's exponent box (row-major, so the index of a sum
     is the sum of the indices).  Slots are ``w`` 64-bit words wide, with ``w``
     sized so every product coefficient, plus two guard bits, fits in a slot:
-    then one big-integer multiplication yields all coefficients at once.
+    then one big-integer multiplication yields all coefficients at once.  When
+    the seven-variable box is too sparse and ``relabel`` is set, the smaller
+    box of ``_relabel`` is tried under the same limit.
     """
     ea, eb = _exponent_array(a), _exponent_array(b)
     if ea is None or eb is None:
         return None
-    lo_a, lo_b = ea.min(axis=0), eb.min(axis=0)
-    dims = (ea.max(axis=0) - lo_a + eb.max(axis=0) - lo_b + 1).tolist()
-    if prod(dims) > _KRONECKER_FILL * (len(a) + len(b)):
-        return None
+    lo_a, lo_b = ea.min(axis=1), eb.min(axis=1)
+    ea -= lo_a[:, None]
+    eb -= lo_b[:, None]
+    limit = _KRONECKER_FILL * (len(a) + len(b))
+    dims = (ea.max(axis=1) + eb.max(axis=1) + 1).tolist()
+    layout = _ROSTER
+    if prod(dims) > limit:
+        box = _relabel(ea, eb, limit) if relabel else None
+        if box is None:
+            return None
+        ea, eb, dims, layout = box
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     w = (bound.bit_length() + 2 + 63) // 64
-    ia = np.ravel_multi_index((ea - lo_a).T, dims)
-    ib = np.ravel_multi_index((eb - lo_b).T, dims)
+    ia = np.ravel_multi_index(ea, dims)
+    ib = np.ravel_multi_index(eb, dims)
     del ea, eb
     nslots = int(ia.max() + ib.max()) + 1
     product = _pack(ia, list(a.values()), w) * _pack(ib, list(b.values()), w)
     buf = product.to_bytes(8 * w * nslots, "little", signed=True)
     del product  # hold one copy of the product while decoding
-    return _unpack(buf, w, dims, (lo_a + lo_b).tolist())
+    return _unpack(buf, w, dims, layout, lo_a + lo_b)
+
+
+# A layout maps each box coordinate back to exponents: its digit is the value
+# of one variable (table None) or the column of a table of sub-exponents.
+_ROSTER = [(j, None) for j in range(NVARS)]
+
+
+def _relabel(ea: np.ndarray, eb: np.ndarray, limit: int):
+    """A box with one class coordinate per operand, or None if it exceeds limit.
+
+    A variable is private to an operand when that operand moves in it and the
+    other does not.  The operand's private variables become one coordinate:
+    the index of a term's private sub-exponent among the operand's distinct
+    ones.  The other operand is constant there and takes 0, so a sum of
+    coordinates still names one product exponent.  The class coordinates vary
+    slowest; the shared variables follow in roster order.  Takes exponents
+    shifted to start at 0; returns both coordinate arrays, the box sides and
+    the layout.
+    """
+    top_a, top_b = ea.max(axis=1), eb.max(axis=1)
+    moves_a, moves_b = top_a > 0, top_b > 0
+    shared = np.flatnonzero(moves_a & moves_b)
+    # a class holds at most one term per shared sub-exponent: refuse before sorting
+    fewest = [-(-e.shape[1] // prod((top[shared] + 1).tolist())) for e, top in ((ea, top_a), (eb, top_b))]
+    if prod(fewest) * prod((top_a + top_b + 1)[shared].tolist()) > limit:
+        return None
+    layout, coords = [], []
+    for e, private, side in ((ea, moves_a & ~moves_b, 0), (eb, moves_b & ~moves_a, 1)):
+        rows = np.flatnonzero(private)
+        if not len(rows):
+            continue
+        sub = e[rows]
+        spans = (sub.max(axis=1) + 1).tolist()
+        if prod(spans) >= _EXP_LIMIT:  # the keys must fit in int64
+            return None
+        _, first, index = np.unique(np.ravel_multi_index(sub, spans), return_index=True, return_inverse=True)
+        layout.append((rows, sub[:, first]))
+        pair = [np.zeros(ea.shape[1], np.int64), np.zeros(eb.shape[1], np.int64)]
+        pair[side] = index
+        coords.append(pair)
+    for j in shared.tolist():
+        layout.append((j, None))
+        coords.append([ea[j], eb[j]])
+    ca, cb = map(np.array, zip(*coords))
+    dims = (ca.max(axis=1) + cb.max(axis=1) + 1).tolist()
+    if prod(dims) > limit:
+        return None
+    return ca, cb, dims, layout
 
 
 def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:
@@ -417,12 +481,13 @@ def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:
     return int.from_bytes(b"".join(pieces), "little", signed=True)
 
 
-def _unpack(buf: bytes, w: int, dims: list[int], lo: list[int]) -> Terms:
+def _unpack(buf: bytes, w: int, dims: list[int], layout: list, lo: np.ndarray) -> Terms:
     """Terms of a packed product, given as signed little-endian bytes.
 
     A slot's coefficient is its signed value plus one when the slot below it
     is negative, because the guard bits keep every partial sum below a slot
-    under half that slot's weight.
+    under half that slot's weight.  A slot's box coordinates map back to
+    exponents through ``layout`` (see ``_relabel``), plus ``lo``.
     """
     words = np.frombuffer(buf, dtype=np.int64).reshape(-1, w)
     borrow = np.zeros(len(words), dtype=np.int8)
@@ -434,7 +499,9 @@ def _unpack(buf: bytes, w: int, dims: list[int], lo: list[int]) -> Terms:
     view = memoryview(buf)
     for start in range(0, len(nonzero), _DECODE_CHUNK):
         slots = nonzero[start:start + _DECODE_CHUNK]
-        columns = [(digits + low).tolist() for digits, low in zip(np.unravel_index(slots, dims), lo)]
+        exps = np.repeat(lo[:, None], len(slots), axis=1)
+        for digits, (rows, table) in zip(np.unravel_index(slots, dims), layout):
+            exps[rows] += digits if table is None else table[:, digits]
         if w == 1:
             coefs = (words[slots, 0] + borrow[slots]).tolist()
         else:
@@ -442,7 +509,7 @@ def _unpack(buf: bytes, w: int, dims: list[int], lo: list[int]) -> Terms:
                 int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
                 for k, t in zip(slots.tolist(), borrow[slots].tolist())
             ]
-        out.update(zip(zip(*columns), coefs))
+        out.update(zip(zip(*exps.tolist()), coefs))
     return out
 
 

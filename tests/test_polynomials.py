@@ -2,12 +2,13 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 import artifact.polynomials as polynomials
+from artifact.enumeration import poly_group
 from artifact.polynomials import (
     NVARS,
     VARIABLES,
@@ -187,11 +188,22 @@ def test_product_operator_equals_schoolbook(a, b, k):
 
 
 def test_sparse_box_takes_the_fallback():
-    a = sum((LaurentPoly.monomial(3, s=10 * i, q=-i) for i in range(10)), LaurentPoly.zero())
-    b = sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero())
+    """Both operands move in the sparse variable s, so relabelling cannot help."""
+    a = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
+    b = sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero())
     assert _kronecker_product(a.terms, b.terms) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert len((a * b).terms) == 100
+
+
+def test_private_variables_relabel_into_a_dense_box():
+    """s, q against t, t1: sparse in all seven variables, a dense 10 x 10 box relabelled."""
+    a = sum((LaurentPoly.monomial(3, s=10 * i, q=-i) for i in range(10)), LaurentPoly.zero())
+    b = sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero())
+    assert _kronecker_product(a.terms, b.terms, relabel=False) is None
+    _assert_kernel_matches(a.terms, b.terms)
+    assert len(_kronecker_product(a.terms, b.terms)) == 100
+    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
 @pytest.mark.parametrize("shift", [2**61 - 1, 2**61, -(2**62), 2**70])
@@ -203,6 +215,110 @@ def test_product_with_exponents_beyond_the_kernel_range(shift):
     assert product.terms == _schoolbook_product(a.terms, b.terms)
     assert product.coefficient(t=2 * shift) == -1
     assert (_kronecker_product(a.terms, b.terms) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
+
+
+# ---------------------------------------------------------------------------
+# the relabelled box: each operand's private variables become one coordinate
+# ---------------------------------------------------------------------------
+_Q = VARIABLES.index("q")
+_NOT_Q = [j for j in range(NVARS) if j != _Q]
+
+
+@st.composite
+def relabel_pairs(draw, shape):
+    """Two operands whose seven-variable box is too sparse for the kernel.
+
+    An operand is a sum over its classes of x^v * Q(q), where x^v is a
+    monomial in the operand's private variables and Q has a full run of
+    nonzero coefficients.  With at most eight classes per operand the
+    relabelled box stays within the fill limit.
+
+    - "q-only": a q-polynomial against an operand with 2 to 4 private variables;
+    - "both": each operand has 1 to 3 private variables;
+    - "sparse": as "both", with private exponents spaced up to 1000 apart,
+      shifted below zero, or both.
+    """
+    free = draw(st.permutations(_NOT_Q))
+    if shape == "q-only":
+        private_a, private_b = [], free[:draw(st.integers(2, 4))]
+    else:
+        k = draw(st.integers(1, 3))
+        private_a, private_b = free[:k], free[k:k + draw(st.integers(1, 3))]
+    step = {var: 1 for var in free}
+    offset = {var: 0 for var in free}
+    if shape == "sparse":
+        kind = draw(st.sampled_from(["sparse", "negative", "both"]))
+        for var in free:
+            if kind != "negative":
+                step[var] = draw(st.integers(2, 1000))
+            if kind != "sparse":
+                offset[var] = draw(st.integers(-2000, -1))
+
+    def operand(private):
+        points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(private)),
+                               min_size=1, max_size=8 if private else 1, unique=True))
+        start, length = draw(st.integers(-3, 3)), draw(st.integers(1, 6))
+        terms = {}
+        for point in points:
+            for k in range(length):
+                exp = [0] * NVARS
+                exp[_Q] = start + k
+                for var, digit in zip(private, point):
+                    exp[var] = offset[var] + step[var] * digit
+                terms[tuple(exp)] = draw(coefficients)
+        return terms
+
+    a, b = operand(private_a), operand(private_b)
+    assume(_kronecker_product(a, b, relabel=False) is None)
+    return a, b
+
+
+@pytest.mark.parametrize("shape", ["q-only", "both", "sparse"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_relabelled_kernel_matches_schoolbook(shape, data):
+    a, b = data.draw(relabel_pairs(shape))
+    _assert_kernel_matches(a, b)
+    _assert_kernel_matches(b, a)
+
+
+def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypatch):
+    """The shape of a QFraction sum: a numerator in q, s0, s1, t0, t1 times [2]_q...[10]_q."""
+    num = poly_group("B", 5, "fivevar")
+    den = poincare("B", 5)
+    assert num.variables_used() == ("q", "s0", "s1", "t0", "t1")
+    assert _kronecker_product(num.terms, den.terms, relabel=False) is None
+    expected = _schoolbook_product(num.terms, den.terms)
+    monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
+    _assert_kernel_matches(num.terms, den.terms)
+    monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
+    assert (num * den).terms == (den * num).terms == expected
+
+
+def test_relabelling_is_routed_by_the_measured_gates(monkeypatch):
+    """Below the pair or term gate a sparse box goes straight to the schoolbook loop."""
+    calls = []
+    relabel = polynomials._relabel
+    monkeypatch.setattr(polynomials, "_relabel", lambda *args: calls.append(args) or relabel(*args))
+    lopsided = (poly_group("B", 6, "fivevar"), qint(4))  # 406 x 4 terms
+    few_pairs = (poly_group("B", 4, "fivevar"), poincare("B", 3))  # 87 x 10 terms
+    assert len(lopsided[1].terms) < polynomials._RELABEL_MIN_TERMS
+    assert len(lopsided[0].terms) * 4 >= polynomials._RELABEL_MIN_PAIRS
+    assert polynomials._KRONECKER_MIN_PAIRS <= 87 * 10 < polynomials._RELABEL_MIN_PAIRS
+    for a, b in (lopsided, few_pairs):
+        assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+    assert calls == []
+    poly_group("B", 5, "fivevar") * poincare("B", 5)
+    assert len(calls) == 1
+
+
+def test_relabelling_refuses_private_keys_beyond_int64():
+    """Private exponents 2^40 apart in two variables: their keys would overflow."""
+    a = sum((LaurentPoly.monomial(i + 1, s=i * 2**40, t=(i % 3) * 2**40, q=i % 5) for i in range(40)),
+            LaurentPoly.zero())
+    b = qint(30)
+    assert _kronecker_product(a.terms, b.terms) is None
+    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
 def test_large_dense_product_takes_the_kernel(monkeypatch):

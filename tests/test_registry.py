@@ -317,3 +317,31 @@ def test_reports_are_deterministic_across_runs_and_jobs():
     second = json.dumps(run_all(ids=ids, order=3, max_n=3, jobs=1), sort_keys=True)
     parallel = json.dumps(run_all(ids=ids, order=3, max_n=3, jobs=2), sort_keys=True)
     assert first == second == parallel
+
+
+# ---------------------------------------------------------------------------
+# routing of the fraction products
+# ---------------------------------------------------------------------------
+def test_fraction_products_stay_off_the_schoolbook_loop(monkeypatch):
+    """The cross-multiplications of the fivevar checks take the product kernel.
+
+    A count of term pairs rather than a wall-clock budget: it fails when the
+    kernel silently stops taking these products, whatever the host's speed.
+    """
+    import artifact.polynomials as polynomials
+    import artifact.registry as registry
+
+    schoolbook = polynomials._schoolbook_product
+    largest = {}
+    for cid in ("typeB-fivevar", "typeD-fivevar", "typeA-pentavar"):
+        pairs = [0]
+
+        def recording(a, b):
+            pairs.append(len(a) * len(b))
+            return schoolbook(a, b)
+
+        monkeypatch.setattr(polynomials, "_schoolbook_product", recording)
+        registry.clear_cache()
+        assert run_check(cid)["status"] == "pass"
+        largest[cid] = max(pairs)
+    assert all(count < 10_000 for count in largest.values()), largest

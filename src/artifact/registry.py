@@ -102,7 +102,9 @@ class IdentityCheck:
     """One verifiable identity: stable id, human label, runner, defaults.
 
     A rank sweep starts at ``first_n``; a ``max_n`` below it would check
-    nothing and pass, so it is refused.
+    nothing and pass, so it is refused.  A series check verifies from u^1:
+    at order 0 it compares constant terms only, where even its rejected
+    readings agree, so an ``order`` below 1 is refused too.
     """
 
     id: str
@@ -122,6 +124,10 @@ class IdentityCheck:
             raise ValueError(
                 f"check {self.id!r} sweeps ranks from {self.first_n}, "
                 f"so max_n must be at least {self.first_n}, got {params['max_n']}"
+            )
+        if params.get("order", 1) < 1:
+            raise ValueError(
+                f"check {self.id!r} verifies from u^1, so order must be at least 1, got {params['order']}"
             )
         return params
 

@@ -219,6 +219,20 @@ def test_empty_rank_sweep_is_usage_error(capsys, check_id, max_n, first):
     assert f"error: check '{check_id}' sweeps ranks from {first}" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_series_order_below_one_is_usage_error(capsys, monkeypatch, order):
+    import artifact.registry as registry
+
+    def no_words(*args, **kw):
+        raise AssertionError("enumerated a group")
+
+    monkeypatch.setattr(registry, "poly_group", no_words)
+    code, out, err = run_cli(capsys, "check", "--id", "typeB-fivevar", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check 'typeB-fivevar' verifies from u^1, so order must be at least 1, got {order}\n"
+
+
 def test_check_beyond_the_bound_exits_before_reading_any_word(capsys, monkeypatch, cold_cache):
     import artifact.registry as registry
 

@@ -303,6 +303,40 @@ def test_the_first_rank_alone_is_checked(cid):
             assert part.get("cases") or part.get("counts"), part
 
 
+SERIES_IDS = [c["id"] for c in list_checks() if "order" in c["parameters"]]
+
+
+def test_every_series_check_passes_at_order_one():
+    for cid in SERIES_IDS:
+        assert run_check(cid, order=1)["status"] == "pass", cid
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("cid", SERIES_IDS)
+def test_order_below_one_is_refused(cid, order):
+    message = f"check '{cid}' verifies from u^1, so order must be at least 1, got {order}"
+    with pytest.raises(ValueError) as excinfo:
+        run_check(cid, order=order)
+    assert str(excinfo.value) == message
+
+
+def test_run_all_refuses_a_low_order_before_running_any(monkeypatch):
+    import dataclasses
+
+    import artifact.registry as registry
+
+    ran = []
+    for cid in CHECK_IDS:
+        check = registry._REGISTRY[cid]
+        spy = lambda *args, _cid=cid, **kw: ran.append(_cid)  # noqa: E731
+        monkeypatch.setitem(registry._REGISTRY, cid, dataclasses.replace(check, runner=spy))
+    with pytest.raises(ValueError, match="check 'typeB-fivevar' verifies from u\\^1"):
+        run_all(order=0, ids=["typeB-recurrence", "lemma-2.1", "typeB-fivevar"])
+    with pytest.raises(ValueError, match="check 'typeA-pentavar' verifies from u\\^1"):
+        run_all(order=-1)
+    assert ran == []
+
+
 def test_parametrized_case_identity_ids(quick):
     assert quick["lemma-2.1"]["cases"][0]["identity_id"] == "lemma-2.1[n=0,r=0]"
     assert quick["corollary-3.2/3.3"]["cases"][0]["identity_id"] == "corollary-3.2/3.3[n=0,r=0]"

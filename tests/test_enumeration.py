@@ -13,9 +13,10 @@ from artifact.enumeration import (
     direct_stat_vector,
     poly_group,
     poly_group_python,
+    weighted_sum,
     work_estimate,
 )
-from artifact.permutations import iterate_group, stats_A, stats_B, stats_D
+from artifact.permutations import descent_set_D, is_snake, iterate_group, stats_A, stats_B, stats_D
 from artifact.polynomials import LaurentPoly
 
 S = LaurentPoly.variable("s")
@@ -142,10 +143,16 @@ def test_routes_agree_on_every_family_cutoff_and_weight(group):
 
 
 def test_routes_agree_at_rank_seven():
-    for group in ("X", "snakeD"):
-        assert poly_group(group, 7, "biv", method="python") == poly_group(
-            group, 7, "biv", method="numpy"
-        ), group
+    """One walk of D_7, split into X and snakeD, against the vectorised route."""
+    parts = {"X": [], "snakeD": []}
+    for word in iterate_group("D", 7):
+        descents = descent_set_D(word)
+        if set(descents) <= {-1, 1}:
+            parts["X"].append(word)
+        if -1 in descents and is_snake(word, "D"):  # every D snake descends at -1
+            parts["snakeD"].append(word)
+    for group, words in parts.items():
+        assert weighted_sum(words, "D", "biv") == poly_group(group, 7, "biv", method="numpy"), group
 
 
 @pytest.mark.parametrize(

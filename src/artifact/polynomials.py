@@ -364,7 +364,8 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
     """The exponents as an int64 array, one row per variable, or None if one is too large.
 
     Below _EXP_LIMIT in magnitude, box sides, offsets and product exponents
-    all stay inside int64.  Rows keep the per-variable reductions contiguous.
+    all stay inside int64.  The rows are views into one term-major buffer,
+    so the exponents are held once.
     """
     try:
         flat = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=len(terms) * NVARS)
@@ -372,7 +373,7 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
         return None
     if flat.min() <= -_EXP_LIMIT or flat.max() >= _EXP_LIMIT:
         return None
-    return np.ascontiguousarray(flat.reshape(len(terms), NVARS).T)
+    return flat.reshape(len(terms), NVARS).T
 
 
 def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None:
@@ -390,13 +391,17 @@ def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None
     if ea is None or eb is None:
         return None
     lo_a, lo_b = ea.min(axis=1), eb.min(axis=1)
+    top_a, top_b = ea.max(axis=1) - lo_a, eb.max(axis=1) - lo_b
+    dims = (top_a + top_b + 1).tolist()
+    limit = _KRONECKER_FILL * (len(a) + len(b))
+    dense = prod(dims) <= limit
+    if not (dense or relabel):
+        return None
     ea -= lo_a[:, None]
     eb -= lo_b[:, None]
-    limit = _KRONECKER_FILL * (len(a) + len(b))
-    dims = (ea.max(axis=1) + eb.max(axis=1) + 1).tolist()
     layout = _ROSTER
-    if prod(dims) > limit:
-        box = _relabel(ea, eb, limit) if relabel else None
+    if not dense:
+        box = _relabel(ea, eb, top_a, top_b, limit)
         if box is None:
             return None
         ea, eb, dims, layout = box
@@ -417,7 +422,7 @@ def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None
 _ROSTER = [(j, None) for j in range(NVARS)]
 
 
-def _relabel(ea: np.ndarray, eb: np.ndarray, limit: int):
+def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarray, limit: int):
     """A box with one class coordinate per operand, or None if it exceeds limit.
 
     A variable is private to an operand when that operand moves in it and the
@@ -426,10 +431,9 @@ def _relabel(ea: np.ndarray, eb: np.ndarray, limit: int):
     ones.  The other operand is constant there and takes 0, so a sum of
     coordinates still names one product exponent.  The class coordinates vary
     slowest; the shared variables follow in roster order.  Takes exponents
-    shifted to start at 0; returns both coordinate arrays, the box sides and
-    the layout.
+    shifted to start at 0 and their maxima; returns both coordinate arrays,
+    the box sides and the layout.
     """
-    top_a, top_b = ea.max(axis=1), eb.max(axis=1)
     moves_a, moves_b = top_a > 0, top_b > 0
     shared = np.flatnonzero(moves_a & moves_b)
     # a class holds at most one term per shared sub-exponent: refuse before sorting

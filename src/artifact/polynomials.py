@@ -9,7 +9,7 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import prod
 from typing import Iterable, Mapping
 
@@ -419,7 +419,7 @@ def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None
 
 # A layout maps each box coordinate back to exponents: its digit is the value
 # of one variable (table None) or the column of a table of sub-exponents.
-_ROSTER = [(j, None) for j in range(NVARS)]
+_ROSTER = [([j], None) for j in range(NVARS)]
 
 
 def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarray, limit: int):
@@ -455,7 +455,7 @@ def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarra
         pair[side] = index
         coords.append(pair)
     for j in shared.tolist():
-        layout.append((j, None))
+        layout.append(([j], None))
         coords.append([ea[j], eb[j]])
     ca, cb = map(np.array, zip(*coords))
     dims = (ca.max(axis=1) + cb.max(axis=1) + 1).tolist()
@@ -503,9 +503,10 @@ def _unpack(buf: bytes, w: int, dims: list[int], layout: list, lo: np.ndarray) -
     view = memoryview(buf)
     for start in range(0, len(nonzero), _DECODE_CHUNK):
         slots = nonzero[start:start + _DECODE_CHUNK]
-        exps = np.repeat(lo[:, None], len(slots), axis=1)
+        columns = [repeat(low) for low in lo.tolist()]  # constant unless a coordinate covers it
         for digits, (rows, table) in zip(np.unravel_index(slots, dims), layout):
-            exps[rows] += digits if table is None else table[:, digits]
+            for row, values in zip(rows, [digits] if table is None else table[:, digits]):
+                columns[row] = (values + lo[row]).tolist()
         if w == 1:
             coefs = (words[slots, 0] + borrow[slots]).tolist()
         else:
@@ -513,7 +514,7 @@ def _unpack(buf: bytes, w: int, dims: list[int], layout: list, lo: np.ndarray) -
                 int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
                 for k, t in zip(slots.tolist(), borrow[slots].tolist())
             ]
-        out.update(zip(zip(*exps.tolist()), coefs))
+        out.update(zip(zip(*columns), coefs))
     return out
 
 

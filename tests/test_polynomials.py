@@ -300,12 +300,14 @@ def test_relabelling_is_routed_by_the_measured_gates(monkeypatch):
     calls = []
     relabel = polynomials._relabel
     monkeypatch.setattr(polynomials, "_relabel", lambda *args: calls.append(args) or relabel(*args))
-    lopsided = (poly_group("B", 6, "fivevar"), qint(4))  # 406 x 4 terms
-    few_pairs = (poly_group("B", 4, "fivevar"), poincare("B", 3))  # 87 x 10 terms
-    assert len(lopsided[1].terms) < polynomials._RELABEL_MIN_TERMS
-    assert len(lopsided[0].terms) * 4 >= polynomials._RELABEL_MIN_PAIRS
-    assert polynomials._KRONECKER_MIN_PAIRS <= 87 * 10 < polynomials._RELABEL_MIN_PAIRS
+    lopsided = (poly_group("B", 6, "fivevar"), qint(4))
+    few_pairs = (poly_group("B", 4, "fivevar"), poincare("B", 3))
+    sizes = [(len(a.terms), len(b.terms)) for a, b in (lopsided, few_pairs)]
+    assert sizes[0][1] < polynomials._RELABEL_MIN_TERMS
+    assert sizes[0][0] * sizes[0][1] >= polynomials._RELABEL_MIN_PAIRS
+    assert polynomials._KRONECKER_MIN_PAIRS <= sizes[1][0] * sizes[1][1] < polynomials._RELABEL_MIN_PAIRS
     for a, b in (lopsided, few_pairs):
+        assert _kronecker_product(a.terms, b.terms, relabel=False) is None
         assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert calls == []
     poly_group("B", 5, "fivevar") * poincare("B", 5)

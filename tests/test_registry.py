@@ -327,9 +327,8 @@ def test_run_all_refuses_a_low_order_before_running_any(monkeypatch):
 
     ran = []
     for cid in CHECK_IDS:
-        check = registry._REGISTRY[cid]
-        spy = lambda *args, _cid=cid, **kw: ran.append(_cid)  # noqa: E731
-        monkeypatch.setitem(registry._REGISTRY, cid, dataclasses.replace(check, runner=spy))
+        check = dataclasses.replace(registry._REGISTRY[cid], runner=lambda **params: ran.append(params))
+        monkeypatch.setitem(registry._REGISTRY, cid, check)
     with pytest.raises(ValueError, match="check 'typeB-fivevar' verifies from u\\^1"):
         run_all(order=0, ids=["typeB-recurrence", "lemma-2.1", "typeB-fivevar"])
     with pytest.raises(ValueError, match="check 'typeA-pentavar' verifies from u\\^1"):

@@ -315,9 +315,9 @@ def test_relabelling_is_routed_by_the_measured_gates(monkeypatch):
 
 
 def test_relabelling_refuses_private_keys_beyond_int64():
-    """Private exponents 2^40 apart in two variables: their keys would overflow."""
-    a = sum((LaurentPoly.monomial(i + 1, s=i * 2**40, t=(i % 3) * 2**40, q=i % 5) for i in range(40)),
-            LaurentPoly.zero())
+    """Five classes 2^40 apart in s and t: a dense box, but keys past int64."""
+    a = sum((LaurentPoly.monomial(c + k + 1, s=c * 2**40, t=(c % 3) * 2**40, q=k)
+             for c in range(5) for k in range(8)), LaurentPoly.zero())
     b = qint(30)
     assert _kronecker_product(a.terms, b.terms) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)

@@ -436,32 +436,33 @@ def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarra
     """
     moves_a, moves_b = top_a > 0, top_b > 0
     shared = np.flatnonzero(moves_a & moves_b)
+    sides = (top_a + top_b + 1)[shared].tolist()
     # a class holds at most one term per shared sub-exponent: refuse before sorting
     fewest = [-(-e.shape[1] // prod((top[shared] + 1).tolist())) for e, top in ((ea, top_a), (eb, top_b))]
-    if prod(fewest) * prod((top_a + top_b + 1)[shared].tolist()) > limit:
+    if prod(fewest) * prod(sides) > limit:
         return None
-    layout, coords = [], []
-    for e, private, side in ((ea, moves_a & ~moves_b, 0), (eb, moves_b & ~moves_a, 1)):
+    layout, coords, dims = [], [], []
+    for e, top, private, side in ((ea, top_a, moves_a & ~moves_b, 0), (eb, top_b, moves_b & ~moves_a, 1)):
         rows = np.flatnonzero(private)
         if not len(rows):
             continue
-        sub = e[rows]
-        spans = (sub.max(axis=1) + 1).tolist()
+        spans = (top[rows] + 1).tolist()
         if prod(spans) >= _EXP_LIMIT:  # the keys must fit in int64
             return None
+        sub = e[rows]
         _, first, index = np.unique(np.ravel_multi_index(sub, spans), return_index=True, return_inverse=True)
         layout.append((rows, sub[:, first]))
         pair = [np.zeros(ea.shape[1], np.int64), np.zeros(eb.shape[1], np.int64)]
         pair[side] = index
         coords.append(pair)
+        dims.append(len(first))
+    if prod(dims) * prod(sides) > limit:
+        return None
     for j in shared.tolist():
         layout.append(([j], None))
         coords.append([ea[j], eb[j]])
     ca, cb = map(np.array, zip(*coords))
-    dims = (ca.max(axis=1) + cb.max(axis=1) + 1).tolist()
-    if prod(dims) > limit:
-        return None
-    return ca, cb, dims, layout
+    return ca, cb, dims + sides, layout
 
 
 def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:

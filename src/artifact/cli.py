@@ -32,7 +32,11 @@ _COMPARE_METHODS = ("brute", "recurrence", "hyatt")
 
 
 def _job_count(text: str) -> int:
-    """The --jobs value: a whole number of worker processes, at least 1."""
+    """The --jobs value: a whole number, at least 1.
+
+    The option is accepted and validated so existing invocations keep working;
+    it has no effect, since every route runs in one process.
+    """
     try:
         jobs = int(text)
     except ValueError:
@@ -92,7 +96,7 @@ def _print_poly(poly: LaurentPoly, fmt: str) -> None:
 
 def _cmd_enumerate(args) -> int:
     try:
-        poly = poly_group(args.group, args.n, weight=args.weight, i=args.i, jobs=args.jobs)
+        poly = poly_group(args.group, args.n, weight=args.weight, i=args.i)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -131,9 +135,9 @@ def _cmd_check(args) -> int:
     started = time.perf_counter()
     try:
         if args.check_id is not None:
-            reports = [run_check(args.check_id, order=args.order, max_n=args.max_n, jobs=args.jobs)]
+            reports = [run_check(args.check_id, order=args.order, max_n=args.max_n)]
         else:
-            reports = run_all(order=args.order, max_n=args.max_n, jobs=args.jobs)
+            reports = run_all(order=args.order, max_n=args.max_n)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -152,9 +156,9 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
-def _compare_method(method: str, group: str, n: int, jobs: int) -> LaurentPoly:
+def _compare_method(method: str, group: str, n: int) -> LaurentPoly:
     if method == "brute":
-        return poly_group(group, n, weight="biv", jobs=jobs)
+        return poly_group(group, n, weight="biv")
     if method == "recurrence":
         return recurrence_poly(group, n)
     # positive-last-entry expansion plus its reciprocity-reflected half
@@ -177,7 +181,7 @@ def _cmd_compare(args) -> int:
     for method in methods:
         started = time.perf_counter()
         try:
-            polys[method] = _compare_method(method, args.group, args.n, args.jobs)
+            polys[method] = _compare_method(method, args.group, args.n)
         except BoundExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

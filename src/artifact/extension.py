@@ -110,25 +110,6 @@ class ExtElement:
     def __bool__(self) -> bool:
         return bool(self.parts)
 
-    @property
-    def is_generator_free(self) -> bool:
-        return set(self.parts) <= {0}
-
-    def generators_used(self) -> tuple[str, ...]:
-        mask = 0
-        for m in self.parts:
-            mask |= m
-        return DEFAULT_CONTEXT.mask_names(mask)
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.parts:
-            return LaurentPoly.zero()
-        if not self.is_generator_free:
-            raise ValueError(
-                f"element carries generators {self.generators_used()}"
-            )
-        return self.parts[0]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPoly)):
             other = ExtElement.coerce(other)
@@ -247,18 +228,6 @@ class ExtElement:
 
     def __repr__(self) -> str:
         return f"ExtElement({self})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gens": list(self.generators_used()),
-            "components": [
-                {
-                    "gens": list(DEFAULT_CONTEXT.mask_names(mask)),
-                    **self.parts[mask].to_json_dict(),
-                }
-                for mask in sorted(self.parts)
-            ],
-        }
 
 
 def _is_q_only(poly: LaurentPoly) -> bool:
@@ -386,9 +355,6 @@ class QFraction:
 
     def __repr__(self) -> str:
         return f"QFraction({self})"
-
-    def to_json_dict(self) -> dict:
-        return {"num": self.num.to_json_dict(), "den": self.den.to_json_dict()}
 
 
 GEN_M = ExtElement.generator("M")

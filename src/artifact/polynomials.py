@@ -138,7 +138,7 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         out = None
         pairs = len(a) * len(b)
-        if pairs >= _KRONECKER_MIN_PAIRS:
+        if pairs >= _KRONECKER_MIN_PAIRS and min(len(a), len(b)) > 1:
             relabel = pairs >= _RELABEL_MIN_PAIRS and min(len(a), len(b)) >= _RELABEL_MIN_TERMS
             out = _kronecker_product(a, b, relabel)
         if out is None:
@@ -331,10 +331,11 @@ Terms = dict[tuple[int, ...], int]
 
 # The Kronecker kernel runs on at least this many term pairs, and only when the
 # product's exponent box has at most _KRONECKER_FILL slots per operand term;
-# every other product takes the schoolbook loop.  A product whose box is too
-# sparse may retry on a relabelled box only with at least _RELABEL_MIN_PAIRS
-# pairs and _RELABEL_MIN_TERMS terms in each operand: below either, the
-# schoolbook loop measured faster.
+# every other product takes the schoolbook loop, and so does any product with
+# a one-term operand, which the loop shifts and scales in one pass.  A product
+# whose box is too sparse may retry on a relabelled box only with at least
+# _RELABEL_MIN_PAIRS pairs and _RELABEL_MIN_TERMS terms in each operand: below
+# either, the schoolbook loop measured faster.
 _KRONECKER_MIN_PAIRS = 512
 _RELABEL_MIN_PAIRS = 1024
 _RELABEL_MIN_TERMS = 5

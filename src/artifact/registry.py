@@ -13,7 +13,7 @@ intended reading verifies; failures of the other readings stay visible in the
 report instead of being silently discarded.
 
 Reports contain no timings or machine-specific data, so they are reproducible
-byte-for-byte across runs and across worker counts.
+byte-for-byte across runs.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ class IdentityCheck:
             )
         return params
 
-    def run(self, *, order: int | None = None, max_n: int | None = None, jobs: int = 1) -> dict:
+    def run(self, *, order: int | None = None, max_n: int | None = None) -> dict:
         params = self.resolve(order=order, max_n=max_n)
-        body = self.runner(jobs=jobs, **params)
+        body = self.runner(**params)
         report = {"id": self.id, "label": self.label, "parameters": params}
         report.update(body)
         return report
@@ -150,10 +150,10 @@ def clear_cache() -> None:
 
 
 def _brute(group: str, n: int, weight: str = "biv", i: int | None = None,
-           jobs: int = 1, method: str = "auto") -> LaurentPoly:
+           method: str = "auto") -> LaurentPoly:
     key = (group, n, weight, i, method)
     if key not in _POLY_CACHE:
-        _POLY_CACHE[key] = poly_group(group, n, weight=weight, i=i, jobs=jobs, method=method)
+        _POLY_CACHE[key] = poly_group(group, n, weight=weight, i=i, method=method)
     return _POLY_CACHE[key]
 
 
@@ -245,7 +245,7 @@ def _word_batches(group: str, n: int, rows: int) -> Iterator[np.ndarray]:
 # shared series ingredients
 
 
-def _egf(group: str, weight: str, parity: str, order: int, jobs: int,
+def _egf(group: str, weight: str, parity: str, order: int,
          start: int | None = None, q_one: bool = False, to_t: bool = False) -> TruncatedSeries:
     """Exponential generating function of brute-force polynomials.
 
@@ -262,7 +262,7 @@ def _egf(group: str, weight: str, parity: str, order: int, jobs: int,
             continue
         if parity == "odd" and n % 2 == 0:
             continue
-        p = _brute(group, n, weight, jobs=jobs)
+        p = _brute(group, n, weight)
         if q_one:
             p = p.substitute("q", "value", 1)
         if to_t:
@@ -323,8 +323,8 @@ def _trig_kit(scale, order: int, family: str) -> dict:
     "five-variable parity-refined Eulerian egf for the symmetric group",
     order=DEFAULT_ORDER,
 )
-def _chk_type_a(order: int, jobs: int) -> dict:
-    lhs = _egf("A", "fivevar", "all", order, jobs, start=1)
+def _chk_type_a(order: int) -> dict:
+    lhs = _egf("A", "fivevar", "all", order, start=1)
     k = _hyperbolic_kit(GEN_LITTLE_M, order, "A")
     num = (_S1 + _T1) * k["coshq"] + GEN_LITTLE_M * k["sinhq"] - _T1 * k["E"] - _S1 * k["one"]
     den = (_S0 * _S1) * k["one"] - (_S0 * _T1 + _S1 * _T0) * k["coshq"] + (_T0 * _T1) * k["E"]
@@ -335,8 +335,8 @@ def _chk_type_a(order: int, jobs: int) -> dict:
 # type B series
 
 
-def _type_b_biv(parity: str, order: int, jobs: int) -> dict:
-    lhs = _egf("B", "biv", parity, order, jobs)
+def _type_b_biv(parity: str, order: int) -> dict:
+    lhs = _egf("B", "biv", parity, order)
     k = _hyperbolic_kit(GEN_M, order, "B")
     den = k["one"] - (_S + _T) * k["coshq"] + (_S * _T) * k["E"]
     if parity == "even":
@@ -363,7 +363,7 @@ _register(
     "parity-descent egfs at q = 1 against the half-argument hyperbolic forms",
     order=DEFAULT_ORDER,
 )
-def _chk_b_biv_q1(order: int, jobs: int) -> dict:
+def _chk_b_biv_q1(order: int) -> dict:
     # setting q to 1 turns the group normalizers into 2^n n!, and the closed
     # forms collapse to classical hyperbolic fractions evaluated at u/2
     half = QFraction(1, 2)
@@ -372,10 +372,10 @@ def _chk_b_biv_q1(order: int, jobs: int) -> dict:
     msq = one_minus("s") * one_minus("t")
     den = msq * (cosh_h * cosh_h) - ((_S + 1) * (_T + 1)) * (sinh_h * sinh_h)
     even = verify_fraction_identity(
-        _egf("B", "biv", "even", order, jobs, q_one=True), msq * cosh_h, den
+        _egf("B", "biv", "even", order, q_one=True), msq * cosh_h, den
     )
     odd = verify_fraction_identity(
-        _egf("B", "biv", "odd", order, jobs, q_one=True),
+        _egf("B", "biv", "odd", order, q_one=True),
         (_S + 1) * (GEN_M * sinh_h),
         den,
     )
@@ -383,8 +383,8 @@ def _chk_b_biv_q1(order: int, jobs: int) -> dict:
     return {"status": status, "even": even, "odd": odd}
 
 
-def _type_b_alt(parity: str, order: int, jobs: int) -> dict:
-    lhs = _egf("B", "hat", parity, order, jobs)
+def _type_b_alt(parity: str, order: int) -> dict:
+    lhs = _egf("B", "hat", parity, order)
     k = _trig_kit(GEN_M, order, "B")
     den = _S * k["one"] + _T * k["E_i"] - (_T * _S + 1) * k["cosq"]
 
@@ -431,10 +431,10 @@ _register(
     "combined mixed-statistic egf at q = 1 with classical trigonometry",
     order=DEFAULT_ORDER,
 )
-def _chk_b_alt_corollary(order: int, jobs: int) -> dict:
+def _chk_b_alt_corollary(order: int) -> dict:
     # both sides here are ordinary (n!) exponential generating functions
     hat_polys = {
-        n: _brute("B", n, "hat", jobs=jobs).substitute("q", "value", 1)
+        n: _brute("B", n, "hat").substitute("q", "value", 1)
         for n in range(order + 1)
     }
     facts = lambda n: LaurentPoly.constant(factorial(n))  # noqa: E731
@@ -473,13 +473,13 @@ def _chk_b_alt_corollary(order: int, jobs: int) -> dict:
     "five-variable parity-refined egf for signed permutations, both parities",
     order=DEFAULT_ORDER,
 )
-def _chk_b_fivevar(order: int, jobs: int) -> dict:
+def _chk_b_fivevar(order: int) -> dict:
     k = _hyperbolic_kit(GEN_LITTLE_M, order, "B")
     den = (_S0 * _S1) * k["one"] - (_T0 * _S1 + _S0 * _T1) * k["coshq"] + (_T0 * _T1) * k["E"]
-    lhs_even = _egf("B", "fivevar", "even", order, jobs)
+    lhs_even = _egf("B", "fivevar", "even", order)
     num_even = (_S0 - _T0) * ((_S1 * k["one"] - _T1 * k["coshq"]) * k["coshX"] + _T1 * k["sinhq"] * k["sinhX"])
     even = verify_fraction_identity(lhs_even, num_even, den)
-    lhs_odd = _egf("B", "fivevar", "odd", order, jobs)
+    lhs_odd = _egf("B", "fivevar", "odd", order)
     num_odd = GEN_LITTLE_M * ((_S0 * k["one"] - _T0 * k["coshq"]) * k["sinhX"] + _T0 * k["sinhq"] * k["coshX"])
     odd = verify_fraction_identity(lhs_odd, num_odd, den)
     status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
@@ -490,14 +490,14 @@ def _chk_b_fivevar(order: int, jobs: int) -> dict:
 # type B polynomial identities, and the bodies the type D ones share
 
 
-def _recurrence(check_id: str, fam: _Family, max_n: int, jobs: int, start: int = 0,
+def _recurrence(check_id: str, fam: _Family, max_n: int, start: int = 0,
                 extra: Callable[[int], LaurentPoly] | None = None) -> dict:
     """Brute force against the recurrence, with ``extra(n)`` added where a reading has it."""
     recur = recur_B if fam.name == "B" else recur_D
     entries = []
     for n in range(start, max_n + 1):
         rhs = recur(n) if extra is None else recur(n) + extra(n)
-        entries.append(_poly_entry(check_id, n, _brute(fam.name, n, "biv", jobs=jobs), rhs))
+        entries.append(_poly_entry(check_id, n, _brute(fam.name, n, "biv"), rhs))
     return _collect(entries)
 
 
@@ -508,9 +508,9 @@ _register(
 )(partial(_recurrence, "typeB-recurrence", _B))
 
 
-def _hyatt(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+def _hyatt(check_id: str, fam: _Family, max_n: int) -> dict:
     entries = [
-        _poly_entry(check_id, n, _brute(fam.name + "+", n, "biv", jobs=jobs), hyatt_plus(fam.name, n))
+        _poly_entry(check_id, n, _brute(fam.name + "+", n, "biv"), hyatt_plus(fam.name, n))
         for n in range(1, max_n + 1)
     ]
     return _collect(entries)
@@ -522,8 +522,8 @@ def _hyatt(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
     first_n=1,
     max_n=7,
 )
-def _chk_b_hyatt(max_n: int, jobs: int) -> dict:
-    entries = _hyatt("typeB-hyatt", _B, max_n, jobs)["cases"]
+def _chk_b_hyatt(max_n: int) -> dict:
+    entries = _hyatt("typeB-hyatt", _B, max_n)["cases"]
     classic = []
     for n in range(1, 11):
         lhs = hyatt_plus("B", n).substitute("q", "value", 1).rename_variables({"s": "t"})
@@ -532,13 +532,12 @@ def _chk_b_hyatt(max_n: int, jobs: int) -> dict:
     return {"status": status, "cases": entries, "classic": classic}
 
 
-def _reflection(check_id: str, fam: _Family, max_n: int, jobs: int,
-                source: str = "", target: str = "") -> dict:
+def _reflection(check_id: str, fam: _Family, max_n: int, source: str = "", target: str = "") -> dict:
     """The target class's polynomial from the source class's by reciprocity."""
     entries = []
     for n in range(fam.first, max_n + 1):
-        src = _brute(fam.name + source, n, "biv", jobs=jobs)
-        lhs = src if target == source else _brute(fam.name + target, n, "biv", jobs=jobs)
+        src = _brute(fam.name + source, n, "biv")
+        lhs = src if target == source else _brute(fam.name + target, n, "biv")
         entries.append(_poly_entry(check_id, n, lhs, reciprocal_transform(fam.name, n, src)))
     return _collect(entries)
 
@@ -562,8 +561,8 @@ _register(
     "one-variable descent egf for signed permutations",
     order=DEFAULT_ORDER,
 )
-def _chk_reiner_egf(order: int, jobs: int) -> dict:
-    lhs = _egf("B", "biv", "all", order, jobs, to_t=True)
+def _chk_reiner_egf(order: int) -> dict:
+    lhs = _egf("B", "biv", "all", order, to_t=True)
     scale = one_minus("t")
     num_factor = one_minus("t")
 
@@ -595,9 +594,9 @@ def _chk_reiner_egf(order: int, jobs: int) -> dict:
     first_n=1,
     max_n=7,
 )
-def _chk_reiner_recurrence(max_n: int, jobs: int) -> dict:
+def _chk_reiner_recurrence(max_n: int) -> dict:
     def poly(n: int) -> LaurentPoly:
-        return _brute("B", n, "biv", jobs=jobs).rename_variables({"s": "t"})
+        return _brute("B", n, "biv").rename_variables({"s": "t"})
 
     entries = [
         _poly_entry("reiner-recurrence", n, poly(n), reiner_recurrence_rhs(n, poly))
@@ -606,7 +605,7 @@ def _chk_reiner_recurrence(max_n: int, jobs: int) -> dict:
     return _collect(entries)
 
 
-def _lemma(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+def _lemma(check_id: str, fam: _Family, max_n: int) -> dict:
     """Inversion sum over signed-subset insertions against its closed product."""
     entries = [
         _poly_entry(f"{check_id}[n={n},r={r}]", n, fam.lemma_sum(n, r), fam.coeff(n, r))
@@ -623,7 +622,7 @@ _register(
 )(partial(_lemma, "lemma-2.1", _B))
 
 
-def _corollary(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+def _corollary(check_id: str, fam: _Family, max_n: int) -> dict:
     """Insertion sums with a fixed prefix: per prefix, and weighted by its descents.
 
     For each prefix, the inv gains of its insertions, inv(W) - inv(prefix),
@@ -654,7 +653,7 @@ def _corollary(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
                 _add_counts(totals, np.stack([np.repeat(edes, m), np.repeat(odes, m), inv.ravel()]))
             weighted_total = LaurentPoly({(e, o, i, 0, 0, 0, 0): c for (e, o, i), c in totals.items()})
             identity_id = f"{check_id}[n={n},r={r}]"
-            rhs = _brute(fam.name, n - r, "biv", jobs=jobs) * closed
+            rhs = _brute(fam.name, n - r, "biv") * closed
             if witness is None:
                 entries.append(_poly_entry(identity_id, n, weighted_total, rhs))
             else:
@@ -694,15 +693,15 @@ _register(
 )(partial(_corollary, "corollary-2.2", _B))
 
 
-def _passing(identity_id: str, fam: _Family, max_n: int, jobs: int, i_start: int = 0) -> dict:
+def _passing(identity_id: str, fam: _Family, max_n: int, i_start: int = 0) -> dict:
     """Ladder relation between consecutive bounded-descent classes."""
     entries = []
     for n in range(1, max_n + 1):
         for i in range(i_start, n + 1):
-            cur = (_brute(fam.name, n, "biv", jobs=jobs) if i == n
-                   else _brute(fam.ladder, n, "biv", i=i, jobs=jobs))
-            prev = _brute(fam.ladder, n, "biv", i=i - 1, jobs=jobs)
-            rank_poly = _brute(fam.name, i, "biv", jobs=jobs)
+            cur = (_brute(fam.name, n, "biv") if i == n
+                   else _brute(fam.ladder, n, "biv", i=i))
+            prev = _brute(fam.ladder, n, "biv", i=i - 1)
+            rank_poly = _brute(fam.name, i, "biv")
             if i % 2 == 1:
                 rhs = _T * rank_poly * fam.coeff(n, n - i) + one_minus("t") * prev
             else:
@@ -719,7 +718,7 @@ _register(
 )(partial(_passing, "passing-G", _B))
 
 
-def _signflip(check_id: str, fam: _Family, max_n: int, jobs: int) -> dict:
+def _signflip(check_id: str, fam: _Family, max_n: int) -> dict:
     """Each word and its negation have constant inv, odes and edes sums."""
     for n in range(fam.first, max_n + 1):
         check_bound(fam.name, n)
@@ -771,8 +770,8 @@ def _ed_od(k: dict, cos, sin, cos_x, sin_x, t, omt, lead, gen, name: str):
     return ed, od
 
 
-def _type_d_biv(parity: str, order: int, jobs: int) -> dict:
-    lhs = _egf("D", "biv", parity, order, jobs)
+def _type_d_biv(parity: str, order: int) -> dict:
+    lhs = _egf("D", "biv", parity, order)
     k = _hyperbolic_kit(GEN_M, order, "D")
     ed, od = _ed_od(k, k["coshq"], k["sinhq"], k["coshX"], k["sinhX"],
                     _T, one_minus("t"), one_minus("s"), GEN_M, "M")
@@ -797,8 +796,8 @@ _register(
 )(partial(_type_d_biv, "odd"))
 
 
-def _type_d_alt(parity: str, order: int, jobs: int) -> dict:
-    lhs = _egf("D", "hat", parity, order, jobs)
+def _type_d_alt(parity: str, order: int) -> dict:
+    lhs = _egf("D", "hat", parity, order)
     k = _trig_kit(GEN_M, order, "D")
     one, u = k["one"], k["u"]
     den = _S * one - (_S * _T + 1) * k["cosq"] + _T * k["E_i"]
@@ -856,14 +855,14 @@ _register(
     "five-variable parity-refined egf for even-signed permutations, both parities",
     order=DEFAULT_ORDER,
 )
-def _chk_d_fivevar(order: int, jobs: int) -> dict:
+def _chk_d_fivevar(order: int) -> dict:
     k = _hyperbolic_kit(GEN_LITTLE_M, order, "D")
     one, u = k["one"], k["u"]
     coshq, sinhq = k["coshq"], k["sinhq"]
     coshD, sinhD = k["coshX"], k["sinhX"]
     den = (_S0 * _S1) * one - (_S0 * _T1 + _S1 * _T0) * coshq + (_T0 * _T1) * k["E"]
-    lhs_even = _egf("D", "fivevar", "even", order, jobs)
-    lhs_odd = _egf("D", "fivevar", "odd", order, jobs)
+    lhs_even = _egf("D", "fivevar", "even", order)
+    lhs_odd = _egf("D", "fivevar", "odd", order)
 
     def divm(s):
         return s.divide_by_generator("m")
@@ -913,7 +912,7 @@ def _chk_d_fivevar(order: int, jobs: int) -> dict:
     first_n=_D.first,
     max_n=8,
 )
-def _chk_d_recurrence(max_n: int, jobs: int) -> dict:
+def _chk_d_recurrence(max_n: int) -> dict:
     def printed_extra(n: int) -> LaurentPoly:
         # literal even-rank sum range includes one extra lowest-rank term
         if n % 2 == 1:
@@ -922,7 +921,7 @@ def _chk_d_recurrence(max_n: int, jobs: int) -> dict:
         return _T * one_minus("t") ** (k - 1) * one_minus("s") ** (k - 1) \
             * cd_coeff(n, n - 1) * recur_D(1)
 
-    derived = partial(_recurrence, "typeD-recurrence", _D, max_n, jobs, start=_D.first)
+    derived = partial(_recurrence, "typeD-recurrence", _D, max_n, start=_D.first)
     return _reading_set([
         ("derived", True, derived),
         ("printed-literal", False, partial(derived, extra=printed_extra)),
@@ -965,11 +964,11 @@ _register(
     first_n=2,
     max_n=7,
 )
-def _chk_x_lemma(max_n: int, jobs: int) -> dict:
+def _chk_x_lemma(max_n: int) -> dict:
     entries = []
     omt = one_minus("t")
     for n in range(2, max_n + 1):
-        lhs = QFraction.coerce(ExtElement.from_poly(_brute("X", n, "biv", jobs=jobs)))
+        lhs = QFraction.coerce(ExtElement.from_poly(_brute("X", n, "biv")))
         pdn = poincare("D", n)
         rhs = (
             QFraction(ExtElement.from_poly(_T * _T * pdn), qfact(n - 1))
@@ -987,10 +986,10 @@ def _chk_x_lemma(max_n: int, jobs: int) -> dict:
     first_n=_D.first,
     max_n=6,
 )
-def _chk_passing_h(max_n: int, jobs: int) -> dict:
+def _chk_passing_h(max_n: int) -> dict:
     return _reading_set([
-        ("from-i=2", True, lambda: _passing("passing-H", _D, max_n, jobs, i_start=2)),
-        ("from-i=1", False, lambda: _passing("passing-H", _D, max_n, jobs, i_start=1)),
+        ("from-i=2", True, lambda: _passing("passing-H", _D, max_n, i_start=2)),
+        ("from-i=1", False, lambda: _passing("passing-H", _D, max_n, i_start=1)),
     ])
 
 
@@ -1011,8 +1010,8 @@ _register(
     "inversion egf of type B snakes in closed trigonometric form",
     order=DEFAULT_ORDER,
 )
-def _chk_snakes_b(order: int, jobs: int) -> dict:
-    lhs = _egf("snakeB", "q", "all", order, jobs)
+def _chk_snakes_b(order: int) -> dict:
+    lhs = _egf("snakeB", "q", "all", order)
     k = _trig_kit(ExtElement.one(), order, "B")
     den = k["cosq"]
 
@@ -1031,9 +1030,9 @@ def _chk_snakes_b(order: int, jobs: int) -> dict:
     "inversion egf of type D snakes in closed trigonometric form, both parities",
     order=DEFAULT_ORDER,
 )
-def _chk_snakes_d(order: int, jobs: int) -> dict:
-    lhs_even = _egf("snakeD", "q", "even", order, jobs)
-    lhs_odd = _egf("snakeD", "q", "odd", order, jobs)
+def _chk_snakes_d(order: int) -> dict:
+    lhs_even = _egf("snakeD", "q", "even", order)
+    lhs_odd = _egf("snakeD", "q", "odd", order)
     k = _trig_kit(ExtElement.one(), order, "D")
     one, u = k["one"], k["u"]
     den = -1 * k["cosq"]
@@ -1101,7 +1100,7 @@ def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
     "type B snake numbers and their classical secant-style egf",
     max_n=6,
 )
-def _chk_springer_b(max_n: int, jobs: int) -> dict:
+def _chk_springer_b(max_n: int) -> dict:
     counts = [sum(1 for _ in iterate_group("snakeB", n)) for n in range(max_n + 1)]
     lhs = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
     cos_minus_sin = [
@@ -1117,7 +1116,7 @@ def _chk_springer_b(max_n: int, jobs: int) -> dict:
     "type D snake numbers and their classical trigonometric egf, both parities",
     max_n=6,
 )
-def _chk_springer_d(max_n: int, jobs: int) -> dict:
+def _chk_springer_d(max_n: int) -> dict:
     counts = [sum(1 for _ in iterate_group("snakeD", n)) for n in range(max_n + 1)]
     cos1 = _classic_coeffs("cos:1", max_n)
     cos2 = _classic_coeffs("cos:2", max_n)
@@ -1162,15 +1161,15 @@ def _chk_springer_d(max_n: int, jobs: int) -> dict:
 # ascent-descent exchange power laws
 
 
-def _power_relation(fam: _Family, max_n: int, jobs: int) -> dict:
+def _power_relation(fam: _Family, max_n: int) -> dict:
     """Find which power of s makes hat = s^e * biv(1/s, t, q), per rank."""
     cases = []
     ok = True
     for n in range(fam.first, max_n + 1):
         # the direct route counts ascents by comparison, independent of the
         # complementation used by the fast enumeration route
-        hat = _brute(fam.name, n, "hat", jobs=jobs, method="python")
-        biv = _brute(fam.name, n, "biv", jobs=jobs)
+        hat = _brute(fam.name, n, "hat", method="python")
+        biv = _brute(fam.name, n, "biv")
         swapped = biv.substitute("s", "reciprocal")
         candidates = sorted({(n - 1) // 2, n // 2, (n + 1) // 2})
         verified = [e for e in candidates if LaurentPoly.monomial(1, s=e) * swapped == hat]
@@ -1221,8 +1220,8 @@ def _lookup(check_id: str) -> IdentityCheck:
 
 def run_check(check_id: str, *, order: int | None = None, max_n: int | None = None,
               jobs: int = 1) -> dict:
-    """Run one identity check and return its report."""
-    return _lookup(check_id).run(order=order, max_n=max_n, jobs=jobs)
+    """Run one identity check and return its report; ``jobs`` has no effect."""
+    return _lookup(check_id).run(order=order, max_n=max_n)
 
 
 def run_all(*, order: int | None = None, max_n: int | None = None, jobs: int = 1,
@@ -1230,8 +1229,9 @@ def run_all(*, order: int | None = None, max_n: int | None = None, jobs: int = 1
     """Run every check (or the given subset) in catalog order.
 
     Every selected id and its parameters are validated before any check runs.
+    ``jobs`` is accepted for callers that pass it and has no effect.
     """
     selected = list(CHECK_IDS) if ids is None else list(ids)
     for cid in selected:
         _lookup(cid).resolve(order=order, max_n=max_n)
-    return [run_check(cid, order=order, max_n=max_n, jobs=jobs) for cid in selected]
+    return [run_check(cid, order=order, max_n=max_n) for cid in selected]

@@ -180,9 +180,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, {self})"
 
-    def to_json_list(self) -> list:
-        return [c.to_json_dict() for c in self.coeffs]
-
 
 # family -> (denominator kind, parity, carries the imaginary unit)
 SERIES_FAMILIES: dict[str, tuple[str, str, bool]] = {

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -272,6 +273,24 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_check_all_json_is_pinned(capsys):
+    """The whole catalogue's report, byte for byte."""
+    code, out, _ = run_cli(capsys, "check", "--all", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 73_317
+    assert hashlib.sha256(data).hexdigest() == (
+        "7848f79e56f72dd853cc793f901d82ef833e2a4902c8af9fbf73b76d0fea8727"
+    )
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    code = "import sys, artifact.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_module_entry_point():

@@ -87,36 +87,6 @@ def test_jobs_do_not_change_results():
         assert poly_group("B", 5, "biv", jobs=jobs) == poly_group("B", 5, "biv")
 
 
-def test_pool_size_is_clamped(monkeypatch):
-    """A huge --jobs asks for no more workers than there are tasks or CPUs."""
-    import artifact.enumeration as enumeration
-
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(enumeration.multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    serial = poly_group("B", 4, "biv")
-    assert poly_group("B", 4, "biv", jobs=10**6) == serial
-    assert poly_group("B", 4, "biv", jobs=2) == serial
-    assert requested == [3, 2]
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-    assert poly_group("B", 4, "biv", jobs=10**6) == serial
-    assert requested == [3, 2]  # an unknown CPU count runs serially
-
-
 def test_constrained_groups_enumerate_directly():
     assert poly_group("G", 3, "biv", i=1) == poly_group_python("G", 3, "biv", i=1)
     assert poly_group("X", 3, "biv") == poly_group_python("X", 3, "biv")

@@ -25,8 +25,8 @@ def corrupt_brute(monkeypatch, group: str, n: int, weight: str | None = None) ->
     """Add BUMP to the brute-force polynomial of ``group`` at rank ``n``."""
     real = registry._brute
 
-    def fake(g, rank, weight_="biv", i=None, jobs=1, method="auto"):
-        poly = real(g, rank, weight_, i=i, jobs=jobs, method=method)
+    def fake(g, rank, weight_="biv", i=None, method="auto"):
+        poly = real(g, rank, weight_, i=i, method=method)
         if (g, rank) == (group, n) and weight in (None, weight_):
             return poly + BUMP
         return poly
@@ -147,7 +147,7 @@ def test_corollary_names_the_first_prefix_whose_insertion_sum_breaks(check_id, f
         good = fam.coeff(n, r)
         return good + LaurentPoly.monomial(1, q=n) if r == 2 else good
 
-    report = registry._corollary(check_id, dataclasses.replace(fam, coeff=wrong_coeff), max_n=3, jobs=1)
+    report = registry._corollary(check_id, dataclasses.replace(fam, coeff=wrong_coeff), max_n=3)
     assert report["status"] == "fail"
     assert [c for c in report["cases"] if c["status"] == "fail"] == [
         {"identity_id": f"{check_id}[n=2,r=2]", "n": 2, "status": "fail", "witness_monomial": "prefix "},

@@ -323,6 +323,18 @@ def test_relabelling_refuses_private_keys_beyond_int64():
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
+def test_product_with_a_monomial_skips_the_kernel(monkeypatch):
+    """A 1,000-term operand times one term, either way round, never packs."""
+    big = (1 + S) ** 9 * (1 - T) ** 9 * qint(10)
+    mono = LaurentPoly.monomial(-7, s=-2, q=3, t1=1)
+    assert len(big.terms) == 1000
+    calls = []
+    monkeypatch.setattr(polynomials, "_kronecker_product", lambda *args: calls.append(args))
+    assert (big * mono).terms == _schoolbook_product(big.terms, mono.terms)
+    assert (mono * big).terms == _schoolbook_product(mono.terms, big.terms)
+    assert calls == []
+
+
 def test_large_dense_product_takes_the_kernel(monkeypatch):
     a = (1 + S) ** 6 * (1 + T) * qint(20)
     b = (1 - S) ** 5 * (1 - T) * qint(30)

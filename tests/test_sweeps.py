@@ -26,7 +26,7 @@ SCALAR = {
 FAMILIES = {"B": ("corollary-2.2", "signflip-B"), "D": ("corollary-3.2/3.3", "signflip-D")}
 
 
-def oracle_corollary(check_id, fam, max_n, jobs):
+def oracle_corollary(check_id, fam, max_n):
     fmap, finv, fstats, _ = SCALAR[fam.name]
     entries = []
     for n in range(max_n + 1):
@@ -43,7 +43,7 @@ def oracle_corollary(check_id, fam, max_n, jobs):
                 sv = fstats(sigma)
                 weighted_total = weighted_total + LaurentPoly.monomial(1, s=sv.edes, t=sv.odes) * acc
             identity_id = f"{check_id}[n={n},r={r}]"
-            rhs = registry._brute(fam.name, n - r, "biv", jobs=jobs) * closed
+            rhs = registry._brute(fam.name, n - r, "biv") * closed
             if witness is None:
                 entries.append(registry._poly_entry(identity_id, n, weighted_total, rhs))
             else:
@@ -51,7 +51,7 @@ def oracle_corollary(check_id, fam, max_n, jobs):
     return registry._collect(entries)
 
 
-def oracle_signflip(check_id, fam, max_n, jobs):
+def oracle_signflip(check_id, fam, max_n):
     _, _, fstats, fflip = SCALAR[fam.name]
     entries = []
     for n in range(fam.first, max_n + 1):
@@ -109,8 +109,8 @@ def test_corollary_reports_as_the_oracle_does(monkeypatch, name, case):
     elif case == "bogus word":
         inject_bogus_word(monkeypatch, 3)
     check_id = FAMILIES[name][0]
-    expected = oracle_corollary(check_id, fam, 5, 1)
-    assert registry._corollary(check_id, fam, 5, 1) == expected
+    expected = oracle_corollary(check_id, fam, 5)
+    assert registry._corollary(check_id, fam, 5) == expected
     assert (expected["status"] == "pass") == (case == "clean")
 
 
@@ -123,8 +123,8 @@ def test_signflip_reports_as_the_oracle_does(monkeypatch, name, case):
     elif case == "bogus word":
         inject_bogus_word(monkeypatch, 3)
     check_id = FAMILIES[name][1]
-    expected = oracle_signflip(check_id, fam, 5, 1)
-    assert registry._signflip(check_id, fam, 5, 1) == expected
+    expected = oracle_signflip(check_id, fam, 5)
+    assert registry._signflip(check_id, fam, 5) == expected
     assert (expected["status"] == "pass") == (case == "clean")
 
 

@@ -2,9 +2,10 @@
 
 Two independent routes compute every distribution:
 
-* a pure-Python route that walks the words one by one and counts each
-  statistic by explicit comparisons (ascents counted directly, inversions by
-  the definitional pair-counting formulas), and
+* a direct route that reads the family's words in int16 blocks
+  (``word_arrays``) and counts each statistic row by row by explicit entry
+  comparisons (ascents by their own comparisons, inversions by the
+  definitional pair-counting formulas), and
 * a vectorized route that histograms each word of the flavor's whole group
   by (descent-set bitmask, sign of the last entry, inv) over sign-pattern
   chunks with numpy, projects that histogram onto the requested family
@@ -19,28 +20,15 @@ direct route so they stay non-circular.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from math import factorial
 
 import numpy as np
 
-from .permutations import (
-    Word,
-    check_cutoff,
-    inv_A,
-    inv_B_definitional,
-    inv_D_definitional,
-    iterate_group,
-    StatVector,
-)
+from .permutations import FLAVOR, StatVector, check_cutoff, word_arrays
 from .polynomials import LaurentPoly
 
 WEIGHTS = ("biv", "fivevar", "hat", "q")
-
-FLAVOR = {
-    "A": "A",
-    "B": "B", "B+": "B", "B-": "B", "G": "B", "snakeB": "B",
-    "D": "D", "D+": "D", "D-": "D", "H": "D", "X": "D", "snakeD": "D",
-}
 
 DEFAULT_BOUNDS = {"A": 9, "B": 8, "D": 8}
 BOUND_ENV_VAR = "ARTIFACT_MAX_N"
@@ -81,65 +69,40 @@ def check_bound(group: str, n: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# direct (pure-Python) route
+# direct route
 # ----------------------------------------------------------------------
-def direct_stat_vector(word: Word, flavor: str) -> StatVector:
-    """Statistics by explicit comparisons in both directions.
+# Words per block of the direct route.
+_BLOCK_WORDS = 1 << 14
+
+
+def _direct_stats(words: np.ndarray, flavor: str) -> np.ndarray:
+    """(edes, odes, easc, oasc, inv) of every row, by explicit comparisons.
 
     Ascents are counted by their own comparisons rather than derived from the
     descent counts, and inversions use the definitional pair-counting forms.
     """
-    n = len(word)
-    edes = odes = easc = oasc = 0
+    rows, n = words.shape
+    after = [(p % 2, words[:, p - 1], words[:, p]) for p in range(1, n)]  # positions 1..n-1
     if flavor == "B":
-        prev = 0
-        for pos, x in enumerate(word):
-            if prev > x:
-                if pos % 2 == 0:
-                    edes += 1
-                else:
-                    odes += 1
-            elif prev < x:
-                if pos % 2 == 0:
-                    easc += 1
-                else:
-                    oasc += 1
-            prev = x
-        inv = inv_B_definitional(word)
+        positions = [(0, 0, words[:, 0])] + after if n else []  # position 0 compares pi_0 = 0
     elif flavor == "D":
-        if n >= 2:
-            if -word[0] > word[1]:
-                odes += 1
-            elif -word[0] < word[1]:
-                oasc += 1
-            for pos in range(1, n):
-                if word[pos - 1] > word[pos]:
-                    if pos % 2 == 0:
-                        edes += 1
-                    else:
-                        odes += 1
-                elif word[pos - 1] < word[pos]:
-                    if pos % 2 == 0:
-                        easc += 1
-                    else:
-                        oasc += 1
-        inv = inv_D_definitional(word)
+        positions = [(1, -words[:, 0], words[:, 1])] + after if n >= 2 else []  # -1 is odd
     elif flavor == "A":
-        for pos in range(1, n):
-            if word[pos - 1] > word[pos]:
-                if pos % 2 == 0:
-                    edes += 1
-                else:
-                    odes += 1
-            else:
-                if pos % 2 == 0:
-                    easc += 1
-                else:
-                    oasc += 1
-        inv = inv_A(word)
+        positions = after
     else:
         raise ValueError(f"unknown statistic flavor {flavor!r}")
-    return StatVector(edes, odes, easc, oasc, inv)
+    stats = np.zeros((5, rows), dtype=np.int64)
+    for odd, left, right in positions:
+        stats[odd] += left > right
+        stats[2 + odd] += left < right
+    for a in range(n):
+        for b in range(a + 1, n):
+            stats[4] += words[:, a] > words[:, b]
+            if flavor != "A":
+                stats[4] += -words[:, a] > words[:, b]
+    if flavor == "B":
+        stats[4] += (words < 0).sum(axis=1)
+    return stats
 
 
 def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
@@ -155,19 +118,22 @@ def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def weighted_sum(words, flavor: str, weight: str) -> LaurentPoly:
-    """Sum of statistic monomials over an iterable of words."""
-    terms: dict[tuple[int, ...], int] = {}
-    for word in words:
-        exp = _exponent(direct_stat_vector(word, flavor), weight)
-        terms[exp] = terms.get(exp, 0) + 1
-    return LaurentPoly(terms)
-
-
 def poly_group_python(
     group: str, n: int, weight: str, i: int | None = None
 ) -> LaurentPoly:
-    return weighted_sum(iterate_group(group, n, i), FLAVOR[group], weight)
+    """The direct route: statistics compared row by row over blocks of the family's words."""
+    dims = (n + 1,) * 4 + (n * n + 1,)  # every statistic is at most n, inv at most n^2
+    totals: Counter[int] = Counter()
+    for words in word_arrays(group, n, _BLOCK_WORDS, i):
+        keys, counts = np.unique(np.ravel_multi_index(_direct_stats(words, FLAVOR[group]), dims),
+                                 return_counts=True)
+        totals.update(dict(zip(keys.tolist(), counts.tolist())))
+    stats = np.unravel_index(np.array(list(totals), dtype=np.int64), dims)
+    terms: dict[tuple[int, ...], int] = {}
+    for vector, count in zip(zip(*(column.tolist() for column in stats)), totals.values()):
+        exp = _exponent(StatVector(*vector), weight)
+        terms[exp] = terms.get(exp, 0) + count
+    return LaurentPoly(terms)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +325,8 @@ def poly_group(
     'auto' and 'numpy' take the vectorized route, which covers every family:
     one histogram over the flavor's group, projected onto the family by its
     descent set and last-entry sign.  'python' takes the direct route, which
-    walks the words one by one; it stays as the independent oracle.
+    compares entries row by row over blocks of the family's words; it stays
+    as the independent oracle.
     ``jobs`` is accepted for callers that pass it and has no effect.
     """
     if group not in FLAVOR:

@@ -10,14 +10,16 @@ pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 (ordinary permutation) positions are 1..n-1.
 
 Sweeps over many words at once hold them as an integer array, one word per
-row; ``array_stats`` and ``flip_array`` are the row-wise forms of
-``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
+row: ``word_arrays`` yields a family's words so, in the order of
+``iterate_group``, and ``array_stats`` and ``flip_array`` are the row-wise
+forms of ``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -298,15 +300,12 @@ GROUPS = (
     "A", "B", "D", "B+", "B-", "D+", "D-", "G", "H", "X", "snakeB", "snakeD",
 )
 
-
-def _signed_words(n: int) -> Iterator[Word]:
-    """All of B_n in lexicographic (permutation, sign pattern) order."""
-    if n == 0:
-        yield ()
-        return
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(p * s for p, s in zip(perm, signs))
+# the statistics each family is counted with: permutations (A), or B_n or D_n words
+FLAVOR = {
+    "A": "A",
+    "B": "B", "B+": "B", "B-": "B", "G": "B", "snakeB": "B",
+    "D": "D", "D+": "D", "D-": "D", "H": "D", "X": "D", "snakeD": "D",
+}
 
 
 def check_cutoff(group: str, n: int, i: int | None) -> None:
@@ -322,69 +321,88 @@ def check_cutoff(group: str, n: int, i: int | None) -> None:
         raise ValueError(f"family {group} takes no cutoff")
 
 
+# Words (before the family filter) built per step of word_arrays, unless one
+# permutation's sign patterns alone are more.
+_STEP_WORDS = 1 << 14
+
+
+def _member_rows(group: str, n: int, i: int | None, words: np.ndarray) -> np.ndarray:
+    """Which rows of a block of B_n words (S_n for A) belong to the family.
+
+    Column j of ``desc`` is the descent at position j; column 0 is position 0
+    for B (0 > pi_1) and position -1 for D (-pi_1 > pi_2, from rank 2 on).
+    """
+    flavor = FLAVOR[group]
+    keep = np.ones(len(words), dtype=bool)
+    if flavor == "D":
+        keep &= (words < 0).sum(axis=1) % 2 == 0
+    if group.endswith("+"):
+        keep &= words[:, -1] > 0
+    elif group.endswith("-"):
+        keep &= words[:, -1] < 0
+    elif group in ("G", "H", "X", "snakeB", "snakeD"):
+        desc = np.empty(words.shape, dtype=bool)
+        desc[:, 1:] = words[:, :-1] > words[:, 1:]
+        if flavor == "D":
+            desc[:, 0] = n >= 2 and -words[:, 0] > words[:, 1]
+        else:
+            desc[:, 0] = words[:, 0] < 0
+        if group.startswith("snake"):
+            want = np.arange(n) % 2 == 1
+            want[0] = group == "snakeD" and n >= 2
+            keep &= (desc == want).all(axis=1)
+        else:
+            last = 1 if group == "X" else max(i, 0) if group == "H" else i  # last position that may descend
+            keep &= ~desc[:, last + 1:].any(axis=1)
+    return keep
+
+
+def word_arrays(group: str, n: int, rows: int, i: int | None = None) -> Iterator[np.ndarray]:
+    """The words of ``iterate_group(group, n, i)``, in its order, as int16 arrays.
+
+    Each array holds at most ``rows`` words, one per row, and none is empty.
+    Each step reads the next few permutations (lexicographic) and multiplies
+    each by every sign pattern (``+`` before ``-``, first entry slowest), so
+    memory stays bounded at any rank.
+    """
+    check_cutoff(group, n, i)
+    if group not in FLAVOR:
+        raise ValueError(f"unknown group {group!r}")
+    if n == 0:
+        if not group.endswith(("+", "-")):
+            yield np.zeros((1, 0), dtype=np.int16)
+        return
+    flat = itertools.chain.from_iterable
+    choices = (1,) if group == "A" else (1, -1)
+    signs = np.fromiter(flat(itertools.product(choices, repeat=n)), dtype=np.int16).reshape(-1, n)
+    entries = flat(itertools.permutations(range(1, n + 1)))  # read step by step, never held whole
+    per_step = max(1, max(rows, _STEP_WORDS) // len(signs))
+    pending: list[np.ndarray] = []
+    held = 0
+    for lo in range(0, factorial(n), per_step):
+        count = min(per_step, factorial(n) - lo)
+        perms = np.fromiter(entries, dtype=np.int16, count=count * n).reshape(count, 1, n)
+        words = (perms * signs).reshape(-1, n)
+        words = words[_member_rows(group, n, i, words)]
+        pending.append(words)
+        held += len(words)
+        if held >= rows:
+            words = np.concatenate(pending)
+            cut = held - held % rows
+            for a in range(0, cut, rows):
+                yield words[a:a + rows]
+            pending, held = [words[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
+
+
 def iterate_group(group: str, n: int, i: int | None = None) -> Iterator[Word]:
     """Stream the requested family exactly once each, deterministically.
 
-    G and H require the cutoff parameter i with -1 <= i <= n-1: descents are
-    allowed only at positions <= i (the last n-i entries increase).
+    The order is lexicographic by permutation, then by sign pattern with
+    ``+`` before ``-``.  G and H require the cutoff parameter i with
+    -1 <= i <= n-1: descents are allowed only at positions <= i (the last n-i
+    entries increase).
     """
-    check_cutoff(group, n, i)
-
-    if group == "A":
-        if n == 0:
-            yield ()
-            return
-        yield from itertools.permutations(range(1, n + 1))
-        return
-    if group == "B":
-        yield from _signed_words(n)
-        return
-    if group == "D":
-        yield from (w for w in _signed_words(n) if in_type_d(w))
-        return
-    if group == "B+":
-        yield from (w for w in _signed_words(n) if n and w[-1] > 0)
-        return
-    if group == "B-":
-        yield from (w for w in _signed_words(n) if n and w[-1] < 0)
-        return
-    if group == "D+":
-        yield from (
-            w for w in _signed_words(n) if n and w[-1] > 0 and in_type_d(w)
-        )
-        return
-    if group == "D-":
-        yield from (
-            w for w in _signed_words(n) if n and w[-1] < 0 and in_type_d(w)
-        )
-        return
-    if group == "G":
-        allowed = set(range(0, i + 1))
-        yield from (
-            w for w in _signed_words(n) if set(descent_set_B(w)) <= allowed
-        )
-        return
-    if group == "H":
-        allowed = {-1} | set(range(1, i + 1))
-        yield from (
-            w
-            for w in _signed_words(n)
-            if in_type_d(w) and set(descent_set_D(w)) <= allowed
-        )
-        return
-    if group == "X":
-        yield from (
-            w
-            for w in _signed_words(n)
-            if in_type_d(w) and set(descent_set_D(w)) <= {-1, 1}
-        )
-        return
-    if group == "snakeB":
-        yield from (w for w in _signed_words(n) if is_snake(w, "B"))
-        return
-    if group == "snakeD":
-        yield from (
-            w for w in _signed_words(n) if in_type_d(w) and is_snake(w, "D")
-        )
-        return
-    raise ValueError(f"unknown group {group!r}")
+    for block in word_arrays(group, n, _STEP_WORDS, i):
+        yield from map(tuple, block.tolist())

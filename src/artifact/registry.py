@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .permutations import (
     array_stats,
     flip_array,
     format_word,
-    iterate_group,
+    word_arrays,
 )
 from .polynomials import (
     LaurentPoly,
@@ -224,21 +223,6 @@ _D = _Family("D", 2, lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff
 # Words per array in the sweeps over group words; a batch of fixed-prefix
 # insertions holds more only when one prefix's insertions alone do.
 _BATCH_WORDS = 1 << 14
-
-
-def _word_batches(group: str, n: int, rows: int) -> Iterator[np.ndarray]:
-    """The words of ``iterate_group(group, n)``, in order, as int16 arrays of at most ``rows`` rows.
-
-    Each word is copied into the array as it is read, so no batch of tuples
-    is ever held.  Words of rank 0 have no entries, only a count.
-    """
-    words = iterate_group(group, n)
-    if n == 0:
-        if count := sum(1 for _ in words):
-            yield np.zeros((count, 0), dtype=np.int16)
-        return
-    while len(batch := np.fromiter(islice(words, rows), dtype=(np.int16, n))):
-        yield batch
 
 
 # --------------------------------------------------------------------------
@@ -641,7 +625,7 @@ def _corollary(check_id: str, fam: _Family, max_n: int) -> dict:
             subsets = np.array(subset_list, dtype=np.int16).reshape(m, r)
             totals: dict[tuple[int, ...], int] = {}
             witness = None
-            for prefixes in _word_batches(fam.name, n - r, max(1, _BATCH_WORDS // m)):
+            for prefixes in word_arrays(fam.name, n - r, max(1, _BATCH_WORDS // m)):
                 p = len(prefixes)
                 words = juxtapose_array(prefixes, subsets, n, fam.name).reshape(p * m, n)
                 inv = array_stats(words, fam.name)[2].reshape(p, m)
@@ -726,7 +710,7 @@ def _signflip(check_id: str, fam: _Family, max_n: int) -> dict:
     for n in range(fam.first, max_n + 1):
         inv_sum, odes_sum, edes_sum = fam.flip_sums(n)
         bad = None
-        for words in _word_batches(fam.name, n, _BATCH_WORDS):
+        for words in word_arrays(fam.name, n, _BATCH_WORDS):
             edes, odes, inv = (a + b for a, b in zip(array_stats(words, fam.name),
                                                      array_stats(flip_array(words, fam.name), fam.name)))
             rows = np.flatnonzero((inv != inv_sum) | (odes != odes_sum) | (edes != edes_sum))
@@ -1101,7 +1085,7 @@ def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
     max_n=6,
 )
 def _chk_springer_b(max_n: int) -> dict:
-    counts = [sum(1 for _ in iterate_group("snakeB", n)) for n in range(max_n + 1)]
+    counts = [sum(len(b) for b in word_arrays("snakeB", n, _BATCH_WORDS)) for n in range(max_n + 1)]
     lhs = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
     cos_minus_sin = [
         a - b for a, b in zip(_classic_coeffs("cos:1", max_n), _classic_coeffs("sin:1", max_n))
@@ -1117,7 +1101,7 @@ def _chk_springer_b(max_n: int) -> dict:
     max_n=6,
 )
 def _chk_springer_d(max_n: int) -> dict:
-    counts = [sum(1 for _ in iterate_group("snakeD", n)) for n in range(max_n + 1)]
+    counts = [sum(len(b) for b in word_arrays("snakeD", n, _BATCH_WORDS)) for n in range(max_n + 1)]
     cos1 = _classic_coeffs("cos:1", max_n)
     cos2 = _classic_coeffs("cos:2", max_n)
     sin1 = _classic_coeffs("sin:1", max_n)

@@ -163,6 +163,11 @@ def test_07_symmetry_and_reciprocity_as_exact_laurent_identities():
 
 
 def test_08_byte_identical_output_across_runs_and_jobs(capsys):
+    """Repeated runs print the same bytes, and ``--jobs`` is accepted and changes nothing.
+
+    Brute force runs in one process whatever ``--jobs`` says, so the third run
+    of each command pins that the option is still taken, not a worker count.
+    """
     commands = [
         ["enumerate", "--group", "B", "--n", "4", "--format", "json"],
         ["enumerate", "--group", "D", "--n", "4", "--weight", "fivevar",
@@ -180,20 +185,24 @@ def test_08_byte_identical_output_across_runs_and_jobs(capsys):
             assert code == 0, (argv, captured.err)
             outputs.append(captured.out.encode())
         assert outputs[0] == outputs[1] == outputs[2], argv
-    announce("command output byte-identical across repeated runs and "
-             "--jobs settings")
+    announce("command output byte-identical across repeated runs, "
+             "with --jobs accepted and changing nothing")
 
 
 def test_09_fixed_prefix_and_sign_flip_sweeps_within_budget():
-    """The corollary and sign-flip sweeps at their default ranks, cold cache."""
-    for cid in ("corollary-2.2", "corollary-3.2/3.3", "signflip-B", "signflip-D"):
+    """The sweeps over group words at their default ranks, cold cache: the
+    corollary and sign-flip sweeps, the direct route of the power relations,
+    and the snake counts."""
+    for cid in ("corollary-2.2", "corollary-3.2/3.3", "signflip-B", "signflip-D",
+                "hatB-power-relation", "hatD-power-relation", "springer-B-q1", "springer-D-q1"):
         clear_cache()
         started = time.perf_counter()
         report = run_check(cid)
         elapsed = time.perf_counter() - started
         assert report["status"] == "pass", (cid, report)
         assert elapsed < 2.0, f"{cid} took {elapsed:.1f}s"
-    announce("fixed-prefix insertion sums and sign-flip laws at default ranks")
+    announce("fixed-prefix insertion sums, sign-flip laws, power relations "
+             "and snake counts at default ranks")
 
 
 def test_machine_readable_reports_are_json_serializable():

@@ -237,10 +237,10 @@ def test_series_order_below_one_is_usage_error(capsys, monkeypatch, order):
 def test_check_beyond_the_bound_exits_before_reading_any_word(capsys, monkeypatch, cold_cache):
     import artifact.registry as registry
 
-    def no_words(group, n, i=None):
+    def no_words(group, n, rows, i=None):
         raise AssertionError(f"read the words of {group}_{n}")
 
-    monkeypatch.setattr(registry, "iterate_group", no_words)
+    monkeypatch.setattr(registry, "word_arrays", no_words)
     monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # the default ceiling is rank 8
     code, out, err = run_cli(capsys, "check", "--id", "corollary-2.2", "--max-n", "9")
     assert code == 3
@@ -263,7 +263,8 @@ def test_check_all_refuses_a_low_max_n_before_running_any(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # determinism and packaging
 # ---------------------------------------------------------------------------
-def test_output_is_deterministic(capsys):
+def test_jobs_option_is_accepted_and_changes_nothing(capsys):
+    """Repeated runs print the same bytes, and ``--jobs 2`` prints what ``--jobs 1`` does."""
     outs = []
     for jobs in ("1", "1", "2"):
         code, out, _ = run_cli(

@@ -3,25 +3,109 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.enumeration import (
     FLAVOR,
     WEIGHTS,
     BoundExceeded,
+    _direct_stats,
     _exponent,
-    direct_stat_vector,
     poly_group,
     poly_group_python,
-    weighted_sum,
     work_estimate,
 )
-from artifact.permutations import descent_set_D, is_snake, iterate_group, stats_A, stats_B, stats_D
+from artifact.permutations import (
+    StatVector,
+    descent_set_D,
+    inv_A,
+    inv_B_definitional,
+    inv_D_definitional,
+    is_snake,
+    iterate_group,
+    stats_A,
+    stats_B,
+    stats_D,
+)
 from artifact.polynomials import LaurentPoly
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
 Q = LaurentPoly.variable("q")
+
+
+# ---------------------------------------------------------------------------
+# the word-at-a-time direct route, kept as the reference oracle
+# ---------------------------------------------------------------------------
+def direct_stat_vector(word, flavor):
+    """Statistics by explicit comparisons in both directions.
+
+    Ascents are counted by their own comparisons rather than derived from the
+    descent counts, and inversions use the definitional pair-counting forms.
+    """
+    n = len(word)
+    edes = odes = easc = oasc = 0
+    if flavor == "B":
+        prev = 0
+        for pos, x in enumerate(word):
+            if prev > x:
+                if pos % 2 == 0:
+                    edes += 1
+                else:
+                    odes += 1
+            elif prev < x:
+                if pos % 2 == 0:
+                    easc += 1
+                else:
+                    oasc += 1
+            prev = x
+        inv = inv_B_definitional(word)
+    elif flavor == "D":
+        if n >= 2:
+            if -word[0] > word[1]:
+                odes += 1
+            elif -word[0] < word[1]:
+                oasc += 1
+            for pos in range(1, n):
+                if word[pos - 1] > word[pos]:
+                    if pos % 2 == 0:
+                        edes += 1
+                    else:
+                        odes += 1
+                elif word[pos - 1] < word[pos]:
+                    if pos % 2 == 0:
+                        easc += 1
+                    else:
+                        oasc += 1
+        inv = inv_D_definitional(word)
+    elif flavor == "A":
+        for pos in range(1, n):
+            if word[pos - 1] > word[pos]:
+                if pos % 2 == 0:
+                    edes += 1
+                else:
+                    odes += 1
+            else:
+                if pos % 2 == 0:
+                    easc += 1
+                else:
+                    oasc += 1
+        inv = inv_A(word)
+    else:
+        raise ValueError(f"unknown statistic flavor {flavor!r}")
+    return StatVector(edes, odes, easc, oasc, inv)
+
+
+def weighted_sum(words, flavor, weight):
+    """Sum of statistic monomials over an iterable of words."""
+    terms = {}
+    for word in words:
+        exp = _exponent(direct_stat_vector(word, flavor), weight)
+        terms[exp] = terms.get(exp, 0) + 1
+    return LaurentPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +166,8 @@ def test_routes_agree_on_half_groups():
             )
 
 
-def test_jobs_do_not_change_results():
+def test_jobs_keyword_is_accepted_and_changes_nothing():
+    """``jobs=`` is accepted for callers that pass it; brute force runs in one process."""
     for jobs in (1, 2, 4):
         assert poly_group("B", 5, "biv", jobs=jobs) == poly_group("B", 5, "biv")
 
@@ -95,9 +180,10 @@ def test_constrained_groups_enumerate_directly():
 _SIGNED_FAMILIES = ("B", "D", "B+", "B-", "D+", "D-", "snakeB", "snakeD", "X", "G", "H")
 
 
-@pytest.mark.parametrize("group", _SIGNED_FAMILIES)
+@pytest.mark.parametrize("group", ("A",) + _SIGNED_FAMILIES)
 def test_routes_agree_on_every_family_cutoff_and_weight(group):
-    """The descent-mask projection reproduces the direct walk, rank <= 6.
+    """The descent-mask projection and the row-wise direct route reproduce
+    the word-at-a-time walk, rank <= 6.
 
     Each (n, i) is walked once; its direct stat vectors are projected onto
     all four weights, as ``weighted_sum`` projects them one weight per walk.
@@ -110,6 +196,7 @@ def test_routes_agree_on_every_family_cutoff_and_weight(group):
                 direct = LaurentPoly(Counter(_exponent(sv, weight) for sv in stats))
                 vectorized = poly_group(group, n, weight, i=i, method="numpy")
                 assert direct == vectorized, (group, n, i, weight)
+                assert direct == poly_group(group, n, weight, i=i, method="python"), (group, n, i, weight)
 
 
 def test_routes_agree_at_rank_seven():
@@ -184,8 +271,38 @@ def test_direct_stats_match_fast_stats():
 
 
 def test_unknown_flavor_rejected():
-    with pytest.raises(ValueError):
-        direct_stat_vector((1, 2), "E")
+    with pytest.raises(ValueError, match="unknown statistic flavor 'E'"):
+        _direct_stats(np.array([[1, 2]], dtype=np.int16), "E")
+
+
+def assert_direct_rows_match(words, flavor):
+    array = np.array(words, dtype=np.int16).reshape(len(words), -1)
+    rows = [StatVector(*column) for column in _direct_stats(array, flavor).T.tolist()]
+    assert rows == [direct_stat_vector(w, flavor) for w in words], flavor
+
+
+@pytest.mark.parametrize("flavor", ["A", "B", "D"])
+@pytest.mark.parametrize("n", range(7))
+def test_row_wise_direct_stats_match_the_oracle_on_every_word(flavor, n):
+    assert_direct_rows_match(list(iterate_group(flavor, n)), flavor)
+
+
+def signed_word_lists(max_rank, signed=True):
+    def words(n):
+        sign = st.sampled_from((1, -1) if signed else (1,))
+        return st.lists(st.builds(lambda perm, signs: tuple(p * s for p, s in zip(perm, signs)),
+                                  st.permutations(range(1, n + 1)), st.lists(sign, min_size=n, max_size=n)),
+                        min_size=1, max_size=20)
+
+    return st.integers(0, max_rank).flatmap(words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_word_lists(9), signed_word_lists(9, signed=False))
+def test_row_wise_direct_stats_match_the_oracle_on_random_words(signed, unsigned):
+    assert_direct_rows_match(signed, "B")
+    assert_direct_rows_match(signed, "D")
+    assert_direct_rows_match(unsigned, "A")
 
 
 # ---------------------------------------------------------------------------

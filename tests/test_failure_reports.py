@@ -3,7 +3,7 @@
 At their default bounds these checks pass, so nothing else reaches the branch
 that builds their failure witnesses.  Each test here corrupts one brute-force
 polynomial (through ``registry._brute``) or the stream of group words (through
-``registry.iterate_group``, for the sign-flip laws); both names are looked up
+``registry.word_arrays``, for the sign-flip laws); both names are looked up
 when a check runs.  It then pins the first failing entry literally and the
 whole report by the sha256 of its JSON, in the layout ``check --format json``
 prints.  A change to how any of these checks reports a failure shows here.
@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import artifact.registry as registry
@@ -124,13 +125,16 @@ def test_corrupted_power_relation_report(monkeypatch, family, verified, sha):
     ("D", "5ae00e9e6a6f8bdc40e950aacca2385a302df3ece0177a25d11d581a0424bd6f"),
 ])
 def test_signflip_report_names_the_first_bad_word(monkeypatch, family, sha):
-    real = registry.iterate_group
+    real = registry.word_arrays
 
-    def with_bogus_word(group, n, i=None):
-        yield (1,) * n  # a repeated entry breaks the constant sums from rank 2 on
-        yield from real(group, n, i)
+    def with_bogus_word(group, n, rows, i=None):
+        blocks = real(group, n, rows, i)
+        first = next(blocks)
+        # a repeated entry breaks the constant sums from rank 2 on
+        yield np.concatenate([np.ones((1, n), dtype=first.dtype), first])
+        yield from blocks
 
-    monkeypatch.setattr(registry, "iterate_group", with_bogus_word)
+    monkeypatch.setattr(registry, "word_arrays", with_bogus_word)
     report = registry.run_check(f"signflip-{family}", max_n=3)
     assert report["status"] == "fail"
     assert first_failure(report["cases"]) == {

@@ -1,6 +1,7 @@
 """Signed-permutation words, parity statistics, snakes, and group iteration."""
 
 import math
+import itertools
 from itertools import permutations
 
 import numpy as np
@@ -36,6 +37,7 @@ from artifact.permutations import (
     stats_B,
     stats_D,
     validate_word,
+    word_arrays,
 )
 
 
@@ -188,6 +190,71 @@ def test_i_parameter_validation():
         list(iterate_group("G", 3, i=5))  # out of range
     with pytest.raises(ValueError):
         list(iterate_group("nope", 3))
+
+
+def reference_signed_words(n):
+    """All of B_n in lexicographic (permutation, sign pattern) order, one tuple each."""
+    if n == 0:
+        yield ()
+        return
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(p * s for p, s in zip(perm, signs))
+
+
+def reference_group(group, n, i=None):
+    """The word-at-a-time family filters that ``word_arrays`` replaced: the reference oracle."""
+    words = reference_signed_words(n)
+    if group == "A":
+        return [()] if n == 0 else list(itertools.permutations(range(1, n + 1)))
+    if group == "B":
+        return list(words)
+    if group == "D":
+        return [w for w in words if in_type_d(w)]
+    if group == "B+":
+        return [w for w in words if n and w[-1] > 0]
+    if group == "B-":
+        return [w for w in words if n and w[-1] < 0]
+    if group == "D+":
+        return [w for w in words if n and w[-1] > 0 and in_type_d(w)]
+    if group == "D-":
+        return [w for w in words if n and w[-1] < 0 and in_type_d(w)]
+    if group == "G":
+        return [w for w in words if set(descent_set_B(w)) <= set(range(0, i + 1))]
+    if group == "H":
+        allowed = {-1} | set(range(1, i + 1))
+        return [w for w in words if in_type_d(w) and set(descent_set_D(w)) <= allowed]
+    if group == "X":
+        return [w for w in words if in_type_d(w) and set(descent_set_D(w)) <= {-1, 1}]
+    if group == "snakeB":
+        return [w for w in words if is_snake(w, "B")]
+    if group == "snakeD":
+        return [w for w in words if in_type_d(w) and is_snake(w, "D")]
+    raise ValueError(group)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_word_arrays_follow_the_reference_order_in_bounded_blocks(group):
+    """Every family, every G/H cutoff, n <= 6; budgets above and below 2^n."""
+    needs_cutoff = group in ("G", "H")
+    for n in range(1 if needs_cutoff else 0, 7):
+        for i in range(-1, n) if needs_cutoff else (None,):
+            expected = reference_group(group, n, i)
+            for rows in (1, 7, 100, 1 << 14):
+                blocks = list(word_arrays(group, n, rows, i))
+                assert all(b.dtype == np.int16 and b.shape[1:] == (n,) for b in blocks)
+                assert all(1 <= len(b) <= rows for b in blocks), (group, n, i, rows)
+                assert [tuple(w) for b in blocks for w in b.tolist()] == expected, (group, n, i, rows)
+            assert list(iterate_group(group, n, i)) == expected
+
+
+def test_word_arrays_validate_like_iterate_group():
+    for args, message in [(("G", 3, 4), "family G requires the cutoff i"),
+                          (("H", 3, 4, 3), "cutoff i=3 outside -1..2"),
+                          (("B", 3, 4, 1), "family B takes no cutoff"),
+                          (("nope", 3, 4), "unknown group 'nope'")]:
+        with pytest.raises(ValueError, match=message):
+            next(word_arrays(*args))
 
 
 def test_groups_roster_is_frozen():

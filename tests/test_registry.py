@@ -344,7 +344,8 @@ def test_parametrized_case_identity_ids(quick):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
-def test_reports_are_deterministic_across_runs_and_jobs():
+def test_reports_are_deterministic_and_jobs_changes_nothing():
+    """Repeated runs give the same reports, and ``jobs=2`` is accepted and gives them too."""
     ids = ["typeB-biv-even", "typeB-recurrence", "snakes-B-q", "lemma-2.1"]
     first = json.dumps(run_all(ids=ids, order=3, max_n=3, jobs=1), sort_keys=True)
     second = json.dumps(run_all(ids=ids, order=3, max_n=3, jobs=1), sort_keys=True)

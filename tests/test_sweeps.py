@@ -3,13 +3,14 @@
 ``registry._corollary`` and ``registry._signflip`` work on int16 arrays of
 words.  The bodies below are the word-at-a-time versions they replaced, kept
 as reference oracles: one ``LaurentPoly`` per prefix, the scalar maps and
-statistics per word.  Both read ``registry.iterate_group`` and
+statistics per word.  Both read ``registry.word_arrays`` and
 ``registry._brute`` when they run, as the array bodies do, so a word injected
-through ``iterate_group`` reaches both.
+through ``word_arrays`` reaches both.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import artifact.registry as registry
@@ -34,7 +35,7 @@ def oracle_corollary(check_id, fam, max_n):
             closed = fam.coeff(n, r)
             weighted_total = LaurentPoly.zero()
             witness = None
-            for sigma in registry.iterate_group(fam.name, n - r):
+            for sigma in words_of(fam.name, n - r):
                 acc = LaurentPoly.zero()
                 for subset in signed_subsets(n, r):
                     acc = acc + LaurentPoly.monomial(1, q=finv(fmap(sigma, subset, n)))
@@ -57,7 +58,7 @@ def oracle_signflip(check_id, fam, max_n):
     for n in range(fam.first, max_n + 1):
         sums = fam.flip_sums(n)
         bad = None
-        for w in registry.iterate_group(fam.name, n):
+        for w in words_of(fam.name, n):
             sw, sv = fstats(w), fstats(fflip(w))
             if (sw.inv + sv.inv, sw.odes + sv.odes, sw.edes + sv.edes) != sums:
                 bad = format_word(w)
@@ -66,20 +67,28 @@ def oracle_signflip(check_id, fam, max_n):
     return registry._collect(entries)
 
 
+def words_of(group, n):
+    """The words ``registry.word_arrays`` yields, one tuple each."""
+    for block in registry.word_arrays(group, n, registry._BATCH_WORDS):
+        yield from map(tuple, block.tolist())
+
+
 def family(name):
     return {"B": registry._B, "D": registry._D}[name]
 
 
 def inject_bogus_word(monkeypatch, rank):
-    """Make ``iterate_group`` yield an all-ones word first at ``rank``."""
-    real = registry.iterate_group
+    """Make ``word_arrays`` yield an all-ones word first at ``rank``, in its first block."""
+    real = registry.word_arrays
 
-    def with_bogus_word(group, n, i=None):
+    def with_bogus_word(group, n, rows, i=None):
+        blocks = real(group, n, rows, i)
         if n == rank:
-            yield (1,) * n
-        yield from real(group, n, i)
+            first = next(blocks)
+            yield np.concatenate([np.ones((1, n), dtype=first.dtype), first])
+        yield from blocks
 
-    monkeypatch.setattr(registry, "iterate_group", with_bogus_word)
+    monkeypatch.setattr(registry, "word_arrays", with_bogus_word)
 
 
 def wrong_coeff_at_r2(fam, extra):
@@ -149,10 +158,10 @@ def test_batches_stay_within_the_word_budget(monkeypatch):
 
 @pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()))
 def test_every_rank_is_bounded_before_any_word_is_read(monkeypatch, check_id):
-    def no_words(group, n, i=None):
+    def no_words(group, n, rows, i=None):
         raise AssertionError(f"{check_id} read the words of {group}_{n}")
 
-    monkeypatch.setattr(registry, "iterate_group", no_words)
+    monkeypatch.setattr(registry, "word_arrays", no_words)
     monkeypatch.setenv("ARTIFACT_MAX_N", "3")
     with pytest.raises(BoundExceeded, match="at rank 4 "):
         registry.run_check(check_id, max_n=6)

@@ -8,16 +8,20 @@ multiplication reduces repeated generators through their squares, so elements
 are always in reduced normal form.
 
 Fractions pair an extension-element numerator with a univariate-q polynomial
-denominator whose constant term is nonzero.  Equality is decided by
-cross-multiplication; no polynomial division is ever performed.
+denominator whose constant term is nonzero, held factored into cyclotomic
+polynomials.  Sums and equality go over the lcm of the denominators; no
+numerator is ever divided by a polynomial.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 from typing import Mapping
 
-from .polynomials import LaurentPoly, one_minus
+from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, one_minus
 
 
 def _default_squares() -> tuple[tuple[str, LaurentPoly], ...]:
@@ -245,10 +249,72 @@ def _int_content(values) -> int:
     return g or 1
 
 
-class QFraction:
-    """numerator / (univariate-q denominator with nonzero constant term)."""
+# A denominator is held as its positive integer content times a product of
+# primitive factors, each with positive constant term.  A factor multiset is a
+# frozenset of (factor, multiplicity) pairs; a factor is d for Φ_d(q), or, for
+# the rest that no Φ_d divides, the sorted (q-exponent, coefficient) pairs of
+# that rest, kept whole.
+Factors = frozenset
 
-    __slots__ = ("num", "den")
+
+@lru_cache(maxsize=1024)
+def _factor(terms: frozenset) -> tuple[int, Factors]:
+    """Content and factor multiset of a q-only denominator given by its terms."""
+    content, mult, rest = cyclotomic_factors(LaurentPoly(dict(terms)))
+    if rest != 1:
+        mult[tuple(sorted((exp[2], c) for exp, c in rest.terms.items()))] = 1
+    return content, frozenset(mult.items())
+
+
+def _factor_poly(factor) -> LaurentPoly:
+    if isinstance(factor, int):
+        return cyclotomic(factor)
+    return LaurentPoly({(0, 0, e, 0, 0, 0, 0): c for e, c in factor})
+
+
+@lru_cache(maxsize=1024)
+def _expand(factors: Factors) -> LaurentPoly:
+    """The product of a factor multiset."""
+    out = LaurentPoly.one()
+    for factor, k in factors:
+        out = out * _factor_poly(factor) ** k
+    return out
+
+
+def _merge(a: Factors, b: Factors, op) -> Factors:
+    out = dict(a)
+    for factor, k in b:
+        out[factor] = op(out.get(factor, 0), k)
+    return frozenset(out.items())
+
+
+def _excess(a: Factors, b: Factors) -> Factors:
+    """a / b for multisets with b inside a."""
+    sub = dict(b)
+    return frozenset((f, k - sub.get(f, 0)) for f, k in a if k > sub.get(f, 0))
+
+
+def _has_rest(factors: Factors) -> bool:
+    return any(not isinstance(f, int) for f, _ in factors)
+
+
+class QFraction:
+    """numerator / (univariate-q denominator with nonzero constant term).
+
+    The denominator ``den`` is held factored, as the positive integer
+    ``content`` times the factor multiset ``fac``.  Sums are taken over the
+    lcm of the two denominators (largest multiplicities, lcm of the contents)
+    and products add multiplicities; the numerator is never divided by a
+    polynomial, and numerator and denominator share no integer content.
+
+    ``path`` is the multiset that plain cross-multiplication, which puts a sum
+    over the product of unequal denominators, would have built.  The
+    cross-multiplied fraction is this one times prod fac^(path - fac) over
+    itself, with the same content (Gauss's lemma), and that is the form that
+    ``str`` prints and that ``substitute`` on q works on.
+    """
+
+    __slots__ = ("num", "den", "content", "fac", "path")
 
     def __init__(self, num, den: LaurentPoly | int = 1):
         num = ExtElement.coerce(num)
@@ -261,19 +327,33 @@ class QFraction:
         if den.coefficient() < 0:
             den = -den
             num = -num
-        coefs = [c for p in num.parts.values() for c in p.terms.values()]
-        coefs.extend(den.terms.values())
-        content = _int_content(coefs)
+        content, fac = _factor(frozenset(den.terms.items()))
+        self._assign(num, content, fac, fac)
+
+    def _assign(self, num: ExtElement, content: int, fac: Factors, path: Factors) -> None:
         if content > 1:
-            num = ExtElement(
-                {
-                    m: LaurentPoly({e: c // content for e, c in p.terms.items()})
-                    for m, p in num.parts.items()
-                }
-            )
-            den = LaurentPoly({e: c // content for e, c in den.terms.items()})
+            g = _int_content(chain((content,), (c for p in num.parts.values() for c in p.terms.values())))
+            if g > 1:
+                num = ExtElement(
+                    {
+                        m: LaurentPoly({e: c // g for e, c in p.terms.items()})
+                        for m, p in num.parts.items()
+                    }
+                )
+                content //= g
         self.num = num
-        self.den = den
+        self.content = content
+        self.fac = fac
+        self.path = path
+        den = _expand(fac)
+        self.den = den * content if content > 1 else den
+
+    @classmethod
+    def _make(cls, num: ExtElement, content: int, fac: Factors, path: Factors) -> "QFraction":
+        """A fraction over content * prod fac, with its content shared out with num."""
+        out = cls.__new__(cls)
+        out._assign(num, content, fac, path)
+        return out
 
     # ------------------------------------------------------------------
     @classmethod
@@ -297,28 +377,55 @@ class QFraction:
     def __bool__(self) -> bool:
         return not self.is_zero
 
+    def _over(self, content: int, fac: Factors) -> ExtElement:
+        """The numerator over content * prod fac, a multiple of the denominator."""
+        scale = _expand(_excess(fac, self.fac))
+        if content != self.content:
+            scale = scale * (content // self.content)
+        return self.num if scale == 1 else self.num * scale
+
+    def _crossed(self) -> tuple[ExtElement, LaurentPoly]:
+        """Numerator and denominator of the cross-multiplied form."""
+        lift = _expand(_excess(self.path, self.fac))
+        if lift == 1:
+            return self.num, self.den
+        return self.num * lift, self.den * lift
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, LaurentPoly, ExtElement)):
             other = QFraction.coerce(other)
         if not isinstance(other, QFraction):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        content = lcm(self.content, other.content)
+        fac = _merge(self.fac, other.fac, max)
+        return self._over(content, fac) == other._over(content, fac)
 
     __hash__ = None
 
     def __neg__(self) -> "QFraction":
-        return QFraction(-self.num, self.den)
+        return QFraction._make(-self.num, self.content, self.fac, self.path)
 
     def __add__(self, other) -> "QFraction":
         try:
             other = QFraction.coerce(other)
         except TypeError:
             return NotImplemented
-        if self.den == other.den:
-            return QFraction(self.num + other.num, self.den)
-        return QFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # cross-multiplication keeps a denominator that both terms share
+        if self.content != other.content:
+            path = _merge(self.path, other.path, add)
+        elif self.path == other.path:
+            path = self.path
+        elif (_has_rest(self.path) or _has_rest(other.path)) and _expand(self.path) == _expand(other.path):
+            # Rests may share factors, so different multisets can expand to
+            # one denominator: add in the cross-multiplied form.
+            return QFraction._make(
+                self._crossed()[0] + other._crossed()[0], self.content, self.path, self.path
+            )
+        else:
+            path = _merge(self.path, other.path, add)
+        content = lcm(self.content, other.content)
+        fac = _merge(self.fac, other.fac, max)
+        return QFraction._make(self._over(content, fac) + other._over(content, fac), content, fac, path)
 
     __radd__ = __add__
 
@@ -337,21 +444,29 @@ class QFraction:
             other = QFraction.coerce(other)
         except TypeError:
             return NotImplemented
-        return QFraction(self.num * other.num, self.den * other.den)
+        return QFraction._make(
+            self.num * other.num,
+            self.content * other.content,
+            _merge(self.fac, other.fac, add),
+            _merge(self.path, other.path, add),
+        )
 
     __rmul__ = __mul__
 
     def divide_by_generator(self, name: str) -> "QFraction":
-        return QFraction(self.num.divide_by_generator(name), self.den)
+        return QFraction._make(self.num.divide_by_generator(name), self.content, self.fac, self.path)
 
     def substitute(self, name: str, mode: str, value: int | None = None) -> "QFraction":
-        den = self.den.substitute(name, mode, value) if name == "q" else self.den
-        return QFraction(self.num.substitute(name, mode, value), den)
+        if name != "q":
+            return QFraction._make(self.num.substitute(name, mode, value), self.content, self.fac, self.path)
+        num, den = self._crossed()
+        return QFraction(num.substitute(name, mode, value), den.substitute(name, mode, value))
 
     def __str__(self) -> str:
-        if self.den == LaurentPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num, den = self._crossed()
+        if den == 1:
+            return str(num)
+        return f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"QFraction({self})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from math import prod
+from math import gcd, prod
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -600,3 +600,95 @@ def poincare(family: str, n: int) -> LaurentPoly:
 def one_minus(name: str) -> LaurentPoly:
     """1 - x for a roster variable; the ubiquitous recurrence factor."""
     return LaurentPoly.one() - LaurentPoly.variable(name)
+
+
+# ----------------------------------------------------------------------
+# cyclotomic factors of q-only polynomials
+# ----------------------------------------------------------------------
+def _q_coefficients(poly: LaurentPoly) -> list[int]:
+    """The coefficients of a nonzero q-only polynomial, constant term first."""
+    out = [0] * (max(exp[2] for exp in poly.terms) + 1)
+    for exp, coef in poly.terms.items():
+        out[exp[2]] = coef
+    return out
+
+
+def _q_polynomial(coefs: Iterable[int]) -> LaurentPoly:
+    return LaurentPoly({(0, 0, e, 0, 0, 0, 0): c for e, c in enumerate(coefs)})
+
+
+def _exact_quotient(p: list[int], a: tuple[int, ...]) -> list[int] | None:
+    """p / a when a, whose constant term is 1, divides p exactly; else None.
+
+    Long division from the constant term up: each quotient coefficient is the
+    lowest coefficient left, and the division is exact when the top deg(a)
+    coefficients left vanish.
+    """
+    n = len(p) - len(a) + 1
+    if n <= 0:
+        return None
+    rest = list(p)
+    for i in range(n):
+        c = rest[i]
+        if c:
+            for j in range(1, len(a)):
+                rest[i + j] -= a[j] * c
+    if any(rest[n:]):
+        return None
+    return rest[:n]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coefficients(d: int) -> tuple[int, ...]:
+    """Φ_d for d >= 2, and 1 - q for d = 1: the factor of 1 - q^d new at d."""
+    rest = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            rest = _exact_quotient(rest, _cyclotomic_coefficients(e))
+    return tuple(rest)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d: int) -> LaurentPoly:
+    """The cyclotomic polynomial Φ_d(q), so that q^n - 1 is the product of Φ_d over d | n."""
+    if d < 1:
+        raise ValueError("cyclotomic requires d >= 1")
+    return _q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
+
+
+def _totient(d: int) -> int:
+    out, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentPoly]:
+    """Split a nonzero q-only polynomial as content * prod of Φ_d^k * rest.
+
+    Returns the positive integer content, the multiplicities {d: k} for
+    d >= 2, and the primitive rest, which no such Φ_d divides.  Φ_1 = q - 1
+    stays in the rest, and so does all of a polynomial with a negative power.
+    [k]_q is the product of Φ_d over the divisors d > 1 of k, so q-integers,
+    q-factorials and Poincaré polynomials leave the rest 1.
+    """
+    content = gcd(*poly.terms.values())
+    rest = LaurentPoly({e: c // content for e, c in poly.terms.items()})
+    if any(exp[2] < 0 for exp in rest.terms):
+        return content, {}, rest
+    p = _q_coefficients(rest)
+    mult: dict[int, int] = {}
+    d = 2
+    # phi(d) >= sqrt(d) above d = 6, so no Φ_d with d > max(6, deg^2) divides
+    while len(p) > 1 and d <= max(6, (len(p) - 1) ** 2):
+        if _totient(d) < len(p):
+            a = _cyclotomic_coefficients(d)
+            while (quotient := _exact_quotient(p, a)) is not None:
+                p = quotient
+                mult[d] = mult.get(d, 0) + 1
+        d += 1
+    return content, mult, _q_polynomial(p)

@@ -287,6 +287,20 @@ def test_check_all_json_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("check_id,size,digest", [
+    ("typeB-alt-even", 1_503, "55fec923d18f84eda9a2ba47d75b42bd8f51bfccc98fbd98fa88812449ca5804"),
+    ("typeD-fivevar", 23_542, "e022657eff0a38664acaa1407689936318b91c296b65ada9f4a3646edfbf96c1"),
+    ("typeD-alt-even", 3_279, "08cf538949179c400da93f4a723565b99ea80c682f79211defa372f386081492"),
+])
+def test_order_eight_reports_are_pinned(capsys, check_id, size, digest):
+    """The largest failing-reading residuals, printed in cross-multiplied form."""
+    code, out, _ = run_cli(capsys, "check", "--id", check_id, "--order", "8", "--format", "json")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_cli_import_leaves_out_multiprocessing():
     code = "import sys, artifact.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

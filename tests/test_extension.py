@@ -14,8 +14,11 @@ from artifact.extension import (
     GEN_ROOT_S1,
     ExtElement,
     QFraction,
+    _expand,
+    _int_content,
+    _is_q_only,
 )
-from artifact.polynomials import LaurentPoly, one_minus, qint
+from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact, qint
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -148,3 +151,160 @@ def test_qfraction_integer_scalars_coerce():
     assert QFraction.coerce(3) == QFraction(3, 1)
     assert QFraction.coerce(Q) == QFraction(Q, 1)
     assert QFraction(6, 4) == QFraction(3, 2)
+
+
+def test_qfraction_keeps_its_denominator_factored():
+    frac = QFraction(S, 2 * poincare("B", 2)) + QFraction(T, qint(6))
+    assert frac.content == 2
+    assert dict(frac.fac) == {2: 2, 3: 1, 4: 1, 6: 1}  # lcm of [2][4] and [6]
+    assert dict(frac.path) == {2: 3, 3: 1, 4: 1, 6: 1}  # [2][4] * [6]
+    assert frac.den == 2 * _expand(frac.fac)
+    assert frac.den.coefficient(q=8) == 2
+
+
+# ---------------------------------------------------------------------------
+# the cross-multiplying fraction, kept as the reference oracle
+# ---------------------------------------------------------------------------
+class CrossQFraction:
+    """The fraction that factored denominators replaced: sums cross-multiply."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        num = ExtElement.coerce(num)
+        if isinstance(den, int):
+            den = LaurentPoly.constant(den)
+        if den.is_zero or not _is_q_only(den):
+            raise ValueError("denominator must be a nonzero q-only polynomial")
+        if den.coefficient() == 0:
+            raise ValueError("denominator constant term must be nonzero")
+        if den.coefficient() < 0:
+            den = -den
+            num = -num
+        coefs = [c for p in num.parts.values() for c in p.terms.values()]
+        coefs.extend(den.terms.values())
+        content = _int_content(coefs)
+        if content > 1:
+            num = ExtElement(
+                {
+                    m: LaurentPoly({e: c // content for e, c in p.terms.items()})
+                    for m, p in num.parts.items()
+                }
+            )
+            den = LaurentPoly({e: c // content for e, c in den.terms.items()})
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def coerce(value):
+        if isinstance(value, CrossQFraction):
+            return value
+        return CrossQFraction(ExtElement.coerce(value))
+
+    def __eq__(self, other):
+        other = CrossQFraction.coerce(other)
+        return (self.num * other.den) == (other.num * self.den)
+
+    def __neg__(self):
+        return CrossQFraction(-self.num, self.den)
+
+    def __add__(self, other):
+        other = CrossQFraction.coerce(other)
+        if self.den == other.den:
+            return CrossQFraction(self.num + other.num, self.den)
+        return CrossQFraction(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    def __sub__(self, other):
+        return self + (-CrossQFraction.coerce(other))
+
+    def __mul__(self, other):
+        other = CrossQFraction.coerce(other)
+        return CrossQFraction(self.num * other.num, self.den * other.den)
+
+    def divide_by_generator(self, name):
+        return CrossQFraction(self.num.divide_by_generator(name), self.den)
+
+    def substitute(self, name, mode, value=None):
+        den = self.den.substitute(name, mode, value) if name == "q" else self.den
+        return CrossQFraction(self.num.substitute(name, mode, value), den)
+
+    def __str__(self):
+        if self.den == LaurentPoly.one():
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+
+ONE_PLUS_2Q = 1 + 2 * Q
+THREE_PLUS_Q2 = 3 + Q * Q
+# cyclotomic products, contents, signs, and rests that are not cyclotomic;
+# the last one shares factors with two others, so different factor sets
+# expand to one cross-multiplied denominator
+DENOMINATORS = (
+    [LaurentPoly.constant(c) for c in (1, 2, 3, 6, -2)]
+    + [qint(k) for k in (2, 3, 4)]
+    + [qfact(k) for k in (2, 3, 4)]
+    + [poincare(family, n) for family in "BD" for n in (2, 3)]
+    + [1 + Q**i for i in (1, 2, 3)]
+    + [-(1 + Q), 2 * qint(4), ONE_PLUS_2Q, THREE_PLUS_Q2, ONE_PLUS_2Q * THREE_PLUS_Q2]
+)
+
+leaves = st.tuples(
+    small_polys, st.sampled_from(range(len(DENOMINATORS))), st.sampled_from([None, "i", "M"])
+)
+UNARY = ("neg", "divide_rs", "q_at_one", "s_at_two")
+BINARY = ("add", "sub", "mul")
+trees = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(UNARY), inner),
+        st.tuples(st.sampled_from(BINARY), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def evaluate(tree, frac):
+    """The value of an expression tree under the fraction class ``frac``."""
+    if tree[0] not in UNARY + BINARY:
+        poly, den, gen = tree
+        num = ExtElement.coerce(poly)
+        if gen is not None:
+            num = num * ExtElement.generator(gen) + ExtElement.coerce(Q)
+        return frac(num, DENOMINATORS[den])
+    args = [evaluate(arg, frac) for arg in tree[1:]]
+    op = tree[0]
+    if op == "neg":
+        return -args[0]
+    if op == "divide_rs":  # no leaf carries rs, so every component of the product does
+        return (args[0] * GEN_ROOT_S).divide_by_generator("rs")
+    if op == "q_at_one":
+        return args[0].substitute("q", "value", 1)
+    if op == "s_at_two":
+        return args[0].substitute("s", "value", 2)
+    if op == "add":
+        return args[0] + args[1]
+    if op == "sub":
+        return args[0] - args[1]
+    return args[0] * args[1]
+
+
+@given(trees, trees)
+@settings(max_examples=300, deadline=None)
+def test_factored_fractions_print_and_compare_as_cross_multiplication(a, b):
+    x, y = evaluate(a, QFraction), evaluate(b, QFraction)
+    ox, oy = evaluate(a, CrossQFraction), evaluate(b, CrossQFraction)
+    assert str(x) == str(ox)
+    assert x.num * ox.den == ox.num * x.den
+    assert x.den == x.content * _expand(x.fac)
+    assert (x == y) == (ox == oy)
+    assert (x + y) - y == x
+
+
+def test_denominators_that_expand_alike_add_as_cross_multiplication():
+    a, b = QFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2), QFraction(T, ONE_PLUS_2Q) * QFraction(1, THREE_PLUS_Q2)
+    oa = CrossQFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2)
+    ob = CrossQFraction(T, ONE_PLUS_2Q) * CrossQFraction(1, THREE_PLUS_Q2)
+    assert a.path != b.path and a.den == b.den
+    assert str(a + b) == str(oa + ob) == f"({S + T}) / ({ONE_PLUS_2Q * THREE_PLUS_Q2})"

@@ -15,6 +15,8 @@ from artifact.polynomials import (
     LaurentPoly,
     _kronecker_product,
     _schoolbook_product,
+    cyclotomic,
+    cyclotomic_factors,
     first_difference,
     monomial_name,
     one_minus,
@@ -454,6 +456,53 @@ def test_poincare_group_orders_at_q_one():
 # ---------------------------------------------------------------------------
 # presentation
 # ---------------------------------------------------------------------------
+def test_cyclotomic_polynomials_multiply_to_q_to_the_n_minus_one():
+    for n in range(1, 31):
+        product = LaurentPoly.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic(d)
+        assert product == LaurentPoly.variable("q", n) - 1, n
+
+
+def test_cyclotomic_pinned_values():
+    assert cyclotomic(1) == Q - 1
+    assert cyclotomic(6) == 1 - Q + Q * Q
+    assert cyclotomic(12) == 1 - Q**2 + Q**4
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert cyclotomic(105).coefficient(q=7) == -2
+    assert cyclotomic(105).coefficient(q=41) == -2
+    with pytest.raises(ValueError):
+        cyclotomic(0)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_q_factorials_and_poincare_polynomials_are_cyclotomic(n):
+    # [k]_q is the product of Φ_d over the divisors d > 1 of k
+    def count(ks):
+        return {d: m for d in range(2, 2 * n + 1) if (m := sum(k % d == 0 for k in ks))}
+
+    cases = [
+        (qfact(n), count(range(1, n + 1))),
+        (poincare("B", n), count(range(2, 2 * n + 1, 2))),
+        (poincare("D", n), count([n] + list(range(2, 2 * n - 1, 2))) if n else {}),
+    ]
+    for poly, expected in cases:
+        content, mult, rest = cyclotomic_factors(poly)
+        assert (content, mult, rest) == (1, expected, LaurentPoly.one())
+        back = LaurentPoly.one()
+        for d, k in mult.items():
+            back = back * cyclotomic(d) ** k
+        assert back == poly
+
+
+def test_cyclotomic_factors_keep_the_rest_whole():
+    rest = (1 + 2 * Q) * (3 + Q * Q) * (Q - 1)  # Φ_1 stays in the rest
+    assert cyclotomic_factors(6 * qint(4) * rest) == (6, {2: 1, 4: 1}, rest)
+    laurent = 2 + 2 * LaurentPoly.variable("q", -1)
+    assert cyclotomic_factors(laurent) == (2, {}, 1 + LaurentPoly.variable("q", -1))
+
+
 def test_str_is_graded_then_lexicographic():
     p = S * Q + T * Q + LaurentPoly.one() + S * T * Q**4
     assert str(p) == "1 + t*q + s*q + s*t*q^4"

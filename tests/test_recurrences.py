@@ -1,5 +1,7 @@
 """Recurrence-computed polynomials against brute force and closed forms."""
 
+import hashlib
+
 import pytest
 
 from artifact.enumeration import poly_group
@@ -52,6 +54,39 @@ def test_recurrence_totals_are_poincare_series():
         assert recur_B(n).subs_values({"s": 1, "t": 1}) == poincare("B", n)
     for n in range(2, 7):
         assert recur_D(n).subs_values({"s": 1, "t": 1}) == poincare("D", n)
+
+
+# The first 16 hex digits of the sha256 of each polynomial's printed form, as
+# the even/odd-body recurrences printed it; a rewrite of the recurrences must
+# keep every term and its printed order.
+RECUR_DIGESTS = {
+    "B": ["6b86b273ff34fce1", "3df05dbd84e3d9a7", "1d6742ec8cd8543e", "e7cd5ff53015d1b7",
+          "4c72d6f1fba375f9", "7a57d06b76d74930", "6cd0cbe6caf2584f", "4f12b5e06f98c0f8",
+          "8d03fa3d4b75a13e", "56ea2e23c13af91b", "273b40c27cb009b2", "e2809c4f07995de5",
+          "6266caad7b73f18f", "ed6526afae166a22", "edb3f01e4576fdf1"],
+    "D": ["6b86b273ff34fce1", "6b86b273ff34fce1", "150195dddf6c19a2", "6fe17e4b15d82d59",
+          "7b6152f281de53b8", "aaeb738df8679865", "8aefa1a956c748e5", "09218c644b682d1e",
+          "5836a0c3297921ae", "af9be0a3ba3ee1be", "f6e001eede2b10f4", "428cc948e8ad54f6",
+          "7ac85efa57c78f2c", "40b33f47b4a419ca", "4685d90eb6cde132"],
+}
+HYATT_DIGESTS = {  # ranks 1..12
+    "B": ["6b86b273ff34fce1", "ea4c06e7beda9bb2", "5e9746d05b8215f9", "d6177427bd2898e5",
+          "276e468bac35bce9", "7fee1ff34180983b", "cde745e034a4d2ac", "2f2b3c66c11e3059",
+          "55fe54cb1a7c5797", "ce49b129fcee1bca", "12c8f5dd1eb9103c", "d1fc9f95bbac124d"],
+    "D": ["6b86b273ff34fce1", "5c2d89d26b8aefd7", "6240d5a7184f811d", "57054674547a8a99",
+          "3ca6407daa21cf6a", "13513fbc45abf2a8", "2ef8d27d0e91391c", "7c556c5f1e87a045",
+          "716d5c9b85ebcdb1", "31324d11b861ca04", "6f3c2a426302019f", "68d9e326b073415f"],
+}
+
+
+def digest(poly):
+    return hashlib.sha256(str(poly).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_recurrences_keep_their_pinned_digests(family):
+    assert [digest(recurrence_poly(family, n)) for n in range(15)] == RECUR_DIGESTS[family]
+    assert [digest(hyatt_plus(family, n)) for n in range(1, 13)] == HYATT_DIGESTS[family]
 
 
 def test_recurrence_poly_dispatch():

@@ -21,7 +21,7 @@ Their closed forms are the coefficients ``c_coeff``/``cd_coeff`` of
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -177,25 +177,22 @@ def iterate_descending_suffix(family: str, n: int, k: int) -> Iterator[Word]:
 # ----------------------------------------------------------------------
 # lemma sums
 # ----------------------------------------------------------------------
-def poly_lemma21_sum(n: int, r: int) -> LaurentPoly:
-    """Sum of q^{inv_B} over identity-prefixed signed-subset juxtapositions."""
+def _lemma_sum(juxtapose: Callable[[Word, SignedSubset, int], Word], inv: Callable[[Word], int],
+               n: int, r: int) -> LaurentPoly:
+    """Sum of q^inv over the juxtapositions of the identity prefix with every signed r-subset."""
     terms: dict[tuple[int, ...], int] = {}
+    sigma = tuple(range(1, n - r + 1))
     for subset in signed_subsets(n, r):
-        complement = tuple(
-            v for v in range(1, n + 1) if v not in {abs(a) for a in subset}
-        )
-        word = complement + tuple(sorted(subset))
-        exp = (0, 0, inv_B(word), 0, 0, 0, 0)
+        exp = (0, 0, inv(juxtapose(sigma, subset, n)), 0, 0, 0, 0)
         terms[exp] = terms.get(exp, 0) + 1
     return LaurentPoly(terms)
+
+
+def poly_lemma21_sum(n: int, r: int) -> LaurentPoly:
+    """Sum of q^{inv_B} over identity-prefixed signed-subset juxtapositions."""
+    return _lemma_sum(map_f, inv_B, n, r)
 
 
 def poly_lemma31_sum(n: int, r: int) -> LaurentPoly:
     """Sum of q^{inv_D} over parity-corrected subset juxtapositions."""
-    terms: dict[tuple[int, ...], int] = {}
-    sigma = tuple(range(1, n - r + 1))
-    for subset in signed_subsets(n, r):
-        word = map_fD(sigma, subset, n)
-        exp = (0, 0, inv_D(word), 0, 0, 0, 0)
-        terms[exp] = terms.get(exp, 0) + 1
-    return LaurentPoly(terms)
+    return _lemma_sum(map_fD, inv_D, n, r)

@@ -4,8 +4,8 @@ Two independent routes compute every distribution:
 
 * a direct route that reads the family's words in int16 blocks
   (``word_arrays``) and counts each statistic row by row by explicit entry
-  comparisons (ascents by their own comparisons, inversions by the
-  definitional pair-counting formulas), and
+  comparisons (``array_stats``: ascents by their own comparisons, inversions
+  by the definitional pair-counting formulas), and
 * a vectorized route that histograms each word of the flavor's whole group
   by (descent-set bitmask, sign of the last entry, inv) over sign-pattern
   chunks with numpy, projects that histogram onto the requested family
@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import FLAVOR, StatVector, check_cutoff, word_arrays
+from .permutations import FLAVOR, StatVector, array_stats, check_cutoff, word_arrays
 from .polynomials import LaurentPoly
 
 WEIGHTS = ("biv", "fivevar", "hat", "q")
@@ -75,36 +75,6 @@ def check_bound(group: str, n: int) -> None:
 _BLOCK_WORDS = 1 << 14
 
 
-def _direct_stats(words: np.ndarray, flavor: str) -> np.ndarray:
-    """(edes, odes, easc, oasc, inv) of every row, by explicit comparisons.
-
-    Ascents are counted by their own comparisons rather than derived from the
-    descent counts, and inversions use the definitional pair-counting forms.
-    """
-    rows, n = words.shape
-    after = [(p % 2, words[:, p - 1], words[:, p]) for p in range(1, n)]  # positions 1..n-1
-    if flavor == "B":
-        positions = [(0, 0, words[:, 0])] + after if n else []  # position 0 compares pi_0 = 0
-    elif flavor == "D":
-        positions = [(1, -words[:, 0], words[:, 1])] + after if n >= 2 else []  # -1 is odd
-    elif flavor == "A":
-        positions = after
-    else:
-        raise ValueError(f"unknown statistic flavor {flavor!r}")
-    stats = np.zeros((5, rows), dtype=np.int64)
-    for odd, left, right in positions:
-        stats[odd] += left > right
-        stats[2 + odd] += left < right
-    for a in range(n):
-        for b in range(a + 1, n):
-            stats[4] += words[:, a] > words[:, b]
-            if flavor != "A":
-                stats[4] += -words[:, a] > words[:, b]
-    if flavor == "B":
-        stats[4] += (words < 0).sum(axis=1)
-    return stats
-
-
 def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
     # roster order: (s, t, q, s0, s1, t0, t1)
     if weight == "biv":
@@ -125,7 +95,7 @@ def poly_group_python(
     dims = (n + 1,) * 4 + (n * n + 1,)  # every statistic is at most n, inv at most n^2
     totals: Counter[int] = Counter()
     for words in word_arrays(group, n, _BLOCK_WORDS, i):
-        keys, counts = np.unique(np.ravel_multi_index(_direct_stats(words, FLAVOR[group]), dims),
+        keys, counts = np.unique(np.ravel_multi_index(array_stats(words, FLAVOR[group]), dims),
                                  return_counts=True)
         totals.update(dict(zip(keys.tolist(), counts.tolist())))
     stats = np.unravel_index(np.array(list(totals), dtype=np.int64), dims)

@@ -24,36 +24,20 @@ from typing import Mapping
 from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, one_minus
 
 
-def _default_squares() -> tuple[tuple[str, LaurentPoly], ...]:
-    s0 = LaurentPoly.variable("s0")
-    s1 = LaurentPoly.variable("s1")
-    t0 = LaurentPoly.variable("t0")
-    t1 = LaurentPoly.variable("t1")
-    return (
-        ("M", one_minus("s") * one_minus("t")),
-        ("i", LaurentPoly.constant(-1)),
-        ("m", (s0 - t0) * (s1 - t1)),
-        ("rs", LaurentPoly.variable("s")),
-        ("r0", s0),
-        ("r1", s1),
-    )
+_s0, _s1, _t0, _t1 = map(LaurentPoly.variable, ("s0", "s1", "t0", "t1"))
 
-
-class ExtensionContext:
-    """An ordered roster of square-root generators with their squares."""
-
-    def __init__(self, squares: tuple[tuple[str, LaurentPoly], ...]):
-        self.names = tuple(name for name, _ in squares)
-        self.squares = tuple(poly for _, poly in squares)
-        self.index = {name: i for i, name in enumerate(self.names)}
-
-    def mask_names(self, mask: int) -> tuple[str, ...]:
-        return tuple(
-            name for i, name in enumerate(self.names) if mask & (1 << i)
-        )
-
-
-DEFAULT_CONTEXT = ExtensionContext(_default_squares())
+# The square-root generators in bit order (bit i of a component's mask is
+# generator i), and their squares.
+_NAMES = ("M", "i", "m", "rs", "r0", "r1")
+_SQUARES = (
+    one_minus("s") * one_minus("t"),
+    LaurentPoly.constant(-1),
+    (_s0 - _t0) * (_s1 - _t1),
+    LaurentPoly.variable("s"),
+    _s0,
+    _s1,
+)
+_INDEX = {name: i for i, name in enumerate(_NAMES)}
 
 
 class ExtElement:
@@ -92,7 +76,7 @@ class ExtElement:
     def generator(cls, name: str, coef: LaurentPoly | int = 1) -> "ExtElement":
         if isinstance(coef, int):
             coef = LaurentPoly.constant(coef)
-        return cls({1 << DEFAULT_CONTEXT.index[name]: coef})
+        return cls({1 << _INDEX[name]: coef})
 
     @staticmethod
     def coerce(value) -> "ExtElement":
@@ -161,7 +145,6 @@ class ExtElement:
             other = ExtElement.coerce(other)
         except TypeError:
             return NotImplemented
-        squares = DEFAULT_CONTEXT.squares
         out: dict[int, LaurentPoly] = {}
         for m1, p1 in self.parts.items():
             for m2, p2 in other.parts.items():
@@ -170,7 +153,7 @@ class ExtElement:
                 bit = 0
                 while common:
                     if common & 1:
-                        poly = poly * squares[bit]
+                        poly = poly * _SQUARES[bit]
                     common >>= 1
                     bit += 1
                 mask = m1 ^ m2
@@ -194,7 +177,7 @@ class ExtElement:
 
     def divide_by_generator(self, name: str) -> "ExtElement":
         """Exact division by a generator: every component must carry it."""
-        bit = 1 << DEFAULT_CONTEXT.index[name]
+        bit = 1 << _INDEX[name]
         out: dict[int, LaurentPoly] = {}
         for mask, poly in self.parts.items():
             if not mask & bit:
@@ -223,7 +206,7 @@ class ExtElement:
         pieces = []
         for mask in sorted(self.parts):
             poly = self.parts[mask]
-            names = DEFAULT_CONTEXT.mask_names(mask)
+            names = [name for i, name in enumerate(_NAMES) if mask >> i & 1]
             body = f"({poly})" if names else str(poly)
             for name in names:
                 body += f"*{name}"

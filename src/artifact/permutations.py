@@ -12,7 +12,7 @@ pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 Sweeps over many words at once hold them as an integer array, one word per
 row: ``word_arrays`` yields a family's words so, in the order of
 ``iterate_group``, and ``array_stats`` and ``flip_array`` are the row-wise
-forms of ``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
+forms of ``stats_A``/``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
 """
 
 from __future__ import annotations
@@ -219,34 +219,36 @@ def stats_A(word: Sequence[int]) -> StatVector:
     return StatVector(edes, odes, evens - edes, odds - odes, inv_A(word))
 
 
-def array_stats(words: np.ndarray, flavor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(edes, odes, inv) of every row of a word array, for flavor B or D.
+def array_stats(words: np.ndarray, flavor: str) -> np.ndarray:
+    """(edes, odes, easc, oasc, inv) of every row of a word array, as a (5, rows) int64 array.
 
-    Row by row these are the fields of ``stats_B``/``stats_D``: descents by
-    adjacent comparison (against pi_0 = 0 for B, -pi_1 against pi_2 at
-    position -1 for D), inv as inv_A plus the negative magnitudes, less
-    their count for D.
+    Row by row these are the fields of ``stats_A``/``stats_B``/``stats_D``,
+    counted by explicit comparisons: ascents by their own comparisons rather
+    than derived from the descent counts, and inv by the definitional
+    pair-counting forms.
     """
     rows, n = words.shape
-    inv = np.zeros(rows, dtype=np.int64)
-    for a in range(n):
-        for b in range(a + 1, n):
-            inv += words[:, a] > words[:, b]
-    negative = words < 0
-    inv -= np.where(negative, words, 0).sum(axis=1, dtype=np.int64)
-    # column j of ``desc`` is the comparison at position j + 1
-    desc = words[:, :-1] > words[:, 1:]
+    after = [(p % 2, words[:, p - 1], words[:, p]) for p in range(1, n)]  # positions 1..n-1
     if flavor == "B":
-        desc = np.concatenate([words[:, :1] < 0, desc], axis=1)  # position 0 first
-        edes, odes = desc[:, 0::2].sum(axis=1), desc[:, 1::2].sum(axis=1)
+        positions = [(0, 0, words[:, 0])] + after if n else []  # position 0 compares pi_0 = 0
     elif flavor == "D":
-        inv -= negative.sum(axis=1)
-        edes, odes = desc[:, 1::2].sum(axis=1), desc[:, 0::2].sum(axis=1)
-        if n >= 2:
-            odes += -words[:, 0] > words[:, 1]
+        positions = [(1, -words[:, 0], words[:, 1])] + after if n >= 2 else []  # -1 is odd
+    elif flavor == "A":
+        positions = after
     else:
         raise ValueError(f"unknown statistic flavor {flavor!r}")
-    return edes, odes, inv
+    stats = np.zeros((5, rows), dtype=np.int64)
+    for odd, left, right in positions:
+        stats[odd] += left > right
+        stats[2 + odd] += left < right
+    for a in range(n):
+        for b in range(a + 1, n):
+            stats[4] += words[:, a] > words[:, b]
+            if flavor != "A":
+                stats[4] += -words[:, a] > words[:, b]
+    if flavor == "B":
+        stats[4] += (words < 0).sum(axis=1)
+    return stats
 
 
 # ----------------------------------------------------------------------

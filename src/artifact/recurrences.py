@@ -82,33 +82,38 @@ def pd_product(n: int) -> LaurentPoly:
     return out
 
 
+def _block(n: int, size: int) -> tuple[LaurentPoly, int, int]:
+    """The marker of a block of ``size`` entries in a rank-n recurrence, and
+    the exponents of its s and its t factor.
+
+    s marks the block when n - size is even and t when it is odd; the
+    marker's own factor has exponent (size - 1) // 2, the other size // 2.
+    """
+    short, long = (size - 1) // 2, size // 2
+    if (n - size) % 2 == 0:
+        return _S, short, long
+    return _T, long, short
+
+
 @lru_cache(maxsize=None)
 def recur_B(n: int) -> LaurentPoly:
     """Bivariate polynomial for the full hyperoctahedral group via recurrence.
 
     Variables: s (even-position descents), t (odd-position descents), q
-    (inversion number).  The recurrence conditions on the parity of n and
-    peels off the maximal increasing suffix of each element.
+    (inversion number).  The recurrence peels off the maximal increasing
+    suffix of each element; the parity of n decides which variable marks a
+    suffix of each size.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.one()
-    k = n // 2
     oms = one_minus("s")
     omt = one_minus("t")
-    if n % 2 == 0:
-        total = omt**k * oms**k
-        for r in range(k):
-            total = total + _T * omt**r * oms**r * c_coeff(n, 2 * r + 1) * recur_B(n - 2 * r - 1)
-        for r in range(1, k + 1):
-            total = total + _S * omt**r * oms ** (r - 1) * c_coeff(n, 2 * r) * recur_B(n - 2 * r)
-    else:
-        total = omt**k * oms ** (k + 1)
-        for r in range(k + 1):
-            total = total + _S * omt**r * oms**r * c_coeff(n, 2 * r + 1) * recur_B(n - 2 * r - 1)
-        for r in range(1, k + 1):
-            total = total + _T * omt ** (r - 1) * oms**r * c_coeff(n, 2 * r) * recur_B(n - 2 * r)
+    total = omt ** (n // 2) * oms ** ((n + 1) // 2)
+    for size in range(1, n + 1):
+        marker, es, et = _block(n, size)
+        total = total + marker * omt**et * oms**es * c_coeff(n, size) * recur_B(n - size)
     return total
 
 
@@ -122,26 +127,17 @@ def recur_D(n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 0, got {n}")
     if n < 2:
         return LaurentPoly.one()
-    k = n // 2
     oms = one_minus("s")
     omt = one_minus("t")
     pd = pd_product(n)
-    if n % 2 == 0:
-        total = omt ** (k + 1) * oms ** (k - 1)
-        total = total + 2 * _T * omt**k * oms ** (k - 1) * pd
-        total = total + _T * _T * omt ** (k - 1) * oms ** (k - 1) * qint(n) * pd
-        for r in range(k - 1):
-            total = total + _T * omt**r * oms**r * cd_coeff(n, 2 * r + 1) * recur_D(n - 2 * r - 1)
-        for r in range(1, k):
-            total = total + _S * omt**r * oms ** (r - 1) * cd_coeff(n, 2 * r) * recur_D(n - 2 * r)
-    else:
-        total = omt ** (k + 1) * oms**k
-        total = total + 2 * _T * omt**k * oms**k * pd
-        total = total + _T * _T * omt ** (k - 1) * oms**k * qint(n) * pd
-        for r in range(k):
-            total = total + _S * omt**r * oms**r * cd_coeff(n, 2 * r + 1) * recur_D(n - 2 * r - 1)
-        for r in range(1, k):
-            total = total + _T * omt ** (r - 1) * oms**r * cd_coeff(n, 2 * r) * recur_D(n - 2 * r)
+    k = n // 2
+    head = oms ** ((n - 1) // 2)  # the s factor of the three leading terms
+    total = omt ** (k + 1) * head
+    total = total + 2 * _T * omt**k * head * pd
+    total = total + _T * _T * omt ** (k - 1) * head * qint(n) * pd
+    for size in range(1, n - 1):
+        marker, es, et = _block(n, size)
+        total = total + marker * omt**et * oms**es * cd_coeff(n, size) * recur_D(n - size)
     return total
 
 
@@ -168,28 +164,9 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
     sm1 = _S - _ONE
     tm1 = _T - _ONE
     total = LaurentPoly.zero()
-    if n % 2 == 0:
-        for r in range(n // 2):
-            size = 2 * r + 1
-            total = total + (
-                _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1**r * tm1**r
-            )
-        for r in range(1, n // 2 + 1):
-            size = 2 * r
-            total = total + (
-                _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1 ** (r - 1) * tm1**r
-            )
-    else:
-        for r in range(n // 2 + 1):
-            size = 2 * r + 1
-            total = total + (
-                _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1**r * tm1**r
-            )
-        for r in range(1, n // 2 + 1):
-            size = 2 * r
-            total = total + (
-                _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1**r * tm1 ** (r - 1)
-            )
+    for size in range(1, n + 1):
+        _, es, et = _block(n, size)
+        total = total + _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1**es * tm1**et
     return total
 
 
@@ -244,17 +221,10 @@ def reiner_recurrence_rhs(n: int, polys: Callable[[int], LaurentPoly] = reiner_p
 
 def _reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
     """(q power, s power, t power) prefactor exponents for the reciprocity laws."""
-    k = n // 2
     if family == "B":
-        qpow = n * n
-        if n % 2 == 0:
-            return qpow, k, k
-        return qpow, k + 1, k
+        return n * n, (n + 1) // 2, n // 2
     if family == "D":
-        qpow = n * (n - 1)
-        if n % 2 == 0:
-            return qpow, k - 1, k + 1
-        return qpow, k, k + 1
+        return n * (n - 1), (n - 1) // 2, n // 2 + 1
     raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
 
 

@@ -240,24 +240,20 @@ def _egf(group: str, weight: str, parity: str, order: int,
     family = FLAVOR[group]
     if start is None:
         start = {"even": 0, "odd": 1, "all": 0}[parity] + (2 if family == "D" else 0)
-    polys: dict[int, LaurentPoly] = {}
-    for n in range(start, order + 1):
-        if parity == "even" and n % 2 == 1:
-            continue
-        if parity == "odd" and n % 2 == 0:
-            continue
+
+    def poly(n: int) -> LaurentPoly:
         p = _brute(group, n, weight)
         if q_one:
             p = p.substitute("q", "value", 1)
         if to_t:
             p = p.rename_variables({"s": "t"})
-        polys[n] = p
+        return p
 
     def denom(n: int) -> LaurentPoly:
-        d = qfact(n) if family == "A" else poincare(family, n)
+        d = poincare(family, n)
         return d.substitute("q", "value", 1) if q_one else d
 
-    return series_from_polys(polys, denom, parity, order, start=start)
+    return series_from_polys(poly, denom, parity, order, start=start)
 
 
 def _hyperbolic_kit(scale, order: int, family: str) -> dict:
@@ -628,8 +624,8 @@ def _corollary(check_id: str, fam: _Family, max_n: int) -> dict:
             for prefixes in word_arrays(fam.name, n - r, max(1, _BATCH_WORDS // m)):
                 p = len(prefixes)
                 words = juxtapose_array(prefixes, subsets, n, fam.name).reshape(p * m, n)
-                inv = array_stats(words, fam.name)[2].reshape(p, m)
-                edes, odes, prefix_inv = array_stats(prefixes, fam.name)
+                inv = array_stats(words, fam.name)[4].reshape(p, m)
+                edes, odes, prefix_inv = array_stats(prefixes, fam.name)[[0, 1, 4]]
                 if witness is None:
                     bad = _unequal_rows(inv - prefix_inv[:, None], closed)
                     if len(bad):
@@ -711,8 +707,8 @@ def _signflip(check_id: str, fam: _Family, max_n: int) -> dict:
         inv_sum, odes_sum, edes_sum = fam.flip_sums(n)
         bad = None
         for words in word_arrays(fam.name, n, _BATCH_WORDS):
-            edes, odes, inv = (a + b for a, b in zip(array_stats(words, fam.name),
-                                                     array_stats(flip_array(words, fam.name), fam.name)))
+            both = array_stats(words, fam.name) + array_stats(flip_array(words, fam.name), fam.name)
+            edes, odes, inv = both[[0, 1, 4]]
             rows = np.flatnonzero((inv != inv_sum) | (odes != odes_sum) | (edes != edes_sum))
             if rows.size:
                 bad = format_word(words[rows[0]].tolist())

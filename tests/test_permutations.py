@@ -326,7 +326,7 @@ SCALAR_STATS = {"B": (stats_B, inv_B, flip_all), "D": (stats_D, inv_D, flip_D)}
 def assert_rows_match(words, flavor):
     stats, inv, flip = SCALAR_STATS[flavor]
     array = np.array(words, dtype=np.int16).reshape(len(words), len(words[0]))
-    edes, odes, inv_array = array_stats(array, flavor)
+    edes, odes, inv_array = array_stats(array, flavor)[[0, 1, 4]]
     for row, word in enumerate(words):
         sv = stats(word)
         assert (edes[row], odes[row], inv_array[row]) == (sv.edes, sv.odes, sv.inv), (flavor, word)
@@ -354,8 +354,8 @@ def test_array_stats_match_the_scalar_stats_on_random_words(words, flavor):
 
 
 def test_array_stats_reject_an_unknown_flavor():
-    with pytest.raises(ValueError, match="unknown statistic flavor 'A'"):
-        array_stats(np.ones((1, 2), dtype=np.int16), "A")
+    with pytest.raises(ValueError, match="unknown statistic flavor 'E'"):
+        array_stats(np.ones((1, 2), dtype=np.int16), "E")
 
 
 # ---------------------------------------------------------------------------

@@ -241,11 +241,12 @@ def array_stats(words: np.ndarray, flavor: str) -> np.ndarray:
     for odd, left, right in positions:
         stats[odd] += left > right
         stats[2 + odd] += left < right
+    negated = -words
     for a in range(n):
         for b in range(a + 1, n):
             stats[4] += words[:, a] > words[:, b]
             if flavor != "A":
-                stats[4] += -words[:, a] > words[:, b]
+                stats[4] += negated[:, a] > words[:, b]
     if flavor == "B":
         stats[4] += (words < 0).sum(axis=1)
     return stats

@@ -270,6 +270,11 @@ def test_direct_stats_match_fast_stats():
             assert direct_stat_vector(word, "D") == stats_D(word)
 
 
+def test_unknown_flavor_rejected():
+    with pytest.raises(ValueError, match="unknown statistic flavor 'E'"):
+        array_stats(np.array([[1, 2]], dtype=np.int16), "E")
+
+
 def assert_direct_rows_match(words, flavor):
     array = np.array(words, dtype=np.int16).reshape(len(words), -1)
     rows = [StatVector(*column) for column in array_stats(array, flavor).T.tolist()]

@@ -11,11 +11,10 @@ The core construction relabels a signed permutation onto a target value set
 * map_fpp: B_k/D_k x (plain subsets) -> words ending in the subset written
            positive and descending.
 
-All maps come with inverses; the lemma sums they certify live here too.
+The lemma sums the maps certify live here too.  Their closed forms are the
+coefficients ``c_coeff``/``cd_coeff`` of :mod:`artifact.recurrences`.
 ``juxtapose_array`` applies map_f or map_fD to every (prefix, subset) pair of
-two word arrays at once.
-Their closed forms are the coefficients ``c_coeff``/``cd_coeff`` of
-:mod:`artifact.recurrences`.
+two word arrays at once.  The maps' inverses live in the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .permutations import (
     in_type_d,
     inv_B,
     inv_D,
-    iterate_group,
     negative_count,
     validate_word,
 )
@@ -44,10 +42,6 @@ def signed_subsets(n: int, r: int) -> Iterator[SignedSubset]:
     for base in itertools.combinations(range(1, n + 1), r):
         for signs in itertools.product((1, -1), repeat=r):
             yield tuple(sorted(a * s for a, s in zip(base, signs)))
-
-
-def plain_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    yield from itertools.combinations(range(1, n + 1), r)
 
 
 def relabel(word: Iterable[int], targets: Iterable[int]) -> Word:
@@ -78,14 +72,6 @@ def map_f(sigma: Word, subset: SignedSubset, n: int) -> Word:
     """Relabelled prefix followed by the ascending signed subset."""
     complement = _check_sizes(len(sigma), subset, n)
     return relabel(sigma, complement) + tuple(sorted(subset))
-
-
-def map_f_inverse(word: Word, r: int) -> tuple[Word, SignedSubset]:
-    n = len(word)
-    prefix, tail = word[:n - r], word[n - r:]
-    ranks = {v: pos + 1 for pos, v in enumerate(sorted(abs(x) for x in prefix))}
-    sigma = tuple(ranks[abs(x)] if x > 0 else -ranks[abs(x)] for x in prefix)
-    return sigma, tuple(sorted(tail))
 
 
 def map_fD(sigma: Word, subset: SignedSubset, n: int) -> Word:
@@ -132,13 +118,6 @@ def juxtapose_array(prefixes: np.ndarray, subsets: np.ndarray, n: int, family: s
     return out
 
 
-def map_fD_inverse(word: Word, r: int) -> tuple[Word, SignedSubset]:
-    sigma, subset = map_f_inverse(word, r)
-    if negative_count(subset) % 2 == 1 and sigma:
-        sigma = (-sigma[0],) + sigma[1:]
-    return sigma, subset
-
-
 def map_fpp(psi: Word, subset: tuple[int, ...], n: int, family: str = "B") -> Word:
     """Relabelled prefix followed by the subset written positive, descending."""
     if any(a < 0 for a in subset):
@@ -147,31 +126,6 @@ def map_fpp(psi: Word, subset: tuple[int, ...], n: int, family: str = "B") -> Wo
         raise ValueError(f"prefix not in the even-signed group: {psi}")
     complement = _check_sizes(len(psi), subset, n)
     return relabel(psi, complement) + tuple(sorted(subset, reverse=True))
-
-
-def map_fpp_inverse(word: Word, r: int) -> tuple[Word, tuple[int, ...]]:
-    n = len(word)
-    sigma, _ = map_f_inverse(word, r)
-    return sigma, tuple(sorted(word[n - r:]))
-
-
-# ----------------------------------------------------------------------
-# descending-suffix families
-# ----------------------------------------------------------------------
-def iterate_descending_suffix(family: str, n: int, k: int) -> Iterator[Word]:
-    """Words whose last k+1 entries are positive and strictly descending.
-
-    family 'B' ranges over B_n, family 'D' over D_n.
-    """
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"suffix length k+1={k + 1} outside 1..{n}")
-    group = "B" if family == "B" else "D"
-    for word in iterate_group(group, n):
-        tail = word[n - k - 1:]
-        if all(x > 0 for x in tail) and all(
-            tail[j] > tail[j + 1] for j in range(len(tail) - 1)
-        ):
-            yield word
 
 
 # ----------------------------------------------------------------------

@@ -133,34 +133,9 @@ def inv_B(word: Sequence[int]) -> int:
     return inv_A(word) + negative_magnitude_sum(word)
 
 
-def inv_B_definitional(word: Sequence[int]) -> int:
-    """The three-term pair-counting form of the type-B length."""
-    n = len(word)
-    total = negative_count(word)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i] > word[j]:
-                total += 1
-            if -word[i] > word[j]:
-                total += 1
-    return total
-
-
 def inv_D(word: Sequence[int]) -> int:
     """Type-D length: the type-B count without the negative-entry term."""
     return inv_A(word) + negative_magnitude_sum(word) - negative_count(word)
-
-
-def inv_D_definitional(word: Sequence[int]) -> int:
-    n = len(word)
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i] > word[j]:
-                total += 1
-            if -word[i] > word[j]:
-                total += 1
-    return total
 
 
 # ----------------------------------------------------------------------

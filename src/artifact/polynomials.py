@@ -249,22 +249,6 @@ class LaurentPoly:
             exp[_var_index(name)] = power
         return self.terms.get(tuple(exp), 0)
 
-    def variables_used(self) -> tuple[str, ...]:
-        used = [False] * NVARS
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(name for i, name in enumerate(VARIABLES) if used[i])
-
-    def integer_value(self) -> int:
-        """The value of a constant polynomial (zero polynomial gives 0)."""
-        if not self.terms:
-            return 0
-        if set(self.terms) != {_ZERO_EXP}:
-            raise ValueError("polynomial is not constant")
-        return self.terms[_ZERO_EXP]
-
     # ------------------------------------------------------------------
     # canonical presentation
     # ------------------------------------------------------------------
@@ -330,12 +314,15 @@ class LaurentPoly:
 Terms = dict[tuple[int, ...], int]
 
 # The Kronecker kernel runs on at least this many term pairs, and only when the
-# product's exponent box has at most _KRONECKER_FILL slots per operand term;
-# every other product takes the schoolbook loop, and so does any product with
-# a one-term operand, which the loop shifts and scales in one pass.  A product
-# whose box is too sparse may retry on a relabelled box only with at least
-# _RELABEL_MIN_PAIRS pairs and _RELABEL_MIN_TERMS terms in each operand: below
-# either, the schoolbook loop measured faster.
+# exponent box has at most _KRONECKER_FILL slots per operand term; a sum of
+# products counts the term pairs and operand terms of all its pairs, which
+# share one box.  Every other product takes the schoolbook loop, and so does
+# any single product with a one-term operand, which the loop shifts and scales
+# in one pass.  A single product whose box is too sparse may retry on a
+# relabelled box only with at least _RELABEL_MIN_PAIRS pairs and
+# _RELABEL_MIN_TERMS terms in each operand: below either, the schoolbook loop
+# measured faster.  Slots are whole bytes, as few as the coefficient bound of
+# the whole product or sum needs.
 _KRONECKER_MIN_PAIRS = 512
 _RELABEL_MIN_PAIRS = 1024
 _RELABEL_MIN_TERMS = 5
@@ -377,45 +364,82 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
     return flat.reshape(len(terms), NVARS).T
 
 
-def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None:
-    """Product by Kronecker substitution, or None when the exponent box is sparse.
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of a * b over the pairs, with one Kronecker packing for all of them.
 
-    Each exponent vector, shifted by its operand's per-variable minimum, is a
-    slot index in the product's exponent box (row-major, so the index of a sum
-    is the sum of the indices).  Slots are ``w`` 64-bit words wide, with ``w``
-    sized so every product coefficient, plus two guard bits, fits in a slot:
-    then one big-integer multiplication yields all coefficients at once.  When
-    the seven-variable box is too sparse and ``relabel`` is set, the smaller
-    box of ``_relabel`` is tried under the same limit.
+    The products share one exponent box, so their packed integers add as
+    integers and the sum is decoded once.  When the pairs hold fewer than
+    _KRONECKER_MIN_PAIRS term pairs, or the kernel declines the box, the
+    sum is taken through the product and sum operators.
     """
-    ea, eb = _exponent_array(a), _exponent_array(b)
-    if ea is None or eb is None:
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    terms = [(a.terms, b.terms) for a, b in pairs]
+    out = None
+    if sum(len(a) * len(b) for a, b in terms) >= _KRONECKER_MIN_PAIRS:
+        out = _kronecker_sum(terms)
+    if out is None:
+        return sum((a * b for a, b in pairs), LaurentPoly.zero())
+    result = LaurentPoly.__new__(LaurentPoly)
+    result.terms = out
+    return result
+
+
+def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None:
+    """Product by Kronecker substitution, or None when the exponent box is sparse."""
+    return _kronecker_sum([(a, b)], relabel)
+
+
+def _kronecker_sum(pairs: list[tuple[Terms, Terms]], relabel: bool = False) -> Terms | None:
+    """Sum of products by Kronecker substitution, or None when the exponent box is sparse.
+
+    Every product lands in one shared box, which spans from the smallest
+    product origin to the largest product top.  Each exponent vector,
+    shifted by its operand's per-variable minimum, is a slot index in that
+    box (row-major, so the index of a sum is the sum of the indices), and
+    each packed product moves up by the slot index of its own origin.  Slots
+    are ``width`` bytes wide, with ``width`` sized so every coefficient of
+    the sum, plus two guard bits, fits in a slot: then the shifted
+    big-integer products add up to all coefficients at once.  When the
+    seven-variable box of a single product is too sparse and ``relabel`` is
+    set, the smaller box of ``_relabel`` is tried under the same limit.
+    """
+    if not pairs:
+        return {}
+    arrays = [(_exponent_array(a), _exponent_array(b)) for a, b in pairs]
+    if any(e is None for pair in arrays for e in pair):
         return None
-    lo_a, lo_b = ea.min(axis=1), eb.min(axis=1)
-    top_a, top_b = ea.max(axis=1) - lo_a, eb.max(axis=1) - lo_b
-    dims = (top_a + top_b + 1).tolist()
-    limit = _KRONECKER_FILL * (len(a) + len(b))
-    dense = prod(dims) <= limit
-    if not (dense or relabel):
-        return None
-    ea -= lo_a[:, None]
-    eb -= lo_b[:, None]
+    lows = [(ea.min(axis=1), eb.min(axis=1)) for ea, eb in arrays]
+    origin = np.min([lo_a + lo_b for lo_a, lo_b in lows], axis=0)
+    top = np.max([ea.max(axis=1) + eb.max(axis=1) for ea, eb in arrays], axis=0)
+    dims = (top - origin + 1).tolist()
+    for (lo_a, lo_b), (ea, eb) in zip(lows, arrays):
+        ea -= lo_a[:, None]
+        eb -= lo_b[:, None]
+    limit = _KRONECKER_FILL * sum(len(a) + len(b) for a, b in pairs)
     layout = _ROSTER
-    if not dense:
-        box = _relabel(ea, eb, top_a, top_b, limit)
+    if prod(dims) > limit:
+        if not relabel:
+            return None
+        [(ea, eb)] = arrays
+        box = _relabel(ea, eb, ea.max(axis=1), eb.max(axis=1), limit)
         if box is None:
             return None
         ea, eb, dims, layout = box
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    w = (bound.bit_length() + 2 + 63) // 64
-    ia = np.ravel_multi_index(ea, dims)
-    ib = np.ravel_multi_index(eb, dims)
-    del ea, eb
-    nslots = int(ia.max() + ib.max()) + 1
-    product = _pack(ia, list(a.values()), w) * _pack(ib, list(b.values()), w)
-    buf = product.to_bytes(8 * w * nslots, "little", signed=True)
-    del product  # hold one copy of the product while decoding
-    return _unpack(buf, w, dims, layout, lo_a + lo_b)
+        arrays = [(ea, eb)]
+        shifts = [0]  # a single product's origin is the box's
+    else:
+        shifts = [int(np.ravel_multi_index(tuple(lo_a + lo_b - origin), dims)) for lo_a, lo_b in lows]
+    bound = sum(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) for a, b in pairs)
+    width = (bound.bit_length() + 2 + 7) // 8
+    total = nslots = 0
+    for (a, b), (ea, eb), shift in zip(pairs, arrays, shifts):
+        ia, ib = np.ravel_multi_index(ea, dims), np.ravel_multi_index(eb, dims)
+        nslots = max(nslots, shift + int(ia.max() + ib.max()) + 1)
+        total += (_pack(ia, list(a.values()), width) * _pack(ib, list(b.values()), width)) << (8 * width * shift)
+    del arrays, ea, eb
+    buf = total.to_bytes(width * nslots, "little", signed=True)
+    del total  # hold one copy of the sum while decoding
+    return _unpack(buf, width, dims, layout, origin)
 
 
 # A layout maps each box coordinate back to exponents: its digit is the value
@@ -466,16 +490,29 @@ def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarra
     return ca, cb, dims + sides, layout
 
 
-def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:
-    """The integer sum of coefs[i] * 2**(64*w*index[i]), built from its bytes.
+def _pack(index: np.ndarray, coefs: list[int], width: int) -> int:
+    """The integer sum of coefs[i] * 2**(8*width*index[i]), built from its bytes.
 
     The bytes hold balanced digits: a slot above a negative coefficient
     carries a borrow of one, so empty slots there are all ones and a term's
     slot holds its coefficient minus one.  Read as one signed little-endian
-    integer, the bytes are the exact signed sum.
+    integer, the bytes are the exact signed sum.  When every coefficient
+    lies within ±2**62, each digit fits in int64 and NumPy builds the slots;
+    otherwise a loop over the terms does.
     """
+    try:
+        values = np.array(coefs, dtype=np.int64)
+    except OverflowError:
+        values = None
+    if values is not None and -(1 << 62) <= values.min() and values.max() <= 1 << 62:
+        digits = np.zeros(int(index.max()) + 1, dtype="<i8")
+        digits[index] = values
+        # the sign of the last nonzero slot at or below each slot; slot 0 when none is
+        last = np.maximum.accumulate(np.where(digits != 0, np.arange(len(digits)), 0))
+        digits[1:] -= digits[last[:-1]] < 0
+        raw = _resize_slots(digits.view(np.uint8).reshape(-1, 8), width)
+        return int.from_bytes(raw.tobytes(), "little", signed=True)
     order = np.argsort(index)
-    width = 8 * w
     gaps = ((np.diff(index[order], prepend=-1) - 1) * width).tolist()
     pieces = []
     borrow = False
@@ -487,34 +524,46 @@ def _pack(index: np.ndarray, coefs: list[int], w: int) -> int:
     return int.from_bytes(b"".join(pieces), "little", signed=True)
 
 
-def _unpack(buf: bytes, w: int, dims: list[int], layout: list, lo: np.ndarray) -> Terms:
-    """Terms of a packed product, given as signed little-endian bytes.
+def _resize_slots(raw: np.ndarray, width: int) -> np.ndarray:
+    """Rows of little-endian two's-complement bytes, cut or sign-extended to ``width`` bytes.
+
+    Cutting keeps the value only when it fits in ``width`` bytes, as every
+    slot's digit does.
+    """
+    if width <= raw.shape[1]:
+        return raw[:, :width]
+    fill = np.where(raw[:, -1:] >> 7, 0xFF, 0).astype(np.uint8)
+    return np.hstack([raw, np.repeat(fill, width - raw.shape[1], axis=1)])
+
+
+def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarray) -> Terms:
+    """Terms of a packed integer with ``width``-byte slots, given as signed little-endian bytes.
 
     A slot's coefficient is its signed value plus one when the slot below it
     is negative, because the guard bits keep every partial sum below a slot
-    under half that slot's weight.  A slot's box coordinates map back to
-    exponents through ``layout`` (see ``_relabel``), plus ``lo``.
+    under half that slot's weight.  Slots of at most 8 bytes are read as
+    sign-extended int64, wider ones one by one.  A slot's box coordinates map
+    back to exponents through ``layout`` (see ``_relabel``), plus ``lo``.
     """
-    words = np.frombuffer(buf, dtype=np.int64).reshape(-1, w)
-    borrow = np.zeros(len(words), dtype=np.int8)
-    borrow[1:] = words[:-1, -1] < 0
-    # a zero coefficient is a slot whose words all equal minus its borrow
-    nonzero = np.flatnonzero((words != -borrow[:, None]).any(axis=1))
+    slots = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    borrow = np.zeros(len(slots), dtype=np.uint8)
+    borrow[1:] = slots[:-1, -1] >> 7
+    # a zero coefficient is a slot whose bytes all equal minus its borrow
+    nonzero = np.flatnonzero((slots != borrow[:, None] * np.uint8(0xFF)).any(axis=1))
     out: Terms = {}
-    width = 8 * w
     view = memoryview(buf)
     for start in range(0, len(nonzero), _DECODE_CHUNK):
-        slots = nonzero[start:start + _DECODE_CHUNK]
+        chunk = nonzero[start:start + _DECODE_CHUNK]
         columns = [repeat(low) for low in lo.tolist()]  # constant unless a coordinate covers it
-        for digits, (rows, table) in zip(np.unravel_index(slots, dims), layout):
+        for digits, (rows, table) in zip(np.unravel_index(chunk, dims), layout):
             for row, values in zip(rows, [digits] if table is None else table[:, digits]):
                 columns[row] = (values + lo[row]).tolist()
-        if w == 1:
-            coefs = (words[slots, 0] + borrow[slots]).tolist()
+        if width <= 8:
+            coefs = (_resize_slots(slots[chunk], 8).view("<i8")[:, 0] + borrow[chunk]).tolist()
         else:
             coefs = [
                 int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
-                for k, t in zip(slots.tolist(), borrow[slots].tolist())
+                for k, t in zip(chunk.tolist(), borrow[chunk].tolist())
             ]
         out.update(zip(zip(*columns), coefs))
     return out

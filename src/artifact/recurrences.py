@@ -17,6 +17,7 @@ from .polynomials import (
     one_minus,
     qbinom,
     qint,
+    sum_of_products,
 )
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "classic_plus_B",
     "reiner_poly",
     "reiner_recurrence_rhs",
+    "reciprocal_exponents",
     "reciprocal_transform",
 ]
 
@@ -110,11 +112,11 @@ def recur_B(n: int) -> LaurentPoly:
         return LaurentPoly.one()
     oms = one_minus("s")
     omt = one_minus("t")
-    total = omt ** (n // 2) * oms ** ((n + 1) // 2)
+    pairs = [(omt ** (n // 2) * oms ** ((n + 1) // 2), _ONE)]
     for size in range(1, n + 1):
         marker, es, et = _block(n, size)
-        total = total + marker * omt**et * oms**es * c_coeff(n, size) * recur_B(n - size)
-    return total
+        pairs.append((marker * omt**et * oms**es * c_coeff(n, size), recur_B(n - size)))
+    return sum_of_products(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +134,15 @@ def recur_D(n: int) -> LaurentPoly:
     pd = pd_product(n)
     k = n // 2
     head = oms ** ((n - 1) // 2)  # the s factor of the three leading terms
-    total = omt ** (k + 1) * head
-    total = total + 2 * _T * omt**k * head * pd
-    total = total + _T * _T * omt ** (k - 1) * head * qint(n) * pd
+    pairs = [
+        (omt ** (k + 1) * head, _ONE),
+        (2 * _T * omt**k * head, pd),
+        (_T * _T * omt ** (k - 1) * head * qint(n), pd),
+    ]
     for size in range(1, n - 1):
         marker, es, et = _block(n, size)
-        total = total + marker * omt**et * oms**es * cd_coeff(n, size) * recur_D(n - size)
-    return total
+        pairs.append((marker * omt**et * oms**es * cd_coeff(n, size), recur_D(n - size)))
+    return sum_of_products(pairs)
 
 
 def recurrence_poly(family: str, n: int) -> LaurentPoly:
@@ -163,11 +167,11 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 1, got {n}")
     sm1 = _S - _ONE
     tm1 = _T - _ONE
-    total = LaurentPoly.zero()
+    pairs = []
     for size in range(1, n + 1):
         _, es, et = _block(n, size)
-        total = total + _qpow(comb(size, 2)) * qbinom(n, size) * base(n - size) * sm1**es * tm1**et
-    return total
+        pairs.append((_qpow(comb(size, 2)) * qbinom(n, size) * sm1**es * tm1**et, base(n - size)))
+    return sum_of_products(pairs)
 
 
 @lru_cache(maxsize=None)
@@ -213,14 +217,18 @@ def reiner_recurrence_rhs(n: int, polys: Callable[[int], LaurentPoly] = reiner_p
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     omt = one_minus("t")
-    total = omt ** (n + 1)
+    pairs = [(omt ** (n + 1), _ONE)]
     for k in range(n + 1):
-        total = total + _T * polys(n - k) * omt**k * c_coeff(n, k)
-    return total
+        pairs.append((_T * omt**k * c_coeff(n, k), polys(n - k)))
+    return sum_of_products(pairs)
 
 
-def _reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
-    """(q power, s power, t power) prefactor exponents for the reciprocity laws."""
+def reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
+    """(q power, s power, t power) prefactor exponents for the reciprocity laws.
+
+    They are also the constant sums of inv, edes and odes over a word and its
+    entrywise negation, which the sign-flip laws state.
+    """
     if family == "B":
         return n * n, (n + 1) // 2, n // 2
     if family == "D":
@@ -235,7 +243,7 @@ def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     It maps the positive-last-entry polynomial to the negative-last-entry one,
     and the full-group polynomial to itself.
     """
-    qpow, spow, tpow = _reciprocal_exponents(family, n)
+    qpow, spow, tpow = reciprocal_exponents(family, n)
     flipped = (
         poly.substitute("s", "reciprocal")
         .substitute("t", "reciprocal")

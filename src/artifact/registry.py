@@ -62,6 +62,7 @@ from .recurrences import (
     cd_coeff,
     classic_plus_B,
     hyatt_plus,
+    reciprocal_exponents,
     reciprocal_transform,
     recur_B,
     recur_D,
@@ -216,8 +217,14 @@ class _Family:
     ladder: str  # the bounded-descent classes
 
 
-_B = _Family("B", 1, lambda n: (n * n, n // 2, (n + 1) // 2), c_coeff, poly_lemma21_sum, "G")
-_D = _Family("D", 2, lambda n: (n * (n - 1), n // 2 + 1, (n - 1) // 2), cd_coeff, poly_lemma31_sum, "H")
+def _flip_sums(family: str, n: int) -> tuple[int, int, int]:
+    """The sign flip's constant inv, odes and edes sums: the reciprocity prefactor's q, t and s powers."""
+    qpow, spow, tpow = reciprocal_exponents(family, n)
+    return qpow, tpow, spow
+
+
+_B = _Family("B", 1, partial(_flip_sums, "B"), c_coeff, poly_lemma21_sum, "G")
+_D = _Family("D", 2, partial(_flip_sums, "D"), cd_coeff, poly_lemma31_sum, "H")
 
 
 # Words per array in the sweeps over group words; a batch of fixed-prefix

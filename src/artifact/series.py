@@ -79,12 +79,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def first_nonzero(self) -> int | None:
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return n
-        return None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

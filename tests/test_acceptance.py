@@ -9,19 +9,13 @@ import json
 import math
 import time
 
-from artifact.bijections import (
-    iterate_descending_suffix,
-    map_f,
-    map_fD,
-    map_fpp,
-    plain_subsets,
-    signed_subsets,
-)
+from artifact.bijections import map_f, map_fD, map_fpp, signed_subsets
 from artifact.cli import main
 from artifact.enumeration import poly_group
 from artifact.permutations import iterate_group
 from artifact.recurrences import hyatt_plus, classic_plus_B, recur_B, recur_D
 from artifact.registry import clear_cache, run_check
+from oracles import iterate_descending_suffix, plain_subsets
 
 SERIES_CHECK_IDS = (
     "typeB-biv-even",
@@ -203,6 +197,21 @@ def test_09_fixed_prefix_and_sign_flip_sweeps_within_budget():
         assert elapsed < 2.0, f"{cid} took {elapsed:.1f}s"
     announce("fixed-prefix insertion sums, sign-flip laws, power relations "
              "and snake counts at default ranks")
+
+
+def test_10_recurrence_and_subset_expansion_agree_at_rank_16_within_budget(capsys):
+    """``compare --methods recurrence,hyatt`` at rank 16, for B and for D, from cold
+    recurrence caches; each took 1.2-1.8 s on a 2-core host."""
+    for group in ("B", "D"):
+        recur_B.cache_clear()
+        recur_D.cache_clear()
+        started = time.perf_counter()
+        code = main(["compare", "--group", group, "--n", "16", "--methods", "recurrence,hyatt"])
+        elapsed = time.perf_counter() - started
+        out = capsys.readouterr().out
+        assert code == 0 and f"methods agree for {group}_16" in out, out
+        assert elapsed < 3.0, f"compare {group}_16 took {elapsed:.1f}s"
+    announce("recurrence == subset expansion at rank 16 for B and D, each under 3s")
 
 
 def test_machine_readable_reports_are_json_serializable():

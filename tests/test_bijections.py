@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from artifact.bijections import (
-    iterate_descending_suffix,
     juxtapose_array,
     map_f,
     map_fD,
-    map_fD_inverse,
-    map_f_inverse,
     map_fpp,
-    map_fpp_inverse,
-    plain_subsets,
     poly_lemma21_sum,
     poly_lemma31_sum,
     relabel,
@@ -24,6 +19,13 @@ from artifact.bijections import (
 from artifact.permutations import in_type_d, inv_B, iterate_group
 from artifact.polynomials import LaurentPoly, qbinom, qint
 from artifact.recurrences import c_coeff, cd_coeff
+from oracles import (
+    iterate_descending_suffix,
+    map_f_inverse,
+    map_fD_inverse,
+    map_fpp_inverse,
+    plain_subsets,
+)
 
 Q = LaurentPoly.variable("q")
 

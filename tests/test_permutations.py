@@ -26,9 +26,7 @@ from artifact.permutations import (
     in_type_d,
     inv_A,
     inv_B,
-    inv_B_definitional,
     inv_D,
-    inv_D_definitional,
     is_snake,
     iterate_group,
     negative_count,
@@ -39,6 +37,7 @@ from artifact.permutations import (
     validate_word,
     word_arrays,
 )
+from oracles import inv_B_definitional, inv_D_definitional
 
 
 # ---------------------------------------------------------------------------

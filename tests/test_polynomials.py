@@ -5,6 +5,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 import pytest
 
 import artifact.polynomials as polynomials
@@ -14,6 +15,7 @@ from artifact.polynomials import (
     VARIABLES,
     LaurentPoly,
     _kronecker_product,
+    _kronecker_sum,
     _schoolbook_product,
     cyclotomic,
     cyclotomic_factors,
@@ -24,6 +26,7 @@ from artifact.polynomials import (
     qbinom,
     qfact,
     qint,
+    sum_of_products,
 )
 
 S = LaurentPoly.variable("s")
@@ -288,7 +291,7 @@ def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypa
     """The shape of a QFraction sum: a numerator in q, s0, s1, t0, t1 times [2]_q...[10]_q."""
     num = poly_group("B", 5, "fivevar")
     den = poincare("B", 5)
-    assert num.variables_used() == ("q", "s0", "s1", "t0", "t1")
+    assert {VARIABLES[j] for exp in num.terms for j, e in enumerate(exp) if e} == {"q", "s0", "s1", "t0", "t1"}
     assert _kronecker_product(num.terms, den.terms, relabel=False) is None
     expected = _schoolbook_product(num.terms, den.terms)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
@@ -347,6 +350,112 @@ def test_large_dense_product_takes_the_kernel(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# sums of products in one shared box, and the byte-wide slots
+# ---------------------------------------------------------------------------
+@st.composite
+def product_sums(draw):
+    """Zero to four pairs for ``sum_of_products``.
+
+    Every operand fills a box of one to four exponents in the same one to
+    three variables.  The first operand of a pair sits anywhere; the second
+    puts its pair's product within one step of a common origin, so the
+    shared box stays dense.  Then, at random: one pair's second operand
+    becomes a single term; a pair spread 1000 apart in a spread variable
+    makes the box too sparse for the kernel; and every pair is repeated
+    with its first operand negated, so the sum cancels to zero.
+    """
+    spread = draw(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3, unique=True))
+    origin = draw(st.lists(st.integers(-5, 5), min_size=NVARS, max_size=NVARS))
+
+    def operand(offset, most):
+        sizes = [draw(st.integers(1, most)) for _ in spread]
+        terms = {}
+        for point in range(math.prod(sizes)):
+            exp = list(offset)
+            for var, size in zip(spread, sizes):
+                point, digit = divmod(point, size)
+                exp[var] += digit
+            terms[tuple(exp)] = draw(coefficients)
+        return LaurentPoly(terms)
+
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        offset = draw(st.lists(st.integers(-5, 5), min_size=NVARS, max_size=NVARS))
+        jitter = [draw(st.integers(0, 1)) if var in spread else 0 for var in range(NVARS)]
+        shifted = [o - a + j for o, a, j in zip(origin, offset, jitter)]
+        pairs.append((operand(offset, 4), operand(shifted, 4)))
+    if pairs and draw(st.booleans()):
+        a, b = pairs[0]
+        pairs[0] = (a, LaurentPoly({next(iter(b.terms)): draw(coefficients)}))
+    if pairs and draw(st.booleans()):
+        far = LaurentPoly.variable(VARIABLES[spread[0]], 1000)
+        pairs.append((pairs[0][0], (1 + far) * pairs[0][1]))
+    if draw(st.booleans()):
+        pairs += [(-a, b) for a, b in pairs]
+    return pairs
+
+
+def _schoolbook_sum(pairs):
+    total = LaurentPoly.zero()
+    for a, b in pairs:
+        product = LaurentPoly.__new__(LaurentPoly)
+        product.terms = _schoolbook_product(a.terms, b.terms)
+        total = total + product
+    return total.terms
+
+
+@given(product_sums())
+@settings(max_examples=300, deadline=None)
+def test_sum_of_products_matches_schoolbook(pairs):
+    expected = _schoolbook_sum(pairs)
+    out = _kronecker_sum([(a.terms, b.terms) for a, b in pairs])
+    assert out is None or out == expected  # None: the box is too sparse
+    assert out is None or all(out.values())
+    assert sum_of_products(pairs).terms == expected
+
+
+def test_sum_of_products_takes_one_kernel_call_or_the_operators(monkeypatch):
+    """A recurrence-shaped sum packs once; a sparse one multiplies pair by pair."""
+    pairs = [((1 - S) ** k * (1 + T) * qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20)) for k in range(6)]
+    assert sum(len(a.terms) * len(b.terms) for a, b in pairs) >= polynomials._KRONECKER_MIN_PAIRS
+    expected = _schoolbook_sum(pairs)
+    calls = []
+    kernel = polynomials._kronecker_sum
+    monkeypatch.setattr(polynomials, "_kronecker_sum", lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
+    assert sum_of_products(pairs).terms == expected
+    assert len(calls) == 1
+    sparse = pairs + [(LaurentPoly.monomial(1, s=10**6), pairs[0][1])]
+    monkeypatch.undo()
+    assert _kronecker_sum([(a.terms, b.terms) for a, b in sparse]) is None
+    assert sum_of_products(sparse).terms == _schoolbook_sum(sparse)
+    assert sum_of_products([]) == LaurentPoly.zero()
+
+
+_INT64_EDGES = [-(2**63), 2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 1, -1]
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+@pytest.mark.parametrize("int64_min", [False, True])
+def test_pack_round_trips_at_every_slot_width(width, int64_min):
+    """Every coefficient a ``width``-byte slot holds with its guard bits comes back.
+
+    Without -2**63 every coefficient lies within ±2**62, so NumPy packs them;
+    with it, the per-term loop does.
+    """
+    most = 2 ** (8 * width - 2) - 1
+    edges = [c for c in _INT64_EDGES if abs(c) <= most and (int64_min or c != -(2**63))]
+    coefs = edges + [most, -most] + [-c for c in reversed(edges)] + [-most, most, -1]
+    index = np.array([3 * i // 2 for i in range(len(coefs))], dtype=np.int64)  # some slots stay empty
+    packed = polynomials._pack(index, coefs, width)
+    assert packed == sum(c * 2 ** (8 * width * int(k)) for c, k in zip(coefs, index))
+    nslots = int(index.max()) + 1
+    buf = packed.to_bytes(width * nslots, "little", signed=True)
+    out = polynomials._unpack(buf, width, [nslots], [([0], None)], np.zeros(NVARS, dtype=np.int64))
+    assert out == {(int(k),) + (0,) * (NVARS - 1): c for c, k in zip(coefs, index)}
+
+
+# ---------------------------------------------------------------------------
 # pinned arithmetic values
 # ---------------------------------------------------------------------------
 def test_binomial_square():
@@ -372,7 +481,7 @@ def test_negation_substitution():
 
 def test_value_substitution_keeps_exactness():
     p = (1 + S * Q) ** 3
-    assert p.subs_values({"s": 1, "q": 1}).integer_value() == 8
+    assert p.subs_values({"s": 1, "q": 1}) == 8
 
 
 def test_rename_variables_merges_terms():
@@ -414,8 +523,7 @@ def test_qbinom_pascal_recurrence(n, k):
 @given(st.integers(0, 10), st.integers(0, 10))
 @settings(max_examples=60)
 def test_qbinom_counts_at_q_one(n, k):
-    value = qbinom(n, k).subs_values({"q": 1}).integer_value()
-    assert value == (math.comb(n, k) if k <= n else 0)
+    assert qbinom(n, k).subs_values({"q": 1}) == (math.comb(n, k) if k <= n else 0)
 
 
 def test_poincare_pinned_values():
@@ -446,11 +554,11 @@ def test_poincare_products():
 
 def test_poincare_group_orders_at_q_one():
     for n in range(9):
-        assert poincare("A", n).subs_values({"q": 1}).integer_value() == math.factorial(n)
-        assert poincare("B", n).subs_values({"q": 1}).integer_value() == 2**n * math.factorial(n)
+        assert poincare("A", n).subs_values({"q": 1}) == math.factorial(n)
+        assert poincare("B", n).subs_values({"q": 1}) == 2**n * math.factorial(n)
         if n >= 1:
             order = 2 ** (n - 1) * math.factorial(n)
-            assert poincare("D", n).subs_values({"q": 1}).integer_value() == order
+            assert poincare("D", n).subs_values({"q": 1}) == order
 
 
 # ---------------------------------------------------------------------------

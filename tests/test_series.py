@@ -28,7 +28,7 @@ def test_constructors_and_coefficients():
     assert one.coefficient(0) == QFraction.one()
     assert all(one.coefficient(n).is_zero for n in range(1, 5))
     u3 = TruncatedSeries.u_power(3, 4)
-    assert u3.first_nonzero() == 3
+    assert [n for n in range(5) if not u3.coefficient(n).is_zero] == [3]
     assert TruncatedSeries.zero(2).is_zero
     with pytest.raises(ValueError):
         TruncatedSeries.u_power(5, 4)
@@ -241,7 +241,7 @@ def _eager_report(lhs, num, den, clear=1):
     residual = lhs * den - num
     if not (isinstance(clear, int) and clear == 1):
         residual = residual * QFraction.coerce(clear)
-    n = residual.first_nonzero()
+    n = next((k for k, c in enumerate(residual.coeffs) if not c.is_zero), None)
     if n is None:
         return {"status": "pass", "order": residual.order}
     return {

@@ -396,12 +396,7 @@ def product_sums(draw):
 
 
 def _schoolbook_sum(pairs):
-    total = LaurentPoly.zero()
-    for a, b in pairs:
-        product = LaurentPoly.__new__(LaurentPoly)
-        product.terms = _schoolbook_product(a.terms, b.terms)
-        total = total + product
-    return total.terms
+    return sum((LaurentPoly(_schoolbook_product(a.terms, b.terms)) for a, b in pairs), LaurentPoly.zero()).terms
 
 
 @given(product_sums())

@@ -95,15 +95,7 @@ def _print_poly(poly: LaurentPoly, fmt: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        poly = poly_group(args.group, args.n, weight=args.weight, i=args.i)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_poly(poly, args.format)
+    _print_poly(poly_group(args.group, args.n, weight=args.weight, i=args.i), args.format)
     return 0
 
 
@@ -133,17 +125,10 @@ def _cmd_check(args) -> int:
         print("known ids: " + ", ".join(CHECK_IDS), file=sys.stderr)
         return 2
     started = time.perf_counter()
-    try:
-        if args.check_id is not None:
-            reports = [run_check(args.check_id, order=args.order, max_n=args.max_n)]
-        else:
-            reports = run_all(order=args.order, max_n=args.max_n)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.check_id is not None:
+        reports = [run_check(args.check_id, order=args.order, max_n=args.max_n)]
+    else:
+        reports = run_all(order=args.order, max_n=args.max_n)
     elapsed = time.perf_counter() - started
     if args.format == "json":
         print(json.dumps(reports, indent=2))
@@ -180,14 +165,7 @@ def _cmd_compare(args) -> int:
     polys = {}
     for method in methods:
         started = time.perf_counter()
-        try:
-            polys[method] = _compare_method(method, args.group, args.n)
-        except BoundExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        polys[method] = _compare_method(method, args.group, args.n)
         elapsed = time.perf_counter() - started
         print(f"{method}: {elapsed:.3f}s", file=sys.stderr)
     base = methods[0]
@@ -204,11 +182,12 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_compare(args)
+    command = {"enumerate": _cmd_enumerate, "check": _cmd_check, "compare": _cmd_compare}
+    try:
+        return command[args.command](args)
+    except ValueError as exc:  # BoundExceeded is a ValueError with its own exit code
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, BoundExceeded) else 2
 
 
 if __name__ == "__main__":

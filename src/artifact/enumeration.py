@@ -20,7 +20,7 @@ direct route so they stay non-circular.
 from __future__ import annotations
 
 import os
-from collections import Counter
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -88,19 +88,24 @@ def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
     raise ValueError(f"unknown weight {weight!r}")
 
 
+def add_counts(totals: dict[tuple[int, ...], int], keys: np.ndarray) -> None:
+    """Add the multiplicity of each column of a nonnegative key array to ``totals``."""
+    dims = tuple((keys.max(axis=1) + 1).tolist())
+    counts = np.bincount(np.ravel_multi_index(keys, dims))
+    seen = np.flatnonzero(counts)
+    for key, count in zip(zip(*(a.tolist() for a in np.unravel_index(seen, dims))), counts[seen].tolist()):
+        totals[key] = totals.get(key, 0) + count
+
+
 def poly_group_python(
     group: str, n: int, weight: str, i: int | None = None
 ) -> LaurentPoly:
     """The direct route: statistics compared row by row over blocks of the family's words."""
-    dims = (n + 1,) * 4 + (n * n + 1,)  # every statistic is at most n, inv at most n^2
-    totals: Counter[int] = Counter()
+    totals: dict[tuple[int, ...], int] = {}
     for words in word_arrays(group, n, _BLOCK_WORDS, i):
-        keys, counts = np.unique(np.ravel_multi_index(array_stats(words, FLAVOR[group]), dims),
-                                 return_counts=True)
-        totals.update(dict(zip(keys.tolist(), counts.tolist())))
-    stats = np.unravel_index(np.array(list(totals), dtype=np.int64), dims)
+        add_counts(totals, array_stats(words, FLAVOR[group]))
     terms: dict[tuple[int, ...], int] = {}
-    for vector, count in zip(zip(*(column.tolist() for column in stats)), totals.values()):
+    for vector, count in totals.items():
         exp = _exponent(StatVector(*vector), weight)
         terms[exp] = terms.get(exp, 0) + count
     return LaurentPoly(terms)
@@ -211,7 +216,9 @@ def _chunk_histogram(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
     return np.bincount(key.ravel(), minlength=bins << (n + 1)).astype(np.int64)
 
 
+@cache
 def _histogram(flavor: str, n: int) -> np.ndarray:
+    """The whole-group histogram of a flavor and rank; memoized, so read-only."""
     nsigns = len(_sign_codes(flavor, n))
     # the word budget alone would allow 26 sign patterns per chunk at B8; the
     # // 32 term caps that at 8, which keeps the sweep's peak memory low
@@ -224,7 +231,12 @@ def _histogram(flavor: str, n: int) -> np.ndarray:
         # (B8 took 0.25 s instead of 0.15 s, with six times the page faults)
         part = _chunk_histogram(flavor, n, lo, min(lo + chunk, nsigns))
         total += part
+    total.flags.writeable = False
     return total
+
+
+# registry.clear_cache drops the histograms along with its polynomials
+clear_histograms = _histogram.cache_clear
 
 
 def _position_bits(flavor: str, n: int) -> tuple[int, int]:

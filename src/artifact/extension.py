@@ -16,7 +16,6 @@ numerator is ever divided by a polynomial.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Mapping
@@ -121,11 +120,7 @@ class ExtElement:
         out = dict(self.parts)
         for mask, poly in other.parts.items():
             acc = out.get(mask)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero:
-                out.pop(mask, None)
-            else:
-                out[mask] = acc
+            out[mask] = poly if acc is None else acc + poly
         return ExtElement(out)
 
     __radd__ = __add__
@@ -158,22 +153,10 @@ class ExtElement:
                     bit += 1
                 mask = m1 ^ m2
                 acc = out.get(mask)
-                acc = poly if acc is None else acc + poly
-                if acc.is_zero:
-                    out.pop(mask, None)
-                else:
-                    out[mask] = acc
+                out[mask] = poly if acc is None else acc + poly
         return ExtElement(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "ExtElement":
-        if power < 0:
-            raise ValueError("negative extension powers are not defined")
-        result = ExtElement.one()
-        for _ in range(power):
-            result = result * self
-        return result
 
     def divide_by_generator(self, name: str) -> "ExtElement":
         """Exact division by a generator: every component must carry it."""
@@ -221,15 +204,6 @@ def _is_q_only(poly: LaurentPoly) -> bool:
     return all(
         all(e == 0 for i, e in enumerate(exp) if i != 2) for exp in poly.terms
     )
-
-
-def _int_content(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g or 1
 
 
 # A denominator is held as its positive integer content times a product of
@@ -315,7 +289,7 @@ class QFraction:
 
     def _assign(self, num: ExtElement, content: int, fac: Factors, path: Factors) -> None:
         if content > 1:
-            g = _int_content(chain((content,), (c for p in num.parts.values() for c in p.terms.values())))
+            g = gcd(content, *(c for p in num.parts.values() for c in p.terms.values()))
             if g > 1:
                 num = ExtElement(
                     {

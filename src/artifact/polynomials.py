@@ -25,6 +25,16 @@ def _var_index(name: str) -> int:
         return _VAR_INDEX[name]
     except KeyError:
         raise ValueError(f"unknown variable {name!r}; choose from {VARIABLES}") from None
+
+
+def _exp_of(powers: Mapping[str, int]) -> tuple[int, ...]:
+    """The exponent tuple of the monomial with these variable powers."""
+    exp = [0] * NVARS
+    for name, power in powers.items():
+        exp[_var_index(name)] = power
+    return tuple(exp)
+
+
 _ZERO_EXP = (0,) * NVARS
 
 
@@ -67,16 +77,11 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, name: str, power: int = 1, coef: int = 1) -> "LaurentPoly":
-        exp = [0] * NVARS
-        exp[_var_index(name)] = power
-        return cls({tuple(exp): coef})
+        return cls.monomial(coef, **{name: power})
 
     @classmethod
     def monomial(cls, coef: int = 1, **powers: int) -> "LaurentPoly":
-        exp = [0] * NVARS
-        for name, power in powers.items():
-            exp[_var_index(name)] = power
-        return cls({tuple(exp): coef})
+        return cls({_exp_of(powers): coef})
 
     # ------------------------------------------------------------------
     # ring structure
@@ -208,11 +213,7 @@ class LaurentPoly:
                 new = list(exp)
                 new[idx] = 0
                 key = tuple(new)
-                acc = out.get(key, 0) + scaled
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + scaled
             return LaurentPoly(out)
         raise ValueError(f"unknown substitution mode {mode!r}")
 
@@ -236,18 +237,11 @@ class LaurentPoly:
             for a, b in src:
                 new[b] += exp[a]
             key = tuple(new)
-            acc = out.get(key, 0) + coef
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coef
         return LaurentPoly(out)
 
     def coefficient(self, **powers: int) -> int:
-        exp = [0] * NVARS
-        for name, power in powers.items():
-            exp[_var_index(name)] = power
-        return self.terms.get(tuple(exp), 0)
+        return self.terms.get(_exp_of(powers), 0)
 
     # ------------------------------------------------------------------
     # canonical presentation
@@ -261,18 +255,13 @@ class LaurentPoly:
             return "0"
         pieces: list[str] = []
         for exp, coef in self.sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(VARIABLES, exp)
-                if e
-            ]
-            mag = abs(coef)
-            if not factors:
+            name, mag = monomial_name(exp), abs(coef)
+            if name == "1":
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = name
             else:
-                body = "*".join([str(mag)] + factors)
+                body = f"{mag}*{name}"
             if not pieces:
                 pieces.append(body if coef > 0 else f"-{body}")
             else:

@@ -44,6 +44,13 @@ def _qpow(power: int) -> LaurentPoly:
     return LaurentPoly.variable("q", power)
 
 
+def _times_one_plus_q(poly: LaurentPoly, powers: range) -> LaurentPoly:
+    """``poly * prod_{i in powers} (1 + q^i)``."""
+    for i in powers:
+        poly = poly * (_ONE + _qpow(i))
+    return poly
+
+
 @lru_cache(maxsize=None)
 def c_coeff(n: int, j: int) -> LaurentPoly:
     """``qbinom(n, j) * prod_{x=0}^{j-1} (1 + q^{n-x})``.
@@ -52,10 +59,7 @@ def c_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    out = qbinom(n, j)
-    for x in range(j):
-        out = out * (_ONE + _qpow(n - x))
-    return out
+    return _times_one_plus_q(qbinom(n, j), range(n, n - j, -1))
 
 
 @lru_cache(maxsize=None)
@@ -67,10 +71,7 @@ def cd_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    out = qbinom(n, j)
-    for i in range(n - j, n):
-        out = out * (_ONE + _qpow(i))
-    return out
+    return _times_one_plus_q(qbinom(n, j), range(n - j, n))
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +79,7 @@ def pd_product(n: int) -> LaurentPoly:
     """``prod_{i=1}^{n-1} (1 + q^i)``, the ratio ``D_n(1,q) / [n]_q!``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    out = LaurentPoly.one()
-    for i in range(1, n):
-        out = out * (_ONE + _qpow(i))
-    return out
+    return _times_one_plus_q(_ONE, range(1, n))
 
 
 def _block(n: int, size: int) -> tuple[LaurentPoly, int, int]:

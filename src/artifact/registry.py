@@ -32,7 +32,7 @@ from .bijections import (
     poly_lemma31_sum,
     signed_subsets,
 )
-from .enumeration import FLAVOR, check_bound, poly_group
+from .enumeration import FLAVOR, add_counts, check_bound, clear_histograms, poly_group
 from .extension import (
     GEN_I,
     GEN_LITTLE_M,
@@ -145,8 +145,9 @@ _POLY_CACHE: dict[tuple, LaurentPoly] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized brute-force polynomials (mainly for tests)."""
+    """Drop memoized brute-force polynomials and histograms (mainly for tests)."""
     _POLY_CACHE.clear()
+    clear_histograms()
 
 
 def _brute(group: str, n: int, weight: str = "biv", i: int | None = None,
@@ -203,6 +204,12 @@ def _reading_set(readings: list[tuple[str, bool, Callable[[], dict]]]) -> dict:
         if intended and rep["status"] != "pass":
             ok = False
     return {"status": "pass" if ok else "fail", "readings": reports}
+
+
+def _joint(**parts: dict) -> dict:
+    """A report of several parts, in order, that passes when every part passes."""
+    status = "pass" if all(part["status"] == "pass" for part in parts.values()) else "fail"
+    return {"status": status, **parts}
 
 
 @dataclass(frozen=True)
@@ -366,8 +373,7 @@ def _chk_b_biv_q1(order: int) -> dict:
         (_S + 1) * (GEN_M * sinh_h),
         den,
     )
-    status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-    return {"status": status, "even": even, "odd": odd}
+    return _joint(even=even, odd=odd)
 
 
 def _type_b_alt(parity: str, order: int) -> dict:
@@ -451,8 +457,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
         ("denominator-2t", True, with_den(2 * _T)),
         ("denominator-2s-literal", False, with_den(2 * _S)),
     ])
-    status = "pass" if combined["status"] == "pass" and sub["status"] == "pass" else "fail"
-    return {"status": status, "combined": combined, "single-parameter": sub}
+    return _joint(**{"combined": combined, "single-parameter": sub})
 
 
 @_register(
@@ -469,8 +474,7 @@ def _chk_b_fivevar(order: int) -> dict:
     lhs_odd = _egf("B", "fivevar", "odd", order)
     num_odd = GEN_LITTLE_M * ((_S0 * k["one"] - _T0 * k["coshq"]) * k["sinhX"] + _T0 * k["sinhq"] * k["coshX"])
     odd = verify_fraction_identity(lhs_odd, num_odd, den)
-    status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-    return {"status": status, "even": even, "odd": odd}
+    return _joint(even=even, odd=odd)
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +641,7 @@ def _corollary(check_id: str, fam: _Family, max_n: int) -> dict:
                     bad = _unequal_rows(inv - prefix_inv[:, None], closed)
                     if len(bad):
                         witness = "prefix " + format_word(prefixes[bad[0]].tolist())
-                _add_counts(totals, np.stack([np.repeat(edes, m), np.repeat(odes, m), inv.ravel()]))
+                add_counts(totals, np.stack([np.repeat(edes, m), np.repeat(odes, m), inv.ravel()]))
             weighted_total = LaurentPoly({(e, o, i, 0, 0, 0, 0): c for (e, o, i), c in totals.items()})
             identity_id = f"{check_id}[n={n},r={r}]"
             rhs = _brute(fam.name, n - r, "biv") * closed
@@ -662,15 +666,6 @@ def _unequal_rows(values: np.ndarray, closed: LaurentPoly) -> np.ndarray:
     for exp, coef in target.items():
         want[exp - lo] = coef
     return np.flatnonzero((counts != want).any(axis=1))
-
-
-def _add_counts(totals: dict[tuple[int, ...], int], keys: np.ndarray) -> None:
-    """Add the multiplicity of each column of a nonnegative key array to ``totals``."""
-    dims = tuple((keys.max(axis=1) + 1).tolist())
-    counts = np.bincount(np.ravel_multi_index(keys, dims))
-    seen = np.flatnonzero(counts)
-    for key, count in zip(zip(*(a.tolist() for a in np.unravel_index(seen, dims))), counts[seen].tolist()):
-        totals[key] = totals.get(key, 0) + count
 
 
 _register(
@@ -860,8 +855,7 @@ def _chk_d_fivevar(order: int) -> dict:
         even = verify_fraction_identity(lhs_even, num_e, den)
         num_o = o5 * (_S0 * one - _T0 * coshq) + e5 * ((_T0 * (_S1 - _T1)) * divm(sinhq))
         odd = verify_fraction_identity(lhs_odd, num_o, den)
-        st = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-        return {"status": st, "even": even, "odd": odd}
+        return _joint(even=even, odd=odd)
 
     def printed():
         # literal transcription with square roots of s0, s1; both sides are
@@ -880,8 +874,7 @@ def _chk_d_fivevar(order: int) -> dict:
         num_o = (_T1 * _S1) * (rr * (tod * (_S0 * one - _T0 * coshq))) \
             + (_T0 * (_S1 - _T1) * (_S0 - _T0) * _S0 * _S1 * _S1) * (ted * divm(sinhq))
         odd = verify_fraction_identity(lhs_odd * clear, num_o, den)
-        st = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-        return {"status": st, "even": even, "odd": odd}
+        return _joint(even=even, odd=odd)
 
     return _reading_set([
         ("derived", True, derived),
@@ -1047,8 +1040,7 @@ def _chk_snakes_d(order: int) -> dict:
         ("free-sines", True, odd_num(True)),
         ("literal-i-sines", False, odd_num(False)),
     ])
-    status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-    return {"status": status, "even": even, "odd": odd}
+    return _joint(even=even, odd=odd)
 
 
 def _rational_series_product(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

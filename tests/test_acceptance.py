@@ -41,6 +41,7 @@ def announce(label: str, elapsed: float | None = None) -> None:
 
 def test_01_type_b_recurrence_equals_brute_force_through_rank_8():
     """Closed recurrence vs exhaustive enumeration over all 10,321,920 words."""
+    clear_cache()
     started = time.perf_counter()
     for n in range(0, 9):
         assert recur_B(n) == poly_group("B", n, "biv", jobs=4), n
@@ -50,6 +51,7 @@ def test_01_type_b_recurrence_equals_brute_force_through_rank_8():
 
 
 def test_02_type_d_recurrence_equals_brute_force_through_rank_8():
+    clear_cache()
     started = time.perf_counter()
     for n in range(2, 9):
         assert recur_D(n) == poly_group("D", n, "biv", jobs=4), n

@@ -159,6 +159,21 @@ def test_compare_rejects_low_rank_closed_routes(capsys):
     assert "n >= 2" in err
 
 
+def test_compare_beyond_the_bound_exits_3(capsys, monkeypatch):
+    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # the default ceiling is rank 8
+    code, out, err = run_cli(capsys, "compare", "--group", "B", "--n", "9", "--methods", "brute")
+    assert code == 3
+    assert out == ""
+    assert "brute force over B at rank 9" in err
+
+
+def test_compare_negative_rank_exits_2(capsys):
+    code, out, err = run_cli(capsys, "compare", "--group", "B", "--n", "-1", "--methods", "recurrence")
+    assert code == 2
+    assert out == ""
+    assert "need n >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # argument and environment validation
 # ---------------------------------------------------------------------------

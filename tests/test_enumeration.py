@@ -243,6 +243,7 @@ def test_chunks_respect_the_word_budget(monkeypatch):
     monkeypatch.setattr(enumeration, "_CHUNK_WORDS", budget)
     for group, want in expected.items():
         words.clear()
+        enumeration.clear_histograms()
         assert poly_group(group, 7, "biv") == want
         assert max(words) <= budget
         assert sum(words) == work_estimate(group, 7) // (2 if group == "D" else 1)
@@ -251,8 +252,35 @@ def test_chunks_respect_the_word_budget(monkeypatch):
     # a budget below one sign pattern's words still runs, one pattern a chunk
     monkeypatch.setattr(enumeration, "_CHUNK_WORDS", 100)
     words.clear()
+    enumeration.clear_histograms()
     assert poly_group("B", 7, "biv") == expected["B"]
     assert set(words) == {math.factorial(7)} and len(words) == 2**7
+
+
+def test_histogram_is_computed_once_until_the_cache_is_cleared(monkeypatch):
+    import artifact.enumeration as enumeration
+    from artifact.registry import clear_cache
+
+    chunks = []
+    real = enumeration._chunk_histogram
+
+    def recording(flavor, n, lo, hi):
+        chunks.append((flavor, n))
+        return real(flavor, n, lo, hi)
+
+    monkeypatch.setattr(enumeration, "_chunk_histogram", recording)
+    clear_cache()
+    first = poly_group("D", 5, "biv")
+    computed = len(chunks)
+    assert computed > 0
+    assert poly_group("D+", 5, "q") == poly_group("D+", 5, "q", method="python")
+    assert poly_group("D", 5, "biv") == first
+    assert len(chunks) == computed  # every D_5 family reads the one histogram
+    with pytest.raises(ValueError, match="read-only"):
+        enumeration._histogram("D", 5)[0] = 1
+    clear_cache()
+    poly_group("D", 5, "biv")
+    assert len(chunks) == 2 * computed
 
 
 # ---------------------------------------------------------------------------

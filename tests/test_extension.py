@@ -1,5 +1,7 @@
 """Square-root extension elements and q-denominator fractions."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from artifact.extension import (
     ExtElement,
     QFraction,
     _expand,
-    _int_content,
     _is_q_only,
 )
 from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact, qint
@@ -43,6 +44,13 @@ def test_difference_of_squares_eliminates_generator():
     product = (a + b * GEN_M) * (a - b * GEN_M)
     expected = a * a - (b * b) * ExtElement.coerce(one_minus("s") * one_minus("t"))
     assert product == expected
+
+
+def test_cancelled_parts_are_not_stored():
+    x = ExtElement.coerce(1 + S * Q) + ExtElement.coerce(T) * GEN_M
+    assert (x + (-x)).parts == {}
+    assert (GEN_M * GEN_M - one_minus("s") * one_minus("t")).parts == {}
+    assert set(((1 + GEN_M) * (1 - GEN_M)).parts) == {0}  # the M parts cancel inside the product
 
 
 def test_mixed_generator_products_commute():
@@ -183,7 +191,7 @@ class CrossQFraction:
             num = -num
         coefs = [c for p in num.parts.values() for c in p.terms.values()]
         coefs.extend(den.terms.values())
-        content = _int_content(coefs)
+        content = math.gcd(*coefs)
         if content > 1:
             num = ExtElement(
                 {

@@ -102,6 +102,11 @@ def test_json_round_trip(a):
     assert LaurentPoly.from_json_dict(a.to_json_dict()) == a
 
 
+def test_substitutions_store_no_zero_term():
+    assert (S - T).rename_variables({"s": "t"}).terms == {}
+    assert (1 + Q).substitute("q", "value", -1).terms == {}
+
+
 # ---------------------------------------------------------------------------
 # the Kronecker product kernel against the schoolbook reference
 # ---------------------------------------------------------------------------

@@ -58,19 +58,21 @@ def test_recurrence_totals_are_poincare_series():
 
 # The first 16 hex digits of the sha256 of each polynomial's printed form, as
 # the even/odd-body recurrences printed it (ranks 0-16; ranks 15 and 16 as the
-# recurrences printed them before they summed their products in one packing);
-# a rewrite of the recurrences must keep every term and its printed order.
+# recurrences printed them before they summed their products in one packing;
+# ranks 17 and 18, whose sums take 9-byte slots, as the two-factor packing
+# printed them); a rewrite of the recurrences must keep every term and its
+# printed order.
 RECUR_DIGESTS = {
     "B": ["6b86b273ff34fce1", "3df05dbd84e3d9a7", "1d6742ec8cd8543e", "e7cd5ff53015d1b7",
           "4c72d6f1fba375f9", "7a57d06b76d74930", "6cd0cbe6caf2584f", "4f12b5e06f98c0f8",
           "8d03fa3d4b75a13e", "56ea2e23c13af91b", "273b40c27cb009b2", "e2809c4f07995de5",
           "6266caad7b73f18f", "ed6526afae166a22", "edb3f01e4576fdf1", "c17ea5047c56f23c",
-          "9f5af9ecf6b6c379"],
+          "9f5af9ecf6b6c379", "877a8a17147c3189", "ba640b0a4e771940"],
     "D": ["6b86b273ff34fce1", "6b86b273ff34fce1", "150195dddf6c19a2", "6fe17e4b15d82d59",
           "7b6152f281de53b8", "aaeb738df8679865", "8aefa1a956c748e5", "09218c644b682d1e",
           "5836a0c3297921ae", "af9be0a3ba3ee1be", "f6e001eede2b10f4", "428cc948e8ad54f6",
           "7ac85efa57c78f2c", "40b33f47b4a419ca", "4685d90eb6cde132", "d3be949b4f54a214",
-          "f4e50dd40b4201d7"],
+          "f4e50dd40b4201d7", "9a9007fd8b63de92", "fcf2e8ca8f7908d9"],
 }
 HYATT_DIGESTS = {  # ranks 1..12
     "B": ["6b86b273ff34fce1", "ea4c06e7beda9bb2", "5e9746d05b8215f9", "d6177427bd2898e5",
@@ -88,7 +90,7 @@ def digest(poly):
 
 @pytest.mark.parametrize("family", ["B", "D"])
 def test_recurrences_keep_their_pinned_digests(family):
-    assert [digest(recurrence_poly(family, n)) for n in range(17)] == RECUR_DIGESTS[family]
+    assert [digest(recurrence_poly(family, n)) for n in range(19)] == RECUR_DIGESTS[family]
     assert [digest(hyatt_plus(family, n)) for n in range(1, 13)] == HYATT_DIGESTS[family]
 
 

@@ -8,9 +8,10 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -304,14 +305,14 @@ Terms = dict[tuple[int, ...], int]
 
 # The Kronecker kernel runs on at least this many term pairs, and only when the
 # exponent box has at most _KRONECKER_FILL slots per operand term; a sum of
-# products counts the term pairs and operand terms of all its pairs, which
-# share one box.  Every other product takes the schoolbook loop, and so does
-# any single product with a one-term operand, which the loop shifts and scales
-# in one pass.  A single product whose box is too sparse may retry on a
-# relabelled box only with at least _RELABEL_MIN_PAIRS pairs and
-# _RELABEL_MIN_TERMS terms in each operand: below either, the schoolbook loop
-# measured faster.  Slots are whole bytes, as few as the coefficient bound of
-# the whole product or sum needs.
+# products counts the term pairs and operand terms of the first two factors of
+# all its products, which share one box.  Every other product takes the
+# schoolbook loop, and so does any single product with a one-term operand,
+# which the loop shifts and scales in one pass.  A single product whose box is
+# too sparse may retry on a relabelled box only with at least
+# _RELABEL_MIN_PAIRS pairs and _RELABEL_MIN_TERMS terms in each operand: below
+# either, the schoolbook loop measured faster.  Slots are whole bytes, as few
+# as the coefficient bound of the whole product or sum needs.
 _KRONECKER_MIN_PAIRS = 512
 _RELABEL_MIN_PAIRS = 1024
 _RELABEL_MIN_TERMS = 5
@@ -353,21 +354,23 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
     return flat.reshape(len(terms), NVARS).T
 
 
-def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """The sum of a * b over the pairs, with one Kronecker packing for all of them.
+def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
+    """The sum of the products of two or more factors, with one Kronecker packing for all of them.
 
     The products share one exponent box, so their packed integers add as
-    integers and the sum is decoded once.  When the pairs hold fewer than
-    _KRONECKER_MIN_PAIRS term pairs, or the kernel declines the box, the
-    sum is taken through the product and sum operators.
+    integers and the sum is decoded once.  In each product the first two
+    factors are multiplied as packed integers and every further factor is
+    applied by shifted adds, one per term.  When the first two factors hold
+    fewer than _KRONECKER_MIN_PAIRS term pairs in all, or the kernel
+    declines the box, the sum is taken through the product and sum operators.
     """
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    terms = [(a.terms, b.terms) for a, b in pairs]
+    products = [p for p in products if all(f.terms for f in p)]
+    terms = [tuple(f.terms for f in p) for p in products]
     out = None
-    if sum(len(a) * len(b) for a, b in terms) >= _KRONECKER_MIN_PAIRS:
+    if sum(len(a) * len(b) for a, b, *_ in terms) >= _KRONECKER_MIN_PAIRS:
         out = _kronecker_sum(terms)
     if out is None:
-        return sum((a * b for a, b in pairs), LaurentPoly.zero())
+        return sum((reduce(mul, p) for p in products), LaurentPoly.zero())
     result = LaurentPoly.__new__(LaurentPoly)
     result.terms = out
     return result
@@ -378,33 +381,43 @@ def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None
     return _kronecker_sum([(a, b)], relabel)
 
 
-def _kronecker_sum(pairs: list[tuple[Terms, Terms]], relabel: bool = False) -> Terms | None:
+def _kronecker_sum(products: list[tuple[Terms, ...]], relabel: bool = False) -> Terms | None:
     """Sum of products by Kronecker substitution, or None when the exponent box is sparse.
 
-    Every product lands in one shared box, which spans from the smallest
-    product origin to the largest product top.  Each exponent vector,
-    shifted by its operand's per-variable minimum, is a slot index in that
-    box (row-major, so the index of a sum is the sum of the indices), and
-    each packed product moves up by the slot index of its own origin.  Slots
-    are ``width`` bytes wide, with ``width`` sized so every coefficient of
-    the sum, plus two guard bits, fits in a slot: then the shifted
-    big-integer products add up to all coefficients at once.  When the
-    seven-variable box of a single product is too sparse and ``relabel`` is
-    set, the smaller box of ``_relabel`` is tried under the same limit.
+    Every product lands in one shared box, which spans from the smallest sum
+    of its factors' minima to the largest sum of their maxima.  Each exponent
+    vector, shifted by its factor's per-variable minimum, is a slot index in
+    that box (row-major, so the index of a sum is the sum of the indices),
+    and each packed product moves up by the slot index of its own minima's
+    sum.  The first two factors of a product are packed and multiplied; each
+    further factor f multiplies that integer by shifted adds, one per term.
+    Slots are ``width`` bytes wide, with ``width`` sized so every coefficient
+    of the sum, plus two guard bits, fits in a slot: then the shifted
+    big-integer products add up to all coefficients at once.  A coefficient
+    of a * b * f * ... is at most max|a| max|b| min(|a|, |b|) times, for each
+    further factor f, the sum of the absolute values of f's coefficients.
+    Only the final sum is decoded, so the integers in between need no bound.
+    The box may hold at most
+    _KRONECKER_FILL slots per term of the first two factors.  When the
+    seven-variable box of a single two-factor product is too sparse and
+    ``relabel`` is set, the smaller box of ``_relabel`` is tried under the
+    same limit.
     """
-    if not pairs:
+    if not products:
         return {}
-    arrays = [(_exponent_array(a), _exponent_array(b)) for a, b in pairs]
-    if any(e is None for pair in arrays for e in pair):
+    arrays = [[_exponent_array(f) for f in p] for p in products]
+    if any(e is None for es in arrays for e in es):
         return None
-    lows = [(ea.min(axis=1), eb.min(axis=1)) for ea, eb in arrays]
-    origin = np.min([lo_a + lo_b for lo_a, lo_b in lows], axis=0)
-    top = np.max([ea.max(axis=1) + eb.max(axis=1) for ea, eb in arrays], axis=0)
+    lows = [[e.min(axis=1) for e in es] for es in arrays]
+    highs = [[e.max(axis=1) for e in es] for es in arrays]
+    corners = [sum(lo[1:], lo[0]) for lo in lows]
+    origin = np.min(corners, axis=0)
+    top = np.max([sum(hi[1:], hi[0]) for hi in highs], axis=0)
     dims = (top - origin + 1).tolist()
-    for (lo_a, lo_b), (ea, eb) in zip(lows, arrays):
-        ea -= lo_a[:, None]
-        eb -= lo_b[:, None]
-    limit = _KRONECKER_FILL * sum(len(a) + len(b) for a, b in pairs)
+    for lo, es in zip(lows, arrays):
+        for low, e in zip(lo, es):
+            e -= low[:, None]
+    limit = _KRONECKER_FILL * sum(len(a) + len(b) for a, b, *_ in products)
     layout = _ROSTER
     if prod(dims) > limit:
         if not relabel:
@@ -417,18 +430,42 @@ def _kronecker_sum(pairs: list[tuple[Terms, Terms]], relabel: bool = False) -> T
         arrays = [(ea, eb)]
         shifts = [0]  # a single product's origin is the box's
     else:
-        shifts = [int(np.ravel_multi_index(tuple(lo_a + lo_b - origin), dims)) for lo_a, lo_b in lows]
-    bound = sum(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b)) for a, b in pairs)
+        shifts = [int(np.ravel_multi_index(tuple(corner - origin), dims)) for corner in corners]
+    bound = sum(
+        max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+        * prod(sum(map(abs, f.values())) for f in more)
+        for a, b, *more in products
+    )
     width = (bound.bit_length() + 2 + 7) // 8
     total = nslots = 0
-    for (a, b), (ea, eb), shift in zip(pairs, arrays, shifts):
+    for (a, b, *more), (ea, eb, *emore), shift in zip(products, arrays, shifts):
         ia, ib = np.ravel_multi_index(ea, dims), np.ravel_multi_index(eb, dims)
-        nslots = max(nslots, shift + int(ia.max() + ib.max()) + 1)
-        total += (_pack(ia, list(a.values()), width) * _pack(ib, list(b.values()), width)) << (8 * width * shift)
+        high = shift + int(ia.max() + ib.max())
+        packed = _pack(ia, list(a.values()), width) * _pack(ib, list(b.values()), width)
+        for f, ef in zip(more, emore):
+            index = np.ravel_multi_index(ef, dims)
+            high += int(index.max())
+            packed = _shifted_sum(packed, 8 * width, index.tolist(), f.values())
+        nslots = max(nslots, high + 1)
+        total += packed << (8 * width * shift)
     del arrays, ea, eb
     buf = total.to_bytes(width * nslots, "little", signed=True)
     del total  # hold one copy of the sum while decoding
     return _unpack(buf, width, dims, layout, origin)
+
+
+def _shifted_sum(packed: int, bits: int, index: list[int], coefs: Iterable[int]) -> int:
+    """``packed`` times the factor with these slot indices and coefficients, one shifted add per term."""
+    out = 0
+    for i, coef in zip(index, coefs):
+        term = packed << (bits * i)
+        if coef == 1:
+            out += term
+        elif coef == -1:
+            out -= term
+        else:
+            out += coef * term
+    return out
 
 
 # A layout maps each box coordinate back to exponents: its digit is the value

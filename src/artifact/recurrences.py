@@ -44,11 +44,12 @@ def _qpow(power: int) -> LaurentPoly:
     return LaurentPoly.variable("q", power)
 
 
-def _times_one_plus_q(poly: LaurentPoly, powers: range) -> LaurentPoly:
-    """``poly * prod_{i in powers} (1 + q^i)``."""
-    for i in powers:
-        poly = poly * (_ONE + _qpow(i))
-    return poly
+@lru_cache(maxsize=None)
+def _one_plus_q_run(top: int, count: int) -> LaurentPoly:
+    """``prod_{i=top-count+1}^{top} (1 + q^i)``, one factor more than a cached shorter run."""
+    if count == 0:
+        return _ONE
+    return _one_plus_q_run(top, count - 1) * (_ONE + _qpow(top - count + 1))
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +60,7 @@ def c_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    return _times_one_plus_q(qbinom(n, j), range(n, n - j, -1))
+    return qbinom(n, j) * _one_plus_q_run(n, j)
 
 
 @lru_cache(maxsize=None)
@@ -71,15 +72,14 @@ def cd_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    return _times_one_plus_q(qbinom(n, j), range(n - j, n))
+    return qbinom(n, j) * _one_plus_q_run(n - 1, j)
 
 
-@lru_cache(maxsize=None)
 def pd_product(n: int) -> LaurentPoly:
     """``prod_{i=1}^{n-1} (1 + q^i)``, the ratio ``D_n(1,q) / [n]_q!``."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _times_one_plus_q(_ONE, range(1, n))
+    return _one_plus_q_run(n - 1, max(n - 1, 0))
 
 
 def _block(n: int, size: int) -> tuple[LaurentPoly, int, int]:
@@ -110,11 +110,11 @@ def recur_B(n: int) -> LaurentPoly:
         return LaurentPoly.one()
     oms = one_minus("s")
     omt = one_minus("t")
-    pairs = [(omt ** (n // 2) * oms ** ((n + 1) // 2), _ONE)]
+    products = [(omt ** (n // 2) * oms ** ((n + 1) // 2), _ONE)]
     for size in range(1, n + 1):
         marker, es, et = _block(n, size)
-        pairs.append((marker * omt**et * oms**es * c_coeff(n, size), recur_B(n - size)))
-    return sum_of_products(pairs)
+        products.append((c_coeff(n, size), recur_B(n - size), marker * omt**et, oms**es))
+    return sum_of_products(products)
 
 
 @lru_cache(maxsize=None)
@@ -132,15 +132,15 @@ def recur_D(n: int) -> LaurentPoly:
     pd = pd_product(n)
     k = n // 2
     head = oms ** ((n - 1) // 2)  # the s factor of the three leading terms
-    pairs = [
+    products = [
         (omt ** (k + 1) * head, _ONE),
         (2 * _T * omt**k * head, pd),
         (_T * _T * omt ** (k - 1) * head * qint(n), pd),
     ]
     for size in range(1, n - 1):
         marker, es, et = _block(n, size)
-        pairs.append((marker * omt**et * oms**es * cd_coeff(n, size), recur_D(n - size)))
-    return sum_of_products(pairs)
+        products.append((cd_coeff(n, size), recur_D(n - size), marker * omt**et, oms**es))
+    return sum_of_products(products)
 
 
 def recurrence_poly(family: str, n: int) -> LaurentPoly:
@@ -165,11 +165,11 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 1, got {n}")
     sm1 = _S - _ONE
     tm1 = _T - _ONE
-    pairs = []
+    products = []
     for size in range(1, n + 1):
         _, es, et = _block(n, size)
-        pairs.append((_qpow(comb(size, 2)) * qbinom(n, size) * sm1**es * tm1**et, base(n - size)))
-    return sum_of_products(pairs)
+        products.append((_qpow(comb(size, 2)) * qbinom(n, size), base(n - size), sm1**es, tm1**et))
+    return sum_of_products(products)
 
 
 @lru_cache(maxsize=None)
@@ -215,10 +215,10 @@ def reiner_recurrence_rhs(n: int, polys: Callable[[int], LaurentPoly] = reiner_p
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     omt = one_minus("t")
-    pairs = [(omt ** (n + 1), _ONE)]
+    products = [(omt ** (n + 1), _ONE)]
     for k in range(n + 1):
-        pairs.append((_T * omt**k * c_coeff(n, k), polys(n - k)))
-    return sum_of_products(pairs)
+        products.append((c_coeff(n, k), polys(n - k), _T * omt**k))
+    return sum_of_products(products)
 
 
 def reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
@@ -242,10 +242,7 @@ def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     and the full-group polynomial to itself.
     """
     qpow, spow, tpow = reciprocal_exponents(family, n)
-    flipped = (
-        poly.substitute("s", "reciprocal")
-        .substitute("t", "reciprocal")
-        .substitute("q", "reciprocal")
-    )
-    prefactor = LaurentPoly.monomial(1, q=qpow, s=spow, t=tpow)
-    return prefactor * flipped
+    return LaurentPoly({
+        (spow - es, tpow - et, qpow - eq, *rest): coef
+        for (es, et, eq, *rest), coef in poly.terms.items()
+    })

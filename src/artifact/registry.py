@@ -519,8 +519,7 @@ def _chk_b_hyatt(max_n: int) -> dict:
     for n in range(1, 11):
         lhs = hyatt_plus("B", n).substitute("q", "value", 1).rename_variables({"s": "t"})
         classic.append(_poly_entry("typeB-hyatt-classic", n, lhs, classic_plus_B(n)))
-    status = "pass" if all(e["status"] == "pass" for e in entries + classic) else "fail"
-    return {"status": status, "cases": entries, "classic": classic}
+    return {**_collect(entries + classic), "cases": entries, "classic": classic}
 
 
 def _reflection(check_id: str, fam: _Family, max_n: int, source: str = "", target: str = "") -> dict:

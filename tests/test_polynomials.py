@@ -1,6 +1,7 @@
 """Exact sparse Laurent-polynomial arithmetic and the q-combinatorics helpers."""
 
 import math
+from functools import reduce
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -400,8 +401,13 @@ def product_sums(draw):
     return pairs
 
 
-def _schoolbook_sum(pairs):
-    return sum((LaurentPoly(_schoolbook_product(a.terms, b.terms)) for a, b in pairs), LaurentPoly.zero()).terms
+def _schoolbook_sum(products):
+    folded = (LaurentPoly(reduce(_schoolbook_product, (f.terms for f in p))) for p in products)
+    return sum(folded, LaurentPoly.zero()).terms
+
+
+def _kernel_sum(products):
+    return _kronecker_sum([tuple(f.terms for f in p) for p in products])
 
 
 @given(product_sums())
@@ -415,21 +421,89 @@ def test_sum_of_products_matches_schoolbook(pairs):
 
 
 def test_sum_of_products_takes_one_kernel_call_or_the_operators(monkeypatch):
-    """A recurrence-shaped sum packs once; a sparse one multiplies pair by pair."""
+    """A recurrence-shaped sum packs once, as pairs or with its block factors
+    applied by shifted adds; a sparse one multiplies product by product."""
     pairs = [((1 - S) ** k * (1 + T) * qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20)) for k in range(6)]
-    assert sum(len(a.terms) * len(b.terms) for a, b in pairs) >= polynomials._KRONECKER_MIN_PAIRS
+    products = [(qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20), (1 - S) ** k, 1 + T) for k in range(6)]
+    for summands in (pairs, products):
+        assert sum(len(a.terms) * len(b.terms) for a, b, *_ in summands) >= polynomials._KRONECKER_MIN_PAIRS
     expected = _schoolbook_sum(pairs)
+    assert _schoolbook_sum(products) == expected
     calls = []
     kernel = polynomials._kronecker_sum
     monkeypatch.setattr(polynomials, "_kronecker_sum", lambda *args: calls.append(args) or kernel(*args))
     monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
     assert sum_of_products(pairs).terms == expected
-    assert len(calls) == 1
-    sparse = pairs + [(LaurentPoly.monomial(1, s=10**6), pairs[0][1])]
+    assert sum_of_products(products).terms == expected
+    assert len(calls) == 2
+    far = LaurentPoly.monomial(1, s=10**6)
+    sparse = pairs + [(far, pairs[0][1])]
+    sparse_products = products + [(qint(3), pairs[0][1], 1 - T, far)]
     monkeypatch.undo()
-    assert _kronecker_sum([(a.terms, b.terms) for a, b in sparse]) is None
-    assert sum_of_products(sparse).terms == _schoolbook_sum(sparse)
+    for summands in (sparse, sparse_products):
+        assert _kernel_sum(summands) is None
+        assert sum_of_products(summands).terms == _schoolbook_sum(summands)
     assert sum_of_products([]) == LaurentPoly.zero()
+
+
+@st.composite
+def multi_factor_sums(draw):
+    """Zero to four products of two to four factors for ``sum_of_products``.
+
+    The first two factors of each product are a pair of ``product_sums``.
+    Each further factor is a single term, or fills a box of one or two
+    exponents in each variable the pairs spread over.  All further factors
+    of the sum sit at one offset of -2 to 2 in those variables, so their
+    exponents may be negative while the shared box stays dense, and their
+    coefficients, like the pairs', reach beyond 2**62.  At random, every
+    product is then repeated with its first factor negated, so the sum
+    cancels to zero.
+    """
+    pairs = draw(product_sums())
+    spread = [var for var in range(NVARS) if any(len({e[var] for e in f.terms}) > 1 for p in pairs for f in p)]
+    offset = [draw(st.integers(-2, 2)) if var in spread else 0 for var in range(NVARS)]
+    products = []
+    for a, b in pairs:
+        more = []
+        for _ in range(draw(st.integers(0, 2))):
+            sides = [draw(st.integers(1, 2)) for _ in spread] if draw(st.booleans()) else [1] * len(spread)
+            terms = {}
+            for point in range(math.prod(sides)):
+                exp = list(offset)
+                for var, side in zip(spread, sides):
+                    point, digit = divmod(point, side)
+                    exp[var] += digit
+                terms[tuple(exp)] = draw(coefficients)
+            more.append(LaurentPoly(terms))
+        products.append((a, b, *more))
+    if draw(st.booleans()):
+        products += [(-a, *rest) for a, *rest in products]
+    return products
+
+
+@given(multi_factor_sums())
+@settings(max_examples=300, deadline=None)
+def test_multi_factor_sums_match_schoolbook(products):
+    expected = _schoolbook_sum(products)
+    out = _kernel_sum(products)
+    assert out is None or out == expected  # None: the box is too sparse
+    assert out is None or all(out.values())
+    assert sum_of_products(products).terms == expected
+
+
+def test_further_factors_are_bounded_by_their_coefficient_sums(monkeypatch):
+    """A dense 25 x 30 block of ones in s and q times [30]_q has coefficients
+    up to 30, which fit in one byte with the guard bits; four further factors
+    1 + s multiply them by up to 16, which needs two.  Bounding the further
+    factors by their largest coefficient would keep one byte and decode wrong.
+    """
+    block = LaurentPoly({(i, 0, j, 0, 0, 0, 0): 1 for i in range(25) for j in range(30)})
+    products = [(block, qint(30), 1 + S, 1 + S, 1 + S, 1 + S)]
+    expected = _schoolbook_sum(products)
+    assert max(expected.values()) == 30 * 16
+    assert _kernel_sum(products) == expected
+    monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # the kernel takes the sum
+    assert sum_of_products(products).terms == expected
 
 
 _INT64_EDGES = [-(2**63), 2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 1, -1]

@@ -11,8 +11,6 @@ The core construction relabels a signed permutation onto a target value set
 * map_fpp: B_k/D_k x (plain subsets) -> words ending in the subset written
            positive and descending.
 
-The lemma sums the maps certify live here too.  Their closed forms are the
-coefficients ``c_coeff``/``cd_coeff`` of :mod:`artifact.recurrences`.
 ``juxtapose_array`` applies map_f or map_fD to every (prefix, subset) pair of
 two word arrays at once.  The maps' inverses live in the tests, as oracles.
 """
@@ -20,19 +18,11 @@ two word arrays at once.  The maps' inverses live in the tests, as oracles.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .permutations import (
-    Word,
-    in_type_d,
-    inv_B,
-    inv_D,
-    negative_count,
-    validate_word,
-)
-from .polynomials import LaurentPoly
+from .permutations import Word, in_type_d, negative_count
 
 SignedSubset = tuple[int, ...]  # distinct absolute values; sign = membership sign
 
@@ -126,27 +116,3 @@ def map_fpp(psi: Word, subset: tuple[int, ...], n: int, family: str = "B") -> Wo
         raise ValueError(f"prefix not in the even-signed group: {psi}")
     complement = _check_sizes(len(psi), subset, n)
     return relabel(psi, complement) + tuple(sorted(subset, reverse=True))
-
-
-# ----------------------------------------------------------------------
-# lemma sums
-# ----------------------------------------------------------------------
-def _lemma_sum(juxtapose: Callable[[Word, SignedSubset, int], Word], inv: Callable[[Word], int],
-               n: int, r: int) -> LaurentPoly:
-    """Sum of q^inv over the juxtapositions of the identity prefix with every signed r-subset."""
-    terms: dict[tuple[int, ...], int] = {}
-    sigma = tuple(range(1, n - r + 1))
-    for subset in signed_subsets(n, r):
-        exp = (0, 0, inv(juxtapose(sigma, subset, n)), 0, 0, 0, 0)
-        terms[exp] = terms.get(exp, 0) + 1
-    return LaurentPoly(terms)
-
-
-def poly_lemma21_sum(n: int, r: int) -> LaurentPoly:
-    """Sum of q^{inv_B} over identity-prefixed signed-subset juxtapositions."""
-    return _lemma_sum(map_f, inv_B, n, r)
-
-
-def poly_lemma31_sum(n: int, r: int) -> LaurentPoly:
-    """Sum of q^{inv_D} over parity-corrected subset juxtapositions."""
-    return _lemma_sum(map_fD, inv_D, n, r)

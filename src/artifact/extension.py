@@ -85,7 +85,7 @@ class ExtElement:
             return ExtElement.from_poly(value)
         if isinstance(value, int):
             return ExtElement.constant(value)
-        raise TypeError(f"cannot interpret {value!r} as an extension element")
+        raise TypeError(f"cannot interpret a {type(value).__name__} as an extension element")
 
     # ------------------------------------------------------------------
     # structure

@@ -21,17 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import factorial
 from typing import Callable
 
 import numpy as np
 
-from .bijections import (
-    juxtapose_array,
-    poly_lemma21_sum,
-    poly_lemma31_sum,
-    signed_subsets,
-)
+from .bijections import juxtapose_array, signed_subsets
 from .enumeration import FLAVOR, add_counts, check_bound, clear_histograms, poly_group
 from .extension import (
     GEN_I,
@@ -220,7 +216,6 @@ class _Family:
     first: int  # lowest rank of the sign-flip, reflection and power laws
     flip_sums: Callable[[int], tuple[int, int, int]]  # the sign flip's constant inv, odes, edes sums
     coeff: Callable[[int, int], LaurentPoly]  # closed form of the insertion sum
-    lemma_sum: Callable[[int, int], LaurentPoly]  # the insertion sum itself
     ladder: str  # the bounded-descent classes
 
 
@@ -230,12 +225,13 @@ def _flip_sums(family: str, n: int) -> tuple[int, int, int]:
     return qpow, tpow, spow
 
 
-_B = _Family("B", 1, partial(_flip_sums, "B"), c_coeff, poly_lemma21_sum, "G")
-_D = _Family("D", 2, partial(_flip_sums, "D"), cd_coeff, poly_lemma31_sum, "H")
+_B = _Family("B", 1, partial(_flip_sums, "B"), c_coeff, "G")
+_D = _Family("D", 2, partial(_flip_sums, "D"), cd_coeff, "H")
 
 
-# Words per array in the sweeps over group words; a batch of fixed-prefix
-# insertions holds more only when one prefix's insertions alone do.
+# Words per array in the sweeps over group words and the lemma insertions; a
+# batch of fixed-prefix insertions holds more only when one prefix's
+# insertions alone do.
 _BATCH_WORDS = 1 << 14
 
 
@@ -596,12 +592,23 @@ def _chk_reiner_recurrence(max_n: int) -> dict:
 
 
 def _lemma(check_id: str, fam: _Family, max_n: int) -> dict:
-    """Inversion sum over signed-subset insertions against its closed product."""
-    entries = [
-        _poly_entry(f"{check_id}[n={n},r={r}]", n, fam.lemma_sum(n, r), fam.coeff(n, r))
-        for n in range(max_n + 1)
-        for r in range(n + 1)
-    ]
+    """Inversion sum over signed-subset insertions against its closed product.
+
+    The identity prefix is juxtaposed with the signed r-subsets in blocks of
+    at most ``_BATCH_WORDS``: the 3^n insertions are never held at once.
+    """
+    entries = []
+    for n in range(max_n + 1):
+        for r in range(n + 1):
+            identity = np.arange(1, n - r + 1, dtype=np.int16)[None, :]
+            totals: dict[tuple[int, ...], int] = {}
+            subsets_left = signed_subsets(n, r)
+            while block := list(islice(subsets_left, _BATCH_WORDS)):
+                subsets = np.array(block, dtype=np.int16).reshape(len(block), r)
+                words = juxtapose_array(identity, subsets, n, fam.name)[0]
+                add_counts(totals, array_stats(words, fam.name)[4:])
+            lhs = LaurentPoly({(0, 0, inv, 0, 0, 0, 0): count for (inv,), count in totals.items()})
+            entries.append(_poly_entry(f"{check_id}[n={n},r={r}]", n, lhs, fam.coeff(n, r)))
     return _collect(entries)
 
 

@@ -1,17 +1,19 @@
 """Reference implementations that only the tests use.
 
 Each is a definitional form of something the package computes another way:
-the inverses of the juxtaposition maps, the pair-counting lengths, and a
-filter over the whole group for the descending-suffix family.
+the inverses of the juxtaposition maps, the pair-counting lengths, a
+filter over the whole group for the descending-suffix family, and the
+word-at-a-time lemma sums.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from artifact.bijections import SignedSubset
+from artifact.bijections import SignedSubset, signed_subsets
 from artifact.permutations import Word, iterate_group, negative_count
+from artifact.polynomials import LaurentPoly
 
 
 def plain_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -78,3 +80,14 @@ def inv_D_definitional(word: Sequence[int]) -> int:
             if -word[i] > word[j]:
                 total += 1
     return total
+
+
+def lemma_sum(juxtapose: Callable[[Word, SignedSubset, int], Word], inv: Callable[[Word], int],
+              n: int, r: int) -> LaurentPoly:
+    """Sum of q^inv over the juxtapositions of the identity prefix with every signed r-subset."""
+    terms: dict[tuple[int, ...], int] = {}
+    sigma = tuple(range(1, n - r + 1))
+    for subset in signed_subsets(n, r):
+        exp = (0, 0, inv(juxtapose(sigma, subset, n)), 0, 0, 0, 0)
+        terms[exp] = terms.get(exp, 0) + 1
+    return LaurentPoly(terms)

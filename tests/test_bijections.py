@@ -11,16 +11,15 @@ from artifact.bijections import (
     map_f,
     map_fD,
     map_fpp,
-    poly_lemma21_sum,
-    poly_lemma31_sum,
     relabel,
     signed_subsets,
 )
-from artifact.permutations import in_type_d, inv_B, iterate_group
+from artifact.permutations import in_type_d, inv_B, inv_D, iterate_group
 from artifact.polynomials import LaurentPoly, qbinom, qint
 from artifact.recurrences import c_coeff, cd_coeff
 from oracles import (
     iterate_descending_suffix,
+    lemma_sum,
     map_f_inverse,
     map_fD_inverse,
     map_fpp_inverse,
@@ -177,25 +176,25 @@ def test_map_f_inversion_additivity():
 def test_lemma21_sum_matches_closed_form():
     for n in range(0, 8):
         for r in range(0, n + 1):
-            assert poly_lemma21_sum(n, r) == c_coeff(n, r), (n, r)
+            assert lemma_sum(map_f, inv_B, n, r) == c_coeff(n, r), (n, r)
 
 
 def test_lemma31_sum_matches_closed_form():
     for n in range(0, 8):
         for r in range(0, n + 1):
-            assert poly_lemma31_sum(n, r) == cd_coeff(n, r), (n, r)
+            assert lemma_sum(map_fD, inv_D, n, r) == cd_coeff(n, r), (n, r)
 
 
 def test_lemma21_pinned_values():
-    assert poly_lemma21_sum(1, 1) == 1 + Q
-    assert poly_lemma21_sum(3, 0) == LaurentPoly.one()
-    assert poly_lemma21_sum(2, 1) == qbinom(2, 1) * (1 + Q**2)
+    assert lemma_sum(map_f, inv_B, 1, 1) == 1 + Q
+    assert lemma_sum(map_f, inv_B, 3, 0) == LaurentPoly.one()
+    assert lemma_sum(map_f, inv_B, 2, 1) == qbinom(2, 1) * (1 + Q**2)
 
 
 def test_lemma31_pinned_values():
-    assert poly_lemma31_sum(2, 0) == LaurentPoly.one()
-    assert poly_lemma31_sum(2, 1) == (1 + Q) * (1 + Q)
-    assert poly_lemma31_sum(3, 2) == qbinom(3, 2) * (1 + Q**2) * (1 + Q)
+    assert lemma_sum(map_fD, inv_D, 2, 0) == LaurentPoly.one()
+    assert lemma_sum(map_fD, inv_D, 2, 1) == (1 + Q) * (1 + Q)
+    assert lemma_sum(map_fD, inv_D, 3, 2) == qbinom(3, 2) * (1 + Q**2) * (1 + Q)
 
 
 def test_closed_forms_expand_to_stated_products():

@@ -20,6 +20,7 @@ from artifact.extension import (
     _is_q_only,
 )
 from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact, qint
+from artifact.series import TruncatedSeries
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -108,6 +109,20 @@ def test_foreign_types_are_rejected_not_crashed():
     with pytest.raises(TypeError):
         ExtElement.coerce("not a ring element")
     assert GEN_M.__add__("junk") == NotImplemented
+
+
+def test_rejected_operands_are_named_by_type_not_rendered(monkeypatch):
+    """A series operand falls through to its own __rmul__ without being printed."""
+    s = TruncatedSeries(2, [1, Q, S * T])
+
+    def no_render(self):
+        raise AssertionError("the series was rendered")
+
+    monkeypatch.setattr(TruncatedSeries, "__repr__", no_render)
+    monkeypatch.setattr(TruncatedSeries, "__str__", no_render)
+    assert GEN_M * s == s * GEN_M
+    with pytest.raises(TypeError, match="cannot interpret a object as"):
+        ExtElement.coerce(object())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The fixed-prefix and sign-flip sweeps against their word-by-word oracles.
+"""The lemma, fixed-prefix and sign-flip sweeps against their word-by-word oracles.
 
-``registry._corollary`` and ``registry._signflip`` work on int16 arrays of
-words.  The bodies below are the word-at-a-time versions they replaced, kept
-as reference oracles: one ``LaurentPoly`` per prefix, the scalar maps and
-statistics per word.  Both read ``registry.word_arrays`` and
+``registry._lemma``, ``registry._corollary`` and ``registry._signflip`` work
+on int16 arrays of words.  The bodies below are the word-at-a-time versions
+they replaced, kept as reference oracles: one ``LaurentPoly`` per prefix, the
+scalar maps and statistics per word.  Both read ``registry.word_arrays`` and
 ``registry._brute`` when they run, as the array bodies do, so a word injected
 through ``word_arrays`` reaches both.
 """
@@ -18,6 +18,7 @@ from artifact.bijections import map_f, map_fD, signed_subsets
 from artifact.enumeration import BoundExceeded
 from artifact.permutations import flip_D, flip_all, format_word, inv_B, inv_D, stats_B, stats_D
 from artifact.polynomials import LaurentPoly
+from oracles import lemma_sum
 
 # the scalar map, inv, stats and flip of each family
 SCALAR = {
@@ -25,6 +26,17 @@ SCALAR = {
     "D": (map_fD, inv_D, stats_D, flip_D),
 }
 FAMILIES = {"B": ("corollary-2.2", "signflip-B"), "D": ("corollary-3.2/3.3", "signflip-D")}
+LEMMAS = {"B": "lemma-2.1", "D": "lemma-3.1"}
+
+
+def oracle_lemma(check_id, fam, max_n):
+    fmap, finv, _, _ = SCALAR[fam.name]
+    entries = [
+        registry._poly_entry(f"{check_id}[n={n},r={r}]", n, lemma_sum(fmap, finv, n, r), fam.coeff(n, r))
+        for n in range(max_n + 1)
+        for r in range(n + 1)
+    ]
+    return registry._collect(entries)
 
 
 def oracle_corollary(check_id, fam, max_n):
@@ -108,6 +120,19 @@ def wrong_flip_sum_at_rank4(fam):
 
 
 @pytest.mark.parametrize("name", ["B", "D"])
+@pytest.mark.parametrize("case", ["clean", "extra q term", "extra s term"])
+def test_lemma_reports_as_the_oracle_does(name, case):
+    fam = family(name)
+    if case == "extra q term":
+        fam = wrong_coeff_at_r2(fam, 1)
+    elif case == "extra s term":
+        fam = wrong_coeff_at_r2(fam, LaurentPoly.variable("s"))
+    expected = oracle_lemma(LEMMAS[name], fam, 6)
+    assert registry._lemma(LEMMAS[name], fam, 6) == expected
+    assert (expected["status"] == "pass") == (case == "clean")
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
 @pytest.mark.parametrize("case", ["clean", "extra q term", "extra s term", "bogus word"])
 def test_corollary_reports_as_the_oracle_does(monkeypatch, name, case):
     fam = family(name)
@@ -154,6 +179,34 @@ def test_batches_stay_within_the_word_budget(monkeypatch):
         assert registry.run_check(cid, max_n=5) == report, cid
     assert max(rows) <= budget
     assert rows.count(budget) > 10  # B_5 and D_5 alone fill dozens of batches
+
+
+def test_lemma_reads_its_insertions_in_blocks(monkeypatch):
+    """A budget of 7 rows splits every lemma sum into blocks, pulled one at a time."""
+    expected = {cid: registry.run_check(cid, max_n=6) for cid in LEMMAS.values()}
+    budget = 7
+    pulled = []
+    rows = []
+    real_subsets, real_stats = registry.signed_subsets, registry.array_stats
+
+    def counting_subsets(n, r):
+        for subset in real_subsets(n, r):
+            pulled.append(subset)
+            yield subset
+
+    def recording(words, flavor):
+        rows.append(len(words))
+        assert len(pulled) == sum(rows), "subsets were read ahead of the block in hand"
+        return real_stats(words, flavor)
+
+    monkeypatch.setattr(registry, "_BATCH_WORDS", budget)
+    monkeypatch.setattr(registry, "signed_subsets", counting_subsets)
+    monkeypatch.setattr(registry, "array_stats", recording)
+    for cid, report in expected.items():
+        assert registry.run_check(cid, max_n=6) == report, cid
+    assert max(rows) <= budget
+    assert sum(rows) == 2 * sum(3**n for n in range(7))  # every insertion of both families, once
+    assert rows.count(budget) >= 240 // budget  # C(6,4)·2⁴ = 240 insertions at n = 6, r = 4 alone
 
 
 @pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()))

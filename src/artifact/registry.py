@@ -190,16 +190,27 @@ def _collect(entries: list[dict]) -> dict:
     return {"status": status, "cases": entries}
 
 
-def _reading_set(readings: list[tuple[str, bool, Callable[[], dict]]]) -> dict:
-    """Run every candidate reading; pass iff all intended readings verify."""
-    reports = []
-    ok = True
-    for name, intended, fn in readings:
-        rep = fn()
-        reports.append({"reading": name, "intended": intended, **rep})
-        if intended and rep["status"] != "pass":
-            ok = False
-    return {"status": "pass" if ok else "fail", "readings": reports}
+def _reading_set(readings: list[tuple[str, bool, dict]]) -> dict:
+    """The reports of every candidate reading; pass iff all intended readings verify."""
+    ok = all(report["status"] == "pass" for _, intended, report in readings if intended)
+    return {
+        "status": "pass" if ok else "fail",
+        "readings": [{"reading": name, "intended": intended, **report} for name, intended, report in readings],
+    }
+
+
+def _sweep(check_id: str, ranks: range, lhs: Callable[[int], LaurentPoly],
+           rhs: Callable[[int], LaurentPoly]) -> dict:
+    """``lhs(n)`` against ``rhs(n)`` at every rank."""
+    return _collect([_poly_entry(check_id, n, lhs(n), rhs(n)) for n in ranks])
+
+
+def _bounded(group: str, first: int, max_n: int) -> range:
+    """The ranks ``first`` to ``max_n``, once every one is within the enumeration ceiling."""
+    ranks = range(first, max_n + 1)
+    for n in ranks:
+        check_bound(group, n)
+    return ranks
 
 
 def _joint(**parts: dict) -> dict:
@@ -356,19 +367,15 @@ _register(
 def _chk_b_biv_q1(order: int) -> dict:
     # setting q to 1 turns the group normalizers into 2^n n!, and the closed
     # forms collapse to classical hyperbolic fractions evaluated at u/2
+    lhs_even = _egf("B", "biv", "even", order, q_one=True)
+    lhs_odd = _egf("B", "biv", "odd", order, q_one=True)
     half = QFraction(1, 2)
     cosh_h = series_make("cosh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
     sinh_h = series_make("sinh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
     msq = one_minus("s") * one_minus("t")
     den = msq * (cosh_h * cosh_h) - ((_S + 1) * (_T + 1)) * (sinh_h * sinh_h)
-    even = verify_fraction_identity(
-        _egf("B", "biv", "even", order, q_one=True), msq * cosh_h, den
-    )
-    odd = verify_fraction_identity(
-        _egf("B", "biv", "odd", order, q_one=True),
-        (_S + 1) * (GEN_M * sinh_h),
-        den,
-    )
+    even = verify_fraction_identity(lhs_even, msq * cosh_h, den)
+    odd = verify_fraction_identity(lhs_odd, (_S + 1) * (GEN_M * sinh_h), den)
     return _joint(even=even, odd=odd)
 
 
@@ -379,15 +386,15 @@ def _type_b_alt(parity: str, order: int) -> dict:
 
     def even(sin_q, sin_b):
         num = (_S - 1) * ((k["one"] - _T * k["cosq"]) * k["cosX"] - _T * sin_q * sin_b)
-        return lambda: verify_fraction_identity(lhs, num, den)
+        return verify_fraction_identity(lhs, num, den)
 
     def odd_balanced(sin_q, sin_b):
         num = -1 * (GEN_M * ((_S * k["one"] - k["cosq"]) * sin_b + sin_q * k["cosX"]))
-        return lambda: verify_fraction_identity(lhs, num, den)
+        return verify_fraction_identity(lhs, num, den)
 
     def odd_unbalanced(sin_q, sin_b):
         num = -1 * (GEN_M * (_S * k["one"] - k["cosq"] * sin_b + sin_q * k["cosX"]))
-        return lambda: verify_fraction_identity(lhs, num, den)
+        return verify_fraction_identity(lhs, num, den)
 
     if parity == "even":
         readings = [
@@ -447,7 +454,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
 
     def with_den(dpoly):
         den_p = dpoly * TruncatedSeries.one(order) - (_T * _T + 1) * cos_2p
-        return lambda: verify_fraction_identity(lhs_st, num_p, den_p)
+        return verify_fraction_identity(lhs_st, num_p, den_p)
 
     sub = _reading_set([
         ("denominator-2t", True, with_den(2 * _T)),
@@ -462,12 +469,12 @@ def _chk_b_alt_corollary(order: int) -> dict:
     order=DEFAULT_ORDER,
 )
 def _chk_b_fivevar(order: int) -> dict:
+    lhs_even = _egf("B", "fivevar", "even", order)
+    lhs_odd = _egf("B", "fivevar", "odd", order)
     k = _hyperbolic_kit(GEN_LITTLE_M, order, "B")
     den = (_S0 * _S1) * k["one"] - (_T0 * _S1 + _S0 * _T1) * k["coshq"] + (_T0 * _T1) * k["E"]
-    lhs_even = _egf("B", "fivevar", "even", order)
     num_even = (_S0 - _T0) * ((_S1 * k["one"] - _T1 * k["coshq"]) * k["coshX"] + _T1 * k["sinhq"] * k["sinhX"])
     even = verify_fraction_identity(lhs_even, num_even, den)
-    lhs_odd = _egf("B", "fivevar", "odd", order)
     num_odd = GEN_LITTLE_M * ((_S0 * k["one"] - _T0 * k["coshq"]) * k["sinhX"] + _T0 * k["sinhq"] * k["coshX"])
     odd = verify_fraction_identity(lhs_odd, num_odd, den)
     return _joint(even=even, odd=odd)
@@ -481,11 +488,8 @@ def _recurrence(check_id: str, fam: _Family, max_n: int, start: int = 0,
                 extra: Callable[[int], LaurentPoly] | None = None) -> dict:
     """Brute force against the recurrence, with ``extra(n)`` added where a reading has it."""
     recur = recur_B if fam.name == "B" else recur_D
-    entries = []
-    for n in range(start, max_n + 1):
-        rhs = recur(n) if extra is None else recur(n) + extra(n)
-        entries.append(_poly_entry(check_id, n, _brute(fam.name, n, "biv"), rhs))
-    return _collect(entries)
+    return _sweep(check_id, range(start, max_n + 1), lambda n: _brute(fam.name, n, "biv"),
+                  recur if extra is None else lambda n: recur(n) + extra(n))
 
 
 _register(
@@ -496,11 +500,8 @@ _register(
 
 
 def _hyatt(check_id: str, fam: _Family, max_n: int) -> dict:
-    entries = [
-        _poly_entry(check_id, n, _brute(fam.name + "+", n, "biv"), hyatt_plus(fam.name, n))
-        for n in range(1, max_n + 1)
-    ]
-    return _collect(entries)
+    return _sweep(check_id, range(1, max_n + 1), lambda n: _brute(fam.name + "+", n, "biv"),
+                  lambda n: hyatt_plus(fam.name, n))
 
 
 @_register(
@@ -511,21 +512,18 @@ def _hyatt(check_id: str, fam: _Family, max_n: int) -> dict:
 )
 def _chk_b_hyatt(max_n: int) -> dict:
     entries = _hyatt("typeB-hyatt", _B, max_n)["cases"]
-    classic = []
-    for n in range(1, 11):
-        lhs = hyatt_plus("B", n).substitute("q", "value", 1).rename_variables({"s": "t"})
-        classic.append(_poly_entry("typeB-hyatt-classic", n, lhs, classic_plus_B(n)))
+    classic = _sweep(
+        "typeB-hyatt-classic", range(1, 11),
+        lambda n: hyatt_plus("B", n).substitute("q", "value", 1).rename_variables({"s": "t"}),
+        classic_plus_B,
+    )["cases"]
     return {**_collect(entries + classic), "cases": entries, "classic": classic}
 
 
 def _reflection(check_id: str, fam: _Family, max_n: int, source: str = "", target: str = "") -> dict:
     """The target class's polynomial from the source class's by reciprocity."""
-    entries = []
-    for n in range(fam.first, max_n + 1):
-        src = _brute(fam.name + source, n, "biv")
-        lhs = src if target == source else _brute(fam.name + target, n, "biv")
-        entries.append(_poly_entry(check_id, n, lhs, reciprocal_transform(fam.name, n, src)))
-    return _collect(entries)
+    return _sweep(check_id, range(fam.first, max_n + 1), lambda n: _brute(fam.name + target, n, "biv"),
+                  lambda n: reciprocal_transform(fam.name, n, _brute(fam.name + source, n, "biv")))
 
 
 _register(
@@ -556,7 +554,7 @@ def _chk_reiner_egf(order: int) -> dict:
         exp_s = series_make(family, scale, order)
         num = num_factor * exp_s
         den = TruncatedSeries.one(order) - _T * exp_s
-        return lambda: verify_fraction_identity(lhs, num, den)
+        return verify_fraction_identity(lhs, num, den)
 
     def mixed():
         exp_b = series_make("exp_B", scale, order)
@@ -568,7 +566,7 @@ def _chk_reiner_egf(order: int) -> dict:
     # the stated form really does mix the two exponentials: the group-specific
     # one upstairs, the ordinary q-exponential downstairs
     return _reading_set([
-        ("mixed-exponentials", True, mixed),
+        ("mixed-exponentials", True, mixed()),
         ("both-exp-B", False, with_exp("exp_B")),
         ("both-plain-e_q", False, with_exp("e_q")),
     ])
@@ -584,11 +582,7 @@ def _chk_reiner_recurrence(max_n: int) -> dict:
     def poly(n: int) -> LaurentPoly:
         return _brute("B", n, "biv").rename_variables({"s": "t"})
 
-    entries = [
-        _poly_entry("reiner-recurrence", n, poly(n), reiner_recurrence_rhs(n, poly))
-        for n in range(1, max_n + 1)
-    ]
-    return _collect(entries)
+    return _sweep("reiner-recurrence", range(1, max_n + 1), poly, lambda n: reiner_recurrence_rhs(n, poly))
 
 
 def _lemma(check_id: str, fam: _Family, max_n: int) -> dict:
@@ -627,10 +621,8 @@ def _corollary(check_id: str, fam: _Family, max_n: int) -> dict:
     prefix whose distribution differs is the witness.  The descent-weighted
     total is a histogram over (edes, odes of the prefix, inv of W).
     """
-    for n in range(max_n + 1):
-        check_bound(fam.name, n)
     entries = []
-    for n in range(max_n + 1):
+    for n in _bounded(fam.name, 0, max_n):
         for r in range(n + 1):
             closed = fam.coeff(n, r)
             subset_list = list(signed_subsets(n, r))
@@ -708,10 +700,8 @@ _register(
 
 def _signflip(check_id: str, fam: _Family, max_n: int) -> dict:
     """Each word and its negation have constant inv, odes and edes sums."""
-    for n in range(fam.first, max_n + 1):
-        check_bound(fam.name, n)
     entries = []
-    for n in range(fam.first, max_n + 1):
+    for n in _bounded(fam.name, fam.first, max_n):
         inv_sum, odes_sum, edes_sum = fam.flip_sums(n)
         bad = None
         for words in word_arrays(fam.name, n, _BATCH_WORDS):
@@ -821,8 +811,8 @@ def _type_d_alt(parity: str, order: int) -> dict:
         return verify_fraction_identity(lhs * QFraction.coerce(ExtElement.from_poly(clear)), num, den)
 
     return _reading_set([
-        ("derived-free-sines", True, derived),
-        ("printed-literal", False, printed),
+        ("derived-free-sines", True, derived()),
+        ("printed-literal", False, printed()),
     ])
 
 
@@ -844,13 +834,13 @@ _register(
     order=DEFAULT_ORDER,
 )
 def _chk_d_fivevar(order: int) -> dict:
+    lhs_even = _egf("D", "fivevar", "even", order)
+    lhs_odd = _egf("D", "fivevar", "odd", order)
     k = _hyperbolic_kit(GEN_LITTLE_M, order, "D")
     one, u = k["one"], k["u"]
     coshq, sinhq = k["coshq"], k["sinhq"]
     coshD, sinhD = k["coshX"], k["sinhX"]
     den = (_S0 * _S1) * one - (_S0 * _T1 + _S1 * _T0) * coshq + (_T0 * _T1) * k["E"]
-    lhs_even = _egf("D", "fivevar", "even", order)
-    lhs_odd = _egf("D", "fivevar", "odd", order)
 
     def divm(s):
         return s.divide_by_generator("m")
@@ -883,8 +873,8 @@ def _chk_d_fivevar(order: int) -> dict:
         return _joint(even=even, odd=odd)
 
     return _reading_set([
-        ("derived", True, derived),
-        ("printed-literal", False, printed),
+        ("derived", True, derived()),
+        ("printed-literal", False, printed()),
     ])
 
 
@@ -907,10 +897,12 @@ def _chk_d_recurrence(max_n: int) -> dict:
         return _T * one_minus("t") ** (k - 1) * one_minus("s") ** (k - 1) \
             * cd_coeff(n, n - 1) * recur_D(1)
 
-    derived = partial(_recurrence, "typeD-recurrence", _D, max_n, start=_D.first)
+    def derived(extra: Callable[[int], LaurentPoly] | None = None) -> dict:
+        return _recurrence("typeD-recurrence", _D, max_n, start=_D.first, extra=extra)
+
     return _reading_set([
-        ("derived", True, derived),
-        ("printed-literal", False, partial(derived, extra=printed_extra)),
+        ("derived", True, derived()),
+        ("printed-literal", False, derived(extra=printed_extra)),
     ])
 
 
@@ -974,8 +966,8 @@ def _chk_x_lemma(max_n: int) -> dict:
 )
 def _chk_passing_h(max_n: int) -> dict:
     return _reading_set([
-        ("from-i=2", True, lambda: _passing("passing-H", _D, max_n, i_start=2)),
-        ("from-i=1", False, lambda: _passing("passing-H", _D, max_n, i_start=1)),
+        ("from-i=2", True, _passing("passing-H", _D, max_n, i_start=2)),
+        ("from-i=1", False, _passing("passing-H", _D, max_n, i_start=1)),
     ])
 
 
@@ -1003,7 +995,7 @@ def _chk_snakes_b(order: int) -> dict:
 
     def with_sign(sign: int):
         num = k["cosq"] * k["cosX"] + (k["sinq"] + sign * k["one"]) * k["sinX"]
-        return lambda: verify_fraction_identity(lhs, num, den)
+        return verify_fraction_identity(lhs, num, den)
 
     return _reading_set([
         ("plus-free-sines", True, with_sign(+1)),
@@ -1030,13 +1022,13 @@ def _chk_snakes_d(order: int) -> dict:
             - 2 * (sinq * sinq) + sinq * sinD
         if corrected:
             num = num + 2 * k["cosq"]
-        return lambda: verify_fraction_identity(lhs_even, num, den)
+        return verify_fraction_identity(lhs_even, num, den)
 
     def odd_num(free: bool):
         sinq = k["sinq"] if free else k["sinq_i"]
         sinD = k["sinX"] if free else k["sinX_i"]
         num = -2 * sinq + u * k["cosq"] + sinD
-        return lambda: verify_fraction_identity(lhs_odd, num, den)
+        return verify_fraction_identity(lhs_odd, num, den)
 
     even = _reading_set([
         ("corrected-free-sines", True, even_num(True, True)),
@@ -1086,7 +1078,7 @@ def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
     max_n=6,
 )
 def _chk_springer_b(max_n: int) -> dict:
-    counts = [sum(len(b) for b in word_arrays("snakeB", n, _BATCH_WORDS)) for n in range(max_n + 1)]
+    counts = [sum(len(b) for b in word_arrays("snakeB", n, _BATCH_WORDS)) for n in _bounded("snakeB", 0, max_n)]
     lhs = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
     cos_minus_sin = [
         a - b for a, b in zip(_classic_coeffs("cos:1", max_n), _classic_coeffs("sin:1", max_n))
@@ -1102,7 +1094,7 @@ def _chk_springer_b(max_n: int) -> dict:
     max_n=6,
 )
 def _chk_springer_d(max_n: int) -> dict:
-    counts = [sum(len(b) for b in word_arrays("snakeD", n, _BATCH_WORDS)) for n in range(max_n + 1)]
+    counts = [sum(len(b) for b in word_arrays("snakeD", n, _BATCH_WORDS)) for n in _bounded("snakeD", 0, max_n)]
     cos1 = _classic_coeffs("cos:1", max_n)
     cos2 = _classic_coeffs("cos:2", max_n)
     sin1 = _classic_coeffs("sin:1", max_n)
@@ -1121,7 +1113,7 @@ def _chk_springer_d(max_n: int) -> dict:
         src = list(even_series)
         if with_constant:
             src[0] += 1
-        return lambda: _first_mismatch(_rational_series_product(src, neg_cos2, max_n), target)
+        return _first_mismatch(_rational_series_product(src, neg_cos2, max_n), target)
 
     even = _reading_set([
         ("with-constant-term", True, even_reading(True)),
@@ -1138,8 +1130,8 @@ def _chk_springer_d(max_n: int) -> dict:
         odd_target[n] += cos2[n - 1]
     odd = _first_mismatch(_rational_series_product(odd_series, neg_cos2, max_n), odd_target)
 
-    status = "pass" if even["status"] == "pass" and odd["status"] == "pass" else "fail"
-    return {"status": status, "counts": counts, "even": even, "odd": odd}
+    report = _joint(even=even, odd=odd)
+    return {"status": report.pop("status"), "counts": counts, **report}
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from .extension import ExtElement, GEN_I, QFraction
-from .polynomials import LaurentPoly, poincare, qfact
+from .polynomials import LaurentPoly, poincare
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -175,13 +175,13 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {self})"
 
 
-# family -> (denominator kind, parity, carries the imaginary unit)
+# family -> (group whose Poincaré polynomial is the denominator, parity, carries the imaginary unit)
 SERIES_FAMILIES: dict[str, tuple[str, str, bool]] = {
-    "e_q": ("q", "all", False),
-    "cosh_q": ("q", "even", False),
-    "sinh_q": ("q", "odd", False),
-    "cos_q": ("q", "even", True),
-    "sin_q": ("q", "odd", True),
+    "e_q": ("A", "all", False),
+    "cosh_q": ("A", "even", False),
+    "sinh_q": ("A", "odd", False),
+    "cos_q": ("A", "even", True),
+    "sin_q": ("A", "odd", True),
     "exp_B": ("B", "all", False),
     "cosh_B": ("B", "even", False),
     "sinh_B": ("B", "odd", False),
@@ -195,12 +195,6 @@ SERIES_FAMILIES: dict[str, tuple[str, str, bool]] = {
 }
 
 
-def _denominator(kind: str, n: int) -> LaurentPoly:
-    if kind == "q":
-        return qfact(n)
-    return poincare(kind, n)
-
-
 def _parity_ok(parity: str, n: int) -> bool:
     if parity == "all":
         return True
@@ -212,9 +206,10 @@ def _parity_ok(parity: str, n: int) -> bool:
 def series_make(family: str, scale=1, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Build one of the named series with argument multiplier `scale`.
 
-    The coefficient of u**n is scale**n / denominator(family, n), restricted
-    to the family's parity.  The trigonometric families are the hyperbolic
-    ones evaluated at i-times the argument: scale**n * i**n is expanded in
+    The coefficient of u**n is scale**n / poincare(kind, n), where kind is
+    the family's group in SERIES_FAMILIES, restricted to the family's
+    parity.  The trigonometric families are the hyperbolic ones evaluated
+    at i-times the argument: scale**n * i**n is expanded in
     the quadratic extension, so even coefficients are i-free and odd
     coefficients carry a single factor of the imaginary unit (the sine
     families are NOT divided by i).
@@ -231,7 +226,7 @@ def series_make(family: str, scale=1, order: int = DEFAULT_ORDER) -> TruncatedSe
     power = ExtElement.one()
     for n in range(order + 1):
         if _parity_ok(parity, n):
-            coeffs.append(QFraction(power, _denominator(kind, n)))
+            coeffs.append(QFraction(power, poincare(kind, n)))
         else:
             coeffs.append(QFraction.zero())
         if n < order:

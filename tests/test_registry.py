@@ -320,6 +320,21 @@ def test_order_below_one_is_refused(cid, order):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("cid", SERIES_IDS)
+def test_an_order_past_the_ceiling_is_refused_before_any_series_is_built(monkeypatch, cid):
+    import artifact.registry as registry
+    from artifact.enumeration import BoundExceeded
+
+    def no_series(*args, **kwargs):
+        raise AssertionError(f"{cid} built a series before reading its brute-force side")
+
+    monkeypatch.setattr(registry, "series_make", no_series)
+    monkeypatch.setenv("ARTIFACT_MAX_N", "3")
+    registry.clear_cache()
+    with pytest.raises(BoundExceeded, match="at rank [45] "):  # rank 5 where only odd ranks are read
+        run_check(cid, order=6)
+
+
 def test_run_all_refuses_a_low_order_before_running_any(monkeypatch):
     import dataclasses
 

@@ -81,7 +81,7 @@ def test_str_omits_zero_terms():
 # the named families
 # ---------------------------------------------------------------------------
 def test_family_roster():
-    kinds = {"q", "B", "D"}
+    kinds = {"A", "B", "D"}
     assert {cfg[0] for cfg in SERIES_FAMILIES.values()} == kinds
     assert len(SERIES_FAMILIES) == 15
 

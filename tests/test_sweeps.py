@@ -209,7 +209,7 @@ def test_lemma_reads_its_insertions_in_blocks(monkeypatch):
     assert rows.count(budget) >= 240 // budget  # C(6,4)·2⁴ = 240 insertions at n = 6, r = 4 alone
 
 
-@pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()))
+@pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()) + ("springer-B-q1", "springer-D-q1"))
 def test_every_rank_is_bounded_before_any_word_is_read(monkeypatch, check_id):
     def no_words(group, n, rows, i=None):
         raise AssertionError(f"{check_id} read the words of {group}_{n}")

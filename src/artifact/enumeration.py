@@ -7,14 +7,17 @@ Two independent routes compute every distribution:
   comparisons (``array_stats``: ascents by their own comparisons, inversions
   by the definitional pair-counting formulas), and
 * a vectorized route that histograms each word of the flavor's whole group
-  by (descent-set bitmask, sign of the last entry, inv) over sign-pattern
-  chunks with numpy, projects that histogram onto the requested family
-  (every family is a condition on the mask and the last sign), and derives
-  ascent counts from the position totals.
+  by (descent-set bitmask, sign of the last entry, inv) with numpy, projects
+  that histogram onto the requested family (every family is a condition on
+  the mask and the last sign), and derives ascent counts from the position
+  totals.  It compares no entries word by word: for a fixed permutation the
+  word's histogram key is affine in its sign bits, so per-permutation
+  coefficients are computed once and each word's key is one add.
 
-The two routes are cross-checked against each other in the test suite; the
-checks that probe the ascent/descent complementation itself always use the
-direct route so they stay non-circular.
+The two routes are cross-checked against each other in the test suite, and
+the tests keep a pairwise-comparison histogram as the oracle of the
+vectorized kernel; the checks that probe the ascent/descent complementation
+itself always use the direct route so they stay non-circular.
 """
 
 from __future__ import annotations
@@ -114,12 +117,17 @@ def poly_group_python(
 # ----------------------------------------------------------------------
 # vectorized route
 # ----------------------------------------------------------------------
-# Words per chunk: one chunk's arrays stay within tens of MB, unless a single
-# sign pattern alone holds more permutations than this.
-_CHUNK_WORDS = 1 << 20
+# Words per chunk: 2**k sign patterns over one slice of the permutations,
+# as many as fit in this budget and at least one.
+_CHUNK_WORDS = 1 << 18
 
-# The kernel's narrow accumulators hold inv <= n*n in uint8 and the
-# (last sign, descent mask) pair in uint16, which fits every rank up to 15.
+# Permutations per slice: from rank 9 on, where n! is more than this, the
+# key coefficients and the chunks are built one slice of columns at a time,
+# so no chunk holds more than 2**18 words.
+_SLICE_COLUMNS = 1 << 17
+
+# Keys fit in uint32 through this rank, where the histogram of B15 already
+# has 226 * 2**16 bins.
 _MAX_VECTOR_RANK = 15
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -148,20 +156,6 @@ def _perm_rows(n: int) -> np.ndarray:
     return arr
 
 
-def _sign_codes(flavor: str, n: int) -> np.ndarray:
-    """The flavor's sign patterns; bit j set means entry j is negated.
-
-    Type D gets only the patterns of even popcount: the low n-1 bits run
-    freely and the top bit restores the parity.
-    """
-    if flavor == "A":
-        return np.zeros(1, dtype=np.int64)
-    if flavor == "B":
-        return np.arange(2**n, dtype=np.int64)
-    low = np.arange(2 ** (n - 1), dtype=np.int64)
-    return low | (np.bitwise_count(low) & 1).astype(np.int64) << (n - 1)
-
-
 def _inv_bins(flavor: str, n: int) -> int:
     if flavor == "B":
         return n * n + 1
@@ -170,67 +164,117 @@ def _inv_bins(flavor: str, n: int) -> int:
     return n * (n - 1) // 2 + 1
 
 
-def _chunk_histogram(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
-    """Bincount of (last entry negative, descent mask, inv) over sign patterns lo..hi-1.
+def _key_coefficients(flavor: str, n: int, perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, K) with key(x, p) = C(p) + sum_a x_a K_a(p) for every column p.
 
-    The key is ``((last << n) | mask) * bins + inv``.  Bit j of the mask is
-    position j for j >= 1; bit 0 is position 0 for B (0 > pi_1), position -1
-    for D (-pi_1 > pi_2), and never set for A.  Arrays are laid out as
-    (sign pattern, permutation), one array per position.
+    The key of a signed word is ``((last << n) | mask) * bins + inv``, where
+    bit j of the mask is position j for j >= 1, bit 0 is position 0 for B
+    (0 > pi_1), position -1 for D (-pi_1 > pi_2) and never set for A, and
+    x_a = 1 when entry a of the permutation p is negated.  With
+    ES_a = #{b < a : p_b < p_a} and g_j = [p_{j-1} > p_j]:
+
+    * inv_B adds x_a (2 ES_a + 1) to inv(p), and inv_D adds x_a 2 ES_a;
+    * descent bit j >= 1 is x_j + g_j (1 - x_{j-1} - x_j);
+    * B's bit 0 is x_0, D's is x_1 + g_1 (x_0 - x_1);
+    * the last-entry bit is x_{n-1}.
+
+    C and K are unsigned, of the narrowest width that holds every key; the
+    negative coefficients wrap around, and every key a word actually takes
+    comes out exact.  K has no rows for A.
     """
-    perms = _perm_rows(n)
     bins = _inv_bins(flavor, n)
-    codes = _sign_codes(flavor, n)[lo:hi]
-    bits = (codes[:, None] >> np.arange(n)) & 1
-    signs = (1 - 2 * bits).astype(np.int8)
-    words = [signs[:, a, None] * perms[a] for a in range(n)]
-
-    # inv = inv_A + the negative magnitudes (less their count for D); uint8
-    # wraps in between but ends exact, since inv < 256
-    bits = bits.astype(np.uint8)
-    magnitudes = perms.view(np.uint8)
-    inv = np.zeros(words[0].shape, dtype=np.uint8)
-    for a in range(n):
-        inv += bits[:, a, None] * magnitudes[a]
-    if flavor == "D":
-        inv -= bits.sum(axis=1, dtype=np.uint8)[:, None]
-
-    # the sign pattern alone fixes the last-entry bit, and B's position 0
-    # (0 > pi_1 exactly when entry 0 is negated)
-    head = (codes >> (n - 1) & 1) << n
+    dtype = np.uint16 if bins << (n + 1) <= 1 << 16 else np.uint32
+    signed = flavor != "A"
+    # inv(p) = sum_a #{b < a : p_b > p_a} = n(n-1)/2 - sum_a ES_a
+    const = np.full(perms.shape[1], n * (n - 1) // 2, dtype=dtype)
+    coef = np.zeros((n if signed else 0, perms.shape[1]), dtype=dtype)
+    for a in range(1, n):
+        es = np.zeros(perms.shape[1], dtype=np.uint8)
+        for b in range(a):
+            es += perms[b] < perms[a]
+        const -= es
+        if signed:
+            coef[a] = es
+    if signed:
+        coef <<= 1
+        coef[n - 1] += bins << n
+    for j in range(1, n):
+        step = bins << j
+        g = (perms[j - 1] > perms[j]) * dtype(step)
+        const += g
+        if signed:
+            coef[j] += step
+            coef[j] -= g
+            coef[j - 1] -= g
     if flavor == "B":
-        head |= codes & 1
-    mask = np.empty(words[0].shape, dtype=np.uint16)
-    mask[:] = head[:, None]
+        coef += 1
+        coef[0] += bins
+    elif flavor == "D":
+        g = (perms[0] > perms[1]) * dtype(bins)
+        coef[1] += bins
+        coef[1] -= g
+        coef[0] += g
+    return const, coef
+
+
+def _low_tables(flavor: str, const: np.ndarray, coef: np.ndarray, low: int) -> np.ndarray:
+    """The keys of sign bits 0..low-1 over every column, built by doubling.
+
+    Row c of a table is C + sum_{a < low} c_a K_a.  B and A get one table.
+    In D the top sign bit restores even parity, so it depends on the parity
+    of the bits above ``low`` too: table 0 is for an even count of them and
+    table 1 for an odd one.  Setting bit a flips the parity, so each table's
+    upper half is the other table's lower half plus K_a.
+    """
+    tables = np.empty((1 + (flavor == "D"), 1 << low, const.size), dtype=const.dtype)
+    tables[:, 0] = const
     if flavor == "D":
-        mask += (words[0] + words[1]) < 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            greater = words[a] > words[b]
-            inv += greater
-            if b == a + 1:
-                mask += greater * np.uint16(1 << b)
-    key = mask.astype(np.int32)
-    key *= bins
-    key += inv
-    return np.bincount(key.ravel(), minlength=bins << (n + 1)).astype(np.int64)
+        tables[1, 0] += coef[-1]
+    for a in range(low):
+        half = 1 << a
+        np.add(tables[::-1, :half], coef[a], out=tables[:, half : 2 * half])
+    return tables
+
+
+def _chunk_histogram(table: np.ndarray, offset: np.ndarray, length: int) -> np.ndarray:
+    """Bincount of one chunk's keys: a low-bit table shifted by the high bits' offset.
+
+    The add wraps in the table's width and writes intp, which bincount reads
+    without a copy.
+    """
+    keys = np.add(table, offset, out=np.empty(table.shape, dtype=np.intp))
+    return np.bincount(keys.ravel(), minlength=length)
 
 
 @cache
 def _histogram(flavor: str, n: int) -> np.ndarray:
-    """The whole-group histogram of a flavor and rank; memoized, so read-only."""
-    nsigns = len(_sign_codes(flavor, n))
-    # the word budget alone would allow 26 sign patterns per chunk at B8; the
-    # // 32 term caps that at 8, which keeps the sweep's peak memory low
-    chunk = max(1, min(nsigns // 32, _CHUNK_WORDS // factorial(n)))
-    total = 0
-    for lo in range(0, nsigns, chunk):
-        # binding each chunk's histogram to a name keeps it alive while the
-        # next chunk runs; it then sits above that chunk's freed temporaries,
-        # so malloc reuses their pages instead of trimming and refaulting them
-        # (B8 took 0.25 s instead of 0.15 s, with six times the page faults)
-        part = _chunk_histogram(flavor, n, lo, min(lo + chunk, nsigns))
-        total += part
+    """The whole-group histogram of a flavor and rank; memoized, so read-only.
+
+    Bin ``((last << n) | mask) * bins + inv`` counts the words whose last
+    entry is negative (last), whose descent set is the bitmask ``mask`` and
+    whose length is ``inv``.  Each chunk is one slice of permutations under
+    2**low sign patterns: the low bits come from ``_low_tables`` and the high
+    bits add one offset per chunk, updated by one row of K as the high bits
+    step through a Gray code.
+    """
+    perms = _perm_rows(n)
+    length = _inv_bins(flavor, n) << (n + 1)
+    free = {"A": 0, "B": n, "D": n - 1}[flavor]  # sign bits that run freely
+    total = np.zeros(length, dtype=np.int64)
+    for start in range(0, perms.shape[1], _SLICE_COLUMNS):
+        const, coef = _key_coefficients(flavor, n, perms[:, start : start + _SLICE_COLUMNS])
+        low = min(free, max(0, (_CHUNK_WORDS // const.size).bit_length() - 1))
+        tables = _low_tables(flavor, const, coef, low)
+        offset = np.zeros_like(const)
+        for step in range(1 << (free - low)):
+            gray = step ^ step >> 1
+            if step:
+                bit = (step & -step).bit_length() - 1
+                if gray >> bit & 1:
+                    offset += coef[low + bit]
+                else:
+                    offset -= coef[low + bit]
+            total += _chunk_histogram(tables[gray.bit_count() % len(tables)], offset, length)
     total.flags.writeable = False
     return total
 

@@ -2,8 +2,9 @@
 
 Each is a definitional form of something the package computes another way:
 the inverses of the juxtaposition maps, the pair-counting lengths, a
-filter over the whole group for the descending-suffix family, and the
-word-at-a-time lemma sums.
+filter over the whole group for the descending-suffix family, the
+word-at-a-time lemma sums, and the whole-group histogram by pairwise entry
+comparisons.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from artifact.bijections import SignedSubset, signed_subsets
+from artifact.enumeration import _inv_bins, _perm_rows
 from artifact.permutations import Word, iterate_group, negative_count
 from artifact.polynomials import LaurentPoly
 
@@ -91,3 +95,70 @@ def lemma_sum(juxtapose: Callable[[Word, SignedSubset, int], Word], inv: Callabl
         exp = (0, 0, inv(juxtapose(sigma, subset, n)), 0, 0, 0, 0)
         terms[exp] = terms.get(exp, 0) + 1
     return LaurentPoly(terms)
+
+
+def sign_codes(flavor: str, n: int) -> np.ndarray:
+    """The flavor's sign patterns; bit j set means entry j is negated.
+
+    Type D gets only the patterns of even popcount: the low n-1 bits run
+    freely and the top bit restores the parity.
+    """
+    if flavor == "A":
+        return np.zeros(1, dtype=np.int64)
+    if flavor == "B":
+        return np.arange(2**n, dtype=np.int64)
+    low = np.arange(2 ** (n - 1), dtype=np.int64)
+    return low | (np.bitwise_count(low) & 1).astype(np.int64) << (n - 1)
+
+
+def comparison_chunk(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
+    """Bincount of (last entry negative, descent mask, inv) over sign patterns lo..hi-1.
+
+    The key is ``((last << n) | mask) * bins + inv``.  Bit j of the mask is
+    position j for j >= 1; bit 0 is position 0 for B (0 > pi_1), position -1
+    for D (-pi_1 > pi_2), and never set for A.  Every word is built, and
+    every pair of its entries compared.  Arrays are laid out as (sign
+    pattern, permutation), one array per position.
+    """
+    perms = _perm_rows(n)
+    bins = _inv_bins(flavor, n)
+    codes = sign_codes(flavor, n)[lo:hi]
+    bits = (codes[:, None] >> np.arange(n)) & 1
+    signs = (1 - 2 * bits).astype(np.int8)
+    words = [signs[:, a, None] * perms[a] for a in range(n)]
+
+    # inv = inv_A + the negative magnitudes (less their count for D); uint8
+    # wraps in between but ends exact, since inv < 256
+    bits = bits.astype(np.uint8)
+    magnitudes = perms.view(np.uint8)
+    inv = np.zeros(words[0].shape, dtype=np.uint8)
+    for a in range(n):
+        inv += bits[:, a, None] * magnitudes[a]
+    if flavor == "D":
+        inv -= bits.sum(axis=1, dtype=np.uint8)[:, None]
+
+    # the sign pattern alone fixes the last-entry bit, and B's position 0
+    # (0 > pi_1 exactly when entry 0 is negated)
+    head = (codes >> (n - 1) & 1) << n
+    if flavor == "B":
+        head |= codes & 1
+    mask = np.empty(words[0].shape, dtype=np.uint16)
+    mask[:] = head[:, None]
+    if flavor == "D":
+        mask += (words[0] + words[1]) < 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            greater = words[a] > words[b]
+            inv += greater
+            if b == a + 1:
+                mask += greater * np.uint16(1 << b)
+    key = mask.astype(np.int32)
+    key *= bins
+    key += inv
+    return np.bincount(key.ravel(), minlength=bins << (n + 1)).astype(np.int64)
+
+
+def comparison_histogram(flavor: str, n: int) -> np.ndarray:
+    """The whole-group histogram of ``enumeration._histogram``, eight sign patterns at a time."""
+    count = len(sign_codes(flavor, n))
+    return sum(comparison_chunk(flavor, n, lo, min(lo + 8, count)) for lo in range(0, count, 8))

@@ -46,7 +46,7 @@ def test_01_type_b_recurrence_equals_brute_force_through_rank_8():
     for n in range(0, 9):
         assert recur_B(n) == poly_group("B", n, "biv", jobs=4), n
     elapsed = time.perf_counter() - started
-    assert elapsed < 6.0, f"rank sweep took {elapsed:.1f}s"
+    assert elapsed < 1.0, f"rank sweep took {elapsed:.1f}s"
     announce("type B recurrence == brute force, 0 <= n <= 8", elapsed)
 
 
@@ -56,7 +56,7 @@ def test_02_type_d_recurrence_equals_brute_force_through_rank_8():
     for n in range(2, 9):
         assert recur_D(n) == poly_group("D", n, "biv", jobs=4), n
     elapsed = time.perf_counter() - started
-    assert elapsed < 4.0, f"rank sweep took {elapsed:.1f}s"
+    assert elapsed < 0.5, f"rank sweep took {elapsed:.1f}s"
     announce("type D recurrence == brute force, 2 <= n <= 8", elapsed)
 
 

@@ -13,6 +13,8 @@ from artifact.enumeration import (
     WEIGHTS,
     BoundExceeded,
     _exponent,
+    _inv_bins,
+    _key_coefficients,
     poly_group,
     poly_group_python,
     work_estimate,
@@ -20,8 +22,12 @@ from artifact.enumeration import (
 from artifact.permutations import (
     StatVector,
     array_stats,
+    descent_set_A,
+    descent_set_B,
     descent_set_D,
     inv_A,
+    inv_B,
+    inv_D,
     is_snake,
     iterate_group,
     stats_A,
@@ -29,7 +35,7 @@ from artifact.permutations import (
     stats_D,
 )
 from artifact.polynomials import LaurentPoly
-from oracles import inv_B_definitional, inv_D_definitional
+from oracles import comparison_histogram, inv_B_definitional, inv_D_definitional
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -234,9 +240,9 @@ def test_chunks_respect_the_word_budget(monkeypatch):
     words = []
     real = enumeration._chunk_histogram
 
-    def recording(flavor, n, lo, hi):
-        words.append((hi - lo) * math.factorial(n))
-        return real(flavor, n, lo, hi)
+    def recording(table, offset, length):
+        words.append(table.size)
+        return real(table, offset, length)
 
     monkeypatch.setattr(enumeration, "_chunk_histogram", recording)
     budget = 3 * math.factorial(7)
@@ -264,9 +270,9 @@ def test_histogram_is_computed_once_until_the_cache_is_cleared(monkeypatch):
     chunks = []
     real = enumeration._chunk_histogram
 
-    def recording(flavor, n, lo, hi):
-        chunks.append((flavor, n))
-        return real(flavor, n, lo, hi)
+    def recording(table, offset, length):
+        chunks.append(length)
+        return real(table, offset, length)
 
     monkeypatch.setattr(enumeration, "_chunk_histogram", recording)
     clear_cache()
@@ -281,6 +287,56 @@ def test_histogram_is_computed_once_until_the_cache_is_cleared(monkeypatch):
     clear_cache()
     poly_group("D", 5, "biv")
     assert len(chunks) == 2 * computed
+
+
+@pytest.fixture(scope="module")
+def comparison_histograms():
+    ranks = {"A": range(2, 10), "B": range(2, 9), "D": range(2, 9)}
+    return {(flavor, n): comparison_histogram(flavor, n) for flavor, ns in ranks.items() for n in ns}
+
+
+@pytest.mark.parametrize(
+    "setting, value", [(None, None), ("_CHUNK_WORDS", 1), ("_SLICE_COLUMNS", 1000)]
+)
+def test_histogram_equals_the_comparison_kernel(monkeypatch, comparison_histograms, setting, value):
+    """Entry for entry, at the default budget (several sign patterns a chunk),
+    at one sign pattern a chunk, and with the permutations read in slices."""
+    import artifact.enumeration as enumeration
+
+    if setting:
+        monkeypatch.setattr(enumeration, setting, value)
+    enumeration.clear_histograms()
+    for (flavor, n), want in comparison_histograms.items():
+        got = enumeration._histogram(flavor, n)
+        assert got.dtype == want.dtype and got.shape == want.shape, (flavor, n)
+        assert np.array_equal(got, want), (flavor, n)
+    enumeration.clear_histograms()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from("ABD"), st.integers(2, 14).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n))
+))
+def test_word_key_is_affine_in_the_sign_bits(flavor, drawn):
+    """C(p) + sum_a x_a K_a(p), reduced to the key's width, is the word's
+    (last sign, descent mask, inv) key as the scalar statistics read it."""
+    perm, signs = drawn
+    n = len(perm)
+    if flavor == "A":
+        signs = [False] * n
+    elif flavor == "D" and sum(signs) % 2:
+        signs[0] = not signs[0]
+    word = tuple(-v if neg else v for v, neg in zip(perm, signs))
+    const, coef = _key_coefficients(flavor, n, np.array(perm, dtype=np.int8)[:, None])
+    key = int(const[0]) + sum(int(k) for k, neg in zip(coef[:, 0], signs) if neg)
+    key %= 1 << 8 * const.itemsize
+    code, inv = divmod(key, _inv_bins(flavor, n))
+
+    descents = {"A": descent_set_A, "B": descent_set_B, "D": descent_set_D}[flavor](word)
+    lengths = {"A": inv_A, "B": inv_B, "D": inv_D}[flavor]
+    assert inv == lengths(word)
+    assert code & ((1 << n) - 1) == sum(1 << max(i, 0) for i in descents)  # D's -1 is bit 0
+    assert code >> n == (word[-1] < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -279,8 +279,13 @@ def _histogram(flavor: str, n: int) -> np.ndarray:
     return total
 
 
-# registry.clear_cache drops the histograms along with its polynomials
-clear_histograms = _histogram.cache_clear
+def clear_histograms() -> None:
+    """Drop the cached histograms and the permutation arrays they are built from.
+
+    registry.clear_cache calls this along with dropping its polynomials.
+    """
+    _histogram.cache_clear()
+    _PERM_CACHE.clear()
 
 
 def _position_bits(flavor: str, n: int) -> tuple[int, int]:

@@ -8,8 +8,8 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import chain, repeat
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Mapping
@@ -48,10 +48,14 @@ class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
     Exponents are signed integers so reciprocal substitutions stay inside the
-    ring.  Instances are treated as immutable; no method mutates ``terms``.
+    ring.  Instances are immutable: nothing may mutate ``terms``, since the
+    polynomial may also hold its kernel form (``_form``, memoized the first
+    time the product kernel packs it), which would then go stale.  A
+    polynomial the kernel returns holds only its form until ``terms`` is
+    first read (see ``_KernelResult``).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
         clean: dict[tuple[int, ...], int] = {}
@@ -60,6 +64,7 @@ class LaurentPoly:
                 if coef:
                     clean[tuple(exp)] = coef
         self.terms = clean
+        self._form = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -118,9 +123,7 @@ class LaurentPoly:
                 out[exp] = new
             else:
                 out.pop(exp, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.terms = out
-        return result
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -141,17 +144,14 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        out = None
-        pairs = len(a) * len(b)
-        if pairs >= _KRONECKER_MIN_PAIRS and min(len(a), len(b)) > 1:
-            relabel = pairs >= _RELABEL_MIN_PAIRS and min(len(a), len(b)) >= _RELABEL_MIN_TERMS
-            out = _kronecker_product(a, b, relabel)
-        if out is None:
-            out = _schoolbook_product(a, b)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.terms = out
-        return result
+        na, nb = _size(self), _size(other)
+        pairs = na * nb
+        if pairs >= _KRONECKER_MIN_PAIRS and min(na, nb) > 1:
+            relabel = pairs >= _RELABEL_MIN_PAIRS and min(na, nb) >= _RELABEL_MIN_TERMS
+            out = _kronecker_product(self, other, relabel)
+            if out is not None:
+                return out
+        return _poly(_schoolbook_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -317,8 +317,87 @@ _KRONECKER_MIN_PAIRS = 512
 _RELABEL_MIN_PAIRS = 1024
 _RELABEL_MIN_TERMS = 5
 _KRONECKER_FILL = 8
-_DECODE_CHUNK = 1 << 12  # nonzero slots turned back into terms per step
+_DECODE_CHUNK = 1 << 12  # terms of a kernel result turned into dict entries per step
 _EXP_LIMIT = 1 << 61
+_DECLINED = False  # the memoized form of a polynomial with an exponent too large for the kernel
+
+
+class _Form:
+    """A nonzero polynomial as the kernel reads it, in the order of its terms.
+
+    ``exps`` holds the exponents, one int64 row per variable, and ``coefs``
+    the coefficients.  The measures the kernel reads are computed on first
+    use, so a kernel result whose terms are read at once never pays for
+    them: ``low`` and ``high``, each variable's least and greatest exponent,
+    and ``top`` and ``mass``, the largest |coefficient| and the sum of the
+    |coefficients|, which bound the coefficients of a product.
+    """
+
+    def __init__(self, exps: np.ndarray, coefs: list[int]):
+        self.exps, self.coefs = exps, coefs
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        return self.exps.min(axis=1)
+
+    @cached_property
+    def high(self) -> np.ndarray:
+        return self.exps.max(axis=1)
+
+    @cached_property
+    def top(self) -> int:
+        return max(map(abs, self.coefs))
+
+    @cached_property
+    def mass(self) -> int:
+        return sum(map(abs, self.coefs))
+
+
+class _KernelResult(LaurentPoly):
+    """A polynomial the kernel returned: it holds only its form until ``terms`` is first read.
+
+    That read builds the dict from the form and drops the form.  The hook
+    lives on this subclass alone, so reading the terms of any other
+    polynomial costs no more than reading a slot.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: here, the terms before their first read
+        if name != "terms":
+            raise AttributeError(f"'LaurentPoly' object has no attribute {name!r}")
+        form = self._form
+        terms: Terms = {}
+        for start in range(0, len(form.coefs), _DECODE_CHUNK):
+            stop = start + _DECODE_CHUNK
+            terms.update(zip(zip(*form.exps[:, start:stop].tolist()), form.coefs[start:stop]))
+        self.terms = terms
+        self._form = None
+        return terms
+
+
+def _poly(terms: Terms) -> LaurentPoly:
+    """A polynomial on these terms, which must hold no zero coefficient."""
+    result = LaurentPoly.__new__(LaurentPoly)
+    result.terms = terms
+    result._form = None
+    return result
+
+
+def _size(poly: LaurentPoly) -> int:
+    """The number of terms, read from the form when there is one, so a kernel result stays undecoded."""
+    form = poly._form
+    return len(form.coefs) if form else len(poly.terms)
+
+
+def _form_of(poly: LaurentPoly) -> _Form | None:
+    """The kernel form of a nonzero polynomial, memoized; None when an exponent is too large."""
+    form = poly._form
+    if form is None:
+        exps = _exponent_array(poly.terms)
+        form = poly._form = _DECLINED if exps is None else _Form(exps, list(poly.terms.values()))
+    return form or None
 
 
 def _schoolbook_product(a: Terms, b: Terms) -> Terms:
@@ -363,26 +442,24 @@ def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
     applied by shifted adds, one per term.  When the first two factors hold
     fewer than _KRONECKER_MIN_PAIRS term pairs in all, or the kernel
     declines the box, the sum is taken through the product and sum operators.
+    Factors are counted from their forms, so a kernel result stays undecoded.
     """
-    products = [p for p in products if all(f.terms for f in p)]
-    terms = [tuple(f.terms for f in p) for p in products]
+    products = [p for p in products if all(map(_size, p))]
     out = None
-    if sum(len(a) * len(b) for a, b, *_ in terms) >= _KRONECKER_MIN_PAIRS:
-        out = _kronecker_sum(terms)
+    if sum(_size(a) * _size(b) for a, b, *_ in products) >= _KRONECKER_MIN_PAIRS:
+        out = _kronecker_sum(products)
     if out is None:
         return sum((reduce(mul, p) for p in products), LaurentPoly.zero())
-    result = LaurentPoly.__new__(LaurentPoly)
-    result.terms = out
-    return result
+    return out
 
 
-def _kronecker_product(a: Terms, b: Terms, relabel: bool = True) -> Terms | None:
+def _kronecker_product(a: LaurentPoly, b: LaurentPoly, relabel: bool = True) -> LaurentPoly | None:
     """Product by Kronecker substitution, or None when the exponent box is sparse."""
     return _kronecker_sum([(a, b)], relabel)
 
 
-def _kronecker_sum(products: list[tuple[Terms, ...]], relabel: bool = False) -> Terms | None:
-    """Sum of products by Kronecker substitution, or None when the exponent box is sparse.
+def _kronecker_sum(products: list[tuple[LaurentPoly, ...]], relabel: bool = False) -> LaurentPoly | None:
+    """Sum of products of nonzero factors by Kronecker substitution, or None when the exponent box is sparse.
 
     Every product lands in one shared box, which spans from the smallest sum
     of its factors' minima to the largest sum of their maxima.  Each exponent
@@ -401,54 +478,49 @@ def _kronecker_sum(products: list[tuple[Terms, ...]], relabel: bool = False) -> 
     _KRONECKER_FILL slots per term of the first two factors.  When the
     seven-variable box of a single two-factor product is too sparse and
     ``relabel`` is set, the smaller box of ``_relabel`` is tried under the
-    same limit.
+    same limit.  Factors are read through their forms only, and the result
+    holds only its form.
     """
     if not products:
-        return {}
-    arrays = [[_exponent_array(f) for f in p] for p in products]
-    if any(e is None for es in arrays for e in es):
+        return LaurentPoly.zero()
+    forms = [[_form_of(f) for f in p] for p in products]
+    if not all(map(all, forms)):
         return None
-    lows = [[e.min(axis=1) for e in es] for es in arrays]
-    highs = [[e.max(axis=1) for e in es] for es in arrays]
-    corners = [sum(lo[1:], lo[0]) for lo in lows]
+    corners = [sum((f.low for f in fs[1:]), fs[0].low) for fs in forms]
     origin = np.min(corners, axis=0)
-    top = np.max([sum(hi[1:], hi[0]) for hi in highs], axis=0)
+    top = np.max([sum((f.high for f in fs[1:]), fs[0].high) for fs in forms], axis=0)
     dims = (top - origin + 1).tolist()
-    for lo, es in zip(lows, arrays):
-        for low, e in zip(lo, es):
-            e -= low[:, None]
-    limit = _KRONECKER_FILL * sum(len(a) + len(b) for a, b, *_ in products)
+    limit = _KRONECKER_FILL * sum(len(a.coefs) + len(b.coefs) for a, b, *_ in forms)
     layout = _ROSTER
     if prod(dims) > limit:
         if not relabel:
             return None
-        [(ea, eb)] = arrays
-        box = _relabel(ea, eb, ea.max(axis=1), eb.max(axis=1), limit)
+        [(fa, fb)] = forms
+        box = _relabel(fa.exps - fa.low[:, None], fb.exps - fb.low[:, None],
+                       fa.high - fa.low, fb.high - fb.low, limit)
         if box is None:
             return None
-        ea, eb, dims, layout = box
-        arrays = [(ea, eb)]
+        ca, cb, dims, layout = box
+        indices = [(np.ravel_multi_index(ca, dims), np.ravel_multi_index(cb, dims))]
         shifts = [0]  # a single product's origin is the box's
     else:
+        indices = [[np.ravel_multi_index(f.exps - f.low[:, None], dims) for f in fs] for fs in forms]
         shifts = [int(np.ravel_multi_index(tuple(corner - origin), dims)) for corner in corners]
     bound = sum(
-        max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-        * prod(sum(map(abs, f.values())) for f in more)
-        for a, b, *more in products
+        a.top * b.top * min(len(a.coefs), len(b.coefs)) * prod(f.mass for f in more)
+        for a, b, *more in forms
     )
     width = (bound.bit_length() + 2 + 7) // 8
     total = nslots = 0
-    for (a, b, *more), (ea, eb, *emore), shift in zip(products, arrays, shifts):
-        ia, ib = np.ravel_multi_index(ea, dims), np.ravel_multi_index(eb, dims)
+    for (a, b, *more), (ia, ib, *imore), shift in zip(forms, indices, shifts):
         high = shift + int(ia.max() + ib.max())
-        packed = _pack(ia, list(a.values()), width) * _pack(ib, list(b.values()), width)
-        for f, ef in zip(more, emore):
-            index = np.ravel_multi_index(ef, dims)
+        packed = _pack(ia, a.coefs, width) * _pack(ib, b.coefs, width)
+        for f, index in zip(more, imore):
             high += int(index.max())
-            packed = _shifted_sum(packed, 8 * width, index.tolist(), f.values())
+            packed = _shifted_sum(packed, 8 * width, index.tolist(), f.coefs)
         nslots = max(nslots, high + 1)
         total += packed << (8 * width * shift)
-    del arrays, ea, eb
+    del indices, ia, ib
     buf = total.to_bytes(width * nslots, "little", signed=True)
     del total  # hold one copy of the sum while decoding
     return _unpack(buf, width, dims, layout, origin)
@@ -562,37 +634,37 @@ def _resize_slots(raw: np.ndarray, width: int) -> np.ndarray:
     return np.hstack([raw, np.repeat(fill, width - raw.shape[1], axis=1)])
 
 
-def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarray) -> Terms:
-    """Terms of a packed integer with ``width``-byte slots, given as signed little-endian bytes.
+def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarray) -> LaurentPoly:
+    """The polynomial of a packed integer with ``width``-byte slots, given as signed little-endian bytes.
 
     A slot's coefficient is its signed value plus one when the slot below it
     is negative, because the guard bits keep every partial sum below a slot
     under half that slot's weight.  Slots of at most 8 bytes are read as
     sign-extended int64, wider ones one by one.  A slot's box coordinates map
     back to exponents through ``layout`` (see ``_relabel``), plus ``lo``.
+    The result holds only its form, with its terms in slot order.
     """
     slots = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
     borrow = np.zeros(len(slots), dtype=np.uint8)
     borrow[1:] = slots[:-1, -1] >> 7
     # a zero coefficient is a slot whose bytes all equal minus its borrow
     nonzero = np.flatnonzero((slots != borrow[:, None] * np.uint8(0xFF)).any(axis=1))
-    out: Terms = {}
-    view = memoryview(buf)
-    for start in range(0, len(nonzero), _DECODE_CHUNK):
-        chunk = nonzero[start:start + _DECODE_CHUNK]
-        columns = [repeat(low) for low in lo.tolist()]  # constant unless a coordinate covers it
-        for digits, (rows, table) in zip(np.unravel_index(chunk, dims), layout):
-            for row, values in zip(rows, [digits] if table is None else table[:, digits]):
-                columns[row] = (values + lo[row]).tolist()
-        if width <= 8:
-            coefs = (_resize_slots(slots[chunk], 8).view("<i8")[:, 0] + borrow[chunk]).tolist()
-        else:
-            coefs = [
-                int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
-                for k, t in zip(chunk.tolist(), borrow[chunk].tolist())
-            ]
-        out.update(zip(zip(*columns), coefs))
-    return out
+    if not len(nonzero):
+        return LaurentPoly.zero()
+    exps = np.repeat(lo[:, None], len(nonzero), axis=1)  # constant unless a coordinate covers it
+    for digits, (rows, table) in zip(np.unravel_index(nonzero, dims), layout):
+        exps[rows] += digits if table is None else table[:, digits]
+    if width <= 8:
+        coefs = (_resize_slots(slots[nonzero], 8).view("<i8")[:, 0] + borrow[nonzero]).tolist()
+    else:
+        view = memoryview(buf)
+        coefs = [
+            int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
+            for k, t in zip(nonzero.tolist(), borrow[nonzero].tolist())
+        ]
+    result = _KernelResult.__new__(_KernelResult)
+    result._form = _Form(exps, coefs)
+    return result
 
 
 def first_difference(

@@ -82,17 +82,20 @@ def pd_product(n: int) -> LaurentPoly:
     return _one_plus_q_run(n - 1, max(n - 1, 0))
 
 
-def _block(n: int, size: int) -> tuple[LaurentPoly, int, int]:
-    """The marker of a block of ``size`` entries in a rank-n recurrence, and
-    the exponents of its s and its t factor.
+@lru_cache(maxsize=None)
+def _block(odd: int, size: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The factors of a block of ``size`` entries in a rank-n recurrence,
+    where ``odd`` is (n - size) % 2.
 
     s marks the block when n - size is even and t when it is odd; the
-    marker's own factor has exponent (size - 1) // 2, the other size // 2.
+    marker's own factor has exponent es or et = (size - 1) // 2, the other
+    size // 2.  Returns ``marker * (1-t)^et`` and ``(1-s)^es`` for the
+    recurrences, then ``(s-1)^es`` and ``(t-1)^et`` for the subset expansion.
+    Cached, so each factor is built, and packed by the kernel, once.
     """
     short, long = (size - 1) // 2, size // 2
-    if (n - size) % 2 == 0:
-        return _S, short, long
-    return _T, long, short
+    marker, es, et = (_T, long, short) if odd else (_S, short, long)
+    return marker * one_minus("t") ** et, one_minus("s") ** es, (_S - _ONE) ** es, (_T - _ONE) ** et
 
 
 @lru_cache(maxsize=None)
@@ -108,12 +111,10 @@ def recur_B(n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.one()
-    oms = one_minus("s")
-    omt = one_minus("t")
-    products = [(omt ** (n // 2) * oms ** ((n + 1) // 2), _ONE)]
+    products = [(one_minus("t") ** (n // 2) * one_minus("s") ** ((n + 1) // 2), _ONE)]
     for size in range(1, n + 1):
-        marker, es, et = _block(n, size)
-        products.append((c_coeff(n, size), recur_B(n - size), marker * omt**et, oms**es))
+        marked, s_factor, _, _ = _block((n - size) % 2, size)
+        products.append((c_coeff(n, size), recur_B(n - size), marked, s_factor))
     return sum_of_products(products)
 
 
@@ -138,8 +139,8 @@ def recur_D(n: int) -> LaurentPoly:
         (_T * _T * omt ** (k - 1) * head * qint(n), pd),
     ]
     for size in range(1, n - 1):
-        marker, es, et = _block(n, size)
-        products.append((cd_coeff(n, size), recur_D(n - size), marker * omt**et, oms**es))
+        marked, s_factor, _, _ = _block((n - size) % 2, size)
+        products.append((cd_coeff(n, size), recur_D(n - size), marked, s_factor))
     return sum_of_products(products)
 
 
@@ -163,12 +164,10 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
         raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    sm1 = _S - _ONE
-    tm1 = _T - _ONE
     products = []
     for size in range(1, n + 1):
-        _, es, et = _block(n, size)
-        products.append((_qpow(comb(size, 2)) * qbinom(n, size), base(n - size), sm1**es, tm1**et))
+        _, _, s_factor, t_factor = _block((n - size) % 2, size)
+        products.append((_qpow(comb(size, 2)) * qbinom(n, size), base(n - size), s_factor, t_factor))
     return sum_of_products(products)
 
 
@@ -243,6 +242,6 @@ def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     """
     qpow, spow, tpow = reciprocal_exponents(family, n)
     return LaurentPoly({
-        (spow - es, tpow - et, qpow - eq, *rest): coef
-        for (es, et, eq, *rest), coef in poly.terms.items()
+        (spow - es, tpow - et, qpow - eq, s0, s1, t0, t1): coef
+        for (es, et, eq, s0, s1, t0, t1), coef in poly.terms.items()
     })

@@ -3,8 +3,9 @@
 Each is a definitional form of something the package computes another way:
 the inverses of the juxtaposition maps, the pair-counting lengths, a
 filter over the whole group for the descending-suffix family, the
-word-at-a-time lemma sums, and the whole-group histogram by pairwise entry
-comparisons.
+word-at-a-time lemma sums, the whole-group histogram by pairwise entry
+comparisons, and the terms of a product kernel result read back from its
+form.
 """
 
 from __future__ import annotations
@@ -162,3 +163,29 @@ def comparison_histogram(flavor: str, n: int) -> np.ndarray:
     """The whole-group histogram of ``enumeration._histogram``, eight sign patterns at a time."""
     count = len(sign_codes(flavor, n))
     return sum(comparison_chunk(flavor, n, lo, min(lo + 8, count)) for lo in range(0, count, 8))
+
+
+def is_decoded(poly: LaurentPoly) -> bool:
+    """Whether the terms dict of a polynomial is built, found without building it."""
+    try:
+        object.__getattribute__(poly, "terms")
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_form_agrees(poly: LaurentPoly) -> None:
+    """Read the terms of an undecoded kernel result and check them against its form.
+
+    The dict holds the form's terms in the form's order, no zero, and the
+    form's per-variable extremes and coefficient bounds are those of the terms.
+    """
+    form = poly._form
+    assert not is_decoded(poly)
+    exps = list(zip(*form.exps.tolist()))
+    assert list(poly.terms.items()) == list(zip(exps, form.coefs))
+    assert all(poly.terms.values())
+    assert form.low.tolist() == list(map(min, zip(*exps)))
+    assert form.high.tolist() == list(map(max, zip(*exps)))
+    magnitudes = [abs(c) for c in form.coefs]
+    assert (form.top, form.mass) == (max(magnitudes), sum(magnitudes))

@@ -289,6 +289,19 @@ def test_histogram_is_computed_once_until_the_cache_is_cleared(monkeypatch):
     assert len(chunks) == 2 * computed
 
 
+def test_clear_cache_drops_the_permutations():
+    """registry.clear_cache leaves neither a histogram nor a permutation array behind."""
+    import artifact.enumeration as enumeration
+    from artifact.registry import clear_cache
+
+    clear_cache()
+    poly_group("B", 7, "biv")
+    assert 7 in enumeration._PERM_CACHE
+    clear_cache()
+    assert enumeration._PERM_CACHE == {}
+    assert enumeration._histogram.cache_info().currsize == 0
+
+
 @pytest.fixture(scope="module")
 def comparison_histograms():
     ranks = {"A": range(2, 10), "B": range(2, 9), "D": range(2, 9)}

@@ -29,6 +29,7 @@ from artifact.polynomials import (
     qint,
     sum_of_products,
 )
+from oracles import assert_form_agrees, is_decoded
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -121,12 +122,13 @@ coefficients = st.one_of(
 
 
 @st.composite
-def dense_pairs(draw):
-    """Two operands in all seven variables, each filling its own exponent box.
+def dense_pairs(draw, count=2):
+    """Two (or ``count``) operands in all seven variables, each filling its own exponent box.
 
-    Both operands spread over the same one to three variables (at most four
+    The operands spread over the same one to three variables (at most four
     exponents each) and sit at independent offsets, negative ones included, in
-    every variable; the product box then has at most 3.2 slots per operand term.
+    every variable; the product box of two then has at most 3.2 slots per
+    operand term.
     """
     spread = draw(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3, unique=True))
 
@@ -142,14 +144,14 @@ def dense_pairs(draw):
             terms[tuple(exp)] = draw(coefficients)
         return terms
 
-    return operand(), operand()
+    return tuple(LaurentPoly(operand()) for _ in range(count))
 
 
 def _assert_kernel_matches(a, b):
     out = _kronecker_product(a, b)
     assert out is not None  # a dense box takes the kernel
-    assert out == _schoolbook_product(a, b)
-    assert all(out.values())  # no stored zero: __eq__ compares dicts
+    assert out.terms == _schoolbook_product(a.terms, b.terms)
+    assert all(out.terms.values())  # no stored zero: __eq__ compares dicts
 
 
 @given(dense_pairs())
@@ -162,8 +164,8 @@ def test_kernel_matches_schoolbook(pair):
 @settings(max_examples=100, deadline=None)
 def test_kernel_scaling_by_a_constant_and_by_one(pair, k):
     a, _ = pair
-    _assert_kernel_matches(a, {(0,) * NVARS: k})
-    _assert_kernel_matches(a, LaurentPoly.one().terms)
+    _assert_kernel_matches(a, LaurentPoly.constant(k))
+    _assert_kernel_matches(a, LaurentPoly.one())
 
 
 @given(st.integers(1, 80), coefficients, st.integers(-3, 3))
@@ -174,17 +176,17 @@ def test_kernel_cancellation_leaves_no_zero_terms(k, c, shift):
     right = c * qint(k)
     expected = c * c * (LaurentPoly.one() - LaurentPoly.variable("q", k))
     expected = expected * LaurentPoly.monomial(1, q=shift, t0=-1)
-    _assert_kernel_matches(left.terms, right.terms)
+    _assert_kernel_matches(left, right)
     assert left * right == expected
-    _assert_kernel_matches((c * (1 - S) * qint(k)).terms, ((1 + S) * qint(k)).terms)
+    _assert_kernel_matches(c * (1 - S) * qint(k), (1 + S) * qint(k))
 
 
 def test_kernel_decodes_in_chunks(monkeypatch):
-    a = ((1 + S - 2**70 * T) * qint(40)).terms
-    b = ((1 - S + Q * T) * qint(30)).terms
+    a = (1 + S - 2**70 * T) * qint(40)
+    b = (1 - S + Q * T) * qint(30)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
     _assert_kernel_matches(a, b)
-    assert len(_kronecker_product(a, b)) > 7
+    assert len(_kronecker_product(a, b).terms) > 7
 
 
 @given(polys, polys, st.integers(-(2**70), 2**70))
@@ -202,7 +204,7 @@ def test_sparse_box_takes_the_fallback():
     """Both operands move in the sparse variable s, so relabelling cannot help."""
     a = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
     b = sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero())
-    assert _kronecker_product(a.terms, b.terms) is None
+    assert _kronecker_product(a, b) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert len((a * b).terms) == 100
 
@@ -211,9 +213,9 @@ def test_private_variables_relabel_into_a_dense_box():
     """s, q against t, t1: sparse in all seven variables, a dense 10 x 10 box relabelled."""
     a = sum((LaurentPoly.monomial(3, s=10 * i, q=-i) for i in range(10)), LaurentPoly.zero())
     b = sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero())
-    assert _kronecker_product(a.terms, b.terms, relabel=False) is None
-    _assert_kernel_matches(a.terms, b.terms)
-    assert len(_kronecker_product(a.terms, b.terms)) == 100
+    assert _kronecker_product(a, b, relabel=False) is None
+    _assert_kernel_matches(a, b)
+    assert len(_kronecker_product(a, b).terms) == 100
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
@@ -225,7 +227,7 @@ def test_product_with_exponents_beyond_the_kernel_range(shift):
     product = a * b
     assert product.terms == _schoolbook_product(a.terms, b.terms)
     assert product.coefficient(t=2 * shift) == -1
-    assert (_kronecker_product(a.terms, b.terms) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
+    assert (_kronecker_product(a, b) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def relabel_pairs(draw, shape):
                 for var, digit in zip(private, point):
                     exp[var] = offset[var] + step[var] * digit
                 terms[tuple(exp)] = draw(coefficients)
-        return terms
+        return LaurentPoly(terms)
 
     a, b = operand(private_a), operand(private_b)
     assume(_kronecker_product(a, b, relabel=False) is None)
@@ -298,10 +300,10 @@ def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypa
     num = poly_group("B", 5, "fivevar")
     den = poincare("B", 5)
     assert {VARIABLES[j] for exp in num.terms for j, e in enumerate(exp) if e} == {"q", "s0", "s1", "t0", "t1"}
-    assert _kronecker_product(num.terms, den.terms, relabel=False) is None
+    assert _kronecker_product(num, den, relabel=False) is None
     expected = _schoolbook_product(num.terms, den.terms)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
-    _assert_kernel_matches(num.terms, den.terms)
+    _assert_kernel_matches(num, den)
     monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
     assert (num * den).terms == (den * num).terms == expected
 
@@ -318,7 +320,7 @@ def test_relabelling_is_routed_by_the_measured_gates(monkeypatch):
     assert sizes[0][0] * sizes[0][1] >= polynomials._RELABEL_MIN_PAIRS
     assert polynomials._KRONECKER_MIN_PAIRS <= sizes[1][0] * sizes[1][1] < polynomials._RELABEL_MIN_PAIRS
     for a, b in (lopsided, few_pairs):
-        assert _kronecker_product(a.terms, b.terms, relabel=False) is None
+        assert _kronecker_product(a, b, relabel=False) is None
         assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert calls == []
     poly_group("B", 5, "fivevar") * poincare("B", 5)
@@ -330,7 +332,7 @@ def test_relabelling_refuses_private_keys_beyond_int64():
     a = sum((LaurentPoly.monomial(c + k + 1, s=c * 2**40, t=(c % 3) * 2**40, q=k)
              for c in range(5) for k in range(8)), LaurentPoly.zero())
     b = qint(30)
-    assert _kronecker_product(a.terms, b.terms) is None
+    assert _kronecker_product(a, b) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
@@ -407,14 +409,15 @@ def _schoolbook_sum(products):
 
 
 def _kernel_sum(products):
-    return _kronecker_sum([tuple(f.terms for f in p) for p in products])
+    out = _kronecker_sum(products)
+    return None if out is None else out.terms
 
 
 @given(product_sums())
 @settings(max_examples=300, deadline=None)
 def test_sum_of_products_matches_schoolbook(pairs):
     expected = _schoolbook_sum(pairs)
-    out = _kronecker_sum([(a.terms, b.terms) for a, b in pairs])
+    out = _kernel_sum(pairs)
     assert out is None or out == expected  # None: the box is too sparse
     assert out is None or all(out.values())
     assert sum_of_products(pairs).terms == expected
@@ -491,6 +494,35 @@ def test_multi_factor_sums_match_schoolbook(products):
     assert sum_of_products(products).terms == expected
 
 
+@given(dense_pairs(count=3), st.sampled_from([1, -1, 2**64 + 1, -(2**130)]))
+@settings(max_examples=150, deadline=None)
+def test_kernel_results_are_operands_without_being_decoded(operands, scale):
+    """(a b) c, and a sum whose factors are kernel results, against the
+    schoolbook fold; the kernel results are packed from their forms alone.
+
+    a and b take coefficients of one sign each, so a b fills its whole box
+    and the kernel takes (a b) c as well (its box has under 4.9 slots per
+    operand term); c keeps its signs.  The scale makes slots wider than 8
+    bytes, and at 1 the sum cancels to zero.
+    """
+    a, b, c = operands
+    a = LaurentPoly({e: scale * abs(v) for e, v in a.terms.items()})
+    b = LaurentPoly({e: abs(v) for e, v in b.terms.items()})
+    ab, ba = _kronecker_product(a, b), _kronecker_product(b, a)
+    abc = _kronecker_product(ab, c)
+    total = _kronecker_sum([(ab, c), (c, ba, LaurentPoly.constant(-scale))])
+    assert None not in (ab, ba, abc, total)
+    assert not is_decoded(ab) and not is_decoded(ba)
+    form = a._form
+    assert form and _kronecker_product(a, c) is not None and a._form is form  # packed once, then reused
+    expected = reduce(_schoolbook_product, (a.terms, b.terms, c.terms))
+    assert abc.terms == expected
+    assert total.terms == {e: v * (1 - scale) for e, v in expected.items() if scale != 1}
+    assert_form_agrees(ab)
+    assert ab.terms == ba.terms == _schoolbook_product(a.terms, b.terms)
+    assert (ab * c).terms == expected  # and through the operator, once ab is decoded
+
+
 def test_further_factors_are_bounded_by_their_coefficient_sums(monkeypatch):
     """A dense 25 x 30 block of ones in s and q times [30]_q has coefficients
     up to 30, which fit in one byte with the guard bits; four further factors
@@ -525,7 +557,7 @@ def test_pack_round_trips_at_every_slot_width(width, int64_min):
     assert packed == sum(c * 2 ** (8 * width * int(k)) for c, k in zip(coefs, index))
     nslots = int(index.max()) + 1
     buf = packed.to_bytes(width * nslots, "little", signed=True)
-    out = polynomials._unpack(buf, width, [nslots], [([0], None)], np.zeros(NVARS, dtype=np.int64))
+    out = polynomials._unpack(buf, width, [nslots], [([0], None)], np.zeros(NVARS, dtype=np.int64)).terms
     assert out == {(int(k),) + (0,) * (NVARS - 1): c for c, k in zip(coefs, index)}
 
 

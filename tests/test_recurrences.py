@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import artifact.polynomials as polynomials
 from artifact.enumeration import poly_group
 from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact
 from artifact.recurrences import (
@@ -20,6 +21,7 @@ from artifact.recurrences import (
     reiner_recurrence_rhs,
 )
 from artifact.registry import run_check
+from oracles import assert_form_agrees, is_decoded
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -92,6 +94,24 @@ def digest(poly):
 def test_recurrences_keep_their_pinned_digests(family):
     assert [digest(recurrence_poly(family, n)) for n in range(19)] == RECUR_DIGESTS[family]
     assert [digest(hyatt_plus(family, n)) for n in range(1, 13)] == HYATT_DIGESTS[family]
+
+
+def test_lower_ranks_stay_undecoded_kernel_results(monkeypatch):
+    """recur_B(12) from a cold cache packs every lower rank from its form and
+    builds none of their dicts; each result's terms then agree with its form."""
+    results = []
+    kernel = polynomials._kronecker_sum
+    monkeypatch.setattr(polynomials, "_kronecker_sum", lambda *args: results.append(kernel(*args)) or results[-1])
+    recur_B.cache_clear()
+    recur_B(12)
+    from_kernel = [k for k in range(13) if any(recur_B(k) is r for r in results)]
+    assert from_kernel[0] <= 5 and from_kernel == list(range(from_kernel[0], 13))
+    assert not any(is_decoded(recur_B(k)) for k in range(from_kernel[0], 12))
+    assert all(is_decoded(recur_B(k)) for k in range(from_kernel[0]))  # below the kernel's pair gate
+    for k in from_kernel:
+        assert_form_agrees(recur_B(k))
+    assert [digest(recur_B(k)) for k in range(13)] == RECUR_DIGESTS["B"][:13]
+    recur_B.cache_clear()
 
 
 def test_recurrence_poly_dispatch():

@@ -54,9 +54,12 @@ def enumeration_bound(group: str) -> int:
     if override is None:
         return DEFAULT_BOUNDS[FLAVOR[group]]
     try:
-        return int(override)
+        bound = int(override)
     except ValueError:
         raise ValueError(f"{BOUND_ENV_VAR} must be an integer, got {override!r}") from None
+    if bound < 0:
+        raise ValueError(f"{BOUND_ENV_VAR} must be at least 0, got {override!r}")
+    return bound
 
 
 def work_estimate(group: str, n: int) -> int:

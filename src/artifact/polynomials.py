@@ -145,10 +145,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         na, nb = _size(self), _size(other)
-        pairs = na * nb
-        if pairs >= _KRONECKER_MIN_PAIRS and min(na, nb) > 1:
-            relabel = pairs >= _RELABEL_MIN_PAIRS and min(na, nb) >= _RELABEL_MIN_TERMS
-            out = _kronecker_product(self, other, relabel)
+        if na * nb >= _KRONECKER_MIN_PAIRS and min(na, nb) > 1:
+            out = _kronecker_sum([(self, other)])
             if out is not None:
                 return out
         return _poly(_schoolbook_product(self.terms, other.terms))
@@ -308,14 +306,9 @@ Terms = dict[tuple[int, ...], int]
 # products counts the term pairs and operand terms of the first two factors of
 # all its products, which share one box.  Every other product takes the
 # schoolbook loop, and so does any single product with a one-term operand,
-# which the loop shifts and scales in one pass.  A single product whose box is
-# too sparse may retry on a relabelled box only with at least
-# _RELABEL_MIN_PAIRS pairs and _RELABEL_MIN_TERMS terms in each operand: below
-# either, the schoolbook loop measured faster.  Slots are whole bytes, as few
+# which the loop shifts and scales in one pass.  Slots are whole bytes, as few
 # as the coefficient bound of the whole product or sum needs.
 _KRONECKER_MIN_PAIRS = 512
-_RELABEL_MIN_PAIRS = 1024
-_RELABEL_MIN_TERMS = 5
 _KRONECKER_FILL = 8
 _DECODE_CHUNK = 1 << 12  # terms of a kernel result turned into dict entries per step
 _EXP_LIMIT = 1 << 61
@@ -453,12 +446,7 @@ def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
     return out
 
 
-def _kronecker_product(a: LaurentPoly, b: LaurentPoly, relabel: bool = True) -> LaurentPoly | None:
-    """Product by Kronecker substitution, or None when the exponent box is sparse."""
-    return _kronecker_sum([(a, b)], relabel)
-
-
-def _kronecker_sum(products: list[tuple[LaurentPoly, ...]], relabel: bool = False) -> LaurentPoly | None:
+def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | None:
     """Sum of products of nonzero factors by Kronecker substitution, or None when the exponent box is sparse.
 
     Every product lands in one shared box, which spans from the smallest sum
@@ -476,10 +464,13 @@ def _kronecker_sum(products: list[tuple[LaurentPoly, ...]], relabel: bool = Fals
     Only the final sum is decoded, so the integers in between need no bound.
     The box may hold at most
     _KRONECKER_FILL slots per term of the first two factors.  When the
-    seven-variable box of a single two-factor product is too sparse and
-    ``relabel`` is set, the smaller box of ``_relabel`` is tried under the
-    same limit.  Factors are read through their forms only, and the result
-    holds only its form.
+    seven-variable box of a single two-factor product is too sparse, one
+    operand moves in a single variable and the other moves in it and in
+    more, the smaller box of ``_relabel`` is tried under the same limit.
+    That is the shape of a fraction's numerator times a polynomial in q
+    alone, where the smaller box was measured to fit; with two or more
+    variables shared it mostly did not.  Factors are read through their
+    forms only, and the result holds only its form.
     """
     if not products:
         return LaurentPoly.zero()
@@ -493,11 +484,14 @@ def _kronecker_sum(products: list[tuple[LaurentPoly, ...]], relabel: bool = Fals
     limit = _KRONECKER_FILL * sum(len(a.coefs) + len(b.coefs) for a, b, *_ in forms)
     layout = _ROSTER
     if prod(dims) > limit:
-        if not relabel:
+        if list(map(len, forms)) != [2]:  # a sum, or a product of three or more factors
             return None
         [(fa, fb)] = forms
-        box = _relabel(fa.exps - fa.low[:, None], fb.exps - fb.low[:, None],
-                       fa.high - fa.low, fb.high - fb.low, limit)
+        top_a, top_b = fa.high - fa.low, fb.high - fb.low
+        moves_a, moves_b = top_a > 0, top_b > 0
+        if not min(moves_a.sum(), moves_b.sum()) == (moves_a & moves_b).sum() == 1 < (moves_a | moves_b).sum():
+            return None
+        box = _relabel(fa.exps - fa.low[:, None], fb.exps - fb.low[:, None], top_a, top_b, limit)
         if box is None:
             return None
         ca, cb, dims, layout = box
@@ -546,46 +540,37 @@ _ROSTER = [([j], None) for j in range(NVARS)]
 
 
 def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarray, limit: int):
-    """A box with one class coordinate per operand, or None if it exceeds limit.
+    """A box with one class coordinate, or None if it exceeds limit.
 
-    A variable is private to an operand when that operand moves in it and the
-    other does not.  The operand's private variables become one coordinate:
-    the index of a term's private sub-exponent among the operand's distinct
-    ones.  The other operand is constant there and takes 0, so a sum of
-    coordinates still names one product exponent.  The class coordinates vary
-    slowest; the shared variables follow in roster order.  Takes exponents
-    shifted to start at 0 and their maxima; returns both coordinate arrays,
-    the box sides and the layout.
+    One operand moves in every variable the other moves in, and in at least
+    one more: its private variables.  They become one coordinate, the index
+    of a term's private sub-exponent among the operand's distinct ones.  The
+    other operand is constant there and takes 0, so a sum of coordinates
+    still names one product exponent.  The class coordinate varies slowest;
+    the shared variables follow in roster order.  Takes exponents shifted to
+    start at 0 and their maxima; returns both coordinate arrays, the box
+    sides and the layout.
     """
     moves_a, moves_b = top_a > 0, top_b > 0
     shared = np.flatnonzero(moves_a & moves_b)
+    rows = np.flatnonzero(moves_a ^ moves_b)
+    side = int(moves_b[rows[0]])  # the operand that moves in the private variables
+    e, top = (ea, top_a) if side == 0 else (eb, top_b)
     sides = (top_a + top_b + 1)[shared].tolist()
     # a class holds at most one term per shared sub-exponent: refuse before sorting
-    fewest = [-(-e.shape[1] // prod((top[shared] + 1).tolist())) for e, top in ((ea, top_a), (eb, top_b))]
-    if prod(fewest) * prod(sides) > limit:
+    if -(-e.shape[1] // prod((top[shared] + 1).tolist())) * prod(sides) > limit:
         return None
-    layout, coords, dims = [], [], []
-    for e, top, private, side in ((ea, top_a, moves_a & ~moves_b, 0), (eb, top_b, moves_b & ~moves_a, 1)):
-        rows = np.flatnonzero(private)
-        if not len(rows):
-            continue
-        spans = (top[rows] + 1).tolist()
-        if prod(spans) >= _EXP_LIMIT:  # the keys must fit in int64
-            return None
-        sub = e[rows]
-        _, first, index = np.unique(np.ravel_multi_index(sub, spans), return_index=True, return_inverse=True)
-        layout.append((rows, sub[:, first]))
-        pair = [np.zeros(ea.shape[1], np.int64), np.zeros(eb.shape[1], np.int64)]
-        pair[side] = index
-        coords.append(pair)
-        dims.append(len(first))
-    if prod(dims) * prod(sides) > limit:
+    spans = (top[rows] + 1).tolist()
+    if prod(spans) >= _EXP_LIMIT:  # the keys must fit in int64
         return None
-    for j in shared.tolist():
-        layout.append(([j], None))
-        coords.append([ea[j], eb[j]])
-    ca, cb = map(np.array, zip(*coords))
-    return ca, cb, dims + sides, layout
+    sub = e[rows]
+    _, first, index = np.unique(np.ravel_multi_index(sub, spans), return_index=True, return_inverse=True)
+    if len(first) * prod(sides) > limit:
+        return None
+    classes = [np.zeros(ea.shape[1], np.int64), np.zeros(eb.shape[1], np.int64)]
+    classes[side] = index
+    layout = [(rows, sub[:, first])] + [([j], None) for j in shared.tolist()]
+    return np.vstack([classes[0], ea[shared]]), np.vstack([classes[1], eb[shared]]), [len(first)] + sides, layout
 
 
 def _pack(index: np.ndarray, coefs: list[int], width: int) -> int:

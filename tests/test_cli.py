@@ -213,6 +213,15 @@ def test_non_integer_bound_override_is_usage_error(capsys, monkeypatch, cold_cac
     assert "ARTIFACT_MAX_N must be an integer" in err
 
 
+def test_negative_bound_override_is_usage_error(capsys, monkeypatch, cold_cache):
+    """A negative ceiling is refused as a setting, not read as a ceiling that rank 0 exceeds."""
+    monkeypatch.setenv("ARTIFACT_MAX_N", "-5")
+    code, out, err = run_cli(capsys, "enumerate", "--group", "B", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert "ARTIFACT_MAX_N must be at least 0, got '-5'" in err
+
+
 def test_check_bound_exceeded(capsys, monkeypatch, cold_cache):
     monkeypatch.setenv("ARTIFACT_MAX_N", "2")
     code, out, err = run_cli(capsys, "check", "--id", "typeB-recurrence", "--max-n", "3")

@@ -489,6 +489,14 @@ def test_non_integer_bound_override_is_named(monkeypatch):
         poly_group("B", 3, "biv")
 
 
+def test_negative_bound_override_is_named(monkeypatch):
+    monkeypatch.setenv("ARTIFACT_MAX_N", "-1")
+    with pytest.raises(ValueError, match="ARTIFACT_MAX_N must be at least 0, got '-1'"):
+        poly_group("B", 0, "biv")
+    monkeypatch.setenv("ARTIFACT_MAX_N", "0")
+    assert poly_group("B", 0, "biv") == LaurentPoly.one()
+
+
 def test_bad_weight_and_group_rejected():
     with pytest.raises(ValueError):
         poly_group("B", 2, "nope")

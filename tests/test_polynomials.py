@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import artifact.polynomials as polynomials
+from artifact import registry
 from artifact.enumeration import poly_group
 from artifact.polynomials import (
     NVARS,
     VARIABLES,
     LaurentPoly,
-    _kronecker_product,
     _kronecker_sum,
     _schoolbook_product,
     cyclotomic,
@@ -147,8 +147,13 @@ def dense_pairs(draw, count=2):
     return tuple(LaurentPoly(operand()) for _ in range(count))
 
 
+def _plain_box(a, b):
+    """The kernel's product of a and b on the seven-variable box alone: a third factor never relabels."""
+    return _kronecker_sum([(a, b, LaurentPoly.one())])
+
+
 def _assert_kernel_matches(a, b):
-    out = _kronecker_product(a, b)
+    out = _kronecker_sum([(a, b)])
     assert out is not None  # a dense box takes the kernel
     assert out.terms == _schoolbook_product(a.terms, b.terms)
     assert all(out.terms.values())  # no stored zero: __eq__ compares dicts
@@ -186,7 +191,7 @@ def test_kernel_decodes_in_chunks(monkeypatch):
     b = (1 - S + Q * T) * qint(30)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
     _assert_kernel_matches(a, b)
-    assert len(_kronecker_product(a, b).terms) > 7
+    assert len(_kronecker_sum([(a, b)]).terms) > 7
 
 
 @given(polys, polys, st.integers(-(2**70), 2**70))
@@ -204,18 +209,20 @@ def test_sparse_box_takes_the_fallback():
     """Both operands move in the sparse variable s, so relabelling cannot help."""
     a = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
     b = sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero())
-    assert _kronecker_product(a, b) is None
+    assert _kronecker_sum([(a, b)]) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert len((a * b).terms) == 100
 
 
 def test_private_variables_relabel_into_a_dense_box():
-    """s, q against t, t1: sparse in all seven variables, a dense 10 x 10 box relabelled."""
-    a = sum((LaurentPoly.monomial(3, s=10 * i, q=-i) for i in range(10)), LaurentPoly.zero())
-    b = sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero())
-    assert _kronecker_product(a, b, relabel=False) is None
+    """s, t1, q against q alone: sparse in all seven variables, a dense box of
+    10 classes by 31 powers of q relabelled."""
+    a = sum((LaurentPoly.monomial(3, s=10 * i, t1=-i) for i in range(10)), LaurentPoly.zero()) * (1 + Q)
+    b = -5 * qint(30)
+    assert _plain_box(a, b) is None
     _assert_kernel_matches(a, b)
-    assert len(_kronecker_product(a, b).terms) == 100
+    _assert_kernel_matches(b, a)
+    assert len(_kronecker_sum([(a, b)]).terms) == 310
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
@@ -227,7 +234,7 @@ def test_product_with_exponents_beyond_the_kernel_range(shift):
     product = a * b
     assert product.terms == _schoolbook_product(a.terms, b.terms)
     assert product.coefficient(t=2 * shift) == -1
-    assert (_kronecker_product(a, b) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
+    assert (_kronecker_sum([(a, b)]) is None) == (abs(shift) >= polynomials._EXP_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +248,31 @@ _NOT_Q = [j for j in range(NVARS) if j != _Q]
 def relabel_pairs(draw, shape):
     """Two operands whose seven-variable box is too sparse for the kernel.
 
-    An operand is a sum over its classes of x^v * Q(q), where x^v is a
-    monomial in the operand's private variables and Q has a full run of
-    nonzero coefficients.  With at most eight classes per operand the
-    relabelled box stays within the fill limit.
+    An operand is a sum over its two or more classes of x^v * Q(q), where
+    x^v is a monomial in the operand's private variables and Q has a full
+    run of nonzero coefficients; an operand with no private variable is
+    Q(q) alone.  With at most eight classes per operand the relabelled box
+    stays within the fill limit.
 
-    - "q-only": a q-polynomial against an operand with 2 to 4 private variables;
-    - "both": each operand has 1 to 3 private variables;
-    - "sparse": as "both", with private exponents spaced up to 1000 apart,
-      shifted below zero, or both.
+    - "q-only": a q-polynomial against an operand with 2 to 4 private
+      variables, both moving in q: the shape that retries on the relabelled
+      box;
+    - "q-only-sparse": as "q-only", with private exponents spaced up to 1000
+      apart, shifted below zero, or both;
+    - "both": each operand has 1 to 3 private variables, which keeps the
+      product on the schoolbook loop;
+    - "sparse": as "both", spaced and shifted as "q-only-sparse".
     """
     free = draw(st.permutations(_NOT_Q))
-    if shape == "q-only":
+    one_sided = shape.startswith("q-only")
+    if one_sided:
         private_a, private_b = [], free[:draw(st.integers(2, 4))]
     else:
         k = draw(st.integers(1, 3))
         private_a, private_b = free[:k], free[k:k + draw(st.integers(1, 3))]
     step = {var: 1 for var in free}
     offset = {var: 0 for var in free}
-    if shape == "sparse":
+    if shape.endswith("sparse"):
         kind = draw(st.sampled_from(["sparse", "negative", "both"]))
         for var in free:
             if kind != "negative":
@@ -269,8 +282,8 @@ def relabel_pairs(draw, shape):
 
     def operand(private):
         points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(private)),
-                               min_size=1, max_size=8 if private else 1, unique=True))
-        start, length = draw(st.integers(-3, 3)), draw(st.integers(1, 6))
+                               min_size=2 if private else 1, max_size=8 if private else 1, unique=True))
+        start, length = draw(st.integers(-3, 3)), draw(st.integers(2 if one_sided else 1, 6))
         terms = {}
         for point in points:
             for k in range(length):
@@ -282,17 +295,23 @@ def relabel_pairs(draw, shape):
         return LaurentPoly(terms)
 
     a, b = operand(private_a), operand(private_b)
-    assume(_kronecker_product(a, b, relabel=False) is None)
+    assume(_plain_box(a, b) is None)
     return a, b
 
 
-@pytest.mark.parametrize("shape", ["q-only", "both", "sparse"])
+@pytest.mark.parametrize("shape", ["q-only", "q-only-sparse", "both", "sparse"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_relabelled_kernel_matches_schoolbook(shape, data):
+    """A q-polynomial times a polynomial in q and more takes the relabelled
+    box; with private variables on both sides the kernel declines."""
     a, b = data.draw(relabel_pairs(shape))
-    _assert_kernel_matches(a, b)
-    _assert_kernel_matches(b, a)
+    if shape.startswith("q-only"):
+        _assert_kernel_matches(a, b)
+        _assert_kernel_matches(b, a)
+    else:
+        assert _kronecker_sum([(a, b)]) is None and _kronecker_sum([(b, a)]) is None
+        assert (a * b).terms == (b * a).terms == _schoolbook_product(a.terms, b.terms)
 
 
 def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypatch):
@@ -300,7 +319,7 @@ def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypa
     num = poly_group("B", 5, "fivevar")
     den = poincare("B", 5)
     assert {VARIABLES[j] for exp in num.terms for j, e in enumerate(exp) if e} == {"q", "s0", "s1", "t0", "t1"}
-    assert _kronecker_product(num, den, relabel=False) is None
+    assert _plain_box(num, den) is None
     expected = _schoolbook_product(num.terms, den.terms)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
     _assert_kernel_matches(num, den)
@@ -308,23 +327,57 @@ def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypa
     assert (num * den).terms == (den * num).terms == expected
 
 
-def test_relabelling_is_routed_by_the_measured_gates(monkeypatch):
-    """Below the pair or term gate a sparse box goes straight to the schoolbook loop."""
+def test_only_the_one_variable_shape_relabels(monkeypatch):
+    """A sparse box retries on the relabelled box for one two-factor product
+    whose one operand moves in a single variable and whose other moves in it
+    and more, either way round and at any size; every other shape goes
+    straight to the schoolbook loop."""
     calls = []
     relabel = polynomials._relabel
     monkeypatch.setattr(polynomials, "_relabel", lambda *args: calls.append(args) or relabel(*args))
-    lopsided = (poly_group("B", 6, "fivevar"), qint(4))
-    few_pairs = (poly_group("B", 4, "fivevar"), poincare("B", 3))
-    sizes = [(len(a.terms), len(b.terms)) for a, b in (lopsided, few_pairs)]
-    assert sizes[0][1] < polynomials._RELABEL_MIN_TERMS
-    assert sizes[0][0] * sizes[0][1] >= polynomials._RELABEL_MIN_PAIRS
-    assert polynomials._KRONECKER_MIN_PAIRS <= sizes[1][0] * sizes[1][1] < polynomials._RELABEL_MIN_PAIRS
-    for a, b in (lopsided, few_pairs):
-        assert _kronecker_product(a, b, relabel=False) is None
-        assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+    num, den = poly_group("B", 5, "fivevar"), poincare("B", 5)
+    small = [(poly_group("B", 6, "fivevar"), qint(4)), (poly_group("B", 4, "fivevar"), poincare("B", 3))]
+    assert [len(a.terms) * len(b.terms) for a, b in small] == [406 * 4, 87 * 10]  # 4 q-only terms; 870 term pairs
+    for a, b in [(num, den), (den, num)] + small:
+        assert _kronecker_sum([(a, b)]).terms == _schoolbook_product(a.terms, b.terms)
+    scattered = sum((LaurentPoly.monomial(1, s=i, q=37 * i % 100) for i in range(60)), LaurentPoly.zero())
+    assert _kronecker_sum([(scattered, 1 + Q)]) is None  # 60 one-term classes by 101 powers of q: past the limit
+    assert len(calls) == 5
+    calls.clear()
+    spread = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
+    declined = [
+        [(spread, sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero()))],  # two-sided
+        [(spread, sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero()))],  # none private
+        [(num, 1 - LaurentPoly.monomial(1, q=1, s0=1, t0=1))],  # one-sided, three variables shared
+        [(num, den), (num, den)],  # a sum
+        [(num, den, LaurentPoly.one())],  # three factors
+    ]
+    assert [_kronecker_sum(products) for products in declined] == [None] * len(declined)
     assert calls == []
-    poly_group("B", 5, "fivevar") * poincare("B", 5)
-    assert len(calls) == 1
+    for products in declined:
+        assert sum_of_products(products).terms == _schoolbook_sum(products)
+
+
+def test_the_fivevar_checks_try_the_relabelled_box_only_where_it_fits(monkeypatch):
+    """At order 8 both fivevar checks take the relabelled box, and every
+    product it is tried on fits it."""
+    entries = {}
+    relabel = polynomials._relabel
+
+    def spy(ea, eb, top_a, top_b, limit):
+        box = relabel(ea, eb, top_a, top_b, limit)
+        moves_a, moves_b = top_a > 0, top_b > 0
+        one_sided = (moves_a & ~moves_b).any() != (moves_b & ~moves_a).any()
+        entries[check].append((one_sided, box is not None))
+        return box
+
+    monkeypatch.setattr(polynomials, "_relabel", spy)
+    registry.clear_cache()
+    for check in ("typeB-fivevar", "typeD-fivevar"):
+        entries[check] = []
+        assert registry.run_check(check, order=8)["status"] == "pass"
+    for check, seen in entries.items():
+        assert seen and all(one_sided and fits for one_sided, fits in seen), (check, seen)
 
 
 def test_relabelling_refuses_private_keys_beyond_int64():
@@ -332,7 +385,7 @@ def test_relabelling_refuses_private_keys_beyond_int64():
     a = sum((LaurentPoly.monomial(c + k + 1, s=c * 2**40, t=(c % 3) * 2**40, q=k)
              for c in range(5) for k in range(8)), LaurentPoly.zero())
     b = qint(30)
-    assert _kronecker_product(a, b) is None
+    assert _kronecker_sum([(a, b)]) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
 
 
@@ -342,7 +395,7 @@ def test_product_with_a_monomial_skips_the_kernel(monkeypatch):
     mono = LaurentPoly.monomial(-7, s=-2, q=3, t1=1)
     assert len(big.terms) == 1000
     calls = []
-    monkeypatch.setattr(polynomials, "_kronecker_product", lambda *args: calls.append(args))
+    monkeypatch.setattr(polynomials, "_kronecker_sum", lambda *args: calls.append(args))
     assert (big * mono).terms == _schoolbook_product(big.terms, mono.terms)
     assert (mono * big).terms == _schoolbook_product(mono.terms, big.terms)
     assert calls == []
@@ -508,13 +561,13 @@ def test_kernel_results_are_operands_without_being_decoded(operands, scale):
     a, b, c = operands
     a = LaurentPoly({e: scale * abs(v) for e, v in a.terms.items()})
     b = LaurentPoly({e: abs(v) for e, v in b.terms.items()})
-    ab, ba = _kronecker_product(a, b), _kronecker_product(b, a)
-    abc = _kronecker_product(ab, c)
+    ab, ba = _kronecker_sum([(a, b)]), _kronecker_sum([(b, a)])
+    abc = _kronecker_sum([(ab, c)])
     total = _kronecker_sum([(ab, c), (c, ba, LaurentPoly.constant(-scale))])
     assert None not in (ab, ba, abc, total)
     assert not is_decoded(ab) and not is_decoded(ba)
     form = a._form
-    assert form and _kronecker_product(a, c) is not None and a._form is form  # packed once, then reused
+    assert form and _kronecker_sum([(a, c)]) is not None and a._form is form  # packed once, then reused
     expected = reduce(_schoolbook_product, (a.terms, b.terms, c.terms))
     assert abc.terms == expected
     assert total.terms == {e: v * (1 - scale) for e, v in expected.items() if scale != 1}

@@ -28,7 +28,16 @@ from typing import Callable
 import numpy as np
 
 from .bijections import juxtapose_array, signed_subsets
-from .enumeration import FLAVOR, add_counts, check_bound, clear_histograms, poly_group
+from .enumeration import (
+    FLAVOR,
+    BoundExceeded,
+    add_counts,
+    check_bound,
+    clear_histograms,
+    enumeration_bound,
+    poly_group,
+    work_estimate,
+)
 from .extension import (
     GEN_I,
     GEN_LITTLE_M,
@@ -141,7 +150,7 @@ _POLY_CACHE: dict[tuple, LaurentPoly] = {}
 
 
 def clear_cache() -> None:
-    """Drop memoized brute-force polynomials and histograms (mainly for tests)."""
+    """Drop memoized brute-force polynomials, histograms and permutation arrays (mainly for tests)."""
     _POLY_CACHE.clear()
     clear_histograms()
 
@@ -434,7 +443,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
         for n in range(order + 1)
     }
     facts = lambda n: LaurentPoly.constant(factorial(n))  # noqa: E731
-    lhs = series_from_polys(hat_polys, facts, "all", order, start=0)
+    lhs = series_from_polys(hat_polys.__getitem__, facts, "all", order, start=0)
     one = TruncatedSeries.one(order)
     cos_m = series_make("cos_q", GEN_M, order).substitute("q", "value", 1)
     sin_m = series_make("sin_q", GEN_M, order).divide_by_generator("i").substitute("q", "value", 1)
@@ -445,7 +454,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
 
     # single-parameter specialization: set both parameters equal
     polys = {n: p.rename_variables({"s": "t"}) for n, p in hat_polys.items()}
-    lhs_st = series_from_polys(polys, facts, "all", order, start=0)
+    lhs_st = series_from_polys(polys.__getitem__, facts, "all", order, start=0)
     scale = one_minus("t")
     cos_p = series_make("cos_q", scale, order).substitute("q", "value", 1)
     sin_p = series_make("sin_q", scale, order).divide_by_generator("i").substitute("q", "value", 1)
@@ -590,7 +599,13 @@ def _lemma(check_id: str, fam: _Family, max_n: int) -> dict:
 
     The identity prefix is juxtaposed with the signed r-subsets in blocks of
     at most ``_BATCH_WORDS``: the 3^n insertions are never held at once.
+    Before any is read, the first rank with more insertions than the words
+    of the family's ceiling rank is refused.
     """
+    bound = enumeration_bound(fam.name)
+    for n in range(max_n + 1):
+        if 3**n > work_estimate(fam.name, bound):
+            raise BoundExceeded(fam.name, n, bound, 3**n)
     entries = []
     for n in range(max_n + 1):
         for r in range(n + 1):

@@ -10,7 +10,7 @@ polynomial ring.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .extension import ExtElement, GEN_I, QFraction
 from .polynomials import LaurentPoly, poincare
@@ -222,36 +222,15 @@ def series_make(family: str, scale=1, order: int = DEFAULT_ORDER) -> TruncatedSe
     mult = ExtElement.coerce(scale)
     if trig:
         mult = mult * GEN_I
-    coeffs = []
-    power = ExtElement.one()
-    for n in range(order + 1):
-        if _parity_ok(parity, n):
-            coeffs.append(QFraction(power, poincare(kind, n)))
-        else:
-            coeffs.append(QFraction.zero())
-        if n < order:
-            power = power * mult
-    return TruncatedSeries(order, coeffs)
-
-
-def _fetch(source, n: int, what: str):
-    if callable(source):
-        try:
-            value = source(n)
-        except KeyError:
-            value = None
-    elif isinstance(source, Mapping):
-        value = source.get(n)
-    else:
-        raise TypeError(f"{what} source must be a mapping or callable")
-    if value is None:
-        raise ValueError(f"missing {what} for n={n}")
-    return value
+    powers = [ExtElement.one()]
+    for _ in range(order):
+        powers.append(powers[-1] * mult)
+    return series_from_polys(powers.__getitem__, lambda n: poincare(kind, n), parity, order)
 
 
 def series_from_polys(
-    polys: Mapping[int, LaurentPoly] | Callable[[int], LaurentPoly],
-    denom: Mapping[int, LaurentPoly] | Callable[[int], LaurentPoly],
+    polys: Callable[[int], LaurentPoly | ExtElement],
+    denom: Callable[[int], LaurentPoly],
     parity: str,
     order: int = DEFAULT_ORDER,
     start: int | None = None,
@@ -260,43 +239,30 @@ def series_from_polys(
 
     `start` is the first u-power included (defaults to 0, or 1 for parity
     "odd"); some of the generating functions in play deliberately omit their
-    lowest-rank terms.  A needed polynomial or denominator that the sources
-    cannot supply raises ValueError.
+    lowest-rank terms.  The sources are called only at the powers included.
     """
     if parity not in ("even", "odd", "all"):
         raise ValueError(f"parity must be 'even', 'odd', or 'all', got {parity!r}")
     if start is None:
         start = 1 if parity == "odd" else 0
-    coeffs = []
-    for n in range(order + 1):
-        if n < start or not _parity_ok(parity, n):
-            coeffs.append(QFraction.zero())
-            continue
-        poly = _fetch(polys, n, "polynomial")
-        den = _fetch(denom, n, "denominator")
-        if isinstance(poly, int):
-            poly = LaurentPoly.constant(poly)
-        coeffs.append(QFraction(ExtElement.from_poly(poly), den))
-    return TruncatedSeries(order, coeffs)
+    return TruncatedSeries(order, [
+        QFraction(polys(n), denom(n)) if n >= start and _parity_ok(parity, n) else QFraction.zero()
+        for n in range(order + 1)
+    ])
 
 
-def verify_fraction_identity(
-    lhs: TruncatedSeries,
-    num: TruncatedSeries,
-    den: TruncatedSeries,
-    clear: LaurentPoly | int = 1,
-) -> dict:
-    """Check lhs == num/den in cleared form: clear * (lhs*den - num) == 0.
+def verify_fraction_identity(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
+    """Check lhs == num/den in cross-multiplied form: lhs*den - num == 0.
 
-    `clear` collects any scalar denominators of the identity so the whole
-    computation stays in the polynomial ring.  The report names the first
-    offending power of u and its residual when the identity fails.
+    An identity with scalar denominators is cleared into its series by the
+    caller, so the whole computation stays in the polynomial ring.  The
+    report names the first offending power of u and its residual when the
+    identity fails.
     """
     lhs._check_order(den)
     lhs._check_order(num)
-    scale = None if isinstance(clear, int) and clear == 1 else QFraction.coerce(clear)
     # one residual coefficient at a time, by the same operations in the same
-    # order as ``(lhs * den - num) * clear``, stopping at the first nonzero
+    # order as ``lhs * den - num``, stopping at the first nonzero
     for n in range(lhs.order + 1):
         c = QFraction.zero()
         for i in range(n + 1):
@@ -304,8 +270,6 @@ def verify_fraction_identity(
             if not (a.is_zero or b.is_zero):
                 c = c + a * b
         c = c - num.coeffs[n]
-        if scale is not None:
-            c = c * scale
         if not c.is_zero:
             return {
                 "status": "fail",

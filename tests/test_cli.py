@@ -300,15 +300,17 @@ def test_jobs_option_is_accepted_and_changes_nothing(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_check_all_json_is_pinned(capsys):
-    """The whole catalogue's report, byte for byte."""
-    code, out, _ = run_cli(capsys, "check", "--all", "--format", "json")
+@pytest.mark.parametrize("order_args,digest", [
+    ((), "7848f79e56f72dd853cc793f901d82ef833e2a4902c8af9fbf73b76d0fea8727"),
+    (("--order", "8"), "9aa880bbe78e59c35b313f3c021135b79a3c327a3b2be9d31c0440b7c9b048c6"),
+], ids=["default-order", "order-8"])
+def test_check_all_json_is_pinned(capsys, order_args, digest):
+    """The whole catalogue's report, byte for byte, at the default order and at order 8."""
+    code, out, _ = run_cli(capsys, "check", "--all", *order_args, "--format", "json")
     assert code == 0
     data = out.encode()
     assert len(data) == 73_317
-    assert hashlib.sha256(data).hexdigest() == (
-        "7848f79e56f72dd853cc793f901d82ef833e2a4902c8af9fbf73b76d0fea8727"
-    )
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("check_id,size,digest", [

@@ -180,28 +180,43 @@ def test_exp_d_at_q_one_pinned():
 def test_series_from_polys_basic():
     table = {n: LaurentPoly.constant(n + 1) for n in range(4)}
     ones = lambda n: LaurentPoly.one()  # noqa: E731
-    s = series_from_polys(table, ones, "all", 3)
+    s = series_from_polys(table.__getitem__, ones, "all", 3)
     assert s == TruncatedSeries(3, [1, 2, 3, 4])
 
 
 def test_series_from_polys_parity_and_start():
     table = {n: LaurentPoly.one() for n in range(5)}
     ones = lambda n: LaurentPoly.one()  # noqa: E731
-    odd = series_from_polys(table, ones, "odd", 4)
+    odd = series_from_polys(table.__getitem__, ones, "odd", 4)
     assert [not odd.coefficient(n).is_zero for n in range(5)] == [
         False, True, False, True, False,
     ]
-    shifted = series_from_polys(table, ones, "even", 4, start=2)
+    shifted = series_from_polys(table.__getitem__, ones, "even", 4, start=2)
     assert shifted.coefficient(0).is_zero
     assert not shifted.coefficient(2).is_zero
 
 
 def test_series_from_polys_missing_entry():
     ones = lambda n: LaurentPoly.one()  # noqa: E731
-    with pytest.raises(ValueError, match="missing polynomial"):
-        series_from_polys({0: LaurentPoly.one()}, ones, "all", 2)
+    table = {0: LaurentPoly.one()}
+    with pytest.raises(KeyError) as excinfo:
+        series_from_polys(table.__getitem__, ones, "all", 2)
+    assert excinfo.type is KeyError and excinfo.value.args == (1,)
     with pytest.raises(ValueError):
-        series_from_polys({0: LaurentPoly.one()}, ones, "bogus", 2)
+        series_from_polys(table.__getitem__, ones, "bogus", 2)
+
+
+def test_series_make_prints_the_fraction_it_names():
+    """Each coefficient prints as scale**n (times i**n) over poincare(kind, n), the form reports show."""
+    scale, order = 1 - LaurentPoly.variable("s"), 6
+    for family, (kind, parity, trig) in SERIES_FAMILIES.items():
+        mult = ExtElement.coerce(scale) * GEN_I if trig else ExtElement.coerce(scale)
+        series, power = series_make(family, scale, order), ExtElement.one()
+        for n in range(order + 1):
+            included = {"all": True, "even": n % 2 == 0, "odd": n % 2 == 1}[parity]
+            wanted = QFraction(power, poincare(kind, n)) if included else QFraction.zero()
+            assert str(series.coefficient(n)) == str(wanted), (family, n)
+            power = power * mult
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +240,9 @@ def test_verify_fraction_identity_reports_first_failure():
     assert report["residual"] == "1"
 
 
-def test_verify_fraction_identity_with_clearing_factor():
-    # lhs*den - num = u, cleared by (1-q): residual reported in cleared form
-    lhs = TruncatedSeries(2, [0, 1, 0])
-    num = TruncatedSeries.zero(2)
-    den = TruncatedSeries.one(2)
-    report = verify_fraction_identity(lhs, num, den, clear=one_minus("q"))
-    assert report["status"] == "fail"
-    assert report["u_power"] == 1
-    assert report["residual"] == "1 - q"
-
-
-def _eager_report(lhs, num, den, clear=1):
-    """The whole residual (lhs*den - num) * clear, then its first nonzero power."""
+def _eager_report(lhs, num, den):
+    """The whole residual lhs*den - num, then its first nonzero power."""
     residual = lhs * den - num
-    if not (isinstance(clear, int) and clear == 1):
-        residual = residual * QFraction.coerce(clear)
     n = next((k for k, c in enumerate(residual.coeffs) if not c.is_zero), None)
     if n is None:
         return {"status": "pass", "order": residual.order}
@@ -256,25 +258,23 @@ def test_lazy_verification_matches_the_eager_residual():
     s, t = LaurentPoly.variable("s"), LaurentPoly.variable("t")
     order = 6
     cases = [
-        (series_make("exp_B", s, order), series_make("cosh_B", t, order),
-         series_make("e_q", t, order), one_minus("s") * one_minus("t")),
+        (series_make("exp_B", s, order), series_make("cosh_B", t, order), series_make("e_q", t, order)),
         (series_make("cosh_D", 1 - s, order), series_make("exp_D", s, order),
-         series_make("sinh_q", s * t, order) + TruncatedSeries.one(order), 1),
+         series_make("sinh_q", s * t, order) + TruncatedSeries.one(order)),
         (series_make("e_q", 1, order), series_make("cosh_q", 1, order)
-         + series_make("sinh_q", 1, order), TruncatedSeries.one(order), 2),
-        (series_make("cos_B", s, order), series_make("sin_B", t, order),
-         series_make("exp_B", 1, order), one_minus("q")),
+         + series_make("sinh_q", 1, order), TruncatedSeries.one(order)),
+        (series_make("cos_B", s, order), series_make("sin_B", t, order), series_make("exp_B", 1, order)),
     ]
     # agrees through u^3, so the reported residual is a difference of two
     # five-term convolutions at u^4, printed in unreduced form
     lhs = series_make("exp_B", s, order)
     den = series_make("cosh_q", t, order) + series_make("sinh_D", 1, order)
     num = lhs * den - TruncatedSeries.u_power(4, order) * one_minus("s")
-    cases.append((lhs, num, den, one_minus("t")))
+    cases.append((lhs, num, den))
     statuses = []
-    for lhs, num, den, clear in cases:
-        report = verify_fraction_identity(lhs, num, den, clear=clear)
-        assert report == _eager_report(lhs, num, den, clear)
+    for lhs, num, den in cases:
+        report = verify_fraction_identity(lhs, num, den)
+        assert report == _eager_report(lhs, num, den)
         statuses.append(report["status"])
     assert statuses.count("fail") == 4 and statuses.count("pass") == 1
     assert report["u_power"] == 4

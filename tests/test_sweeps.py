@@ -209,12 +209,28 @@ def test_lemma_reads_its_insertions_in_blocks(monkeypatch):
     assert rows.count(budget) >= 240 // budget  # C(6,4)·2⁴ = 240 insertions at n = 6, r = 4 alone
 
 
-@pytest.mark.parametrize("check_id", sum(FAMILIES.values(), ()) + ("springer-B-q1", "springer-D-q1"))
+@pytest.mark.parametrize(
+    "check_id", sum(FAMILIES.values(), ()) + tuple(LEMMAS.values()) + ("springer-B-q1", "springer-D-q1")
+)
 def test_every_rank_is_bounded_before_any_word_is_read(monkeypatch, check_id):
-    def no_words(group, n, rows, i=None):
-        raise AssertionError(f"{check_id} read the words of {group}_{n}")
+    def no_words(*args):
+        raise AssertionError(f"{check_id} read words or insertions")
 
-    monkeypatch.setattr(registry, "word_arrays", no_words)
+    for reader in ("word_arrays", "signed_subsets", "juxtapose_array"):
+        monkeypatch.setattr(registry, reader, no_words)
     monkeypatch.setenv("ARTIFACT_MAX_N", "3")
-    with pytest.raises(BoundExceeded, match="at rank 4 "):
+    with pytest.raises(BoundExceeded, match="at rank 4 "):  # lemmas: 3⁴ = 81 insertions, 2³·3! = 48 words
         registry.run_check(check_id, max_n=6)
+
+
+@pytest.mark.parametrize("check_id", LEMMAS.values())
+def test_the_default_ceiling_admits_lemma_rank_14_and_refuses_15(monkeypatch, check_id):
+    def no_insertions(*args):
+        raise AssertionError(f"{check_id} read an insertion")
+
+    monkeypatch.setattr(registry, "signed_subsets", no_insertions)
+    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # 2⁸·8! words: 3¹⁴ insertions fit, 3¹⁵ do not
+    with pytest.raises(BoundExceeded, match="at rank 15 "):
+        registry.run_check(check_id, max_n=15)
+    with pytest.raises(AssertionError, match="read an insertion"):
+        registry.run_check(check_id, max_n=14)

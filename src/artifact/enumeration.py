@@ -38,13 +38,17 @@ BOUND_ENV_VAR = "ARTIFACT_MAX_N"
 
 
 class BoundExceeded(ValueError):
-    """Raised when a brute-force request exceeds the configured ceiling."""
+    """Raised when a brute-force request exceeds the configured ceiling.
 
-    def __init__(self, group: str, n: int, bound: int, estimate: int):
-        self.group, self.n, self.bound, self.estimate = group, n, bound, estimate
+    ``estimate`` counts ``unit``s (words, or the lemmas' insertions); the
+    message sets it against the words of the ceiling rank.
+    """
+
+    def __init__(self, group: str, n: int, bound: int, estimate: int, unit: str):
+        self.group, self.n, self.bound, self.estimate, self.unit = group, n, bound, estimate, unit
         super().__init__(
             f"brute force over {group} at rank {n} needs about {estimate:,} "
-            f"words; the ceiling is rank {bound} "
+            f"{unit}; the ceiling is rank {bound}, about {work_estimate(group, bound):,} words "
             f"(set {BOUND_ENV_VAR} to override)"
         )
 
@@ -71,7 +75,7 @@ def work_estimate(group: str, n: int) -> int:
 def check_bound(group: str, n: int) -> None:
     bound = enumeration_bound(group)
     if n > bound:
-        raise BoundExceeded(group, n, bound, work_estimate(group, n))
+        raise BoundExceeded(group, n, bound, work_estimate(group, n), "words")
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ hyperoctahedral convention is implicit and never stored.
 Positions for the type-B statistics are 0..n-1, where position i compares
 pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 {-1, 1, ..., n-1} with pi_{-1} = -pi_1; position -1 counts as odd.  Type-A
-(ordinary permutation) positions are 1..n-1.
+(ordinary permutation) positions are 1..n-1.  ``positions`` lists them, and
+the descent sets, the position counts and the scalar statistics
+``stats_A``/``stats_B``/``stats_D`` are read from it.
 
 Sweeps over many words at once hold them as an integer array, one word per
 row: ``word_arrays`` yields a family's words so, in the order of
@@ -54,64 +56,45 @@ def parse_word(text: str) -> Word:
 
 
 # ----------------------------------------------------------------------
-# position bookkeeping
+# positions and descent sets
 # ----------------------------------------------------------------------
-def even_odd_positions_B(n: int) -> tuple[int, int]:
-    """(#even, #odd) positions among 0..n-1."""
-    return (n + 1) // 2, n // 2
+def positions(flavor: str, n: int) -> tuple[int, ...]:
+    """The descent positions of a rank-n word of the flavor, as in the module docstring.
 
-
-def even_odd_positions_D(n: int) -> tuple[int, int]:
-    """(#even, #odd) positions among {-1, 1, ..., n-1}; -1 is odd.
-
-    Rank 0 and 1 have no positions: position -1 compares -pi_1 with pi_2,
-    which requires n >= 2.
+    Type D has none below rank 2: position -1 compares -pi_1 with pi_2.
     """
-    if n < 2:
-        return 0, 0
-    odd = 1 + (n - 1 + 1) // 2  # -1 plus odd i in 1..n-1
-    even = (n - 1) // 2
-    return even, odd
+    if flavor == "A":
+        return tuple(range(1, n))
+    if flavor == "B":
+        return tuple(range(n))
+    if flavor == "D":
+        return (-1,) + tuple(range(1, n)) if n >= 2 else ()
+    raise ValueError(f"unknown statistic flavor {flavor!r}")
 
 
-def even_odd_positions_A(n: int) -> tuple[int, int]:
-    """(#even, #odd) positions among 1..n-1."""
-    if n <= 1:
-        return 0, 0
-    return (n - 1) // 2, n // 2
+def even_odd_positions(flavor: str, n: int) -> tuple[int, int]:
+    """(#even, #odd) positions of a rank-n word of the flavor; -1 is odd."""
+    where = positions(flavor, n)
+    odd = sum(i % 2 for i in where)
+    return len(where) - odd, odd
 
 
-# ----------------------------------------------------------------------
-# descent sets
-# ----------------------------------------------------------------------
-def descent_set_B(word: Sequence[int]) -> tuple[int, ...]:
-    """Positions i in 0..n-1 with pi_i > pi_{i+1} (pi_0 = 0)."""
-    out = []
-    prev = 0
-    for i, x in enumerate(word):
-        if prev > x:
-            out.append(i)
-        prev = x
-    return tuple(out)
-
-
-def descent_set_D(word: Sequence[int]) -> tuple[int, ...]:
-    """Positions i in {-1, 1, ..., n-1} with pi_i > pi_{|i|+1} (pi_{-1} = -pi_1)."""
-    n = len(word)
-    if n < 2:
-        return ()
-    out = []
-    if -word[0] > word[1]:
-        out.append(-1)
-    for i in range(1, n):
-        if word[i - 1] > word[i]:
-            out.append(i)
-    return tuple(out)
+def _descent_set(flavor: str, word: Sequence[int]) -> tuple[int, ...]:
+    """Positions i with pi_i > pi_{|i|+1}, where pi_0 = 0 and pi_{-1} = -pi_1."""
+    pi = (0, *word)
+    return tuple(i for i in positions(flavor, len(word)) if (pi[i] if i >= 0 else -pi[1]) > pi[abs(i) + 1])
 
 
 def descent_set_A(word: Sequence[int]) -> tuple[int, ...]:
-    """Positions i in 1..n-1 with pi_i > pi_{i+1}."""
-    return tuple(i for i in range(1, len(word)) if word[i - 1] > word[i])
+    return _descent_set("A", word)
+
+
+def descent_set_B(word: Sequence[int]) -> tuple[int, ...]:
+    return _descent_set("B", word)
+
+
+def descent_set_D(word: Sequence[int]) -> tuple[int, ...]:
+    return _descent_set("D", word)
 
 
 # ----------------------------------------------------------------------
@@ -150,48 +133,24 @@ class StatVector:
     inv: int
 
 
-def stats_B(word: Sequence[int]) -> StatVector:
-    n = len(word)
-    edes = odes = 0
-    prev = 0
-    for i, x in enumerate(word):
-        if prev > x:
-            if i % 2 == 0:
-                edes += 1
-            else:
-                odes += 1
-        prev = x
-    evens, odds = even_odd_positions_B(n)
-    return StatVector(edes, odes, evens - edes, odds - odes, inv_B(word))
-
-
-def stats_D(word: Sequence[int]) -> StatVector:
-    n = len(word)
-    edes = odes = 0
-    if n >= 2:
-        if -word[0] > word[1]:
-            odes += 1
-        for i in range(1, n):
-            if word[i - 1] > word[i]:
-                if i % 2 == 0:
-                    edes += 1
-                else:
-                    odes += 1
-    evens, odds = even_odd_positions_D(n)
-    return StatVector(edes, odes, evens - edes, odds - odes, inv_D(word))
+def _stats(flavor: str, inv: int, word: Sequence[int]) -> StatVector:
+    descents = _descent_set(flavor, word)
+    odes = sum(i % 2 for i in descents)
+    edes = len(descents) - odes
+    evens, odds = even_odd_positions(flavor, len(word))
+    return StatVector(edes, odes, evens - edes, odds - odes, inv)
 
 
 def stats_A(word: Sequence[int]) -> StatVector:
-    n = len(word)
-    edes = odes = 0
-    for i in range(1, n):
-        if word[i - 1] > word[i]:
-            if i % 2 == 0:
-                edes += 1
-            else:
-                odes += 1
-    evens, odds = even_odd_positions_A(n)
-    return StatVector(edes, odes, evens - edes, odds - odes, inv_A(word))
+    return _stats("A", inv_A(word), word)
+
+
+def stats_B(word: Sequence[int]) -> StatVector:
+    return _stats("B", inv_B(word), word)
+
+
+def stats_D(word: Sequence[int]) -> StatVector:
+    return _stats("D", inv_D(word), word)
 
 
 def array_stats(words: np.ndarray, flavor: str) -> np.ndarray:
@@ -234,19 +193,13 @@ def is_snake(word: Sequence[int], family: str) -> bool:
     """Alternating chains: 0<w1>w2<w3>... (B); -w2>w1>w2<w3>... (D).
 
     Equivalently, the descent set is exactly the odd positions (including
-    position -1 for the D chain), so both reduce to a descent-set equality.
+    position -1 for the D chain, from rank 2 on); a D snake also lies in D.
     """
-    n = len(word)
-    if family == "B":
-        return descent_set_B(word) == tuple(i for i in range(1, n, 2))
-    if family == "D":
-        if not in_type_d(word):
-            return False
-        if n < 2:
-            return True
-        want = (-1,) + tuple(i for i in range(1, n, 2))
-        return descent_set_D(word) == want
-    raise ValueError(f"unknown snake family {family!r}")
+    if family not in ("B", "D"):
+        raise ValueError(f"unknown snake family {family!r}")
+    if family == "D" and not in_type_d(word):
+        return False
+    return _descent_set(family, word) == tuple(i for i in positions(family, len(word)) if i % 2)
 
 
 # ----------------------------------------------------------------------

@@ -234,19 +234,12 @@ class _Family:
 
     name: str  # the group, and the flavor of its statistics and juxtaposition
     first: int  # lowest rank of the sign-flip, reflection and power laws
-    flip_sums: Callable[[int], tuple[int, int, int]]  # the sign flip's constant inv, odes, edes sums
     coeff: Callable[[int, int], LaurentPoly]  # closed form of the insertion sum
     ladder: str  # the bounded-descent classes
 
 
-def _flip_sums(family: str, n: int) -> tuple[int, int, int]:
-    """The sign flip's constant inv, odes and edes sums: the reciprocity prefactor's q, t and s powers."""
-    qpow, spow, tpow = reciprocal_exponents(family, n)
-    return qpow, tpow, spow
-
-
-_B = _Family("B", 1, partial(_flip_sums, "B"), c_coeff, "G")
-_D = _Family("D", 2, partial(_flip_sums, "D"), cd_coeff, "H")
+_B = _Family("B", 1, c_coeff, "G")
+_D = _Family("D", 2, cd_coeff, "H")
 
 
 # Words per array in the sweeps over group words and the lemma insertions; a
@@ -260,11 +253,11 @@ _BATCH_WORDS = 1 << 14
 
 
 def _egf(group: str, weight: str, parity: str, order: int,
-         start: int | None = None, q_one: bool = False, to_t: bool = False) -> TruncatedSeries:
+         start: int | None = None, to_t: bool = False) -> TruncatedSeries:
     """Exponential generating function of brute-force polynomials.
 
-    Denominators are the inversion-number Poincaré polynomials of the
-    ambient family (factorials once ``q_one`` collapses them to q = 1).
+    This is the only way a series check reads brute force.  Denominators
+    are the inversion-number Poincaré polynomials of the ambient family.
     The type D sums start at rank 2.
     """
     family = FLAVOR[group]
@@ -273,17 +266,9 @@ def _egf(group: str, weight: str, parity: str, order: int,
 
     def poly(n: int) -> LaurentPoly:
         p = _brute(group, n, weight)
-        if q_one:
-            p = p.substitute("q", "value", 1)
-        if to_t:
-            p = p.rename_variables({"s": "t"})
-        return p
+        return p.rename_variables({"s": "t"}) if to_t else p
 
-    def denom(n: int) -> LaurentPoly:
-        d = poincare(family, n)
-        return d.substitute("q", "value", 1) if q_one else d
-
-    return series_from_polys(poly, denom, parity, order, start=start)
+    return series_from_polys(poly, partial(poincare, family), parity, order, start=start)
 
 
 def _hyperbolic_kit(scale, order: int, family: str) -> dict:
@@ -376,8 +361,8 @@ _register(
 def _chk_b_biv_q1(order: int) -> dict:
     # setting q to 1 turns the group normalizers into 2^n n!, and the closed
     # forms collapse to classical hyperbolic fractions evaluated at u/2
-    lhs_even = _egf("B", "biv", "even", order, q_one=True)
-    lhs_odd = _egf("B", "biv", "odd", order, q_one=True)
+    lhs_even = _egf("B", "biv", "even", order).substitute("q", "value", 1)
+    lhs_odd = _egf("B", "biv", "odd", order).substitute("q", "value", 1)
     half = QFraction(1, 2)
     cosh_h = series_make("cosh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
     sinh_h = series_make("sinh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
@@ -437,13 +422,12 @@ _register(
     order=DEFAULT_ORDER,
 )
 def _chk_b_alt_corollary(order: int) -> dict:
-    # both sides here are ordinary (n!) exponential generating functions
-    hat_polys = {
-        n: _brute("B", n, "hat").substitute("q", "value", 1)
-        for n in range(order + 1)
-    }
-    facts = lambda n: LaurentPoly.constant(factorial(n))  # noqa: E731
-    lhs = series_from_polys(hat_polys.__getitem__, facts, "all", order, start=0)
+    # both sides here are ordinary (n!) exponential generating functions: at
+    # q = 1 the egf's denominators are 2^n n!, and u -> 2u leaves n!
+    def lhs_at(to_t: bool) -> TruncatedSeries:
+        return _egf("B", "hat", "all", order, to_t=to_t).substitute("q", "value", 1).scale_u(2)
+
+    lhs = lhs_at(False)
     one = TruncatedSeries.one(order)
     cos_m = series_make("cos_q", GEN_M, order).substitute("q", "value", 1)
     sin_m = series_make("sin_q", GEN_M, order).divide_by_generator("i").substitute("q", "value", 1)
@@ -453,8 +437,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
     combined = verify_fraction_identity(lhs, num, den)
 
     # single-parameter specialization: set both parameters equal
-    polys = {n: p.rename_variables({"s": "t"}) for n, p in hat_polys.items()}
-    lhs_st = series_from_polys(polys.__getitem__, facts, "all", order, start=0)
+    lhs_st = lhs_at(True)
     scale = one_minus("t")
     cos_p = series_make("cos_q", scale, order).substitute("q", "value", 1)
     sin_p = series_make("sin_q", scale, order).divide_by_generator("i").substitute("q", "value", 1)
@@ -605,7 +588,7 @@ def _lemma(check_id: str, fam: _Family, max_n: int) -> dict:
     bound = enumeration_bound(fam.name)
     for n in range(max_n + 1):
         if 3**n > work_estimate(fam.name, bound):
-            raise BoundExceeded(fam.name, n, bound, 3**n)
+            raise BoundExceeded(fam.name, n, bound, 3**n, "insertions")
     entries = []
     for n in range(max_n + 1):
         for r in range(n + 1):
@@ -717,7 +700,7 @@ def _signflip(check_id: str, fam: _Family, max_n: int) -> dict:
     """Each word and its negation have constant inv, odes and edes sums."""
     entries = []
     for n in _bounded(fam.name, fam.first, max_n):
-        inv_sum, odes_sum, edes_sum = fam.flip_sums(n)
+        inv_sum, edes_sum, odes_sum = reciprocal_exponents(fam.name, n)  # the reciprocity prefactor's powers
         bad = None
         for words in word_arrays(fam.name, n, _BATCH_WORDS):
             both = array_stats(words, fam.name) + array_stats(flip_array(words, fam.name), fam.name)

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.permutations import (
@@ -16,9 +16,7 @@ from artifact.permutations import (
     descent_set_A,
     descent_set_B,
     descent_set_D,
-    even_odd_positions_A,
-    even_odd_positions_B,
-    even_odd_positions_D,
+    even_odd_positions,
     flip_D,
     flip_all,
     flip_array,
@@ -81,26 +79,63 @@ def test_descent_sets():
 
 
 def test_position_rosters():
-    assert even_odd_positions_B(1) == (1, 0)
-    assert even_odd_positions_B(2) == (1, 1)
-    assert even_odd_positions_B(5) == (3, 2)
-    assert even_odd_positions_D(2) == (0, 2)
-    assert even_odd_positions_D(5) == (2, 3)
-    assert even_odd_positions_A(1) == (0, 0)
-    assert even_odd_positions_A(4) == (1, 2)
+    assert even_odd_positions("B", 1) == (1, 0)
+    assert even_odd_positions("B", 2) == (1, 1)
+    assert even_odd_positions("B", 5) == (3, 2)
+    assert even_odd_positions("D", 2) == (0, 2)
+    assert even_odd_positions("D", 5) == (2, 3)
+    assert even_odd_positions("A", 1) == (0, 0)
+    assert even_odd_positions("A", 4) == (1, 2)
+
+
+def signed_words(n):
+    perms = st.permutations(range(1, n + 1))
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    return st.builds(lambda perm, sign: tuple(p * s for p, s in zip(perm, sign)), perms, signs)
+
+
+def written_out(n):
+    """The positions of the module docstring: A 1..n-1, B 0..n-1, D {-1, 1, ..., n-1} from rank 2."""
+    return {"A": list(range(1, n)), "B": list(range(n)), "D": [-1, *range(1, n)] if n >= 2 else []}
+
+
+@given(st.integers(0, 9).flatmap(signed_words))
+@example(())
+@example((1,))
+@example((-1,))
+@settings(max_examples=200)
+def test_descent_sets_and_position_counts_follow_the_docstring(word):
+    """Position i compares pi_i with pi_{|i|+1}, where pi_0 = 0 and pi_{-1} = -pi_1."""
+    n = len(word)
+    perm = tuple(abs(x) for x in word)
+    where = written_out(n)
+    descents = {
+        "A": tuple(i for i in where["A"] if perm[i - 1] > perm[i]),
+        "B": tuple(i for i in where["B"] if (word[i - 1] if i > 0 else 0) > word[i]),
+        "D": tuple(i for i in where["D"] if (word[i - 1] if i > 0 else -word[0]) > word[abs(i)]),
+    }
+    assert descent_set_A(perm) == descents["A"]
+    assert descent_set_B(word) == descents["B"]
+    assert descent_set_D(word) == descents["D"]
+    for flavor, vec in (("A", stats_A(perm)), ("B", stats_B(word)), ("D", stats_D(word))):
+        odd = sum(1 for i in where[flavor] if i % 2)
+        assert even_odd_positions(flavor, n) == (len(where[flavor]) - odd, odd)
+        odes = sum(1 for i in descents[flavor] if i % 2)
+        assert (vec.edes, vec.odes) == (len(descents[flavor]) - odes, odes)
+        assert (vec.edes + vec.easc, vec.odes + vec.oasc) == (len(where[flavor]) - odd, odd)
 
 
 def test_stats_counts_respect_position_rosters():
     for n in range(1, 6):
         for word in iterate_group("B", n):
             vec = stats_B(word)
-            even, odd = even_odd_positions_B(n)
+            even, odd = even_odd_positions("B", n)
             assert vec.edes + vec.easc == even
             assert vec.odes + vec.oasc == odd
     for n in range(2, 6):
         for word in iterate_group("D", n):
             vec = stats_D(word)
-            even, odd = even_odd_positions_D(n)
+            even, odd = even_odd_positions("D", n)
             assert vec.edes + vec.easc == even
             assert vec.odes + vec.oasc == odd
 
@@ -337,12 +372,6 @@ def assert_rows_match(words, flavor):
 @pytest.mark.parametrize("n", range(7))
 def test_array_stats_match_the_scalar_stats_on_every_word(flavor, n):
     assert_rows_match(list(iterate_group(flavor, n)), flavor)
-
-
-def signed_words(n):
-    perms = st.permutations(range(1, n + 1))
-    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
-    return st.builds(lambda perm, sign: tuple(p * s for p, s in zip(perm, sign)), perms, signs)
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.lists(signed_words(n), min_size=1, max_size=8)),

@@ -311,6 +311,64 @@ def test_every_series_check_passes_at_order_one():
         assert run_check(cid, order=1)["status"] == "pass", cid
 
 
+def test_series_checks_read_brute_force_only_through_egf(monkeypatch):
+    import artifact.registry as registry
+
+    open_egfs = [0]
+    real_egf, real_brute = registry._egf, registry._brute
+
+    def egf(*args, **kwargs):
+        open_egfs[0] += 1
+        try:
+            return real_egf(*args, **kwargs)
+        finally:
+            open_egfs[0] -= 1
+
+    def brute(*args, **kwargs):
+        assert open_egfs[0], f"brute force {args} read outside _egf"
+        return real_brute(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "_egf", egf)
+    monkeypatch.setattr(registry, "_brute", brute)
+    assert len(SERIES_IDS) == 16
+    for cid in SERIES_IDS:
+        assert run_check(cid, order=3)["status"] == "pass", cid
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_q_one_left_sides_equal_their_former_constructions(order):
+    """The q = 1 left sides, as the egf substituted at q = 1, equal the tables they replaced.
+
+    The q1-classical sides substituted q = 1 into each polynomial and each
+    Poincaré denominator; the corollary's sides put the polynomials at q = 1
+    over n!, which is the q = 1 egf (over 2^n n!) with u -> 2u.
+    """
+    from math import factorial
+
+    import artifact.registry as registry
+    from artifact.polynomials import LaurentPoly, poincare
+    from artifact.series import series_from_polys
+
+    def at_q1(poly):
+        return poly.substitute("q", "value", 1)
+
+    def same(new, old):
+        assert new == old
+        assert [str(c) for c in new.coeffs] == [str(c) for c in old.coeffs]
+
+    for parity in ("even", "odd"):
+        old = series_from_polys(lambda n: at_q1(registry._brute("B", n, "biv")),
+                                lambda n: at_q1(poincare("B", n)), parity, order)
+        same(registry._egf("B", "biv", parity, order).substitute("q", "value", 1), old)
+    for to_t in (False, True):
+        def hat(n):
+            poly = at_q1(registry._brute("B", n, "hat"))
+            return poly.rename_variables({"s": "t"}) if to_t else poly
+
+        old = series_from_polys(hat, lambda n: LaurentPoly.constant(factorial(n)), "all", order, start=0)
+        same(registry._egf("B", "hat", "all", order, to_t=to_t).substitute("q", "value", 1).scale_u(2), old)
+
+
 @pytest.mark.parametrize("order", [0, -1])
 @pytest.mark.parametrize("cid", SERIES_IDS)
 def test_order_below_one_is_refused(cid, order):

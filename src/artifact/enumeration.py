@@ -67,6 +67,9 @@ def enumeration_bound(group: str) -> int:
 
 
 def work_estimate(group: str, n: int) -> int:
+    """Words the direct route and the word sweeps build at rank n before the
+    family filter: n! for A, 2^n n! for B and D (twice |D_n| for D, since
+    every sign pattern is built and only the even ones are kept)."""
     if FLAVOR[group] == "A":
         return factorial(n)
     return 2**n * factorial(n)

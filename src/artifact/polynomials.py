@@ -714,19 +714,13 @@ def poincare(family: str, n: int) -> LaurentPoly:
         raise ValueError("poincare requires n >= 0")
     if family == "A":
         return qfact(n)
+    if family not in ("B", "D"):
+        raise ValueError(f"unknown family {family!r}")
+    if n == 0:
+        return LaurentPoly.one()
     if family == "B":
-        result = LaurentPoly.one()
-        for i in range(1, n + 1):
-            result = result * qint(2 * i)
-        return result
-    if family == "D":
-        if n == 0:
-            return LaurentPoly.one()
-        result = qint(n)
-        for i in range(1, n):
-            result = result * qint(2 * i)
-        return result
-    raise ValueError(f"unknown family {family!r}")
+        return poincare("B", n - 1) * qint(2 * n)
+    return qint(n) * poincare("B", n - 1)
 
 
 def one_minus(name: str) -> LaurentPoly:

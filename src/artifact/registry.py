@@ -19,10 +19,8 @@ byte-for-byte across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -76,6 +74,7 @@ from .recurrences import (
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    first_residual,
     series_from_polys,
     series_make,
     verify_fraction_identity,
@@ -271,6 +270,14 @@ def _egf(group: str, weight: str, parity: str, order: int,
     return series_from_polys(poly, partial(poincare, family), parity, order, start=start)
 
 
+def _classical(family: str, scale, order: int) -> TruncatedSeries:
+    """A q-family at q = 1, where it is the classical function; the sine families are divided by i."""
+    series = series_make(family, scale, order)
+    if family.startswith("sin_"):
+        series = series.divide_by_generator("i")
+    return series.substitute("q", "value", 1)
+
+
 def _hyperbolic_kit(scale, order: int, family: str) -> dict:
     """cosh/sinh/E pieces at a common scale, plus helpers, for one family."""
     coshq = series_make("cosh_q", scale, order)
@@ -364,8 +371,8 @@ def _chk_b_biv_q1(order: int) -> dict:
     lhs_even = _egf("B", "biv", "even", order).substitute("q", "value", 1)
     lhs_odd = _egf("B", "biv", "odd", order).substitute("q", "value", 1)
     half = QFraction(1, 2)
-    cosh_h = series_make("cosh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
-    sinh_h = series_make("sinh_q", GEN_M, order).substitute("q", "value", 1).scale_u(half)
+    cosh_h = _classical("cosh_q", GEN_M, order).scale_u(half)
+    sinh_h = _classical("sinh_q", GEN_M, order).scale_u(half)
     msq = one_minus("s") * one_minus("t")
     den = msq * (cosh_h * cosh_h) - ((_S + 1) * (_T + 1)) * (sinh_h * sinh_h)
     even = verify_fraction_identity(lhs_even, msq * cosh_h, den)
@@ -429,9 +436,9 @@ def _chk_b_alt_corollary(order: int) -> dict:
 
     lhs = lhs_at(False)
     one = TruncatedSeries.one(order)
-    cos_m = series_make("cos_q", GEN_M, order).substitute("q", "value", 1)
-    sin_m = series_make("sin_q", GEN_M, order).divide_by_generator("i").substitute("q", "value", 1)
-    cos_2m = series_make("cos_q", ExtElement.coerce(2) * GEN_M, order).substitute("q", "value", 1)
+    cos_m = _classical("cos_q", GEN_M, order)
+    sin_m = _classical("sin_q", GEN_M, order)
+    cos_2m = _classical("cos_q", ExtElement.coerce(2) * GEN_M, order)
     num = (-1 * ((_S - 1) * (_T - 1))) * cos_m - (_S + 1) * (GEN_M * sin_m)
     den = (_S + _T) * one - (_T * _S + 1) * cos_2m
     combined = verify_fraction_identity(lhs, num, den)
@@ -439,9 +446,9 @@ def _chk_b_alt_corollary(order: int) -> dict:
     # single-parameter specialization: set both parameters equal
     lhs_st = lhs_at(True)
     scale = one_minus("t")
-    cos_p = series_make("cos_q", scale, order).substitute("q", "value", 1)
-    sin_p = series_make("sin_q", scale, order).divide_by_generator("i").substitute("q", "value", 1)
-    cos_2p = series_make("cos_q", ExtElement.coerce(2) * ExtElement.from_poly(scale), order).substitute("q", "value", 1)
+    cos_p = _classical("cos_q", scale, order)
+    sin_p = _classical("sin_q", scale, order)
+    cos_2p = _classical("cos_q", ExtElement.coerce(2) * ExtElement.from_poly(scale), order)
     num_p = (-1 * ((_T - 1) * (_T - 1))) * cos_p + (_T * _T - 1) * sin_p
 
     def with_den(dpoly):
@@ -1039,35 +1046,15 @@ def _chk_snakes_d(order: int) -> dict:
     return _joint(even=even, odd=odd)
 
 
-def _rational_series_product(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(order + 1 - i):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
+def _snake_counts(group: str, max_n: int) -> list[int]:
+    """Snakes per rank through ``max_n``, counted on the direct route."""
+    return [sum(len(b) for b in word_arrays(group, n, _BATCH_WORDS)) for n in _bounded(group, 0, max_n)]
 
 
-def _first_mismatch(prod: list[Fraction], target: list[Fraction]) -> dict:
-    for n, (a, b) in enumerate(zip(prod, target)):
-        if a != b:
-            return {"status": "fail", "u_power": n, "residual": str(a - b)}
-    return {"status": "pass"}
-
-
-def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
-    """Taylor coefficients of cos/sin at integer multiples of u."""
-    name, mult = kind.split(":")
-    m = int(mult)
-    out = [Fraction(0)] * (order + 1)
-    for n in range(order + 1):
-        if name == "cos" and n % 2 == 0:
-            out[n] = Fraction((-1) ** (n // 2) * m**n, factorial(n))
-        if name == "sin" and n % 2 == 1:
-            out[n] = Fraction((-1) ** ((n - 1) // 2) * m**n, factorial(n))
-    return out
+def _counts_egf(counts: list[int], parity: str, start: int) -> TruncatedSeries:
+    """Sum of counts[n] u^n / n! over the ranks of ``parity`` from ``start``."""
+    return series_from_polys(lambda n: LaurentPoly.constant(counts[n]), partial(poincare, "A"),
+                             parity, len(counts) - 1, start=start).substitute("q", "value", 1)
 
 
 @_register(
@@ -1076,14 +1063,10 @@ def _classic_coeffs(kind: str, order: int) -> list[Fraction]:
     max_n=6,
 )
 def _chk_springer_b(max_n: int) -> dict:
-    counts = [sum(len(b) for b in word_arrays("snakeB", n, _BATCH_WORDS)) for n in _bounded("snakeB", 0, max_n)]
-    lhs = [Fraction(c, factorial(n)) for n, c in enumerate(counts)]
-    cos_minus_sin = [
-        a - b for a, b in zip(_classic_coeffs("cos:1", max_n), _classic_coeffs("sin:1", max_n))
-    ]
-    prod = _rational_series_product(lhs, cos_minus_sin, max_n)
-    mismatch = _first_mismatch(prod, [Fraction(1)] + [Fraction(0)] * max_n)
-    return {"status": mismatch.pop("status"), "counts": counts, **mismatch}
+    counts = _snake_counts("snakeB", max_n)
+    cos_minus_sin = _classical("cos_q", 1, max_n) - _classical("sin_q", 1, max_n)
+    report = first_residual(_counts_egf(counts, "all", 0), TruncatedSeries.one(max_n), cos_minus_sin)
+    return {"status": report.pop("status"), "counts": counts, **report}
 
 
 @_register(
@@ -1092,41 +1075,19 @@ def _chk_springer_b(max_n: int) -> dict:
     max_n=6,
 )
 def _chk_springer_d(max_n: int) -> dict:
-    counts = [sum(len(b) for b in word_arrays("snakeD", n, _BATCH_WORDS)) for n in _bounded("snakeD", 0, max_n)]
-    cos1 = _classic_coeffs("cos:1", max_n)
-    cos2 = _classic_coeffs("cos:2", max_n)
-    sin1 = _classic_coeffs("sin:1", max_n)
-    sin2 = _classic_coeffs("sin:2", max_n)
-    neg_cos2 = [-c for c in cos2]
-
-    even_series = [
-        Fraction(counts[n], factorial(n)) if (n % 2 == 0 and n >= 2) else Fraction(0)
-        for n in range(max_n + 1)
-    ]
-    # target of the literal reading: cos u - cos 2u - 1
-    target = [a - b for a, b in zip(cos1, cos2)]
-    target[0] -= 1
-
-    def even_reading(with_constant: bool):
-        src = list(even_series)
-        if with_constant:
-            src[0] += 1
-        return _first_mismatch(_rational_series_product(src, neg_cos2, max_n), target)
-
+    counts = _snake_counts("snakeD", max_n)
+    one = TruncatedSeries.one(max_n)
+    cos1, sin1 = _classical("cos_q", 1, max_n), _classical("sin_q", 1, max_n)
+    cos2, sin2 = _classical("cos_q", 2, max_n), _classical("sin_q", 2, max_n)
+    even_lhs = _counts_egf(counts, "even", 2)
+    literal = cos1 - cos2 - one  # right side of the literal reading: cos u - cos 2u - 1
     even = _reading_set([
-        ("with-constant-term", True, even_reading(True)),
-        ("literal", False, even_reading(False)),
+        ("with-constant-term", True, first_residual(even_lhs + one, literal, -cos2)),
+        ("literal", False, first_residual(even_lhs, literal, -cos2)),
     ])
-
-    odd_series = [
-        Fraction(counts[n], factorial(n)) if (n % 2 == 1 and n >= 3) else Fraction(0)
-        for n in range(max_n + 1)
-    ]
-    # -sin 2u + u cos 2u + sin u
-    odd_target = [-a + c for a, c in zip(sin2, sin1)]
-    for n in range(1, max_n + 1):
-        odd_target[n] += cos2[n - 1]
-    odd = _first_mismatch(_rational_series_product(odd_series, neg_cos2, max_n), odd_target)
+    # -sin 2u + u cos 2u + sin u; u cos 2u is cos 2u moved up one power
+    u_cos2 = TruncatedSeries(max_n, [0, *cos2.coeffs[:-1]])
+    odd = first_residual(_counts_egf(counts, "odd", 3), sin1 - sin2 + u_cos2, -cos2)
 
     report = _joint(even=even, odd=odd)
     return {"status": report.pop("status"), "counts": counts, **report}

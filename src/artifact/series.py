@@ -21,6 +21,7 @@ __all__ = [
     "TruncatedSeries",
     "series_make",
     "series_from_polys",
+    "first_residual",
     "verify_fraction_identity",
 ]
 
@@ -251,18 +252,11 @@ def series_from_polys(
     ])
 
 
-def verify_fraction_identity(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
-    """Check lhs == num/den in cross-multiplied form: lhs*den - num == 0.
-
-    An identity with scalar denominators is cleared into its series by the
-    caller, so the whole computation stays in the polynomial ring.  The
-    report names the first offending power of u and its residual when the
-    identity fails.
-    """
+def first_residual(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
+    """The first nonzero coefficient of lhs*den - num, built one power of u at
+    a time by the same operations in the same order as ``lhs * den - num``."""
     lhs._check_order(den)
     lhs._check_order(num)
-    # one residual coefficient at a time, by the same operations in the same
-    # order as ``lhs * den - num``, stopping at the first nonzero
     for n in range(lhs.order + 1):
         c = QFraction.zero()
         for i in range(n + 1):
@@ -271,10 +265,16 @@ def verify_fraction_identity(lhs: TruncatedSeries, num: TruncatedSeries, den: Tr
                 c = c + a * b
         c = c - num.coeffs[n]
         if not c.is_zero:
-            return {
-                "status": "fail",
-                "u_power": n,
-                "residual": str(c),
-                "order": lhs.order,
-            }
-    return {"status": "pass", "order": lhs.order}
+            return {"status": "fail", "u_power": n, "residual": str(c)}
+    return {"status": "pass"}
+
+
+def verify_fraction_identity(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
+    """Check lhs == num/den in cross-multiplied form: lhs*den - num == 0.
+
+    An identity with scalar denominators is cleared into its series by the
+    caller, so the whole computation stays in the polynomial ring.  The
+    report names the first offending power of u and its residual when the
+    identity fails.
+    """
+    return {**first_residual(lhs, num, den), "order": lhs.order}

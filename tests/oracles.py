@@ -5,12 +5,15 @@ the inverses of the juxtaposition maps, the pair-counting lengths, a
 filter over the whole group for the descending-suffix family, the
 word-at-a-time lemma sums, the whole-group histogram by pairwise entry
 comparisons, and the terms of a product kernel result read back from its
-form.
+form, and
+the Taylor coefficients of cos and sin at an integer multiple of u.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -189,3 +192,10 @@ def assert_form_agrees(poly: LaurentPoly) -> None:
     assert form.high.tolist() == list(map(max, zip(*exps)))
     magnitudes = [abs(c) for c in form.coefs]
     assert (form.top, form.mass) == (max(magnitudes), sum(magnitudes))
+
+
+def trig_taylor(name: str, m: int, order: int) -> list[Fraction]:
+    """Coefficients of u^0..u^order in cos(m u) or sin(m u): (-1)^k m^n / n! for n = 2k or 2k + 1."""
+    first = {"cos": 0, "sin": 1}[name]
+    return [Fraction((-1) ** (n // 2) * m**n, factorial(n)) if n % 2 == first else Fraction(0)
+            for n in range(order + 1)]

@@ -1,12 +1,13 @@
-"""Failure reports of the polynomial and sign-flip checks, pinned exactly.
+"""Failure reports of the polynomial, sign-flip and snake-number checks, pinned exactly.
 
 At their default bounds these checks pass, so nothing else reaches the branch
 that builds their failure witnesses.  Each test here corrupts one brute-force
 polynomial (through ``registry._brute``) or the stream of group words (through
-``registry.word_arrays``, for the sign-flip laws); both names are looked up
-when a check runs.  It then pins the first failing entry literally and the
-whole report by the sha256 of its JSON, in the layout ``check --format json``
-prints.  A change to how any of these checks reports a failure shows here.
+``registry.word_arrays``, for the sign-flip laws and the snake numbers); both
+names are looked up when a check runs.  It then pins the first failing entry
+literally and the whole report by the sha256 of its JSON, in the layout
+``check --format json`` prints.  A change to how any of these checks reports a
+failure shows here.
 """
 
 import dataclasses
@@ -157,3 +158,36 @@ def test_corollary_names_the_first_prefix_whose_insertion_sum_breaks(check_id, f
         {"identity_id": f"{check_id}[n=2,r=2]", "n": 2, "status": "fail", "witness_monomial": "prefix "},
         {"identity_id": f"{check_id}[n=3,r=2]", "n": 3, "status": "fail", "witness_monomial": "prefix 1"},
     ]
+
+
+@pytest.fixture
+def one_rank3_snake_dropped(monkeypatch):
+    """Make ``word_arrays`` lose the first snake of rank 3."""
+    real = registry.word_arrays
+
+    def without_first_snake(group, n, rows, i=None):
+        blocks = real(group, n, rows, i)
+        if group.startswith("snake") and n == 3:
+            yield next(blocks)[1:]
+        yield from blocks
+
+    monkeypatch.setattr(registry, "word_arrays", without_first_snake)
+
+
+def test_snake_number_report_names_the_first_wrong_power(one_rank3_snake_dropped):
+    report = registry.run_check("springer-B-q1")
+    assert list(report) == ["id", "label", "parameters", "status", "counts", "u_power", "residual"]
+    assert report["status"] == "fail"
+    assert report["counts"] == [1, 1, 3, 10, 57, 361, 2763]
+    assert (report["u_power"], report["residual"]) == (3, "(-1) / (6)")
+    assert digest(report) == "2c33858481aae6972660613a4cfd2fcfca1608654b2ce1f608f48462f074679c"
+
+
+def test_type_d_snake_number_report_fails_only_the_odd_part(one_rank3_snake_dropped):
+    report = registry.run_check("springer-D-q1")
+    assert list(report) == ["id", "label", "parameters", "status", "counts", "even", "odd"]
+    assert report["status"] == "fail"
+    assert report["counts"] == [1, 1, 1, 4, 23, 151, 1141]
+    assert report["even"]["status"] == "pass"
+    assert report["odd"] == {"status": "fail", "u_power": 3, "residual": "(1) / (6)"}
+    assert digest(report) == "e27b5d217377973d71e47a1384762a6a652f24399e0a0d4eb764ecf742ee2a78"

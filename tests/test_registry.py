@@ -369,6 +369,25 @@ def test_q_one_left_sides_equal_their_former_constructions(order):
         same(registry._egf("B", "hat", "all", order, to_t=to_t).substitute("q", "value", 1).scale_u(2), old)
 
 
+@pytest.mark.parametrize("order", range(11))
+@pytest.mark.parametrize("m", [1, 2])
+def test_classical_families_match_the_taylor_table(m, order):
+    """``_classical`` at q = 1 is cos, sin, cosh and sinh of m u, by an independent table."""
+    import artifact.registry as registry
+    from artifact.extension import QFraction
+    from artifact.series import TruncatedSeries
+
+    from oracles import trig_taylor
+
+    def table(coeffs):
+        return TruncatedSeries(order, [QFraction(c.numerator, c.denominator) for c in coeffs])
+
+    for trig, hyperbolic in (("cos", "cosh"), ("sin", "sinh")):
+        coeffs = trig_taylor(trig, m, order)
+        assert registry._classical(f"{trig}_q", m, order) == table(coeffs)
+        assert registry._classical(f"{hyperbolic}_q", m, order) == table(map(abs, coeffs))
+
+
 @pytest.mark.parametrize("order", [0, -1])
 @pytest.mark.parametrize("cid", SERIES_IDS)
 def test_order_below_one_is_refused(cid, order):

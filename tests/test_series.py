@@ -8,6 +8,7 @@ from artifact.series import (
     DEFAULT_ORDER,
     SERIES_FAMILIES,
     TruncatedSeries,
+    first_residual,
     series_from_polys,
     series_make,
     verify_fraction_identity,
@@ -275,6 +276,8 @@ def test_lazy_verification_matches_the_eager_residual():
     for lhs, num, den in cases:
         report = verify_fraction_identity(lhs, num, den)
         assert report == _eager_report(lhs, num, den)
+        assert list(first_residual(lhs, num, den).items()) == [
+            (key, value) for key, value in report.items() if key != "order"]
         statuses.append(report["status"])
     assert statuses.count("fail") == 4 and statuses.count("pass") == 1
     assert report["u_power"] == 4

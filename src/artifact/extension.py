@@ -15,12 +15,12 @@ numerator is ever divided by a polynomial.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
-from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, one_minus
+from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, is_sparse_sum, one_minus, sum_of_products
 
 
 _s0, _s1, _t0, _t1 = map(LaurentPoly.variable, ("s0", "s1", "t0", "t1"))
@@ -37,6 +37,14 @@ _SQUARES = (
     _s1,
 )
 _INDEX = {name: i for i, name in enumerate(_NAMES)}
+
+
+# The squares, in bit order, that the product of two components picks up,
+# indexed by the mask of the generators both components carry.
+_SQUARES_OF = tuple(
+    tuple(square for bit, square in enumerate(_SQUARES) if common >> bit & 1)
+    for common in range(1 << len(_SQUARES))
+)
 
 
 class ExtElement:
@@ -144,13 +152,8 @@ class ExtElement:
         for m1, p1 in self.parts.items():
             for m2, p2 in other.parts.items():
                 poly = p1 * p2
-                common = m1 & m2
-                bit = 0
-                while common:
-                    if common & 1:
-                        poly = poly * _SQUARES[bit]
-                    common >>= 1
-                    bit += 1
+                for square in _SQUARES_OF[m1 & m2]:
+                    poly = poly * square
                 mask = m1 ^ m2
                 acc = out.get(mask)
                 out[mask] = poly if acc is None else acc + poly
@@ -410,6 +413,49 @@ class QFraction:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(pairs: list[tuple["QFraction", "QFraction"]]) -> "QFraction":
+        """The sum of a * b over the pairs, equal field by field to the fold
+        ``zero + a1 * b1 + a2 * b2 + ...``.
+
+        The sum is taken over the lcm of the products' denominators at once:
+        each product's numerator is scaled once, straight to that lcm, and
+        each component of the result is one ``sum_of_products`` of
+        polynomials.  Without a non-cyclotomic rest, and with every content 1
+        or every path empty, the fold's ``path`` follows from the products'
+        multisets alone, kept when equal and added otherwise.  For any other
+        operands the sum is the fold itself, and so it is when the component
+        products form a sum too sparse for the kernel (``is_sparse_sum``),
+        where the fold, rescaling a little at a time, is the faster.
+        """
+        if len(pairs) < 2:  # the fold adds a lone product to zero, which leaves it as it is
+            return pairs[0][0] * pairs[0][1] if pairs else _ZERO
+        paths = [f.path for pair in pairs for f in pair]
+        if any(map(_has_rest, paths)) or (any(paths) and any(f.content > 1 for pair in pairs for f in pair)) \
+                or is_sparse_sum([(p1, p2) for a, b in pairs for p1 in a.num.parts.values() for p2 in b.num.parts.values()]):
+            return sum((a * b for a, b in pairs), QFraction.zero())
+        facs = [_merge(a.fac, b.fac, add) for a, b in pairs]
+        contents = [a.content * b.content for a, b in pairs]
+        fac = reduce(partial(_merge, op=max), facs, Factors())
+        content = lcm(*contents)
+        path = Factors()
+        for a, b in pairs:
+            step = _merge(a.path, b.path, add)
+            if step != path:
+                path = _merge(path, step, add)
+        products: dict[int, list[tuple[LaurentPoly, ...]]] = {}
+        for (a, b), fac_k, content_k in zip(pairs, facs, contents):
+            excess = _excess(fac, fac_k)
+            scale = _expand(excess)
+            if content_k != content:
+                scale = scale * (content // content_k)
+            tail = (scale,) if excess or content_k != content else ()
+            for m1, p1 in a.num.parts.items():
+                for m2, p2 in b.num.parts.items():
+                    products.setdefault(m1 ^ m2, []).append((p1, p2, *_SQUARES_OF[m1 & m2], *tail))
+        num = ExtElement({mask: sum_of_products(terms) for mask, terms in products.items()})
+        return QFraction._make(num, content, fac, path)
+
     def divide_by_generator(self, name: str) -> "QFraction":
         return QFraction._make(self.num.divide_by_generator(name), self.content, self.fac, self.path)
 
@@ -428,6 +474,8 @@ class QFraction:
     def __repr__(self) -> str:
         return f"QFraction({self})"
 
+
+_ZERO = QFraction.zero()
 
 GEN_M = ExtElement.generator("M")
 GEN_I = ExtElement.generator("i")

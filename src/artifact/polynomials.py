@@ -9,9 +9,9 @@ construction and all operations are pure functions.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
-from math import gcd, prod
-from operator import mul
+from itertools import chain, count
+from math import gcd, isqrt, prod
+from operator import add, mul
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -145,6 +145,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         na, nb = _size(self), _size(other)
+        if nb == 1 and _ZERO_EXP in other.terms:  # a constant factor only scales
+            return self * other.terms[_ZERO_EXP]
+        if na == 1 and _ZERO_EXP in self.terms:
+            return other * self.terms[_ZERO_EXP]
         if na * nb >= _KRONECKER_MIN_PAIRS and min(na, nb) > 1:
             out = _kronecker_sum([(self, other)])
             if out is not None:
@@ -310,6 +314,11 @@ Terms = dict[tuple[int, ...], int]
 # as the coefficient bound of the whole product or sum needs.
 _KRONECKER_MIN_PAIRS = 512
 _KRONECKER_FILL = 8
+# A sum of products whose first two factors move in more variables than this
+# together spreads over a seven-variable box too sparse for the kernel: in the
+# series checks at order 8, the coefficient sums in s, t and q fit the box,
+# and nearly all of those in q, s0, s1, t0 and t1 did not.
+_DENSE_VARIABLES = 3
 _DECODE_CHUNK = 1 << 12  # terms of a kernel result turned into dict entries per step
 _EXP_LIMIT = 1 << 61
 _DECLINED = False  # the memoized form of a polynomial with an exponent too large for the kernel
@@ -441,9 +450,31 @@ def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
     out = None
     if sum(_size(a) * _size(b) for a, b, *_ in products) >= _KRONECKER_MIN_PAIRS:
         out = _kronecker_sum(products)
-    if out is None:
-        return sum((reduce(mul, p) for p in products), LaurentPoly.zero())
-    return out
+    if out is None and products:
+        out = reduce(add, (reduce(mul, p) for p in products))
+    return LaurentPoly.zero() if out is None else out
+
+
+def is_sparse_sum(products: list[tuple[LaurentPoly, ...]]) -> bool:
+    """Whether a sum of products of nonzero factors holds enough term pairs
+    for the kernel, but its first two factors move in more than
+    _DENSE_VARIABLES variables together, so that its box is too sparse.
+
+    Read from the factors' forms, smallest factor first, and only until the
+    answer is known; an exponent too large for a form counts as sparse.
+    """
+    if sum(_size(a) * _size(b) for a, b, *_ in products) < _KRONECKER_MIN_PAIRS:
+        return False
+    moved = np.zeros(NVARS, dtype=bool)
+    factors = {id(f): f for a, b, *_ in products for f in (a, b)}.values()
+    for poly in sorted(factors, key=_size):
+        form = _form_of(poly)
+        if form is None:
+            return True
+        moved |= form.high > form.low
+        if moved.sum() > _DENSE_VARIABLES:
+            return True
+    return False
 
 
 def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | None:
@@ -782,15 +813,83 @@ def cyclotomic(d: int) -> LaurentPoly:
     return _q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
 
 
-def _totient(d: int) -> int:
-    out, rest, p = d, d, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            out -= out // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return out - out // rest if rest > 1 else out
+@lru_cache(maxsize=None)
+def _small_totients(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Every d >= 2 with φ(d) < bound, ascending, as (d, φ(d), the primes dividing d).
+
+    A prime p divides such a d only if p - 1 <= φ(d), so the d are the
+    products of powers of the primes up to ``bound`` whose totient,
+    the product of p^(k-1) (p - 1), stays below it.
+    """
+    primes = [p for p in range(2, bound + 1) if all(p % r for r in range(2, isqrt(p) + 1))]
+    out = []
+
+    def extend(d: int, phi: int, factors: tuple[int, ...], start: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if phi * (p - 1) >= bound:
+                break  # and so for every larger prime
+            q, f = d * p, phi * (p - 1)
+            while f < bound:
+                out.append((q, f, factors + (p,)))
+                extend(q, f, factors + (p,), i + 1)
+                q, f = q * p, f * p
+
+    extend(1, 1, (), 0)
+    return tuple(sorted(out))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in bases:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(d: int, factors: tuple[int, ...]) -> tuple[int, int]:
+    """The least prime l = 1 (mod d), and a primitive d-th root of unity mod l.
+
+    ``factors`` are the primes dividing d: w has order d exactly when
+    w^(d/r) != 1 for each of them.
+    """
+    ell = d + 1
+    while not _is_prime(ell):
+        ell += d
+    for x in count(2):  # the units mod l are cyclic, so some x gives order d
+        w = pow(x, (ell - 1) // d, ell)
+        if all(pow(w, d // r, ell) != 1 for r in factors):
+            return ell, w
+
+
+def _vanishes_at_root(p: list[int], d: int, factors: tuple[int, ...]) -> bool:
+    """Whether p(w) = 0 mod l at the primitive d-th root w of ``_root_of_unity``.
+
+    Φ_d(w) = 0 mod l, so this holds whenever Φ_d divides p: a d for which it
+    fails needs no division.
+    """
+    ell, w = _root_of_unity(d, factors)
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * w + c) % ell
+    return acc == 0
 
 
 def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentPoly]:
@@ -801,6 +900,9 @@ def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentP
     stays in the rest, and so does all of a polynomial with a negative power.
     [k]_q is the product of Φ_d over the divisors d > 1 of k, so q-integers,
     q-factorials and Poincaré polynomials leave the rest 1.
+
+    Only a Φ_d of degree φ(d) below the length of p can divide it, and only
+    one that passes ``_vanishes_at_root`` is built and divided out.
     """
     content = gcd(*poly.terms.values())
     rest = LaurentPoly({e: c // content for e, c in poly.terms.items()})
@@ -808,13 +910,11 @@ def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentP
         return content, {}, rest
     p = _q_coefficients(rest)
     mult: dict[int, int] = {}
-    d = 2
-    # phi(d) >= sqrt(d) above d = 6, so no Φ_d with d > max(6, deg^2) divides
-    while len(p) > 1 and d <= max(6, (len(p) - 1) ** 2):
-        if _totient(d) < len(p):
-            a = _cyclotomic_coefficients(d)
-            while (quotient := _exact_quotient(p, a)) is not None:
-                p = quotient
-                mult[d] = mult.get(d, 0) + 1
-        d += 1
+    for d, phi, factors in _small_totients(len(p)):
+        if phi >= len(p) or not _vanishes_at_root(p, d, factors):
+            continue
+        a = _cyclotomic_coefficients(d)
+        while (quotient := _exact_quotient(p, a)) is not None:
+            p = quotient
+            mult[d] = mult.get(d, 0) + 1
     return content, mult, _q_polynomial(p)

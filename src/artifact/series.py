@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 6
+_MINUS_ONE = QFraction(-1)
 
 
 class TruncatedSeries:
@@ -115,19 +116,19 @@ class TruncatedSeries:
             self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
+    def _pairs(self, other: "TruncatedSeries", n: int) -> list[tuple[QFraction, QFraction]]:
+        """The nonzero coefficient pairs (a_i, b_(n-i)) of u**n in self * other, i ascending."""
+        return [
+            (a, b) for a, b in zip(self.coeffs[:n + 1], reversed(other.coeffs[:n + 1]))
+            if not (a.is_zero or b.is_zero)
+        ]
+
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
-            out = [QFraction.zero()] * (self.order + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j in range(self.order + 1 - i):
-                    b = other.coeffs[j]
-                    if b.is_zero:
-                        continue
-                    out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(self.order, out)
+            return TruncatedSeries(self.order, [
+                QFraction.sum_of_products(self._pairs(other, n)) for n in range(self.order + 1)
+            ])
         scalar = QFraction.coerce(other)
         return TruncatedSeries(self.order, [c * scalar for c in self.coeffs])
 
@@ -254,16 +255,13 @@ def series_from_polys(
 
 def first_residual(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
     """The first nonzero coefficient of lhs*den - num, built one power of u at
-    a time by the same operations in the same order as ``lhs * den - num``."""
+    a time, each as one ``QFraction.sum_of_products`` over the pairs of
+    ``lhs * den`` and the pair (num_n, -1).  Every coefficient equals the one
+    ``lhs * den - num`` has, field by field, so it prints the same."""
     lhs._check_order(den)
     lhs._check_order(num)
     for n in range(lhs.order + 1):
-        c = QFraction.zero()
-        for i in range(n + 1):
-            a, b = lhs.coeffs[i], den.coeffs[n - i]
-            if not (a.is_zero or b.is_zero):
-                c = c + a * b
-        c = c - num.coeffs[n]
+        c = QFraction.sum_of_products(lhs._pairs(den, n) + [(num.coeffs[n], _MINUS_ONE)])
         if not c.is_zero:
             return {"status": "fail", "u_power": n, "residual": str(c)}
     return {"status": "pass"}

@@ -6,22 +6,32 @@ filter over the whole group for the descending-suffix family, the
 word-at-a-time lemma sums, the whole-group histogram by pairwise entry
 comparisons, and the terms of a product kernel result read back from its
 form, and
-the Taylor coefficients of cos and sin at an integer multiple of u.
+the Taylor coefficients of cos and sin at an integer multiple of u, the
+pairwise folds of q-fractions that series products and residuals equal,
+and the cyclotomic split by trial division of every Φ_d of small degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from artifact.bijections import SignedSubset, signed_subsets
 from artifact.enumeration import _inv_bins, _perm_rows
+from artifact.extension import QFraction
 from artifact.permutations import Word, iterate_group, negative_count
-from artifact.polynomials import LaurentPoly
+from artifact.polynomials import (
+    LaurentPoly,
+    _cyclotomic_coefficients,
+    _exact_quotient,
+    _q_coefficients,
+    _q_polynomial,
+)
+from artifact.series import TruncatedSeries
 
 
 def plain_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
@@ -199,3 +209,79 @@ def trig_taylor(name: str, m: int, order: int) -> list[Fraction]:
     first = {"cos": 0, "sin": 1}[name]
     return [Fraction((-1) ** (n // 2) * m**n, factorial(n)) if n % 2 == first else Fraction(0)
             for n in range(order + 1)]
+
+
+def fold_sum(pairs) -> QFraction:
+    """zero + a1*b1 + a2*b2 + ..., one QFraction addition at a time: what
+    ``QFraction.sum_of_products`` equals field by field."""
+    acc = QFraction.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def series_product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
+    """The product of two series of one order, each coefficient folded pair by pair."""
+    out = [QFraction.zero()] * (x.order + 1)
+    for i, a in enumerate(x.coeffs):
+        if a.is_zero:
+            continue
+        for j in range(x.order + 1 - i):
+            b = y.coeffs[j]
+            if b.is_zero:
+                continue
+            out[i + j] = out[i + j] + a * b
+    return TruncatedSeries(x.order, out)
+
+
+def first_residual_loop(lhs: TruncatedSeries, num: TruncatedSeries, den: TruncatedSeries) -> dict:
+    """The first nonzero coefficient of lhs*den - num, by the same operations
+    in the same order as ``lhs * den - num`` through ``series_product``."""
+    for n in range(lhs.order + 1):
+        c = QFraction.zero()
+        for i in range(n + 1):
+            a, b = lhs.coeffs[i], den.coeffs[n - i]
+            if not (a.is_zero or b.is_zero):
+                c = c + a * b
+        c = c - num.coeffs[n]
+        if not c.is_zero:
+            return {"status": "fail", "u_power": n, "residual": str(c)}
+    return {"status": "pass"}
+
+
+def assert_same_fraction(x: QFraction, y: QFraction) -> None:
+    """Two fractions agree in every field, and so print alike."""
+    assert (x.num, x.content, x.fac, x.path) == (y.num, y.content, y.fac, y.path)
+    assert str(x) == str(y)
+
+
+def totient(d: int) -> int:
+    out, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
+
+
+def cyclotomic_factors_by_division(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentPoly]:
+    """``polynomials.cyclotomic_factors`` by trying Φ_d for every d up to
+    max(6, deg^2) whose totient is below the length of what is left."""
+    content = gcd(*poly.terms.values())
+    rest = LaurentPoly({e: c // content for e, c in poly.terms.items()})
+    if any(exp[2] < 0 for exp in rest.terms):
+        return content, {}, rest
+    p = _q_coefficients(rest)
+    mult: dict[int, int] = {}
+    d = 2
+    # phi(d) >= sqrt(d) above d = 6, so no Φ_d with d > max(6, deg^2) divides
+    while len(p) > 1 and d <= max(6, (len(p) - 1) ** 2):
+        if totient(d) < len(p):
+            a = _cyclotomic_coefficients(d)
+            while (quotient := _exact_quotient(p, a)) is not None:
+                p = quotient
+                mult[d] = mult.get(d, 0) + 1
+        d += 1
+    return content, mult, _q_polynomial(p)

@@ -74,16 +74,20 @@ def test_03_positive_last_entry_expansion_and_classical_specialization():
 
 
 def test_04_series_identities_exact_through_u8():
-    """Cross-multiplied residuals vanish identically through order eight."""
+    """Cross-multiplied residuals vanish identically through order eight, from a
+    cold brute-force cache; the slowest, typeD-fivevar, took 0.08-0.09 s on a
+    2-core host."""
     clear_cache()
+    slowest = (0.0, "")
     for cid in SERIES_CHECK_IDS:
         started = time.perf_counter()
         report = run_check(cid, order=8)
         elapsed = time.perf_counter() - started
         assert report["status"] == "pass", (cid, report)
-        assert elapsed < 2.0, f"{cid} took {elapsed:.1f}s"
+        assert elapsed < 0.3, f"{cid} took {elapsed:.2f}s"
+        slowest = max(slowest, (elapsed, cid))
     announce(f"{len(SERIES_CHECK_IDS)} series identities exact through u^8, "
-             "each under 2s")
+             f"each under 0.3s (slowest {slowest[1]})", slowest[0])
 
 
 def test_05_q_equal_one_degenerations():

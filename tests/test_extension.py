@@ -17,10 +17,12 @@ from artifact.extension import (
     ExtElement,
     QFraction,
     _expand,
+    _has_rest,
     _is_q_only,
 )
 from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact, qint
-from artifact.series import TruncatedSeries
+from artifact.series import TruncatedSeries, first_residual
+from oracles import assert_same_fraction, first_residual_loop, fold_sum, series_product
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -273,19 +275,24 @@ DENOMINATORS = (
     + [-(1 + Q), 2 * qint(4), ONE_PLUS_2Q, THREE_PLUS_Q2, ONE_PLUS_2Q * THREE_PLUS_Q2]
 )
 
-leaves = st.tuples(
-    small_polys, st.sampled_from(range(len(DENOMINATORS))), st.sampled_from([None, "i", "M"])
-)
 UNARY = ("neg", "divide_rs", "q_at_one", "s_at_two")
 BINARY = ("add", "sub", "mul")
-trees = st.recursive(
-    leaves,
-    lambda inner: st.one_of(
-        st.tuples(st.sampled_from(UNARY), inner),
-        st.tuples(st.sampled_from(BINARY), inner, inner),
-    ),
-    max_leaves=6,
-)
+
+
+def trees_over(indices, max_leaves: int = 6):
+    """Expression trees whose leaves sit over the denominators at these indices."""
+    leaves = st.tuples(small_polys, st.sampled_from(indices), st.sampled_from([None, "i", "M"]))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(UNARY), inner),
+            st.tuples(st.sampled_from(BINARY), inner, inner),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+trees = trees_over(range(len(DENOMINATORS)))
 
 
 def evaluate(tree, frac):
@@ -331,3 +338,80 @@ def test_denominators_that_expand_alike_add_as_cross_multiplication():
     ob = CrossQFraction(T, ONE_PLUS_2Q) * CrossQFraction(1, THREE_PLUS_Q2)
     assert a.path != b.path and a.den == b.den
     assert str(a + b) == str(oa + ob) == f"({S + T}) / ({ONE_PLUS_2Q * THREE_PLUS_Q2})"
+
+
+# ---------------------------------------------------------------------------
+# one sum over the lcm, against the pairwise fold
+# ---------------------------------------------------------------------------
+def _kind(den: LaurentPoly) -> str:
+    frac = QFraction(1, den)
+    if _has_rest(frac.fac):
+        return "rest"
+    return "integer" if not frac.fac else "cyclotomic" if frac.content == 1 else "content"
+
+
+# Over cyclotomic denominators with content 1, or over integers alone, the sum
+# takes one polynomial sum per component; any other mix is the fold itself.
+# q_at_one still mixes the kinds: it sends a cyclotomic denominator to an integer.
+KINDS = [
+    list(range(len(DENOMINATORS))),
+    [i for i, den in enumerate(DENOMINATORS) if _kind(den) == "cyclotomic"],
+    [i for i, den in enumerate(DENOMINATORS) if _kind(den) == "integer"],
+]
+pair_lists = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.lists(st.tuples(trees_over(kind, 4), trees_over(kind, 4)), max_size=4)
+)
+
+
+def test_denominator_kinds_cover_contents_rests_and_cyclotomic_products():
+    assert {_kind(den) for den in DENOMINATORS} == {"integer", "cyclotomic", "content", "rest"}
+    assert all(len(kind) > 3 for kind in KINDS)
+
+
+@given(pair_lists)
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_equals_the_pairwise_fold(pair_trees):
+    pairs = [(evaluate(a, QFraction), evaluate(b, QFraction)) for a, b in pair_trees]
+    assert_same_fraction(QFraction.sum_of_products(pairs), fold_sum(pairs))
+
+
+def test_sum_of_products_of_nothing_and_of_zeros():
+    assert_same_fraction(QFraction.sum_of_products([]), QFraction.zero())
+    zero_over = QFraction(0, poincare("B", 3))  # zero, yet over a factored denominator
+    pairs = [(zero_over, QFraction(S, qint(4))), (QFraction(T, qint(6)), zero_over)]
+    got = QFraction.sum_of_products(pairs)
+    assert got.is_zero and dict(got.fac) == {2: 4, 3: 2, 4: 2, 6: 2}
+    assert_same_fraction(got, fold_sum(pairs))
+
+
+def test_sum_of_products_folds_where_contents_or_rests_decide_the_path():
+    one = QFraction.one()
+    # equal paths over contents 2 and 1: the fold adds them
+    halves = [(QFraction(S, 2 * qint(4)), one), (QFraction(T, qint(4)), one)]
+    # unequal rests that expand alike: the fold adds in the cross-multiplied form
+    alike = [(QFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2), one), (QFraction(T, ONE_PLUS_2Q), QFraction(1, THREE_PLUS_Q2))]
+    for pairs in (halves, alike):
+        assert_same_fraction(QFraction.sum_of_products(pairs), fold_sum(pairs))
+    assert dict(QFraction.sum_of_products(halves).path) == {2: 2, 4: 2}
+    assert len(QFraction.sum_of_products(alike).fac) == 1
+
+
+series_cases = st.tuples(st.integers(0, 3), st.sampled_from(KINDS)).flatmap(
+    lambda case: st.lists(
+        st.lists(trees_over(case[1], 3), min_size=case[0] + 1, max_size=case[0] + 1), min_size=3, max_size=3
+    )
+)
+
+
+@given(series_cases, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_series_products_and_residuals_equal_their_pairwise_loops(coefficient_trees, exact):
+    lhs, den, num = (
+        TruncatedSeries(len(trees) - 1, [evaluate(tree, QFraction) for tree in trees]) for trees in coefficient_trees
+    )
+    product, want = lhs * den, series_product(lhs, den)
+    for got, ref in zip(product.coeffs, want.coeffs):
+        assert_same_fraction(got, ref)
+    if exact:  # residual zero: every coefficient cancels
+        num = want
+    assert first_residual(lhs, num, den) == first_residual_loop(lhs, num, den)

@@ -1,6 +1,7 @@
 """Exact sparse Laurent-polynomial arithmetic and the q-combinatorics helpers."""
 
 import math
+import time
 from functools import reduce
 
 from hypothesis import assume, given, settings
@@ -21,6 +22,7 @@ from artifact.polynomials import (
     cyclotomic,
     cyclotomic_factors,
     first_difference,
+    is_sparse_sum,
     monomial_name,
     one_minus,
     poincare,
@@ -29,7 +31,7 @@ from artifact.polynomials import (
     qint,
     sum_of_products,
 )
-from oracles import assert_form_agrees, is_decoded
+from oracles import assert_form_agrees, cyclotomic_factors_by_division, is_decoded, totient
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -401,6 +403,15 @@ def test_product_with_a_monomial_skips_the_kernel(monkeypatch):
     assert calls == []
 
 
+def test_product_by_a_constant_only_scales(monkeypatch):
+    big = (1 + S) ** 9 * (1 - T) ** 9 * qint(10)
+    monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
+    monkeypatch.setattr(polynomials, "_kronecker_sum", None)
+    for k in (-3, 1):
+        constant = LaurentPoly.constant(k)
+        assert (big * constant).terms == (constant * big).terms == {e: k * c for e, c in big.terms.items()}
+
+
 def test_large_dense_product_takes_the_kernel(monkeypatch):
     a = (1 + S) ** 6 * (1 + T) * qint(20)
     b = (1 - S) ** 5 * (1 - T) * qint(30)
@@ -464,6 +475,18 @@ def _schoolbook_sum(products):
 def _kernel_sum(products):
     out = _kronecker_sum(products)
     return None if out is None else out.terms
+
+
+def test_sparse_sums_are_the_large_ones_spread_over_more_than_three_variables():
+    s0, s1, t0, t1 = (LaurentPoly.variable(name) for name in ("s0", "s1", "t0", "t1"))
+    numerator = ((1 + s0 * Q) * (1 + s1) * (1 + t0 * Q) * (1 - t1)) ** 2 * qint(6)  # 486 terms
+    den = s0 * s1 - t0 * t1
+    dense = [((1 - S) ** k * (1 + T) * qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20)) for k in range(6)]
+    assert not is_sparse_sum(dense)  # s, t and q only
+    assert not is_sparse_sum([(numerator, s0)])  # fewer than 512 term pairs
+    assert is_sparse_sum([(numerator, den), (numerator, s0)])
+    assert numerator._form is None  # the four-variable den alone decided it
+    assert is_sparse_sum([(LaurentPoly.variable("q", 2**62), qint(600))])  # too far out for a form
 
 
 @given(product_sums())
@@ -768,6 +791,56 @@ def test_cyclotomic_factors_keep_the_rest_whole():
     assert cyclotomic_factors(6 * qint(4) * rest) == (6, {2: 1, 4: 1}, rest)
     laurent = 2 + 2 * LaurentPoly.variable("q", -1)
     assert cyclotomic_factors(laurent) == (2, {}, 1 + LaurentPoly.variable("q", -1))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 7, 13, 40, 65])
+def test_small_totients_are_every_d_of_small_degree(bound):
+    listed = polynomials._small_totients(bound)
+    assert [d for d, _, _ in listed] == [d for d in range(2, max(7, bound**2)) if totient(d) < bound]
+    for d, phi, factors in listed:
+        assert phi == totient(d) and factors == tuple(p for p in range(2, d + 1) if d % p == 0 and totient(p) == p - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 12, 30, 97, 360])
+def test_root_of_unity_has_order_d_modulo_a_prime(d):
+    factors = tuple(p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p)))
+    ell, w = polynomials._root_of_unity(d, factors)
+    assert polynomials._is_prime(ell) and ell % d == 1
+    assert [k for k in range(1, d + 1) if pow(w, k, ell) == 1] == [d]
+    # Φ_d vanishes there, and so does every multiple of it
+    assert polynomials._vanishes_at_root(list(polynomials._cyclotomic_coefficients(d)), d, factors)
+
+
+def test_is_prime_against_trial_division():
+    assert [n for n in range(200) if polynomials._is_prime(n)] == [
+        n for n in range(2, 200) if all(n % r for r in range(2, n))]
+    assert polynomials._is_prime(2**61 - 1) and not polynomials._is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
+
+
+q_rests = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.integers(-1, 1)).filter(
+    lambda rest: any(rest[0]))
+
+
+@given(st.lists(st.tuples(st.integers(2, 24), st.integers(1, 2)), max_size=3), st.integers(1, 12), q_rests)
+@settings(max_examples=80, deadline=None)
+def test_cyclotomic_factors_agree_with_trial_division(powers, content, rest):
+    coefs, shift = rest
+    poly = content * LaurentPoly({(0, 0, e + shift, 0, 0, 0, 0): c for e, c in enumerate(coefs)})
+    for d, k in powers:
+        poly = poly * cyclotomic(d) ** k
+    assert cyclotomic_factors(poly) == cyclotomic_factors_by_division(poly)
+
+
+def test_cyclotomic_factors_of_long_sparse_denominators_within_budget():
+    """Each took 0.33-0.74 s by trial division of every Φ_d of small degree; 0.014 s here."""
+    for poly, expected in ((1 + 2 * Q + Q**200, {2: 1}), (1 + Q + Q**300, {})):
+        polynomials._small_totients.cache_clear()
+        polynomials._root_of_unity.cache_clear()
+        started = time.perf_counter()
+        content, mult, rest = cyclotomic_factors(poly)
+        elapsed = time.perf_counter() - started
+        assert (content, mult) == (1, expected) and rest * cyclotomic(2) ** len(mult) == poly
+        assert elapsed < 0.1, f"{poly} took {elapsed:.2f}s"
 
 
 def test_str_is_graded_then_lexicographic():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from artifact import extension, polynomials, registry
 from artifact.extension import ExtElement, GEN_I, GEN_M, QFraction
 from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact
 from artifact.series import (
@@ -13,6 +14,7 @@ from artifact.series import (
     series_make,
     verify_fraction_identity,
 )
+from oracles import assert_same_fraction, first_residual_loop, series_product
 
 
 def frac(numerator, denominator=1) -> QFraction:
@@ -292,3 +294,58 @@ def test_verification_rejects_mismatched_orders():
         verify_fraction_identity(
             TruncatedSeries.one(2), TruncatedSeries.one(3), TruncatedSeries.one(2)
         )
+
+
+def _identities(monkeypatch, check_id: str, order: int) -> list[tuple[TruncatedSeries, ...]]:
+    """The (lhs, num, den) of every residual a check takes, with a cold brute-force cache."""
+    captured = []
+
+    def capture(real):
+        def wrapper(lhs, num, den):
+            captured.append((lhs, num, den))
+            return real(lhs, num, den)
+        return wrapper
+
+    monkeypatch.setattr(registry, "verify_fraction_identity", capture(registry.verify_fraction_identity))
+    monkeypatch.setattr(registry, "first_residual", capture(registry.first_residual))
+    registry.clear_cache()
+    registry.run_check(check_id, order=order)
+    monkeypatch.undo()
+    return captured
+
+
+@pytest.mark.parametrize("check_id", [
+    "typeB-alt-even",  # products in s, t, q: one kernel sum per component
+    "typeD-fivevar",  # numerators in q, s0, s1, t0, t1: the sparse sums fold
+    "typeB-biv-q1-classical",  # integer denominators: every path empty
+    "snakes-D-q",  # failing readings: the residuals are printed
+])
+def test_check_products_and_residuals_equal_their_pairwise_loops(monkeypatch, check_id):
+    identities = _identities(monkeypatch, check_id, 6)
+    assert identities
+    for lhs, num, den in identities:
+        for got, want in zip((lhs * den).coeffs, series_product(lhs, den).coeffs):
+            assert_same_fraction(got, want)
+        assert first_residual(lhs, num, den) == first_residual_loop(lhs, num, den)
+
+
+def test_a_residual_coefficient_takes_at_most_one_kernel_sum_per_component(monkeypatch):
+    """typeB-alt-even at order 8 from cold caches: one ``_kronecker_sum`` call
+    at most per coefficient of lhs*den - num and per generator mask in it."""
+    identities = _identities(monkeypatch, "typeB-alt-even", 8)
+    extension._expand.cache_clear()
+    calls = []
+    kernel = polynomials._kronecker_sum
+    monkeypatch.setattr(polynomials, "_kronecker_sum", lambda products: calls.append(1) or kernel(products))
+    total = 0
+    for lhs, num, den in identities:
+        components = sum(
+            len({m1 ^ m2 for i in range(n + 1) for m1 in lhs.coeffs[i].num.parts for m2 in den.coeffs[n - i].num.parts}
+                | set(num.coeffs[n].num.parts))
+            for n in range(lhs.order + 1)
+        )
+        calls.clear()
+        first_residual(lhs, num, den)
+        assert len(calls) <= components, (len(calls), components)
+        total += len(calls)
+    assert total  # the kernel does take the larger sums

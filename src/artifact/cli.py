@@ -25,7 +25,7 @@ from .enumeration import WEIGHTS, BoundExceeded, poly_group
 from .permutations import GROUPS
 from .polynomials import VARIABLES, LaurentPoly
 from .recurrences import hyatt_plus, reciprocal_transform, recurrence_poly
-from .registry import CHECK_IDS, run_all, run_check
+from .registry import CHECK_IDS, list_checks, run_all, run_check
 from .series import DEFAULT_ORDER
 
 _COMPARE_METHODS = ("brute", "recurrence", "hyatt")
@@ -124,6 +124,15 @@ def _cmd_check(args) -> int:
         print(f"error: unknown check id {args.check_id!r}", file=sys.stderr)
         print("known ids: " + ", ".join(CHECK_IDS), file=sys.stderr)
         return 2
+    if args.check_id is not None:
+        # a check takes one of the two overrides: refuse the other rather than ignore it
+        takes = next(c["parameters"] for c in list_checks() if c["id"] == args.check_id)
+        flags = {"order": "--order", "max_n": "--max-n"}
+        for name, value in (("order", args.order), ("max_n", args.max_n)):
+            if value is not None and name not in takes:
+                wanted = " ".join(flags[p] for p in takes)
+                print(f"error: check {args.check_id!r} takes {wanted}, not {flags[name]}", file=sys.stderr)
+                return 2
     started = time.perf_counter()
     if args.check_id is not None:
         reports = [run_check(args.check_id, order=args.order, max_n=args.max_n)]

@@ -84,10 +84,6 @@ def check_bound(group: str, n: int) -> None:
 # ----------------------------------------------------------------------
 # direct route
 # ----------------------------------------------------------------------
-# Words per block of the direct route.
-_BLOCK_WORDS = 1 << 14
-
-
 def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
     # roster order: (s, t, q, s0, s1, t0, t1)
     if weight == "biv":
@@ -115,7 +111,7 @@ def poly_group_python(
 ) -> LaurentPoly:
     """The direct route: statistics compared row by row over blocks of the family's words."""
     totals: dict[tuple[int, ...], int] = {}
-    for words in word_arrays(group, n, _BLOCK_WORDS, i):
+    for words in word_arrays(group, n, i=i):
         add_counts(totals, array_stats(words, FLAVOR[group]))
     terms: dict[tuple[int, ...], int] = {}
     for vector, count in totals.items():

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
 from math import gcd, lcm
-from operator import add
-from typing import Mapping
+from operator import add, mul
+from typing import Iterator, Mapping
 
 from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, is_sparse_sum, one_minus, sum_of_products
 
@@ -45,6 +45,13 @@ _SQUARES_OF = tuple(
     tuple(square for bit, square in enumerate(_SQUARES) if common >> bit & 1)
     for common in range(1 << len(_SQUARES))
 )
+
+
+def _component_products(x: ExtElement, y: ExtElement) -> Iterator[tuple[int, tuple[LaurentPoly, ...]]]:
+    """Each component product of x * y: its mask, and the factors whose product is its polynomial."""
+    for m1, p1 in x.parts.items():
+        for m2, p2 in y.parts.items():
+            yield m1 ^ m2, (p1, p2, *_SQUARES_OF[m1 & m2])
 
 
 class ExtElement:
@@ -149,14 +156,10 @@ class ExtElement:
         except TypeError:
             return NotImplemented
         out: dict[int, LaurentPoly] = {}
-        for m1, p1 in self.parts.items():
-            for m2, p2 in other.parts.items():
-                poly = p1 * p2
-                for square in _SQUARES_OF[m1 & m2]:
-                    poly = poly * square
-                mask = m1 ^ m2
-                acc = out.get(mask)
-                out[mask] = poly if acc is None else acc + poly
+        for mask, factors in _component_products(self, other):
+            poly = reduce(mul, factors)
+            acc = out.get(mask)
+            out[mask] = poly if acc is None else acc + poly
         return ExtElement(out)
 
     __rmul__ = __mul__
@@ -248,24 +251,26 @@ def _merge(a: Factors, b: Factors, op) -> Factors:
     return frozenset(out.items())
 
 
-def _excess(a: Factors, b: Factors) -> Factors:
-    """a / b for multisets with b inside a."""
-    sub = dict(b)
-    return frozenset((f, k - sub.get(f, 0)) for f, k in a if k > sub.get(f, 0))
-
-
 def _has_rest(factors: Factors) -> bool:
     return any(not isinstance(f, int) for f, _ in factors)
+
+
+def _lift(content: int, fac: Factors, to_content: int, to_fac: Factors) -> LaurentPoly:
+    """The factor that takes content * prod fac to its multiple to_content * prod to_fac."""
+    have = dict(fac)
+    scale = _expand(frozenset((f, k - have.get(f, 0)) for f, k in to_fac if k > have.get(f, 0)))
+    return scale * (to_content // content) if to_content != content else scale
 
 
 class QFraction:
     """numerator / (univariate-q denominator with nonzero constant term).
 
-    The denominator ``den`` is held factored, as the positive integer
-    ``content`` times the factor multiset ``fac``.  Sums are taken over the
-    lcm of the two denominators (largest multiplicities, lcm of the contents)
-    and products add multiplicities; the numerator is never divided by a
-    polynomial, and numerator and denominator share no integer content.
+    The denominator is held factored, as the positive integer ``content``
+    times the factor multiset ``fac``, and ``den`` is derived from the two.
+    Sums are taken over the lcm of the two denominators (largest
+    multiplicities, lcm of the contents) and products add multiplicities; the
+    numerator is never divided by a polynomial, and numerator and denominator
+    share no integer content.
 
     ``path`` is the multiset that plain cross-multiplication, which puts a sum
     over the product of unequal denominators, would have built.  The
@@ -274,7 +279,7 @@ class QFraction:
     ``str`` prints and that ``substitute`` on q works on.
     """
 
-    __slots__ = ("num", "den", "content", "fac", "path")
+    __slots__ = ("num", "content", "fac", "path")
 
     def __init__(self, num, den: LaurentPoly | int = 1):
         num = ExtElement.coerce(num)
@@ -305,8 +310,6 @@ class QFraction:
         self.content = content
         self.fac = fac
         self.path = path
-        den = _expand(fac)
-        self.den = den * content if content > 1 else den
 
     @classmethod
     def _make(cls, num: ExtElement, content: int, fac: Factors, path: Factors) -> "QFraction":
@@ -331,6 +334,10 @@ class QFraction:
         return QFraction(ExtElement.coerce(value))
 
     @property
+    def den(self) -> LaurentPoly:
+        return _lift(1, Factors(), self.content, self.fac)
+
+    @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
@@ -339,14 +346,12 @@ class QFraction:
 
     def _over(self, content: int, fac: Factors) -> ExtElement:
         """The numerator over content * prod fac, a multiple of the denominator."""
-        scale = _expand(_excess(fac, self.fac))
-        if content != self.content:
-            scale = scale * (content // self.content)
+        scale = _lift(self.content, self.fac, content, fac)
         return self.num if scale == 1 else self.num * scale
 
     def _crossed(self) -> tuple[ExtElement, LaurentPoly]:
         """Numerator and denominator of the cross-multiplied form."""
-        lift = _expand(_excess(self.path, self.fac))
+        lift = _lift(self.content, self.fac, self.content, self.path)
         if lift == 1:
             return self.num, self.den
         return self.num * lift, self.den * lift
@@ -445,14 +450,10 @@ class QFraction:
                 path = _merge(path, step, add)
         products: dict[int, list[tuple[LaurentPoly, ...]]] = {}
         for (a, b), fac_k, content_k in zip(pairs, facs, contents):
-            excess = _excess(fac, fac_k)
-            scale = _expand(excess)
-            if content_k != content:
-                scale = scale * (content // content_k)
-            tail = (scale,) if excess or content_k != content else ()
-            for m1, p1 in a.num.parts.items():
-                for m2, p2 in b.num.parts.items():
-                    products.setdefault(m1 ^ m2, []).append((p1, p2, *_SQUARES_OF[m1 & m2], *tail))
+            scale = _lift(content_k, fac_k, content, fac)
+            tail = () if scale == 1 else (scale,)
+            for mask, factors in _component_products(a.num, b.num):
+                products.setdefault(mask, []).append((*factors, *tail))
         num = ExtElement({mask: sum_of_products(terms) for mask, terms in products.items()})
         return QFraction._make(num, content, fac, path)
 

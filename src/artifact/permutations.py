@@ -288,13 +288,14 @@ def _member_rows(group: str, n: int, i: int | None, words: np.ndarray) -> np.nda
     return keep
 
 
-def word_arrays(group: str, n: int, rows: int, i: int | None = None) -> Iterator[np.ndarray]:
+def word_arrays(group: str, n: int, rows: int = _STEP_WORDS, i: int | None = None) -> Iterator[np.ndarray]:
     """The words of ``iterate_group(group, n, i)``, in its order, as int16 arrays.
 
-    Each array holds at most ``rows`` words, one per row, and none is empty.
     Each step reads the next few permutations (lexicographic) and multiplies
     each by every sign pattern (``+`` before ``-``, first entry slowest), so
-    memory stays bounded at any rank.
+    memory stays bounded at any rank.  The family's words of one step are
+    cut into arrays of at most ``rows`` words, one per row; no array is
+    empty, and none spans two steps.
     """
     check_cutoff(group, n, i)
     if group not in FLAVOR:
@@ -307,24 +308,14 @@ def word_arrays(group: str, n: int, rows: int, i: int | None = None) -> Iterator
     choices = (1,) if group == "A" else (1, -1)
     signs = np.fromiter(flat(itertools.product(choices, repeat=n)), dtype=np.int16).reshape(-1, n)
     entries = flat(itertools.permutations(range(1, n + 1)))  # read step by step, never held whole
-    per_step = max(1, max(rows, _STEP_WORDS) // len(signs))
-    pending: list[np.ndarray] = []
-    held = 0
+    per_step = max(1, _STEP_WORDS // len(signs))
     for lo in range(0, factorial(n), per_step):
         count = min(per_step, factorial(n) - lo)
         perms = np.fromiter(entries, dtype=np.int16, count=count * n).reshape(count, 1, n)
         words = (perms * signs).reshape(-1, n)
         words = words[_member_rows(group, n, i, words)]
-        pending.append(words)
-        held += len(words)
-        if held >= rows:
-            words = np.concatenate(pending)
-            cut = held - held % rows
-            for a in range(0, cut, rows):
-                yield words[a:a + rows]
-            pending, held = [words[cut:]], held - cut
-    if held:
-        yield np.concatenate(pending)
+        for a in range(0, len(words), rows):
+            yield words[a:a + rows]
 
 
 def iterate_group(group: str, n: int, i: int | None = None) -> Iterator[Word]:
@@ -335,5 +326,5 @@ def iterate_group(group: str, n: int, i: int | None = None) -> Iterator[Word]:
     -1 <= i <= n-1: descents are allowed only at positions <= i (the last n-i
     entries increase).
     """
-    for block in word_arrays(group, n, _STEP_WORDS, i):
+    for block in word_arrays(group, n, i=i):
         yield from map(tuple, block.tolist())

@@ -301,7 +301,7 @@ def _trig_kit(scale, order: int, family: str) -> dict:
     (carrying the imaginary generator) and freed (that generator divided out)."""
     cosq = series_make("cos_q", scale, order)
     sinq = series_make("sin_q", scale, order)
-    e_i = series_make("e_q", ExtElement.coerce(scale) * GEN_I, order)
+    e_i = series_make("e_q", scale * GEN_I, order)
     sinX = series_make(f"sin_{family}", scale, order)
     return {
         "one": TruncatedSeries.one(order),
@@ -438,7 +438,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
     one = TruncatedSeries.one(order)
     cos_m = _classical("cos_q", GEN_M, order)
     sin_m = _classical("sin_q", GEN_M, order)
-    cos_2m = _classical("cos_q", ExtElement.coerce(2) * GEN_M, order)
+    cos_2m = _classical("cos_q", 2 * GEN_M, order)
     num = (-1 * ((_S - 1) * (_T - 1))) * cos_m - (_S + 1) * (GEN_M * sin_m)
     den = (_S + _T) * one - (_T * _S + 1) * cos_2m
     combined = verify_fraction_identity(lhs, num, den)
@@ -448,7 +448,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
     scale = one_minus("t")
     cos_p = _classical("cos_q", scale, order)
     sin_p = _classical("sin_q", scale, order)
-    cos_2p = _classical("cos_q", ExtElement.coerce(2) * ExtElement.from_poly(scale), order)
+    cos_2p = _classical("cos_q", 2 * scale, order)
     num_p = (-1 * ((_T - 1) * (_T - 1))) * cos_p + (_T * _T - 1) * sin_p
 
     def with_den(dpoly):
@@ -732,24 +732,16 @@ _register(
 # type D series
 
 
-def _div_m_series(series: TruncatedSeries) -> TruncatedSeries:
-    return series.divide_by_generator("M")
-
-
 def _ed_od(k: dict, cos, sin, cos_x, sin_x, t, omt, lead, gen, name: str):
     """The two auxiliary series of the type D closed forms, from one kit's
     cosine-like and sine-like pieces.  They are written without scalar
     division: every 1/gen is an exact division by the generator ``name`` of a
     series whose coefficients all carry it."""
     one, u = k["one"], k["u"]
-
-    def div(series: TruncatedSeries) -> TruncatedSeries:
-        return series.divide_by_generator(name)
-
-    ed = (2 * t) * (cos - one) + omt * (cos_x - one) + (t * t * lead) * (u * div(sin))
+    ed = (2 * t) * (cos - one) + omt * (cos_x - one) + (t * t * lead) * (u * sin.divide_by_generator(name))
     od = (t * t) * (u * (cos - one)) \
-        + (omt * omt) * div(sin_x - gen * u) \
-        + (2 * t * omt) * div(sin - gen * u)
+        + (omt * omt) * (sin_x - gen * u).divide_by_generator(name) \
+        + (2 * t * omt) * (sin - gen * u).divide_by_generator(name)
     return ed, od
 
 
@@ -761,9 +753,9 @@ def _type_d_biv(parity: str, order: int) -> dict:
     one = k["one"]
     den = one - (_S + _T) * k["coshq"] + (_S * _T) * k["E"]
     if parity == "even":
-        num = ed * (one - _T * k["coshq"]) + od * ((_T * one_minus("s")) * _div_m_series(k["sinhq"]))
+        num = ed * (one - _T * k["coshq"]) + od * ((_T * one_minus("s")) * k["sinhq"].divide_by_generator("M"))
     else:
-        num = od * (one - _S * k["coshq"]) + ed * ((_S * one_minus("t")) * _div_m_series(k["sinhq"]))
+        num = od * (one - _S * k["coshq"]) + ed * ((_S * one_minus("t")) * k["sinhq"].divide_by_generator("M"))
     return verify_fraction_identity(lhs, num, den)
 
 
@@ -790,30 +782,31 @@ def _type_d_alt(parity: str, order: int) -> dict:
         ed_h, od_h = _ed_od(k, k["cosq"], k["sinq"], k["cosX"], k["sinX"],
                             _T, one_minus("t"), oms_r, GEN_M, "M")
         if parity == "even":
-            num = ed_h * (one - _T * k["cosq"]) + od_h * ((_T * oms_r) * _div_m_series(k["sinq"]))
+            num = ed_h * (one - _T * k["cosq"]) + od_h * ((_T * oms_r) * k["sinq"].divide_by_generator("M"))
         else:
-            num = od_h * (_S * one - k["cosq"]) + ed_h * (one_minus("t") * _div_m_series(k["sinq"]))
+            num = od_h * (_S * one - k["cosq"]) + ed_h * (one_minus("t") * k["sinq"].divide_by_generator("M"))
         return verify_fraction_identity(lhs, num, den)
 
     def printed():
         # literal transcription: sines keep the imaginary generator, square
         # roots of s appear, and both sides are cleared by t*s^2*(s-1).
-        rs = ExtElement.coerce(GEN_ROOT_S)
+        rs = GEN_ROOT_S
         clear = _T * _S * _S * (_S - 1)
         sinq_i, sinD_i = k["sinq_i"], k["sinX_i"]
         ted_t = (2 * _T * _T) * (k["cosq"] - one) \
-            + (_T * _T * _T * (_S - 1) * LaurentPoly.monomial(1, s=-1)) * (rs * (u * _div_m_series(sinq_i))) \
+            + (_T * _T * _T * (_S - 1) * LaurentPoly.monomial(1, s=-1)) \
+            * (rs * (u * sinq_i.divide_by_generator("M"))) \
             + one_minus("t") * (series_make("cosh_D", GEN_M, order) - one)
         tod = (_T * _T * _S * (_S - 1)) * (rs * (u * (k["cosq"] - one))) \
             - one_minus("t") * (rs * (GEN_M * (sinD_i - GEN_M * u))) \
-            + (2 * _T * one_minus("t") * _S * (_S - 1)) * (rs * _div_m_series(sinq_i - GEN_M * u))
+            + (2 * _T * one_minus("t") * _S * (_S - 1)) * (rs * (sinq_i - GEN_M * u).divide_by_generator("M"))
         if parity == "even":
             num = (_S * _S * (_S - 1)) * (ted_t * (one - _T * k["cosq"])) \
-                - (_T * _T * (_S - 1)) * (rs * (tod * _div_m_series(sinq_i)))
+                - (_T * _T * (_S - 1)) * (rs * (tod * sinq_i.divide_by_generator("M")))
         else:
             num = _T * (rs * (tod * (_S * one - k["cosq"]))) \
-                - (_S * _S * (_S - 1) * one_minus("t")) * (ted_t * _div_m_series(sinq_i))
-        return verify_fraction_identity(lhs * QFraction.coerce(ExtElement.from_poly(clear)), num, den)
+                - (_S * _S * (_S - 1) * one_minus("t")) * (ted_t * sinq_i.divide_by_generator("M"))
+        return verify_fraction_identity(lhs * clear, num, den)
 
     return _reading_set([
         ("derived-free-sines", True, derived()),
@@ -847,33 +840,31 @@ def _chk_d_fivevar(order: int) -> dict:
     coshD, sinhD = k["coshX"], k["sinhX"]
     den = (_S0 * _S1) * one - (_S0 * _T1 + _S1 * _T0) * coshq + (_T0 * _T1) * k["E"]
 
-    def divm(s):
-        return s.divide_by_generator("m")
-
     def derived():
         e5, o5 = _ed_od(k, coshq, sinhq, coshD, sinhD, _T1, _S1 - _T1, _S0 - _T0, GEN_LITTLE_M, "m")
-        num_e = e5 * (_S1 * one - _T1 * coshq) + o5 * ((_T1 * (_S0 - _T0)) * divm(sinhq))
+        num_e = e5 * (_S1 * one - _T1 * coshq) + o5 * ((_T1 * (_S0 - _T0)) * sinhq.divide_by_generator("m"))
         even = verify_fraction_identity(lhs_even, num_e, den)
-        num_o = o5 * (_S0 * one - _T0 * coshq) + e5 * ((_T0 * (_S1 - _T1)) * divm(sinhq))
+        num_o = o5 * (_S0 * one - _T0 * coshq) + e5 * ((_T0 * (_S1 - _T1)) * sinhq.divide_by_generator("m"))
         odd = verify_fraction_identity(lhs_odd, num_o, den)
         return _joint(even=even, odd=odd)
 
     def printed():
         # literal transcription with square roots of s0, s1; both sides are
         # cleared by t1*s0^2*s1^3*(s0-t0).
-        rr = ExtElement.coerce(GEN_ROOT_S0) * GEN_ROOT_S1
-        clear = QFraction.coerce(ExtElement.from_poly(_T1 * _S0 * _S0 * _S1 * _S1 * _S1 * (_S0 - _T0)))
+        rr = GEN_ROOT_S0 * GEN_ROOT_S1
+        clear = _T1 * _S0 * _S0 * _S1 * _S1 * _S1 * (_S0 - _T0)
         ted = (2 * _T1 * _T1 * _S1 * _S0) * (coshq - one) \
-            + (_T1 * _T1 * _T1 * (_S0 - _T0)) * (rr * (u * divm(sinhq))) \
+            + (_T1 * _T1 * _T1 * (_S0 - _T0)) * (rr * (u * sinhq.divide_by_generator("m"))) \
             + ((_S1 - _T1) * _S1 * _S1 * _S0) * (coshD - one)
         tod = (_T1 * _T1 * (_S0 - _T0) * _S0 * _S1) * (rr * (u * (coshq - one))) \
             + ((_S1 - _T1) * _S1 * _S1) * (rr * (GEN_LITTLE_M * (sinhD - GEN_LITTLE_M * u))) \
-            + (2 * _T1 * (_S1 - _T1) * (_S0 - _T0) * _S0 * _S1) * (rr * divm(sinhq - GEN_LITTLE_M * u))
+            + (2 * _T1 * (_S1 - _T1) * (_S0 - _T0) * _S0 * _S1) \
+            * (rr * (sinhq - GEN_LITTLE_M * u).divide_by_generator("m"))
         num_e = (_S1 * (_S0 - _T0)) * (ted * (_S1 * one - _T1 * coshq)) \
-            + (_T1 * _T1 * (_S0 - _T0)) * (rr * (tod * divm(sinhq)))
+            + (_T1 * _T1 * (_S0 - _T0)) * (rr * (tod * sinhq.divide_by_generator("m")))
         even = verify_fraction_identity(lhs_even * clear, num_e, den)
         num_o = (_T1 * _S1) * (rr * (tod * (_S0 * one - _T0 * coshq))) \
-            + (_T0 * (_S1 - _T1) * (_S0 - _T0) * _S0 * _S1 * _S1) * (ted * divm(sinhq))
+            + (_T0 * (_S1 - _T1) * (_S0 - _T0) * _S0 * _S1 * _S1) * (ted * sinhq.divide_by_generator("m"))
         odd = verify_fraction_identity(lhs_odd * clear, num_o, den)
         return _joint(even=even, odd=odd)
 
@@ -951,14 +942,10 @@ def _chk_x_lemma(max_n: int) -> dict:
     entries = []
     omt = one_minus("t")
     for n in range(2, max_n + 1):
-        lhs = QFraction.coerce(ExtElement.from_poly(_brute("X", n, "biv")))
+        lhs = QFraction.coerce(_brute("X", n, "biv"))
         pdn = poincare("D", n)
-        rhs = (
-            QFraction(ExtElement.from_poly(_T * _T * pdn), qfact(n - 1))
-            + QFraction(ExtElement.from_poly(2 * _T * omt * pdn), qfact(n))
-            - QFraction.coerce(ExtElement.from_poly(_T * omt))
-            + QFraction.coerce(ExtElement.from_poly(omt))
-        )
+        rhs = QFraction(_T * _T * pdn, qfact(n - 1)) + QFraction(2 * _T * omt * pdn, qfact(n)) \
+            - QFraction.coerce(_T * omt) + QFraction.coerce(omt)
         entries.append(_witness_entry("X-lemma", n, None if lhs == rhs else str(lhs - rhs)))
     return _collect(entries)
 

@@ -284,6 +284,34 @@ def test_check_all_refuses_a_low_max_n_before_running_any(capsys, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("check_id, given, takes", [
+    ("typeB-alt-even", ["--max-n", "3"], "--order"),
+    ("typeB-alt-even", ["--order", "4", "--max-n", "3"], "--order"),
+    ("typeB-recurrence", ["--order", "8"], "--max-n"),
+    ("X-lemma", ["--max-n", "3", "--order", "8"], "--max-n"),
+])
+def test_check_id_refuses_an_option_the_check_does_not_take(capsys, monkeypatch, check_id, given, takes):
+    import artifact.cli as cli
+
+    def no_run(*args, **kw):
+        raise AssertionError("ran a check")
+
+    monkeypatch.setattr(cli, "run_check", no_run)
+    code, out, err = run_cli(capsys, "check", "--id", check_id, *given)
+    refused = "--max-n" if takes == "--order" else "--order"
+    assert (code, out) == (2, "")
+    assert err == f"error: check '{check_id}' takes {takes}, not {refused}\n"
+
+
+def test_check_all_applies_each_override_where_it_fits(capsys):
+    code, out, _ = run_cli(capsys, "check", "--all", "--order", "2", "--max-n", "3", "--format", "json")
+    assert code == 0
+    params = {r["id"]: r["parameters"] for r in json.loads(out)}
+    assert params["typeB-alt-even"] == {"order": 2}
+    assert params["typeB-recurrence"] == {"max_n": 3}
+    assert all(p in ({"order": 2}, {"max_n": 3}) for p in params.values())
+
+
 # ---------------------------------------------------------------------------
 # determinism and packaging
 # ---------------------------------------------------------------------------

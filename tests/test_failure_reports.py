@@ -1,4 +1,4 @@
-"""Failure reports of the polynomial, sign-flip and snake-number checks, pinned exactly.
+"""Failure reports of the polynomial, X-lemma, sign-flip and snake-number checks, pinned exactly.
 
 At their default bounds these checks pass, so nothing else reaches the branch
 that builds their failure witnesses.  Each test here corrupts one brute-force
@@ -105,6 +105,18 @@ def test_corrupted_polynomial_readings(monkeypatch, check_id, max_n, target, exp
     assert report["status"] == "fail"
     assert {r["reading"]: first_failure(r["cases"]) for r in report["readings"]} == expected
     assert digest(report) == sha
+
+
+def test_x_lemma_report_prints_the_difference_of_the_two_fractions(monkeypatch):
+    """The witness is ``str(lhs - rhs)``: a fraction printed in its cross-multiplied form."""
+    corrupt_brute(monkeypatch, "X", 3)
+    report = registry.run_check("X-lemma", max_n=4)
+    assert report["status"] == "fail"
+    assert [c["status"] for c in report["cases"]] == ["pass", "fail", "pass"]
+    assert first_failure(report["cases"]) == {
+        "identity_id": "X-lemma", "n": 3, "status": "fail",
+        "witness_monomial": "(s*t*q + 3*s*t*q^2 + 4*s*t*q^3 + 3*s*t*q^4 + s*t*q^5) / (1 + 3*q + 4*q^2 + 3*q^3 + q^4)"}
+    assert digest(report) == "6583f6d1eba41e518b2e5af7f64796b3e9fb59c3e4f76aee2f347dba90f3bd56"
 
 
 @pytest.mark.parametrize("family, verified, sha", [

@@ -8,16 +8,18 @@ Two independent routes compute every distribution:
   by the definitional pair-counting formulas), and
 * a vectorized route that histograms each word of the flavor's whole group
   by (descent-set bitmask, sign of the last entry, inv) with numpy, projects
-  that histogram onto the requested family (every family is a condition on
-  the mask and the last sign), and derives ascent counts from the position
-  totals.  It compares no entries word by word: for a fixed permutation the
-  word's histogram key is affine in its sign bits, so per-permutation
-  coefficients are computed once and each word's key is one add.
+  that histogram onto the requested family, and derives ascent counts from
+  the position totals.  It compares no entries word by word: for a fixed
+  permutation the word's histogram key is affine in its sign bits, so
+  per-permutation coefficients are computed once and each word's key is one
+  add.
 
-The two routes are cross-checked against each other in the test suite, and
-the tests keep a pairwise-comparison histogram as the oracle of the
-vectorized kernel; the checks that probe the ascent/descent complementation
-itself always use the direct route so they stay non-circular.
+Both routes read the family from ``permutations.family_keys``, the one
+statement of the family rules, and differ only in how they count.  They are
+cross-checked against each other in the test suite, and the tests keep a
+pairwise-comparison histogram as the oracle of the vectorized kernel; the
+checks that probe the ascent/descent complementation itself always use the
+direct route so they stay non-circular.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import FLAVOR, StatVector, array_stats, check_cutoff, word_arrays
+from .permutations import FLAVOR, StatVector, array_stats, check_cutoff, family_keys, position_bits, word_arrays
 from .polynomials import LaurentPoly
 
 WEIGHTS = ("biv", "fivevar", "hat", "q")
@@ -67,12 +69,10 @@ def enumeration_bound(group: str) -> int:
 
 
 def work_estimate(group: str, n: int) -> int:
-    """Words the direct route and the word sweeps build at rank n before the
-    family filter: n! for A, 2^n n! for B and D (twice |D_n| for D, since
-    every sign pattern is built and only the even ones are kept)."""
-    if FLAVOR[group] == "A":
-        return factorial(n)
-    return 2**n * factorial(n)
+    """Words every route builds at rank n before the family filter, those of
+    the flavor's group: n! for A, 2^n n! for B and 2^(n-1) n! for D."""
+    signs = {"A": 1, "B": 2**n, "D": 2 ** max(n - 1, 0)}[FLAVOR[group]]
+    return signs * factorial(n)
 
 
 def check_bound(group: str, n: int) -> None:
@@ -294,34 +294,6 @@ def clear_histograms() -> None:
     _PERM_CACHE.clear()
 
 
-def _position_bits(flavor: str, n: int) -> tuple[int, int]:
-    """Masks of the even and the odd positions among the descent-mask bits."""
-    even = sum(1 << j for j in range(2, n, 2)) | (flavor == "B")
-    odd = sum(1 << j for j in range(1, n, 2)) | (flavor == "D")
-    return even, odd
-
-
-def _accepted(group: str, n: int, i: int | None, odd: int) -> np.ndarray:
-    """Which (last entry negative, descent mask) keys belong to the family."""
-    last = np.arange(2)[:, None]
-    mask = np.arange(1 << n)[None, :]
-    if group.endswith("+"):
-        keep = last == 0
-    elif group.endswith("-"):
-        keep = last == 1
-    elif group == "G":
-        keep = mask >> (i + 1) == 0  # descents only at positions 0..i
-    elif group == "H":
-        keep = mask >> (max(i, 0) + 1) == 0  # only at -1 and 1..i
-    elif group == "X":
-        keep = mask >> 2 == 0  # only at -1 and 1
-    elif group.startswith("snake"):
-        keep = mask == odd
-    else:
-        keep = np.ones((1, 1), dtype=bool)
-    return np.broadcast_to(keep, (2, 1 << n))
-
-
 def poly_group_numpy(group: str, n: int, weight: str, i: int | None = None) -> LaurentPoly:
     check_cutoff(group, n, i)
     if n < 2:
@@ -329,13 +301,13 @@ def poly_group_numpy(group: str, n: int, weight: str, i: int | None = None) -> L
     if n > _MAX_VECTOR_RANK:
         raise ValueError(f"the vectorized route stops at rank {_MAX_VECTOR_RANK}, got {n}")
     flavor = FLAVOR[group]
-    even, odd = _position_bits(flavor, n)
+    even, odd = position_bits(flavor, n)
     evens, odds = even.bit_count(), odd.bit_count()
     bins = _inv_bins(flavor, n)
     hist = _histogram(flavor, n).reshape(2, 1 << n, bins)
 
     # fold the accepted keys onto (edes, odes, inv)
-    last, mask = np.nonzero(_accepted(group, n, i, odd))
+    last, mask = np.nonzero(family_keys(group, n, i))
     folded = np.zeros((evens + 1, odds + 1, bins), dtype=np.int64)
     np.add.at(
         folded, (np.bitwise_count(mask & even), np.bitwise_count(mask & odd)), hist[last, mask]

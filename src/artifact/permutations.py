@@ -8,8 +8,12 @@ Positions for the type-B statistics are 0..n-1, where position i compares
 pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 {-1, 1, ..., n-1} with pi_{-1} = -pi_1; position -1 counts as odd.  Type-A
 (ordinary permutation) positions are 1..n-1.  ``positions`` lists them, and
-the descent sets, the position counts and the scalar statistics
-``stats_A``/``stats_B``/``stats_D`` are read from it.
+the descent sets, the position counts, the scalar statistics
+``stats_A``/``stats_B``/``stats_D``, the descent-mask bits ``position_bits``
+and the row-wise comparisons ``position_columns`` are read from it.  Every
+family is a condition on the descent mask and the last entry's sign, and
+``family_keys`` is the one statement of those rules, read by both
+brute-force routes.
 
 Sweeps over many words at once hold them as an integer array, one word per
 row: ``word_arrays`` yields a family's words so, in the order of
@@ -79,10 +83,22 @@ def even_odd_positions(flavor: str, n: int) -> tuple[int, int]:
     return len(where) - odd, odd
 
 
+def position_bits(flavor: str, n: int) -> tuple[int, int]:
+    """Masks of the even and the odd positions in a descent mask, where position i is bit max(i, 0)."""
+    even, odd = (sum(1 << max(i, 0) for i in positions(flavor, n) if i % 2 == parity) for parity in (0, 1))
+    return even, odd
+
+
 def _descent_set(flavor: str, word: Sequence[int]) -> tuple[int, ...]:
     """Positions i with pi_i > pi_{|i|+1}, where pi_0 = 0 and pi_{-1} = -pi_1."""
     pi = (0, *word)
     return tuple(i for i in positions(flavor, len(word)) if (pi[i] if i >= 0 else -pi[1]) > pi[abs(i) + 1])
+
+
+def position_columns(flavor: str, words: np.ndarray) -> Iterator[tuple[int, np.ndarray | int, np.ndarray]]:
+    """``_descent_set`` row-wise: each position i with the columns pi_i and pi_{|i|+1} it compares."""
+    for i in positions(flavor, words.shape[1]):
+        yield i, (words[:, i - 1] if i > 0 else -words[:, 0] if i else 0), words[:, abs(i)]
 
 
 def descent_set_A(word: Sequence[int]) -> tuple[int, ...]:
@@ -162,19 +178,10 @@ def array_stats(words: np.ndarray, flavor: str) -> np.ndarray:
     pair-counting forms.
     """
     rows, n = words.shape
-    after = [(p % 2, words[:, p - 1], words[:, p]) for p in range(1, n)]  # positions 1..n-1
-    if flavor == "B":
-        positions = [(0, 0, words[:, 0])] + after if n else []  # position 0 compares pi_0 = 0
-    elif flavor == "D":
-        positions = [(1, -words[:, 0], words[:, 1])] + after if n >= 2 else []  # -1 is odd
-    elif flavor == "A":
-        positions = after
-    else:
-        raise ValueError(f"unknown statistic flavor {flavor!r}")
     stats = np.zeros((5, rows), dtype=np.int64)
-    for odd, left, right in positions:
-        stats[odd] += left > right
-        stats[2 + odd] += left < right
+    for i, left, right in position_columns(flavor, words):
+        stats[i % 2] += left > right
+        stats[2 + i % 2] += left < right
     negated = -words
     for a in range(n):
         for b in range(a + 1, n):
@@ -257,45 +264,46 @@ def check_cutoff(group: str, n: int, i: int | None) -> None:
 _STEP_WORDS = 1 << 14
 
 
-def _member_rows(group: str, n: int, i: int | None, words: np.ndarray) -> np.ndarray:
-    """Which rows of a block of B_n words (S_n for A) belong to the family.
+def family_keys(group: str, n: int, i: int | None) -> np.ndarray:
+    """Which (last entry negative, descent mask) keys belong to the family, as a (2, 2**n) bool array.
 
-    Column j of ``desc`` is the descent at position j; column 0 is position 0
-    for B (0 > pi_1) and position -1 for D (-pi_1 > pi_2, from rank 2 on).
+    This is the one statement of the family rules: B+/D+ and B-/D- fix the
+    last sign; G, H and X allow descents only up to a position (Des within
+    {0..i}, {-1, 1..i} and {-1, 1}); the snakes' descent set is exactly the
+    odd positions.  The full groups take every key.
     """
-    flavor = FLAVOR[group]
-    keep = np.ones(len(words), dtype=bool)
-    if flavor == "D":
-        keep &= (words < 0).sum(axis=1) % 2 == 0
+    last = np.arange(2)[:, None]
+    mask = np.arange(1 << n)[None, :]
     if group.endswith("+"):
-        keep &= words[:, -1] > 0
+        keep = last == 0
     elif group.endswith("-"):
-        keep &= words[:, -1] < 0
-    elif group in ("G", "H", "X", "snakeB", "snakeD"):
-        desc = np.empty(words.shape, dtype=bool)
-        desc[:, 1:] = words[:, :-1] > words[:, 1:]
-        if flavor == "D":
-            desc[:, 0] = n >= 2 and -words[:, 0] > words[:, 1]
-        else:
-            desc[:, 0] = words[:, 0] < 0
-        if group.startswith("snake"):
-            want = np.arange(n) % 2 == 1
-            want[0] = group == "snakeD" and n >= 2
-            keep &= (desc == want).all(axis=1)
-        else:
-            last = 1 if group == "X" else max(i, 0) if group == "H" else i  # last position that may descend
-            keep &= ~desc[:, last + 1:].any(axis=1)
-    return keep
+        keep = last == 1
+    elif group in ("G", "H", "X"):
+        top = 1 if group == "X" else max(i, 0) if group == "H" else i  # the last bit that may be set
+        keep = mask >> (top + 1) == 0
+    elif group.startswith("snake"):
+        keep = mask == position_bits(FLAVOR[group], n)[1]
+    else:
+        keep = np.ones((1, 1), dtype=bool)
+    return np.broadcast_to(keep, (2, 1 << n))
+
+
+def _member_rows(keys: np.ndarray, flavor: str, words: np.ndarray) -> np.ndarray:
+    """Which rows of a block of the flavor's words belong to the family whose ``family_keys`` are ``keys``."""
+    mask = 0
+    if (keys != keys[:, :1]).any():  # the family depends on the descent set
+        mask = sum((left > right) << max(p, 0) for p, left, right in position_columns(flavor, words))
+    return keys[(words[:, -1] < 0).astype(np.intp), mask]
 
 
 def word_arrays(group: str, n: int, rows: int = _STEP_WORDS, i: int | None = None) -> Iterator[np.ndarray]:
     """The words of ``iterate_group(group, n, i)``, in its order, as int16 arrays.
 
     Each step reads the next few permutations (lexicographic) and multiplies
-    each by every sign pattern (``+`` before ``-``, first entry slowest), so
-    memory stays bounded at any rank.  The family's words of one step are
-    cut into arrays of at most ``rows`` words, one per row; no array is
-    empty, and none spans two steps.
+    each by every sign pattern of the flavor (``+`` before ``-``, first entry
+    slowest; for D only the even ones), so memory stays bounded at any rank.
+    The family's words of one step are cut into arrays of at most ``rows``
+    words, one per row; no array is empty, and none spans two steps.
     """
     check_cutoff(group, n, i)
     if group not in FLAVOR:
@@ -307,13 +315,16 @@ def word_arrays(group: str, n: int, rows: int = _STEP_WORDS, i: int | None = Non
     flat = itertools.chain.from_iterable
     choices = (1,) if group == "A" else (1, -1)
     signs = np.fromiter(flat(itertools.product(choices, repeat=n)), dtype=np.int16).reshape(-1, n)
+    if FLAVOR[group] == "D":
+        signs = signs[signs.prod(axis=1) == 1]  # D_n: the even sign patterns
+    keys = family_keys(group, n, i)
     entries = flat(itertools.permutations(range(1, n + 1)))  # read step by step, never held whole
     per_step = max(1, _STEP_WORDS // len(signs))
     for lo in range(0, factorial(n), per_step):
         count = min(per_step, factorial(n) - lo)
         perms = np.fromiter(entries, dtype=np.int16, count=count * n).reshape(count, 1, n)
         words = (perms * signs).reshape(-1, n)
-        words = words[_member_rows(group, n, i, words)]
+        words = words[_member_rows(keys, FLAVOR[group], words)]
         for a in range(0, len(words), rows):
             yield words[a:a + rows]
 

@@ -252,7 +252,7 @@ def test_chunks_respect_the_word_budget(monkeypatch):
         enumeration.clear_histograms()
         assert poly_group(group, 7, "biv") == want
         assert max(words) <= budget
-        assert sum(words) == work_estimate(group, 7) // (2 if group == "D" else 1)
+        assert sum(words) == work_estimate(group, 7)
     assert len(words) == 32  # D_7's 64 sign patterns, two per chunk
 
     # a budget below one sign pattern's words still runs, one pattern a chunk

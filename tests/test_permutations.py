@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from artifact.permutations import (
     GROUPS,
+    _descent_set,
     StatVector,
     array_stats,
     descent_set_A,
@@ -29,6 +30,8 @@ from artifact.permutations import (
     iterate_group,
     negative_count,
     parse_word,
+    position_bits,
+    position_columns,
     stats_A,
     stats_B,
     stats_D,
@@ -123,6 +126,30 @@ def test_descent_sets_and_position_counts_follow_the_docstring(word):
         odes = sum(1 for i in descents[flavor] if i % 2)
         assert (vec.edes, vec.odes) == (len(descents[flavor]) - odes, odes)
         assert (vec.edes + vec.easc, vec.odes + vec.oasc) == (len(where[flavor]) - odd, odd)
+
+
+def drawn_words(flavor, n):
+    return st.permutations(range(1, n + 1)).map(tuple) if flavor == "A" else signed_words(n)
+
+
+@pytest.mark.parametrize("flavor", "ABD")
+@pytest.mark.parametrize("n", range(9))
+@given(data=st.data())
+@settings(max_examples=20)
+def test_position_bits_and_columns_follow_the_scalar_descent_sets(flavor, n, data):
+    """Bit max(i, 0) of the masks holds position i; the columns compare what ``_descent_set`` does."""
+    words = data.draw(st.lists(drawn_words(flavor, n), min_size=1, max_size=8))
+    even, odd = position_bits(flavor, n)
+    assert (even.bit_count(), odd.bit_count()) == even_odd_positions(flavor, n)
+    assert even & odd == 0 and (even | odd) >> n == 0
+    columns = list(position_columns(flavor, np.array(words, dtype=np.int16).reshape(len(words), n)))
+    for row, word in enumerate(words):
+        descents = _descent_set(flavor, word)
+        assert tuple(i for i, left, right in columns if (left > right)[row]) == descents
+        assert all((left != right)[row] for _, left, right in columns)  # each position descends or ascends
+        mask = sum(1 << max(i, 0) for i in descents)
+        odes = sum(i % 2 for i in descents)
+        assert ((mask & even).bit_count(), (mask & odd).bit_count()) == (len(descents) - odes, odes)
 
 
 def test_stats_counts_respect_position_rosters():

@@ -222,7 +222,9 @@ def test_every_rank_is_bounded_before_any_word_is_read(monkeypatch, check_id):
     for reader in ("word_arrays", "signed_subsets", "juxtapose_array"):
         monkeypatch.setattr(registry, reader, no_words)
     monkeypatch.setenv("ARTIFACT_MAX_N", "3")
-    with pytest.raises(BoundExceeded, match="at rank 4 "):  # lemmas: 3⁴ = 81 insertions, 2³·3! = 48 words
+    # lemma-2.1: 3⁴ = 81 insertions > 2³·3! = 48 words; lemma-3.1: 3³ = 27 > |D₃| = 2²·3! = 24
+    rank = 3 if check_id == LEMMAS["D"] else 4
+    with pytest.raises(BoundExceeded, match=f"at rank {rank} "):
         registry.run_check(check_id, max_n=6)
 
 
@@ -232,9 +234,10 @@ def test_the_default_ceiling_admits_lemma_rank_14_and_refuses_15(monkeypatch, ch
         raise AssertionError(f"{check_id} read an insertion")
 
     monkeypatch.setattr(registry, "signed_subsets", no_insertions)
-    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # 2⁸·8! words: 3¹⁴ insertions fit, 3¹⁵ do not
+    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)  # |B₈| or |D₈| words: 3¹⁴ insertions fit, 3¹⁵ do not
+    words = {LEMMAS["B"]: "10,321,920", LEMMAS["D"]: "5,160,960"}[check_id]
     with pytest.raises(BoundExceeded, match="at rank 15 needs about 14,348,907 insertions; "
-                       "the ceiling is rank 8, about 10,321,920 words"):
+                       f"the ceiling is rank 8, about {words} words"):
         registry.run_check(check_id, max_n=15)
     with pytest.raises(AssertionError, match="read an insertion"):
         registry.run_check(check_id, max_n=14)

@@ -23,7 +23,7 @@ import time
 
 from .enumeration import WEIGHTS, BoundExceeded, poly_group
 from .permutations import GROUPS
-from .polynomials import VARIABLES, LaurentPoly
+from .polynomials import VARIABLES, LaurentPoly, sum_of_products
 from .recurrences import hyatt_plus, reciprocal_transform, recurrence_poly
 from .registry import CHECK_IDS, list_checks, run_all, run_check
 from .series import DEFAULT_ORDER
@@ -156,8 +156,8 @@ def _compare_method(method: str, group: str, n: int) -> LaurentPoly:
     if method == "recurrence":
         return recurrence_poly(group, n)
     # positive-last-entry expansion plus its reciprocity-reflected half
-    plus = hyatt_plus(group, n)
-    return plus + reciprocal_transform(group, n, plus)
+    plus, one = hyatt_plus(group, n), LaurentPoly.one()
+    return sum_of_products([(plus, one), (reciprocal_transform(group, n, plus), one)])
 
 
 def _cmd_compare(args) -> int:
@@ -178,9 +178,11 @@ def _cmd_compare(args) -> int:
         elapsed = time.perf_counter() - started
         print(f"{method}: {elapsed:.3f}s", file=sys.stderr)
     base = methods[0]
+    one = LaurentPoly.one()
     agree = True
     for method in methods[1:]:
-        if polys[method] != polys[base]:
+        # the difference is a kernel sum, so neither polynomial need become a term dict
+        if sum_of_products([(polys[method], one), (polys[base], -one)]):
             agree = False
             print(f"{base} and {method} disagree for {args.group}_{args.n}")
     if agree:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from math import factorial
+from math import factorial, lgamma, log, log10
 
 import numpy as np
 
@@ -42,17 +42,32 @@ BOUND_ENV_VAR = "ARTIFACT_MAX_N"
 class BoundExceeded(ValueError):
     """Raised when a brute-force request exceeds the configured ceiling.
 
-    ``estimate`` counts ``unit``s (words, or the lemmas' insertions); the
-    message sets it against the words of the ceiling rank.
+    ``estimate`` counts ``unit``s (the lemmas' insertions), or is None for
+    the words of the group at rank n; the message sets it against the words
+    of the ceiling rank.
     """
 
-    def __init__(self, group: str, n: int, bound: int, estimate: int, unit: str):
+    def __init__(self, group: str, n: int, bound: int, estimate: int | None = None, unit: str = "words"):
         self.group, self.n, self.bound, self.estimate, self.unit = group, n, bound, estimate, unit
         super().__init__(
-            f"brute force over {group} at rank {n} needs about {estimate:,} "
-            f"{unit}; the ceiling is rank {bound}, about {work_estimate(group, bound):,} words "
+            f"brute force over {group} at rank {n} needs about {_about(group, n, estimate)} "
+            f"{unit}; the ceiling is rank {bound}, about {_about(group, bound)} words "
             f"(set {BOUND_ENV_VAR} to override)"
         )
+
+
+def _about(group: str, n: int, count: int | None = None) -> str:
+    """``count``, or when it is None the words of the group at rank n, in full
+    below 10^18 and by its power of ten from there on.
+
+    A word count is sized by log-gamma before it is formed, so a refusal at
+    a huge rank neither forms n! nor prints a number past the int-to-text
+    digit limit.  The float only sizes the text; no count is rounded.
+    """
+    digits = (lgamma(n + 1) + _sign_bits(group, n) * log(2)) / log(10) if count is None else log10(count)
+    if digits >= 18:
+        return f"10^{int(digits):,}"
+    return f"{work_estimate(group, n) if count is None else count:,}"
 
 
 def enumeration_bound(group: str) -> int:
@@ -68,17 +83,21 @@ def enumeration_bound(group: str) -> int:
     return bound
 
 
+def _sign_bits(group: str, n: int) -> int:
+    """log2 of the sign patterns of the flavor's group: 0 for A, n for B and n - 1 for D."""
+    return {"A": 0, "B": n, "D": max(n - 1, 0)}[FLAVOR[group]]
+
+
 def work_estimate(group: str, n: int) -> int:
     """Words every route builds at rank n before the family filter, those of
     the flavor's group: n! for A, 2^n n! for B and 2^(n-1) n! for D."""
-    signs = {"A": 1, "B": 2**n, "D": 2 ** max(n - 1, 0)}[FLAVOR[group]]
-    return signs * factorial(n)
+    return factorial(n) << _sign_bits(group, n)
 
 
 def check_bound(group: str, n: int) -> None:
     bound = enumeration_bound(group)
     if n > bound:
-        raise BoundExceeded(group, n, bound, work_estimate(group, n), "words")
+        raise BoundExceeded(group, n, bound)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, count
 from math import gcd, isqrt, prod
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -186,11 +186,7 @@ class LaurentPoly:
         idx = _var_index(name)
         out: dict[tuple[int, ...], int] = {}
         if mode == "reciprocal":
-            for exp, coef in self.terms.items():
-                new = list(exp)
-                new[idx] = -new[idx]
-                out[tuple(new)] = coef
-            return LaurentPoly(out)
+            return reciprocal_image(self, **{name: 0})
         if mode == "negation":
             for exp, coef in self.terms.items():
                 out[exp] = out.get(exp, 0) + coef * _signpow(exp[idx])
@@ -384,6 +380,13 @@ def _poly(terms: Terms) -> LaurentPoly:
     result = LaurentPoly.__new__(LaurentPoly)
     result.terms = terms
     result._form = None
+    return result
+
+
+def _kernel_result(exps: np.ndarray, coefs: list[int]) -> LaurentPoly:
+    """A polynomial that holds only the form of these exponents and nonzero coefficients."""
+    result = _KernelResult.__new__(_KernelResult)
+    result._form = _Form(exps, coefs)
     return result
 
 
@@ -678,9 +681,31 @@ def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarra
             int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
             for k, t in zip(nonzero.tolist(), borrow[nonzero].tolist())
         ]
-    result = _KernelResult.__new__(_KernelResult)
-    result._form = _Form(exps, coefs)
-    return result
+    return _kernel_result(exps, coefs)
+
+
+def reciprocal_image(poly: LaurentPoly, **powers: int) -> LaurentPoly:
+    """The image of a polynomial under x -> 1/x for each named variable x, times x^power.
+
+    An exponent e of a named variable becomes power - e.  A polynomial with
+    a kernel form is mapped row by row on it and the result holds only its
+    form, so a kernel result stays undecoded; one whose exponents the kernel
+    declines is mapped term by term.
+    """
+    rows = [_var_index(name) for name in powers]
+    corner = list(powers.values())
+    if _size(poly) and max(map(abs, corner), default=0) < _EXP_LIMIT and (form := _form_of(poly)):
+        exps = form.exps.copy()
+        exps[rows] = np.array(corner, dtype=np.int64)[:, None] - exps[rows]
+        if -_EXP_LIMIT < exps.min() and exps.max() < _EXP_LIMIT:
+            return _kernel_result(exps, form.coefs)
+    out: Terms = {}
+    for exp, coef in poly.terms.items():
+        new = list(exp)
+        for row, power in zip(rows, corner):
+            new[row] = power - new[row]
+        out[tuple(new)] = coef
+    return _poly(out)
 
 
 def first_difference(
@@ -704,6 +729,74 @@ def monomial_name(exp: Iterable[int]) -> str:
 # ----------------------------------------------------------------------
 # q-arithmetic
 # ----------------------------------------------------------------------
+def q_polynomial(coefs: Iterable[int], shift: int = 0) -> LaurentPoly:
+    """The sum of c_e q^(e + shift) over the coefficients c_e, constant term first.
+
+    The result holds only its kernel form, so it is never a term dict unless
+    its terms are read.
+    """
+    coefs = list(coefs)
+    powers = [e for e, c in enumerate(coefs) if c]
+    if not powers:
+        return LaurentPoly.zero()
+    exps = np.zeros((NVARS, len(powers)), dtype=np.int64)
+    exps[2] = np.add(powers, shift)
+    return _kernel_result(exps, [coefs[e] for e in powers])
+
+
+def _exact_quotient(p: list[int], a: tuple[int, ...]) -> list[int] | None:
+    """p / a when a, whose constant term is 1, divides p exactly; else None.
+
+    Long division from the constant term up: each quotient coefficient is the
+    lowest coefficient left, and the division is exact when the top deg(a)
+    coefficients left vanish.  Each step walks only the nonzero coefficients
+    of a, so dividing by 1 - q^j is one pass.
+    """
+    n = len(p) - len(a) + 1
+    if n <= 0:
+        return None
+    steps = [(j, aj) for j, aj in enumerate(a) if j and aj]
+    rest = list(p)
+    for i in range(n):
+        c = rest[i]
+        if c:
+            for j, aj in steps:
+                rest[i + j] -= aj * c
+    if any(rest[n:]):
+        return None
+    return rest[:n]
+
+
+def _times_one_plus(p: list[int] | tuple[int, ...], d: int, sign: int) -> list[int]:
+    """p * (1 + sign * q^d), for coefficient lists constant term first."""
+    out = list(p) + [0] * d
+    for i, c in enumerate(p):
+        out[i + d] += sign * c
+    return out
+
+
+def q_ratio_row(n: int, numerator: Callable[[int], Iterable[tuple[int, int]]]) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of r_0 = 1, r_1, ..., r_n, constant term first, where
+    r_j = r_(j-1) * N(m) / (1 - q^j) with m = n - j + 1, and N(m) is the
+    product of the factors 1 + sign * q^d over the (d, sign) pairs that
+    numerator(m) lists.
+
+    Each step is one pass per factor and one exact division, built from the
+    step before it, so no rank or row recurses.  A division that leaves a
+    remainder raises ArithmeticError: the caller's ratio is no polynomial.
+    """
+    rows = [(1,)]
+    for j in range(1, n + 1):
+        p = rows[-1]
+        for d, sign in numerator(n - j + 1):
+            p = _times_one_plus(p, d, sign)
+        quotient = _exact_quotient(p, (1,) + (0,) * (j - 1) + (-1,))
+        if quotient is None:
+            raise ArithmeticError(f"1 - q^{j} does not divide step {j} of the rank-{n} row")
+        rows.append(tuple(quotient))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def qint(n: int) -> LaurentPoly:
     """[n]_q = 1 + q + ... + q^(n-1)."""
@@ -719,17 +812,23 @@ def qfact(n: int) -> LaurentPoly:
         raise ValueError("qfact requires n >= 0")
     if n == 0:
         return LaurentPoly.one()
-    return qfact(n - 1) * qint(n)
+    *_, below = map(qfact, range(n))  # bottom-up: a cold call finds every lower rank cached
+    return below * qint(n)
+
+
+@lru_cache(maxsize=None)
+def qbinom_row(n: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of [n, 0]_q, ..., [n, n]_q, each from the one before
+    by the ratio (1 - q^(n-k+1)) / (1 - q^k)."""
+    return q_ratio_row(n, lambda m: ((m, -1),))
 
 
 @lru_cache(maxsize=None)
 def qbinom(n: int, k: int) -> LaurentPoly:
-    """Gaussian binomial via the q-Pascal recurrence; zero outside 0<=k<=n."""
+    """Gaussian binomial [n, k]_q, zero outside 0 <= k <= n."""
     if k < 0 or k > n:
         return LaurentPoly.zero()
-    if k == 0 or k == n:
-        return LaurentPoly.one()
-    return qbinom(n - 1, k - 1) + LaurentPoly.variable("q", k) * qbinom(n - 1, k)
+    return q_polynomial(qbinom_row(n)[k])
 
 
 @lru_cache(maxsize=None)
@@ -749,9 +848,10 @@ def poincare(family: str, n: int) -> LaurentPoly:
         raise ValueError(f"unknown family {family!r}")
     if n == 0:
         return LaurentPoly.one()
-    if family == "B":
-        return poincare("B", n - 1) * qint(2 * n)
-    return qint(n) * poincare("B", n - 1)
+    if family == "D":
+        return qint(n) * poincare("B", n - 1)
+    *_, below = (poincare("B", k) for k in range(n))  # bottom-up, as in qfact
+    return below * qint(2 * n)
 
 
 def one_minus(name: str) -> LaurentPoly:
@@ -770,31 +870,6 @@ def _q_coefficients(poly: LaurentPoly) -> list[int]:
     return out
 
 
-def _q_polynomial(coefs: Iterable[int]) -> LaurentPoly:
-    return LaurentPoly({(0, 0, e, 0, 0, 0, 0): c for e, c in enumerate(coefs)})
-
-
-def _exact_quotient(p: list[int], a: tuple[int, ...]) -> list[int] | None:
-    """p / a when a, whose constant term is 1, divides p exactly; else None.
-
-    Long division from the constant term up: each quotient coefficient is the
-    lowest coefficient left, and the division is exact when the top deg(a)
-    coefficients left vanish.
-    """
-    n = len(p) - len(a) + 1
-    if n <= 0:
-        return None
-    rest = list(p)
-    for i in range(n):
-        c = rest[i]
-        if c:
-            for j in range(1, len(a)):
-                rest[i + j] -= a[j] * c
-    if any(rest[n:]):
-        return None
-    return rest[:n]
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_coefficients(d: int) -> tuple[int, ...]:
     """Φ_d for d >= 2, and 1 - q for d = 1: the factor of 1 - q^d new at d."""
@@ -810,7 +885,7 @@ def cyclotomic(d: int) -> LaurentPoly:
     """The cyclotomic polynomial Φ_d(q), so that q^n - 1 is the product of Φ_d over d | n."""
     if d < 1:
         raise ValueError("cyclotomic requires d >= 1")
-    return _q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
+    return q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -917,4 +992,4 @@ def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentP
         while (quotient := _exact_quotient(p, a)) is not None:
             p = quotient
             mult[d] = mult.get(d, 0) + 1
-    return content, mult, _q_polynomial(p)
+    return content, mult, q_polynomial(p)

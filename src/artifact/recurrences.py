@@ -4,6 +4,16 @@ Everything here is built from exact integer Laurent polynomials; no brute-force
 enumeration is used, so these routines serve as an independent route to the
 same polynomials that :mod:`artifact.enumeration` computes by summing over
 group elements.
+
+The q-only coefficients are rows of coefficient lists, each entry built from
+the one before it by an exact ratio step (``polynomials.q_ratio_row``):
+[n, j]_q = [n, j-1]_q (1 - q^m) / (1 - q^j) with m = n - j + 1, and likewise
+c(n, j) by (1 - q^(2m)) / (1 - q^j) and cd(n, j) by (1 - q^m)(1 + q^(m-1)) /
+(1 - q^j).  No polynomial product builds them.  Each rank is one kernel sum
+of products, and the ranks below it are filled bottom-up, so no call
+recurses once per rank.  ``reciprocal_transform`` maps the rows of a kernel
+result's exponent array, so ``compare``'s routes, their sum and the kernel
+difference its verdict reads never build a term dict.
 """
 
 from __future__ import annotations
@@ -15,8 +25,11 @@ from typing import Callable
 from .polynomials import (
     LaurentPoly,
     one_minus,
-    qbinom,
+    q_polynomial,
+    q_ratio_row,
+    qbinom_row,
     qint,
+    reciprocal_image,
     sum_of_products,
 )
 
@@ -40,16 +53,18 @@ _T = LaurentPoly.variable("t")
 _ONE = LaurentPoly.one()
 
 
-def _qpow(power: int) -> LaurentPoly:
-    return LaurentPoly.variable("q", power)
+@lru_cache(maxsize=None)
+def _c_row(n: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of c(n, 0), ..., c(n, n), each from the one before by
+    the ratio (1 - q^(2m)) / (1 - q^j), m = n - j + 1."""
+    return q_ratio_row(n, lambda m: ((2 * m, -1),))
 
 
 @lru_cache(maxsize=None)
-def _one_plus_q_run(top: int, count: int) -> LaurentPoly:
-    """``prod_{i=top-count+1}^{top} (1 + q^i)``, one factor more than a cached shorter run."""
-    if count == 0:
-        return _ONE
-    return _one_plus_q_run(top, count - 1) * (_ONE + _qpow(top - count + 1))
+def _cd_row(n: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of cd(n, 0), ..., cd(n, n), each from the one before
+    by the ratio (1 - q^m)(1 + q^(m-1)) / (1 - q^j), m = n - j + 1."""
+    return q_ratio_row(n, lambda m: ((m, -1), (m - 1, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +75,7 @@ def c_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    return qbinom(n, j) * _one_plus_q_run(n, j)
+    return q_polynomial(_c_row(n)[j])
 
 
 @lru_cache(maxsize=None)
@@ -72,14 +87,19 @@ def cd_coeff(n: int, j: int) -> LaurentPoly:
     """
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    return qbinom(n, j) * _one_plus_q_run(n - 1, j)
+    return q_polynomial(_cd_row(n)[j])
 
 
 def pd_product(n: int) -> LaurentPoly:
-    """``prod_{i=1}^{n-1} (1 + q^i)``, the ratio ``D_n(1,q) / [n]_q!``."""
+    """``prod_{i=1}^{n-1} (1 + q^i)``, the ratio ``D_n(1,q) / [n]_q!``.
+
+    Half of ``cd_coeff(n, n)``, so it is read off the rank's cd row.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _one_plus_q_run(n - 1, max(n - 1, 0))
+    if n < 2:
+        return _ONE
+    return q_polynomial(c // 2 for c in _cd_row(n)[n])
 
 
 @lru_cache(maxsize=None)
@@ -111,10 +131,11 @@ def recur_B(n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return LaurentPoly.one()
+    lower = list(map(recur_B, range(n)))  # bottom-up: a cold call finds every lower rank cached
     products = [(one_minus("t") ** (n // 2) * one_minus("s") ** ((n + 1) // 2), _ONE)]
     for size in range(1, n + 1):
         marked, s_factor, _, _ = _block((n - size) % 2, size)
-        products.append((c_coeff(n, size), recur_B(n - size), marked, s_factor))
+        products.append((c_coeff(n, size), lower[n - size], marked, s_factor))
     return sum_of_products(products)
 
 
@@ -128,6 +149,7 @@ def recur_D(n: int) -> LaurentPoly:
         raise ValueError(f"need n >= 0, got {n}")
     if n < 2:
         return LaurentPoly.one()
+    lower = list(map(recur_D, range(n)))  # bottom-up, as in recur_B
     oms = one_minus("s")
     omt = one_minus("t")
     pd = pd_product(n)
@@ -140,7 +162,7 @@ def recur_D(n: int) -> LaurentPoly:
     ]
     for size in range(1, n - 1):
         marked, s_factor, _, _ = _block((n - size) % 2, size)
-        products.append((cd_coeff(n, size), recur_D(n - size), marked, s_factor))
+        products.append((cd_coeff(n, size), lower[n - size], marked, s_factor))
     return sum_of_products(products)
 
 
@@ -164,10 +186,11 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
         raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    row = qbinom_row(n)
     products = []
     for size in range(1, n + 1):
         _, _, s_factor, t_factor = _block((n - size) % 2, size)
-        products.append((_qpow(comb(size, 2)) * qbinom(n, size), base(n - size), s_factor, t_factor))
+        products.append((q_polynomial(row[size], comb(size, 2)), base(n - size), s_factor, t_factor))
     return sum_of_products(products)
 
 
@@ -241,7 +264,4 @@ def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     and the full-group polynomial to itself.
     """
     qpow, spow, tpow = reciprocal_exponents(family, n)
-    return LaurentPoly({
-        (spow - es, tpow - et, qpow - eq, s0, s1, t0, t1): coef
-        for (es, et, eq, s0, s1, t0, t1), coef in poly.terms.items()
-    })
+    return reciprocal_image(poly, s=spow, t=tpow, q=qpow)

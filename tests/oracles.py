@@ -8,12 +8,15 @@ comparisons, and the terms of a product kernel result read back from its
 form, and
 the Taylor coefficients of cos and sin at an integer multiple of u, the
 pairwise folds of q-fractions that series products and residuals equal,
-and the cyclotomic split by trial division of every Φ_d of small degree.
+the cyclotomic split by trial division of every Φ_d of small degree, the
+recurrences' q-coefficients as the products they were first stated as, and
+the reflection law term by term.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Callable, Iterator, Sequence
@@ -29,8 +32,9 @@ from artifact.polynomials import (
     _cyclotomic_coefficients,
     _exact_quotient,
     _q_coefficients,
-    _q_polynomial,
+    q_polynomial,
 )
+from artifact.recurrences import reciprocal_exponents
 from artifact.series import TruncatedSeries
 
 
@@ -284,4 +288,45 @@ def cyclotomic_factors_by_division(poly: LaurentPoly) -> tuple[int, dict[int, in
                 p = quotient
                 mult[d] = mult.get(d, 0) + 1
         d += 1
-    return content, mult, _q_polynomial(p)
+    return content, mult, q_polynomial(p)
+
+
+_Q = LaurentPoly.variable("q")
+
+
+@lru_cache(maxsize=None)
+def qbinom_pascal(n: int, k: int) -> LaurentPoly:
+    """[n, k]_q by the q-Pascal recurrence [n-1, k-1]_q + q^k [n-1, k]_q."""
+    if k < 0 or k > n:
+        return LaurentPoly.zero()
+    if k == 0 or k == n:
+        return LaurentPoly.one()
+    return qbinom_pascal(n - 1, k - 1) + _Q**k * qbinom_pascal(n - 1, k)
+
+
+def one_plus_q_run(low: int, high: int) -> LaurentPoly:
+    """prod_{i=low}^{high} (1 + q^i), one factor at a time."""
+    out = LaurentPoly.one()
+    for i in range(low, high + 1):
+        out = out * (1 + _Q**i)
+    return out
+
+
+def c_coeff_product(n: int, j: int) -> LaurentPoly:
+    """qbinom(n, j) * prod_{x=0}^{j-1} (1 + q^(n-x))."""
+    return qbinom_pascal(n, j) * one_plus_q_run(n - j + 1, n)
+
+
+def cd_coeff_product(n: int, j: int) -> LaurentPoly:
+    """qbinom(n, j) * prod_{i=n-j}^{n-1} (1 + q^i)."""
+    return qbinom_pascal(n, j) * one_plus_q_run(n - j, n - 1)
+
+
+def reflect_terms(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
+    """``recurrences.reciprocal_transform`` on the term dict: (s, t, q) exponents
+    become the family's prefactor exponents minus themselves."""
+    qpow, spow, tpow = reciprocal_exponents(family, n)
+    return LaurentPoly({
+        (spow - es, tpow - et, qpow - eq, s0, s1, t0, t1): coef
+        for (es, et, eq, s0, s1, t0, t1), coef in poly.terms.items()
+    })

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from artifact.cli import main
 from artifact.enumeration import poly_group
 from artifact.polynomials import VARIABLES, LaurentPoly
+from oracles import is_decoded
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +145,30 @@ def test_compare_detects_disagreement(capsys, monkeypatch):
     assert "disagree" in out
 
 
+def test_compare_sees_a_disagreement_in_the_kernel_difference(capsys, monkeypatch):
+    """At rank 10 both routes and their difference are kernel sums; one extra
+    monomial in the subset expansion still makes them disagree."""
+    import artifact.cli as cli_mod
+
+    hyatt_plus = cli_mod.hyatt_plus
+    monkeypatch.setattr(cli_mod, "hyatt_plus", lambda g, n: hyatt_plus(g, n) + LaurentPoly.monomial(1, s=1))
+    code, out, _ = run_cli(capsys, "compare", "--group", "B", "--n", "10", "--methods", "recurrence,hyatt")
+    assert code == 1
+    assert out == "recurrence and hyatt disagree for B_10\n"
+
+
+def test_compare_keeps_the_recurrence_undecoded(capsys):
+    """From the coefficients to the verdict, compare builds no term dict of
+    the rank it compares: the recurrence's result stays in kernel form."""
+    from artifact.recurrences import recur_B
+
+    recur_B.cache_clear()
+    code, out, _ = run_cli(capsys, "compare", "--group", "B", "--n", "12", "--methods", "recurrence,hyatt")
+    assert (code, out) == (0, "methods agree for B_12: recurrence, hyatt\n")
+    assert not is_decoded(recur_B(12))
+    recur_B.cache_clear()
+
+
 def test_compare_rejects_bad_method(capsys):
     code, _, err = run_cli(
         capsys, "compare", "--group", "B", "--n", "2", "--methods", "magic"
@@ -165,6 +192,31 @@ def test_compare_beyond_the_bound_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "brute force over B at rank 9" in err
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["enumerate", "--group", "A", "--n", "2000"], "A at rank 2000 needs about 10^5,735 words; "
+     "the ceiling is rank 9, about 362,880 words"),
+    (["enumerate", "--group", "A", "--n", "1000000"], "A at rank 1000000 needs about 10^5,565,708 words; "
+     "the ceiling is rank 9, about 362,880 words"),
+    (["compare", "--group", "B", "--n", "2000"], "B at rank 2000 needs about 10^6,337 words; "
+     "the ceiling is rank 8, about 10,321,920 words"),
+])
+def test_a_huge_rank_is_refused_by_its_order_of_magnitude(capsys, monkeypatch, argv, needs):
+    """The refusal neither forms n! nor prints it: it states the power of ten."""
+    import artifact.enumeration as enumeration
+
+    def small_factorial(n):
+        assert n <= 20, f"formed {n}!"
+        return math.factorial(n)
+
+    monkeypatch.setattr(enumeration, "factorial", small_factorial)
+    monkeypatch.delenv("ARTIFACT_MAX_N", raising=False)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: brute force over {needs} (set ARTIFACT_MAX_N to override)\n"
 
 
 def test_compare_negative_rank_exits_2(capsys):

@@ -1,12 +1,16 @@
 """Recurrence-computed polynomials against brute force and closed forms."""
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artifact.polynomials as polynomials
 from artifact.enumeration import poly_group
-from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact
+from artifact.polynomials import LaurentPoly, one_minus, poincare, q_ratio_row, qbinom, qfact
 from artifact.recurrences import (
     c_coeff,
     cd_coeff,
@@ -21,7 +25,15 @@ from artifact.recurrences import (
     reiner_recurrence_rhs,
 )
 from artifact.registry import run_check
-from oracles import assert_form_agrees, is_decoded
+from oracles import (
+    assert_form_agrees,
+    c_coeff_product,
+    cd_coeff_product,
+    is_decoded,
+    one_plus_q_run,
+    qbinom_pascal,
+    reflect_terms,
+)
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -150,6 +162,56 @@ def test_pd_product_expansion():
     assert pd_product(4) == expected
 
 
+def assert_rows_match_products(n, j):
+    assert qbinom(n, j) == qbinom_pascal(n, j), (n, j)
+    assert c_coeff(n, j) == c_coeff_product(n, j), (n, j)
+    assert cd_coeff(n, j) == cd_coeff_product(n, j), (n, j)
+
+
+def test_coefficient_rows_match_their_product_formulas():
+    """Every ratio-step coefficient through rank 24 is the product it was
+    first stated as: q-Pascal for qbinom, qbinom times a run of (1 + q^i)
+    for c_coeff and cd_coeff, and the run alone for pd_product."""
+    for n in range(25):
+        for j in range(n + 1):
+            assert_rows_match_products(n, j)
+        assert pd_product(n) == one_plus_q_run(1, n - 1), n
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@settings(max_examples=40, deadline=None)
+def test_coefficient_rows_match_their_product_formulas_at_drawn_ranks(nj):
+    assert_rows_match_products(*nj)
+
+
+def test_a_ratio_step_that_leaves_a_remainder_is_refused():
+    q_ratio_row(3, lambda m: ((m, -1),))  # the q-binomial row divides exactly
+    with pytest.raises(ArithmeticError, match="1 - q\\^1 does not divide step 1 of the rank-3 row"):
+        q_ratio_row(3, lambda m: ())
+
+
+_SHALLOW_CALL = """
+import sys
+from artifact.polynomials import qbinom
+from artifact.recurrences import hyatt_plus, recur_B, recur_D
+
+frame, depth = sys._getframe(), 0
+while frame is not None:
+    frame, depth = frame.f_back, depth + 1
+sys.setrecursionlimit(depth + 20)
+assert {call}
+"""
+
+
+@pytest.mark.parametrize("call", ["recur_B(12)", "recur_D(12)", 'hyatt_plus("D", 12)', "qbinom(80, 40)"])
+def test_cold_ranks_fill_bottom_up_without_deep_recursion(call):
+    """No rank cache recurses once per rank: in a fresh process, with room
+    for only 20 more frames, each call succeeds from cold caches."""
+    code = _SHALLOW_CALL.format(call=call)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 # ---------------------------------------------------------------------------
 # positive-last-entry expansions
 # ---------------------------------------------------------------------------
@@ -223,6 +285,22 @@ def test_reciprocal_transform_pinned_rank_two():
     assert reciprocal_transform("B", 2, b2) == b2
     d2 = poly_group("D", 2, "biv")
     assert reciprocal_transform("D", 2, d2) == d2
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_reflection_maps_the_kernel_form_like_the_terms(family):
+    """The reflection maps the rows of the kernel form: an undecoded kernel
+    result stays undecoded, and the image holds only its form, whose terms
+    are those of the term-by-term map."""
+    mapped = 0
+    for n in range(2, 13):
+        plus = hyatt_plus(family, n)
+        undecoded = not is_decoded(plus)
+        image = reciprocal_transform(family, n, plus)
+        assert not is_decoded(image) and is_decoded(plus) != undecoded, n
+        mapped += undecoded
+        assert image == reflect_terms(family, n, plus), n
+    assert mapped >= 5  # every rank from the kernel's pair gate on
 
 
 def test_symmetry_check_passes_small_ranks():

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, is_sparse_sum, one_minus, sum_of_products
+from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, one_minus, sum_of_products
 
 
 _s0, _s1, _t0, _t1 = map(LaurentPoly.variable, ("s0", "s1", "t0", "t1"))
@@ -429,15 +429,12 @@ class QFraction:
         polynomials.  Without a non-cyclotomic rest, and with every content 1
         or every path empty, the fold's ``path`` follows from the products'
         multisets alone, kept when equal and added otherwise.  For any other
-        operands the sum is the fold itself, and so it is when the component
-        products form a sum too sparse for the kernel (``is_sparse_sum``),
-        where the fold, rescaling a little at a time, is the faster.
+        operands the sum is the fold itself.
         """
         if len(pairs) < 2:  # the fold adds a lone product to zero, which leaves it as it is
             return pairs[0][0] * pairs[0][1] if pairs else _ZERO
         paths = [f.path for pair in pairs for f in pair]
-        if any(map(_has_rest, paths)) or (any(paths) and any(f.content > 1 for pair in pairs for f in pair)) \
-                or is_sparse_sum([(p1, p2) for a, b in pairs for p1 in a.num.parts.values() for p2 in b.num.parts.values()]):
+        if any(map(_has_rest, paths)) or (any(paths) and any(f.content > 1 for pair in pairs for f in pair)):
             return sum((a * b for a, b in pairs), QFraction.zero())
         facs = [_merge(a.fac, b.fac, add) for a, b in pairs]
         contents = [a.content * b.content for a, b in pairs]

@@ -11,9 +11,9 @@ pi_i against pi_{i+1} with pi_0 = 0.  Positions for type D are
 the descent sets, the position counts, the scalar statistics
 ``stats_A``/``stats_B``/``stats_D``, the descent-mask bits ``position_bits``
 and the row-wise comparisons ``position_columns`` are read from it.  Every
-family is a condition on the descent mask and the last entry's sign, and
-``family_keys`` is the one statement of those rules, read by both
-brute-force routes.
+family is a condition on the descent mask and the last entry's sign;
+``_family_rule`` is the one statement of those rules, and ``family_keys``
+tabulates it for both brute-force routes.
 
 Sweeps over many words at once hold them as an integer array, one word per
 row: ``word_arrays`` yields a family's words so, in the order of
@@ -199,14 +199,16 @@ def array_stats(words: np.ndarray, flavor: str) -> np.ndarray:
 def is_snake(word: Sequence[int], family: str) -> bool:
     """Alternating chains: 0<w1>w2<w3>... (B); -w2>w1>w2<w3>... (D).
 
-    Equivalently, the descent set is exactly the odd positions (including
-    position -1 for the D chain, from rank 2 on); a D snake also lies in D.
+    That is, the word's (last entry negative, descent mask) key passes the
+    ``family_keys`` rule of snakeB or snakeD, read at that one key rather
+    than from a table of all 2**n; a D snake also lies in D.
     """
     if family not in ("B", "D"):
         raise ValueError(f"unknown snake family {family!r}")
     if family == "D" and not in_type_d(word):
         return False
-    return _descent_set(family, word) == tuple(i for i in positions(family, len(word)) if i % 2)
+    mask = sum(1 << max(i, 0) for i in _descent_set(family, word))
+    return bool(_family_rule("snake" + family, len(word), None, int(bool(word) and word[-1] < 0), mask))
 
 
 # ----------------------------------------------------------------------
@@ -267,25 +269,30 @@ _STEP_WORDS = 1 << 14
 def family_keys(group: str, n: int, i: int | None) -> np.ndarray:
     """Which (last entry negative, descent mask) keys belong to the family, as a (2, 2**n) bool array.
 
+    Each entry is ``_family_rule`` at its key.
+    """
+    keep = _family_rule(group, n, i, np.arange(2)[:, None], np.arange(1 << n)[None, :])
+    return np.broadcast_to(keep, (2, 1 << n))
+
+
+def _family_rule(group: str, n: int, i: int | None, last, mask):
+    """Whether the key (last entry negative, descent mask) belongs to the family, for ints or broadcasting arrays.
+
     This is the one statement of the family rules: B+/D+ and B-/D- fix the
     last sign; G, H and X allow descents only up to a position (Des within
     {0..i}, {-1, 1..i} and {-1, 1}); the snakes' descent set is exactly the
     odd positions.  The full groups take every key.
     """
-    last = np.arange(2)[:, None]
-    mask = np.arange(1 << n)[None, :]
     if group.endswith("+"):
-        keep = last == 0
-    elif group.endswith("-"):
-        keep = last == 1
-    elif group in ("G", "H", "X"):
+        return last == 0
+    if group.endswith("-"):
+        return last == 1
+    if group in ("G", "H", "X"):
         top = 1 if group == "X" else max(i, 0) if group == "H" else i  # the last bit that may be set
-        keep = mask >> (top + 1) == 0
-    elif group.startswith("snake"):
-        keep = mask == position_bits(FLAVOR[group], n)[1]
-    else:
-        keep = np.ones((1, 1), dtype=bool)
-    return np.broadcast_to(keep, (2, 1 << n))
+        return mask >> (top + 1) == 0
+    if group.startswith("snake"):
+        return mask == position_bits(FLAVOR[group], n)[1]
+    return True
 
 
 def _member_rows(keys: np.ndarray, flavor: str, words: np.ndarray) -> np.ndarray:

@@ -301,20 +301,15 @@ class LaurentPoly:
 # ----------------------------------------------------------------------
 Terms = dict[tuple[int, ...], int]
 
-# The Kronecker kernel runs on at least this many term pairs, and only when the
-# exponent box has at most _KRONECKER_FILL slots per operand term; a sum of
-# products counts the term pairs and operand terms of the first two factors of
-# all its products, which share one box.  Every other product takes the
-# schoolbook loop, and so does any single product with a one-term operand,
-# which the loop shifts and scales in one pass.  Slots are whole bytes, as few
-# as the coefficient bound of the whole product or sum needs.
+# The Kronecker kernel runs on at least this many term pairs; a sum of products
+# counts the term pairs of the first two factors of all its products, which
+# share one box.  Every other product takes the schoolbook loop, and so does any
+# single product with a one-term operand, which the loop shifts and scales in
+# one pass.  The box is packed densely when it has at most _KRONECKER_FILL
+# slots per operand term, with slots of whole bytes, as few as the coefficient
+# bound of the whole product or sum needs; a sparser box takes the sorted path.
 _KRONECKER_MIN_PAIRS = 512
 _KRONECKER_FILL = 8
-# A sum of products whose first two factors move in more variables than this
-# together spreads over a seven-variable box too sparse for the kernel: in the
-# series checks at order 8, the coefficient sums in s, t and q fit the box,
-# and nearly all of those in q, s0, s1, t0 and t1 did not.
-_DENSE_VARIABLES = 3
 _DECODE_CHUNK = 1 << 12  # terms of a kernel result turned into dict entries per step
 _EXP_LIMIT = 1 << 61
 _DECLINED = False  # the memoized form of a polynomial with an exponent too large for the kernel
@@ -439,15 +434,16 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
 
 
 def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
-    """The sum of the products of two or more factors, with one Kronecker packing for all of them.
+    """The sum of the products of two or more factors, with one kernel call for all of them.
 
-    The products share one exponent box, so their packed integers add as
-    integers and the sum is decoded once.  In each product the first two
-    factors are multiplied as packed integers and every further factor is
-    applied by shifted adds, one per term.  When the first two factors hold
-    fewer than _KRONECKER_MIN_PAIRS term pairs in all, or the kernel
-    declines the box, the sum is taken through the product and sum operators.
-    Factors are counted from their forms, so a kernel result stays undecoded.
+    The products share one exponent box.  On a dense box they are packed
+    into integers that add as integers, and the sum is decoded once; on a
+    sparse one every product's slot indices are summed by sorting, and the
+    products are reduced together (see ``_kronecker_sum``).  When the first
+    two factors hold fewer than _KRONECKER_MIN_PAIRS term pairs in all, or
+    the kernel declines the sum, it is taken through the product and sum
+    operators.  Factors are counted from their forms, so a kernel result
+    stays undecoded.
     """
     products = [p for p in products if all(map(_size, p))]
     out = None
@@ -458,53 +454,34 @@ def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
     return LaurentPoly.zero() if out is None else out
 
 
-def is_sparse_sum(products: list[tuple[LaurentPoly, ...]]) -> bool:
-    """Whether a sum of products of nonzero factors holds enough term pairs
-    for the kernel, but its first two factors move in more than
-    _DENSE_VARIABLES variables together, so that its box is too sparse.
-
-    Read from the factors' forms, smallest factor first, and only until the
-    answer is known; an exponent too large for a form counts as sparse.
-    """
-    if sum(_size(a) * _size(b) for a, b, *_ in products) < _KRONECKER_MIN_PAIRS:
-        return False
-    moved = np.zeros(NVARS, dtype=bool)
-    factors = {id(f): f for a, b, *_ in products for f in (a, b)}.values()
-    for poly in sorted(factors, key=_size):
-        form = _form_of(poly)
-        if form is None:
-            return True
-        moved |= form.high > form.low
-        if moved.sum() > _DENSE_VARIABLES:
-            return True
-    return False
-
-
 def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | None:
-    """Sum of products of nonzero factors by Kronecker substitution, or None when the exponent box is sparse.
+    """Sum of products of nonzero factors in one exponent box, or None when the kernel declines it.
 
     Every product lands in one shared box, which spans from the smallest sum
     of its factors' minima to the largest sum of their maxima.  Each exponent
     vector, shifted by its factor's per-variable minimum, is a slot index in
     that box (row-major, so the index of a sum is the sum of the indices),
-    and each packed product moves up by the slot index of its own minima's
-    sum.  The first two factors of a product are packed and multiplied; each
-    further factor f multiplies that integer by shifted adds, one per term.
-    Slots are ``width`` bytes wide, with ``width`` sized so every coefficient
-    of the sum, plus two guard bits, fits in a slot: then the shifted
-    big-integer products add up to all coefficients at once.  A coefficient
-    of a * b * f * ... is at most max|a| max|b| min(|a|, |b|) times, for each
-    further factor f, the sum of the absolute values of f's coefficients.
+    and each product moves up by the slot index of its own minima's sum.
+
+    A coefficient of a * b * f * ... is at most max|a| max|b| min(|a|, |b|)
+    times, for each further factor f, the sum of the absolute values of f's
+    coefficients; ``bound`` sums that over the products, so it bounds every
+    coefficient of the sum and every partial sum on the way to one.
+
+    When the box has at most _KRONECKER_FILL slots per term of the first two
+    factors, it is packed densely: the first two factors of a product are
+    packed and multiplied, and each further factor f multiplies that integer
+    by shifted adds, one per term.  Slots are ``width`` bytes wide, with
+    ``width`` sized so ``bound``, plus two guard bits, fits in a slot: then
+    the shifted big-integer products add up to all coefficients at once.
     Only the final sum is decoded, so the integers in between need no bound.
-    The box may hold at most
-    _KRONECKER_FILL slots per term of the first two factors.  When the
-    seven-variable box of a single two-factor product is too sparse, one
-    operand moves in a single variable and the other moves in it and in
-    more, the smaller box of ``_relabel`` is tried under the same limit.
-    That is the shape of a fraction's numerator times a polynomial in q
-    alone, where the smaller box was measured to fit; with two or more
-    variables shared it mostly did not.  Factors are read through their
-    forms only, and the result holds only its form.
+
+    A sparser box takes ``_sorted_sum``, which needs only that a slot index
+    and ``bound`` fit in int64, so the kernel declines a sparse box of 2**61
+    slots or more, or with a bound of 2**63 or more.  It declines a factor
+    with an exponent of 2**61 or more in magnitude on either path.  Factors
+    are read through their forms only, and the result holds only its form,
+    with its terms in slot order on either path.
     """
     if not products:
         return LaurentPoly.zero()
@@ -515,29 +492,18 @@ def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | Non
     origin = np.min(corners, axis=0)
     top = np.max([sum((f.high for f in fs[1:]), fs[0].high) for fs in forms], axis=0)
     dims = (top - origin + 1).tolist()
-    limit = _KRONECKER_FILL * sum(len(a.coefs) + len(b.coefs) for a, b, *_ in forms)
-    layout = _ROSTER
-    if prod(dims) > limit:
-        if list(map(len, forms)) != [2]:  # a sum, or a product of three or more factors
-            return None
-        [(fa, fb)] = forms
-        top_a, top_b = fa.high - fa.low, fb.high - fb.low
-        moves_a, moves_b = top_a > 0, top_b > 0
-        if not min(moves_a.sum(), moves_b.sum()) == (moves_a & moves_b).sum() == 1 < (moves_a | moves_b).sum():
-            return None
-        box = _relabel(fa.exps - fa.low[:, None], fb.exps - fb.low[:, None], top_a, top_b, limit)
-        if box is None:
-            return None
-        ca, cb, dims, layout = box
-        indices = [(np.ravel_multi_index(ca, dims), np.ravel_multi_index(cb, dims))]
-        shifts = [0]  # a single product's origin is the box's
-    else:
-        indices = [[np.ravel_multi_index(f.exps - f.low[:, None], dims) for f in fs] for fs in forms]
-        shifts = [int(np.ravel_multi_index(tuple(corner - origin), dims)) for corner in corners]
     bound = sum(
         a.top * b.top * min(len(a.coefs), len(b.coefs)) * prod(f.mass for f in more)
         for a, b, *more in forms
     )
+    slots = prod(dims)
+    dense = slots <= _KRONECKER_FILL * sum(len(a.coefs) + len(b.coefs) for a, b, *_ in forms)
+    if not dense and (slots >= _EXP_LIMIT or bound >= 1 << 63):
+        return None
+    indices = [[np.ravel_multi_index(f.exps - f.low[:, None], dims) for f in fs] for fs in forms]
+    shifts = [int(np.ravel_multi_index(tuple(corner - origin), dims)) for corner in corners]
+    if not dense:
+        return _sorted_sum(forms, indices, shifts, dims, origin)
     width = (bound.bit_length() + 2 + 7) // 8
     total = nslots = 0
     for (a, b, *more), (ia, ib, *imore), shift in zip(forms, indices, shifts):
@@ -551,7 +517,57 @@ def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | Non
     del indices, ia, ib
     buf = total.to_bytes(width * nslots, "little", signed=True)
     del total  # hold one copy of the sum while decoding
-    return _unpack(buf, width, dims, layout, origin)
+    return _unpack(buf, width, dims, origin)
+
+
+def _sorted_sum(forms: list[list[_Form]], indices: list[list[np.ndarray]], shifts: list[int],
+                dims: list[int], origin: np.ndarray) -> LaurentPoly:
+    """The sparse path of ``_kronecker_sum``: its sum of products, with int64 slot indices and coefficients.
+
+    A product is formed one factor at a time.  Each running slot index is
+    added to each of the factor's indices and each running coefficient
+    multiplied by each of its coefficients, and the pairs that share an
+    index are summed as runs of the sorted indices.  At most 2**18 pairs are
+    formed at once: each block of running terms is reduced into the
+    product's sum so far, so a product needs memory for one block and its
+    result, not for all its pairs.  The products, shifted to their corners,
+    are then reduced together and zeros dropped.  The caller's ``bound``
+    keeps every coefficient and partial sum inside int64.
+    """
+    keys, values = [], []
+    for (first, *more), (key, *imore), shift in zip(forms, indices, shifts):
+        value = np.array(first.coefs, dtype=np.int64)
+        for f, index in zip(more, imore):
+            coefs = np.array(f.coefs, dtype=np.int64)
+            step = max(1, (1 << 18) // len(index))
+            run_key, run_value = key[:0], value[:0]
+            for start in range(0, len(key), step):
+                stop = start + step
+                run_key, run_value = _runs(
+                    np.concatenate([run_key, (key[start:stop, None] + index).ravel()]),
+                    np.concatenate([run_value, (value[start:stop, None] * coefs).ravel()]),
+                )
+            key, value = run_key, run_value
+        keys.append(key + shift)
+        values.append(value)
+    key, value = _runs(np.concatenate(keys), np.concatenate(values))
+    nonzero = np.flatnonzero(value)
+    if not len(nonzero):
+        return LaurentPoly.zero()
+    return _decoded(key[nonzero], value[nonzero].tolist(), dims, origin)
+
+
+def _runs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (nonnegative) keys in ascending order, and the sum of the values under each."""
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(values, starts)
+
+
+def _decoded(slots: np.ndarray, coefs: list[int], dims: list[int], origin: np.ndarray) -> LaurentPoly:
+    """The polynomial with these nonzero coefficients at these slots of the box from ``origin`` with sides ``dims``."""
+    return _kernel_result(np.array(np.unravel_index(slots, dims)) + origin[:, None], coefs)
 
 
 def _shifted_sum(packed: int, bits: int, index: list[int], coefs: Iterable[int]) -> int:
@@ -566,45 +582,6 @@ def _shifted_sum(packed: int, bits: int, index: list[int], coefs: Iterable[int])
         else:
             out += coef * term
     return out
-
-
-# A layout maps each box coordinate back to exponents: its digit is the value
-# of one variable (table None) or the column of a table of sub-exponents.
-_ROSTER = [([j], None) for j in range(NVARS)]
-
-
-def _relabel(ea: np.ndarray, eb: np.ndarray, top_a: np.ndarray, top_b: np.ndarray, limit: int):
-    """A box with one class coordinate, or None if it exceeds limit.
-
-    One operand moves in every variable the other moves in, and in at least
-    one more: its private variables.  They become one coordinate, the index
-    of a term's private sub-exponent among the operand's distinct ones.  The
-    other operand is constant there and takes 0, so a sum of coordinates
-    still names one product exponent.  The class coordinate varies slowest;
-    the shared variables follow in roster order.  Takes exponents shifted to
-    start at 0 and their maxima; returns both coordinate arrays, the box
-    sides and the layout.
-    """
-    moves_a, moves_b = top_a > 0, top_b > 0
-    shared = np.flatnonzero(moves_a & moves_b)
-    rows = np.flatnonzero(moves_a ^ moves_b)
-    side = int(moves_b[rows[0]])  # the operand that moves in the private variables
-    e, top = (ea, top_a) if side == 0 else (eb, top_b)
-    sides = (top_a + top_b + 1)[shared].tolist()
-    # a class holds at most one term per shared sub-exponent: refuse before sorting
-    if -(-e.shape[1] // prod((top[shared] + 1).tolist())) * prod(sides) > limit:
-        return None
-    spans = (top[rows] + 1).tolist()
-    if prod(spans) >= _EXP_LIMIT:  # the keys must fit in int64
-        return None
-    sub = e[rows]
-    _, first, index = np.unique(np.ravel_multi_index(sub, spans), return_index=True, return_inverse=True)
-    if len(first) * prod(sides) > limit:
-        return None
-    classes = [np.zeros(ea.shape[1], np.int64), np.zeros(eb.shape[1], np.int64)]
-    classes[side] = index
-    layout = [(rows, sub[:, first])] + [([j], None) for j in shared.tolist()]
-    return np.vstack([classes[0], ea[shared]]), np.vstack([classes[1], eb[shared]]), [len(first)] + sides, layout
 
 
 def _pack(index: np.ndarray, coefs: list[int], width: int) -> int:
@@ -653,15 +630,15 @@ def _resize_slots(raw: np.ndarray, width: int) -> np.ndarray:
     return np.hstack([raw, np.repeat(fill, width - raw.shape[1], axis=1)])
 
 
-def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarray) -> LaurentPoly:
+def _unpack(buf: bytes, width: int, dims: list[int], origin: np.ndarray) -> LaurentPoly:
     """The polynomial of a packed integer with ``width``-byte slots, given as signed little-endian bytes.
 
     A slot's coefficient is its signed value plus one when the slot below it
     is negative, because the guard bits keep every partial sum below a slot
     under half that slot's weight.  Slots of at most 8 bytes are read as
-    sign-extended int64, wider ones one by one.  A slot's box coordinates map
-    back to exponents through ``layout`` (see ``_relabel``), plus ``lo``.
-    The result holds only its form, with its terms in slot order.
+    sign-extended int64, wider ones one by one.  A slot is a row-major index
+    of the box with sides ``dims`` that starts at ``origin``.  The result
+    holds only its form, with its terms in slot order.
     """
     slots = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
     borrow = np.zeros(len(slots), dtype=np.uint8)
@@ -670,9 +647,6 @@ def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarra
     nonzero = np.flatnonzero((slots != borrow[:, None] * np.uint8(0xFF)).any(axis=1))
     if not len(nonzero):
         return LaurentPoly.zero()
-    exps = np.repeat(lo[:, None], len(nonzero), axis=1)  # constant unless a coordinate covers it
-    for digits, (rows, table) in zip(np.unravel_index(nonzero, dims), layout):
-        exps[rows] += digits if table is None else table[:, digits]
     if width <= 8:
         coefs = (_resize_slots(slots[nonzero], 8).view("<i8")[:, 0] + borrow[nonzero]).tolist()
     else:
@@ -681,7 +655,7 @@ def _unpack(buf: bytes, width: int, dims: list[int], layout: list, lo: np.ndarra
             int.from_bytes(view[k * width:(k + 1) * width], "little", signed=True) + t
             for k, t in zip(nonzero.tolist(), borrow[nonzero].tolist())
         ]
-    return _kernel_result(exps, coefs)
+    return _decoded(nonzero, coefs, dims, origin)
 
 
 def reciprocal_image(poly: LaurentPoly, **powers: int) -> LaurentPoly:

@@ -287,10 +287,11 @@ def reference_group(group, n, i=None):
         return [w for w in words if in_type_d(w) and set(descent_set_D(w)) <= allowed]
     if group == "X":
         return [w for w in words if in_type_d(w) and set(descent_set_D(w)) <= {-1, 1}]
-    if group == "snakeB":
-        return [w for w in words if is_snake(w, "B")]
-    if group == "snakeD":
-        return [w for w in words if in_type_d(w) and is_snake(w, "D")]
+    if group == "snakeB":  # descent set exactly the odd positions
+        return [w for w in words if set(descent_set_B(w)) == set(range(1, n, 2))]
+    if group == "snakeD":  # the odd positions, -1 among them from rank 2 on
+        odd = {-1} | set(range(1, n, 2)) if n >= 2 else set()
+        return [w for w in words if in_type_d(w) and set(descent_set_D(w)) == odd]
     raise ValueError(group)
 
 
@@ -329,6 +330,13 @@ def test_is_snake_pinned_examples():
     assert is_snake((2, -1), "B")
     assert not is_snake((1, 2), "B")
     assert is_snake((1,), "B")
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_is_snake_picks_the_reference_snakes(family):
+    for n in range(7):
+        words = reference_signed_words(n)
+        assert [w for w in words if is_snake(w, family)] == reference_group("snake" + family, n), n
 
 
 def test_snake_b2_members():

@@ -2,7 +2,9 @@
 
 import math
 import time
+import tracemalloc
 from functools import reduce
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,10 @@ from artifact.polynomials import (
     LaurentPoly,
     _kronecker_sum,
     _schoolbook_product,
+    _size,
     cyclotomic,
     cyclotomic_factors,
     first_difference,
-    is_sparse_sum,
     monomial_name,
     one_minus,
     poincare,
@@ -149,9 +151,51 @@ def dense_pairs(draw, count=2):
     return tuple(LaurentPoly(operand()) for _ in range(count))
 
 
-def _plain_box(a, b):
-    """The kernel's product of a and b on the seven-variable box alone: a third factor never relabels."""
-    return _kronecker_sum([(a, b, LaurentPoly.one())])
+def _sorted(products):
+    """The kernel's sum of these products, which must take the sorted path."""
+    with mock.patch.object(polynomials, "_sorted_sum", wraps=polynomials._sorted_sum) as spy:
+        out = _kronecker_sum(products)
+    assert spy.call_count == 1
+    return out
+
+
+def _box_slots(products):
+    """The number of slots of the exponent box the kernel shares among these products: in each
+    variable, from the least sum of a product's factors' minima to the greatest sum of their maxima."""
+    def corners(pick):
+        return [[sum(pick(e[j] for e in f.terms) for f in p) for j in range(NVARS)] for p in products]
+    tops, lows = zip(*corners(max)), zip(*corners(min))
+    return math.prod(max(top) - min(low) + 1 for top, low in zip(tops, lows))
+
+
+def _is_sparse(products):
+    """Whether the box has more slots than 8 per term of the products' first two factors: too sparse to pack."""
+    return _box_slots(products) > 8 * sum(len(a.terms) + len(b.terms) for a, b, *_ in products)
+
+
+def _coefficient_bound(products):
+    """max|a| max|b| min(|a|, |b|) times each further factor's sum of |coefficients|, summed over the products."""
+    def top(f):
+        return max(map(abs, f.terms.values()))
+    return sum(top(a) * top(b) * min(len(a.terms), len(b.terms)) * math.prod(sum(map(abs, f.terms.values())) for f in more)
+               for a, b, *more in products)
+
+
+def _assert_sparse_matches(products):
+    """A sum of products on a box too sparse to pack, against the schoolbook fold.
+
+    The sorted path takes it while a slot index and the coefficient bound fit
+    in int64; past either, the kernel declines and the operators take it.
+    """
+    assert _is_sparse(products)
+    expected = _schoolbook_sum(products)
+    if _box_slots(products) < 2**61 and _coefficient_bound(products) < 2**63:
+        out = _sorted(products)
+        assert out.terms == expected
+        assert all(out.terms.values())
+    else:
+        assert _kronecker_sum(products) is None
+    assert sum_of_products(products).terms == expected
 
 
 def _assert_kernel_matches(a, b):
@@ -208,24 +252,22 @@ def test_product_operator_equals_schoolbook(a, b, k):
 
 
 def test_sparse_box_takes_the_fallback():
-    """Both operands move in the sparse variable s, so relabelling cannot help."""
+    """Both operands move in the sparse variable s: the box is too sparse to pack, and the sorted path takes it."""
     a = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
     b = sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero())
-    assert _kronecker_sum([(a, b)]) is None
+    assert _sorted([(a, b)]).terms == _schoolbook_product(a.terms, b.terms)
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
     assert len((a * b).terms) == 100
 
 
-def test_private_variables_relabel_into_a_dense_box():
-    """s, t1, q against q alone: sparse in all seven variables, a dense box of
-    10 classes by 31 powers of q relabelled."""
+def test_private_variables_take_the_sorted_path():
+    """s, t1, q against q alone: sparse in all seven variables; 310 product terms, either way round."""
     a = sum((LaurentPoly.monomial(3, s=10 * i, t1=-i) for i in range(10)), LaurentPoly.zero()) * (1 + Q)
     b = -5 * qint(30)
-    assert _plain_box(a, b) is None
-    _assert_kernel_matches(a, b)
-    _assert_kernel_matches(b, a)
-    assert len(_kronecker_sum([(a, b)]).terms) == 310
-    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+    expected = _schoolbook_product(a.terms, b.terms)
+    assert _sorted([(a, b)]).terms == _sorted([(b, a)]).terms == expected
+    assert len(expected) == 310
+    assert (a * b).terms == expected
 
 
 @pytest.mark.parametrize("shift", [2**61 - 1, 2**61, -(2**62), 2**70])
@@ -240,29 +282,28 @@ def test_product_with_exponents_beyond_the_kernel_range(shift):
 
 
 # ---------------------------------------------------------------------------
-# the relabelled box: each operand's private variables become one coordinate
+# the sparse box: slot indices summed by sorting
 # ---------------------------------------------------------------------------
 _Q = VARIABLES.index("q")
 _NOT_Q = [j for j in range(NVARS) if j != _Q]
+small_coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**24), 2**24)).filter(bool)
 
 
 @st.composite
-def relabel_pairs(draw, shape):
-    """Two operands whose seven-variable box is too sparse for the kernel.
+def private_pairs(draw, shape):
+    """Two operands whose seven-variable box is too sparse to pack.
 
     An operand is a sum over its two or more classes of x^v * Q(q), where
-    x^v is a monomial in the operand's private variables and Q has a full
-    run of nonzero coefficients; an operand with no private variable is
-    Q(q) alone.  With at most eight classes per operand the relabelled box
-    stays within the fill limit.
+    x^v is a monomial in the operand's private variables (those the other
+    operand does not move in) and Q has a full run of nonzero coefficients;
+    an operand with no private variable is Q(q) alone.
 
     - "q-only": a q-polynomial against an operand with 2 to 4 private
-      variables, both moving in q: the shape that retries on the relabelled
-      box;
+      variables, both moving in q: the shape of a fraction's numerator
+      brought over a larger denominator;
     - "q-only-sparse": as "q-only", with private exponents spaced up to 1000
       apart, shifted below zero, or both;
-    - "both": each operand has 1 to 3 private variables, which keeps the
-      product on the schoolbook loop;
+    - "both": each operand has 1 to 3 private variables;
     - "sparse": as "both", spaced and shifted as "q-only-sparse".
     """
     free = draw(st.permutations(_NOT_Q))
@@ -293,102 +334,196 @@ def relabel_pairs(draw, shape):
                 exp[_Q] = start + k
                 for var, digit in zip(private, point):
                     exp[var] = offset[var] + step[var] * digit
-                terms[tuple(exp)] = draw(coefficients)
+                terms[tuple(exp)] = draw(small_coefficients)
         return LaurentPoly(terms)
 
     a, b = operand(private_a), operand(private_b)
-    assume(_plain_box(a, b) is None)
+    assume(_is_sparse([(a, b)]))
     return a, b
 
 
 @pytest.mark.parametrize("shape", ["q-only", "q-only-sparse", "both", "sparse"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_relabelled_kernel_matches_schoolbook(shape, data):
-    """A q-polynomial times a polynomial in q and more takes the relabelled
-    box; with private variables on both sides the kernel declines."""
-    a, b = data.draw(relabel_pairs(shape))
-    if shape.startswith("q-only"):
-        _assert_kernel_matches(a, b)
-        _assert_kernel_matches(b, a)
-    else:
-        assert _kronecker_sum([(a, b)]) is None and _kronecker_sum([(b, a)]) is None
-        assert (a * b).terms == (b * a).terms == _schoolbook_product(a.terms, b.terms)
+def test_sparse_shapes_match_schoolbook(shape, data):
+    """Operands with private variables, on one side or on both, take the sorted path either way round."""
+    a, b = data.draw(private_pairs(shape))
+    _assert_sparse_matches([(a, b)])
+    _assert_sparse_matches([(b, a)])
+    assert (a * b).terms == (b * a).terms == _schoolbook_product(a.terms, b.terms)
 
 
-def test_fivevar_numerator_times_q_integers_takes_the_relabelled_kernel(monkeypatch):
+def test_fivevar_numerator_times_q_integers_takes_the_sorted_path(monkeypatch):
     """The shape of a QFraction sum: a numerator in q, s0, s1, t0, t1 times [2]_q...[10]_q."""
     num = poly_group("B", 5, "fivevar")
     den = poincare("B", 5)
     assert {VARIABLES[j] for exp in num.terms for j, e in enumerate(exp) if e} == {"q", "s0", "s1", "t0", "t1"}
-    assert _plain_box(num, den) is None
     expected = _schoolbook_product(num.terms, den.terms)
     monkeypatch.setattr(polynomials, "_DECODE_CHUNK", 7)
-    _assert_kernel_matches(num, den)
+    assert _sorted([(num, den)]).terms == _sorted([(den, num)]).terms == expected
     monkeypatch.setattr(polynomials, "_schoolbook_product", None)  # unreachable here
     assert (num * den).terms == (den * num).terms == expected
 
 
-def test_only_the_one_variable_shape_relabels(monkeypatch):
-    """A sparse box retries on the relabelled box for one two-factor product
-    whose one operand moves in a single variable and whose other moves in it
-    and more, either way round and at any size; every other shape goes
-    straight to the schoolbook loop."""
-    calls = []
-    relabel = polynomials._relabel
-    monkeypatch.setattr(polynomials, "_relabel", lambda *args: calls.append(args) or relabel(*args))
+def test_sparse_sums_and_products_of_three_factors_take_the_sorted_path():
+    """Private variables on both sides or on neither, three variables shared,
+    a sum, and a third factor: every sparse shape takes the one sorted path."""
     num, den = poly_group("B", 5, "fivevar"), poincare("B", 5)
-    small = [(poly_group("B", 6, "fivevar"), qint(4)), (poly_group("B", 4, "fivevar"), poincare("B", 3))]
-    assert [len(a.terms) * len(b.terms) for a, b in small] == [406 * 4, 87 * 10]  # 4 q-only terms; 870 term pairs
-    for a, b in [(num, den), (den, num)] + small:
-        assert _kronecker_sum([(a, b)]).terms == _schoolbook_product(a.terms, b.terms)
-    scattered = sum((LaurentPoly.monomial(1, s=i, q=37 * i % 100) for i in range(60)), LaurentPoly.zero())
-    assert _kronecker_sum([(scattered, 1 + Q)]) is None  # 60 one-term classes by 101 powers of q: past the limit
-    assert len(calls) == 5
-    calls.clear()
     spread = sum((LaurentPoly.monomial(3, s=10 * i, q=i) for i in range(10)), LaurentPoly.zero())
-    declined = [
-        [(spread, sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero()))],  # two-sided
-        [(spread, sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero()))],  # none private
-        [(num, 1 - LaurentPoly.monomial(1, q=1, s0=1, t0=1))],  # one-sided, three variables shared
-        [(num, den), (num, den)],  # a sum
-        [(num, den, LaurentPoly.one())],  # three factors
+    shapes = [
+        [(spread, sum((LaurentPoly.monomial(-5, t=10 * j, t1=j) for j in range(10)), LaurentPoly.zero()))],
+        [(spread, sum((LaurentPoly.monomial(-5, s=100 * j, q=j) for j in range(10)), LaurentPoly.zero()))],
+        [(num, 1 - LaurentPoly.monomial(1, q=1, s0=1, t0=1))],
+        [(num, den), (num, -den)],  # cancels to zero
+        [(num, den), (den, num, 1 - LaurentPoly.monomial(1, s0=3, t1=-2))],
+        [(num, den, spread, 1 + T)],
     ]
-    assert [_kronecker_sum(products) for products in declined] == [None] * len(declined)
-    assert calls == []
-    for products in declined:
-        assert sum_of_products(products).terms == _schoolbook_sum(products)
+    for products in shapes:
+        expected = _schoolbook_sum(products)
+        assert _sorted(products).terms == expected
+        assert sum_of_products(products).terms == expected
+    assert _schoolbook_sum(shapes[3]) == {}
 
 
-def test_the_fivevar_checks_try_the_relabelled_box_only_where_it_fits(monkeypatch):
-    """At order 8 both fivevar checks take the relabelled box, and every
-    product it is tried on fits it."""
-    entries = {}
-    relabel = polynomials._relabel
+def test_no_large_product_of_the_catalogue_takes_the_schoolbook_loop(monkeypatch):
+    """At order 8, across the whole catalogue, a product of two operands of more
+    than one term each and at least 512 term pairs never reaches the
+    schoolbook loop; the sparse ones, the fivevar checks' among them, take
+    the sorted path."""
+    loop, sorted_sum = polynomials._schoolbook_product, polynomials._sorted_sum
+    large, sparse = [], []
 
-    def spy(ea, eb, top_a, top_b, limit):
-        box = relabel(ea, eb, top_a, top_b, limit)
-        moves_a, moves_b = top_a > 0, top_b > 0
-        one_sided = (moves_a & ~moves_b).any() != (moves_b & ~moves_a).any()
-        entries[check].append((one_sided, box is not None))
-        return box
+    def schoolbook(a, b):
+        if min(len(a), len(b)) > 1 and len(a) * len(b) >= polynomials._KRONECKER_MIN_PAIRS:
+            large.append((len(a), len(b)))
+        return loop(a, b)
 
-    monkeypatch.setattr(polynomials, "_relabel", spy)
+    monkeypatch.setattr(polynomials, "_schoolbook_product", schoolbook)
+    monkeypatch.setattr(polynomials, "_sorted_sum", lambda *args: sparse.append(1) or sorted_sum(*args))
     registry.clear_cache()
-    for check in ("typeB-fivevar", "typeD-fivevar"):
-        entries[check] = []
-        assert registry.run_check(check, order=8)["status"] == "pass"
-    for check, seen in entries.items():
-        assert seen and all(one_sided and fits for one_sided, fits in seen), (check, seen)
+    reports = registry.run_all(order=8)
+    assert all(report["status"] == "pass" for report in reports)
+    assert large == []
+    assert sparse
 
 
-def test_relabelling_refuses_private_keys_beyond_int64():
-    """Five classes 2^40 apart in s and t: a dense box, but keys past int64."""
+def test_sorted_path_refuses_slot_indices_beyond_int64():
+    """Five classes 2^40 apart in s and t: a box of about 2^86 slots, whose indices are past int64."""
     a = sum((LaurentPoly.monomial(c + k + 1, s=c * 2**40, t=(c % 3) * 2**40, q=k)
              for c in range(5) for k in range(8)), LaurentPoly.zero())
     b = qint(30)
     assert _kronecker_sum([(a, b)]) is None
     assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+
+
+@st.composite
+def sparse_sums(draw):
+    """One to three products of two to four factors on a box too sparse to pack.
+
+    Every factor holds one to six terms in the same one to four variables,
+    at exponents an offset (negative ones included) plus a step of up to
+    1000 times a digit below 5; its coefficients lie within ±2**12, so the
+    coefficient bound stays inside int64 and, with at most 16,001 exponents
+    per variable, so do the slot indices.  At random, a product is made to
+    cancel within itself, (x - y)(x + y) for two of its terms, or every
+    product is repeated with its first factor negated, so the sum cancels to
+    zero.
+    """
+    spread = draw(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=4, unique=True))
+    step = {var: draw(st.integers(1, 1000)) for var in spread}
+
+    def factor():
+        offset = {var: draw(st.integers(-2000, 2000)) for var in spread}
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            exp = [0] * NVARS
+            for var in spread:
+                exp[var] = offset[var] + step[var] * draw(st.integers(0, 4))
+            terms[tuple(exp)] = draw(st.integers(-(2**12), 2**12).filter(bool))
+        return LaurentPoly(terms)
+
+    products = [tuple(factor() for _ in range(draw(st.integers(2, 4)))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        x, y = factor(), factor()
+        products[0] = (x - y, x + y, *products[0][2:])
+    if draw(st.booleans()):
+        products += [(-a, *rest) for a, *rest in products]
+    products = [p for p in products if all(p)]
+    assume(products and _is_sparse(products))
+    return products
+
+
+@given(sparse_sums())
+@settings(max_examples=200, deadline=None)
+def test_sorted_path_matches_schoolbook(products):
+    """Single products, sums, and products of three and four factors, cancellation to zero included."""
+    expected = _schoolbook_sum(products)
+    out = _sorted(products)
+    assert out.terms == expected
+    assert all(out.terms.values())
+    assert sum_of_products(products).terms == expected
+
+
+@given(st.integers(1, 2**20), st.integers(-2, 2), st.integers(0, 2**62), st.integers(0, 2**62))
+@settings(max_examples=100, deadline=None)
+def test_sorted_path_at_the_slot_limit(side, offset, cut_s, cut_t):
+    """A box of side x (about 2^61 / side) slots, within two of 2^61: the sorted
+    path takes it below 2^61 slots and the kernel declines it at or above."""
+    other = -(-(2**61) // side) + offset
+    slots = side * other
+    ra, ua = cut_s % side, cut_t % other
+    rb, ub = side - 1 - ra, other - 1 - ua
+    assume(max(ua, ub) < polynomials._EXP_LIMIT)
+    a = LaurentPoly({(0,) * NVARS: 3, (ra,) + (0,) * (NVARS - 1): -2, (0, ua) + (0,) * (NVARS - 2): 5})
+    b = LaurentPoly({(0,) * NVARS: 7, (rb, ub) + (0,) * (NVARS - 2): 1, (0, ub) + (0,) * (NVARS - 2): -4})
+    assert _box_slots([(a, b)]) == slots
+    if slots < 2**61:
+        assert _sorted([(a, b)]).terms == _schoolbook_product(a.terms, b.terms)
+    else:
+        assert _kronecker_sum([(a, b)]) is None
+    assert (a * b).terms == _schoolbook_product(a.terms, b.terms)
+
+
+@given(st.integers(2, 8), st.integers(1, 2**31), st.integers(-3, 3), st.lists(st.sampled_from([1, -1]), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_sorted_path_at_the_int64_coefficient_bound(m, top_a, offset, signs):
+    """m terms each, whose coefficients are ±A and ±B, with A B m within three
+    of 2^63 - 1 or of 2^63: when every sign agrees a product coefficient is
+    exactly A B m.  Below 2^63 the sorted path takes the product; at or above
+    it the kernel declines, and the product is still exact."""
+    edge = 2**63 - 1 if offset < 0 else 2**63
+    top_b = (edge - offset * top_a * m) // (top_a * m)
+    assume(top_b > 0)
+    if signs[-1] > 0:
+        signs = [signs[0]] * 16
+    a = LaurentPoly({(1000 * i, 0, i, 0, 0, 0, 0): signs[i] * top_a for i in range(m)})
+    b = LaurentPoly({(1000 * j, 0, j, 0, 0, 0, 0): signs[8 + j] * top_b for j in range(m)})
+    expected = _schoolbook_product(a.terms, b.terms)
+    if top_a * top_b * m < 2**63:
+        assert _sorted([(a, b)]).terms == expected
+    else:
+        assert _kronecker_sum([(a, b)]) is None
+    assert (a * b).terms == expected
+
+
+def test_a_sparse_product_forms_its_pairs_in_blocks():
+    """10^6 term pairs that sum into 3,781 terms.  Formed at once, their keys and
+    coefficients alone would take 16 bytes per pair, and sorting them about 40;
+    formed in blocks of 2**18 pairs, the peak stays under 12 (10.7 measured)."""
+    a = LaurentPoly({(1000 * i, 0, j, 0, 0, 0, 0): 1 + i + j for i in range(10) for j in range(100)})
+    b = LaurentPoly({(1000 * i, 0, j, 0, 0, 0, 0): 20 - i for i in range(1, 11) for j in range(100)})
+    for f in (a, b):
+        polynomials._form_of(f)
+    pairs = len(a.terms) * len(b.terms)
+    tracemalloc.start()
+    try:
+        out = _sorted([(a, b)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 10**6 and _size(out) == 3781
+    assert peak < 12 * pairs, f"{peak / pairs:.1f} bytes per pair"
+    assert out.subs_values({"s": 1, "q": 1}) == sum(a.terms.values()) * sum(b.terms.values())
 
 
 def test_product_with_a_monomial_skips_the_kernel(monkeypatch):
@@ -433,7 +568,7 @@ def product_sums(draw):
     puts its pair's product within one step of a common origin, so the
     shared box stays dense.  Then, at random: one pair's second operand
     becomes a single term; a pair spread 1000 apart in a spread variable
-    makes the box too sparse for the kernel; and every pair is repeated
+    makes the box too sparse to pack; and every pair is repeated
     with its first operand negated, so the sum cancels to zero.
     """
     spread = draw(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3, unique=True))
@@ -477,31 +612,20 @@ def _kernel_sum(products):
     return None if out is None else out.terms
 
 
-def test_sparse_sums_are_the_large_ones_spread_over_more_than_three_variables():
-    s0, s1, t0, t1 = (LaurentPoly.variable(name) for name in ("s0", "s1", "t0", "t1"))
-    numerator = ((1 + s0 * Q) * (1 + s1) * (1 + t0 * Q) * (1 - t1)) ** 2 * qint(6)  # 486 terms
-    den = s0 * s1 - t0 * t1
-    dense = [((1 - S) ** k * (1 + T) * qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20)) for k in range(6)]
-    assert not is_sparse_sum(dense)  # s, t and q only
-    assert not is_sparse_sum([(numerator, s0)])  # fewer than 512 term pairs
-    assert is_sparse_sum([(numerator, den), (numerator, s0)])
-    assert numerator._form is None  # the four-variable den alone decided it
-    assert is_sparse_sum([(LaurentPoly.variable("q", 2**62), qint(600))])  # too far out for a form
-
-
 @given(product_sums())
 @settings(max_examples=300, deadline=None)
 def test_sum_of_products_matches_schoolbook(pairs):
     expected = _schoolbook_sum(pairs)
     out = _kernel_sum(pairs)
-    assert out is None or out == expected  # None: the box is too sparse
+    assert out is None or out == expected  # None: a sparse box with coefficients past int64
     assert out is None or all(out.values())
     assert sum_of_products(pairs).terms == expected
 
 
 def test_sum_of_products_takes_one_kernel_call_or_the_operators(monkeypatch):
     """A recurrence-shaped sum packs once, as pairs or with its block factors
-    applied by shifted adds; a sparse one multiplies product by product."""
+    applied by shifted adds; a sparse one takes one call on the sorted path;
+    one whose box reaches 2^61 slots multiplies product by product."""
     pairs = [((1 - S) ** k * (1 + T) * qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20)) for k in range(6)]
     products = [(qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20), (1 - S) ** k, 1 + T) for k in range(6)]
     for summands in (pairs, products):
@@ -515,11 +639,17 @@ def test_sum_of_products_takes_one_kernel_call_or_the_operators(monkeypatch):
     assert sum_of_products(pairs).terms == expected
     assert sum_of_products(products).terms == expected
     assert len(calls) == 2
-    far = LaurentPoly.monomial(1, s=10**6)
-    sparse = pairs + [(far, pairs[0][1])]
-    sparse_products = products + [(qint(3), pairs[0][1], 1 - T, far)]
+
+    def widened(far):
+        return [pairs + [(far, pairs[0][1])], products + [(qint(3), pairs[0][1], 1 - T, far)]]
+
+    for summands in widened(LaurentPoly.monomial(1, s=10**6)):
+        calls.clear()
+        expected = _schoolbook_sum(summands)
+        assert sum_of_products(summands).terms == expected
+        assert len(calls) == 1 and _sorted(summands).terms == expected
     monkeypatch.undo()
-    for summands in (sparse, sparse_products):
+    for summands in widened(LaurentPoly.monomial(1, s=2**60)):
         assert _kernel_sum(summands) is None
         assert sum_of_products(summands).terms == _schoolbook_sum(summands)
     assert sum_of_products([]) == LaurentPoly.zero()
@@ -565,7 +695,7 @@ def multi_factor_sums(draw):
 def test_multi_factor_sums_match_schoolbook(products):
     expected = _schoolbook_sum(products)
     out = _kernel_sum(products)
-    assert out is None or out == expected  # None: the box is too sparse
+    assert out is None or out == expected  # None: a sparse box with coefficients past int64
     assert out is None or all(out.values())
     assert sum_of_products(products).terms == expected
 
@@ -633,7 +763,7 @@ def test_pack_round_trips_at_every_slot_width(width, int64_min):
     assert packed == sum(c * 2 ** (8 * width * int(k)) for c, k in zip(coefs, index))
     nslots = int(index.max()) + 1
     buf = packed.to_bytes(width * nslots, "little", signed=True)
-    out = polynomials._unpack(buf, width, [nslots], [([0], None)], np.zeros(NVARS, dtype=np.int64)).terms
+    out = polynomials._unpack(buf, width, [nslots] + [1] * (NVARS - 1), np.zeros(NVARS, dtype=np.int64)).terms
     assert out == {(int(k),) + (0,) * (NVARS - 1): c for c, k in zip(coefs, index)}
 
 

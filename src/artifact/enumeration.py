@@ -14,11 +14,12 @@ Two independent routes compute every distribution:
   per-permutation coefficients are computed once and each word's key is one
   add.
 
-Both routes read the family from ``permutations.family_keys``, the one
-statement of the family rules, and differ only in how they count.  They are
-cross-checked against each other in the test suite, and the tests keep a
-pairwise-comparison histogram as the oracle of the vectorized kernel; the
-checks that probe the ascent/descent complementation itself always use the
+Both routes read their permutations from ``permutations.permutation_blocks``
+and the family from ``permutations.family_keys``, and both end in
+``weighed``, one weight table applied to a whole table of counts; they
+differ only in how they count.  The tests cross-check them, keep a
+pairwise-comparison histogram as the oracle of the vectorized kernel, and
+the checks that probe the ascent/descent complementation itself use the
 direct route so they stay non-circular.
 """
 
@@ -30,10 +31,9 @@ from math import factorial, lgamma, log, log10
 
 import numpy as np
 
-from .permutations import FLAVOR, StatVector, array_stats, check_cutoff, family_keys, position_bits, word_arrays
-from .polynomials import LaurentPoly
-
-WEIGHTS = ("biv", "fivevar", "hat", "q")
+from .permutations import FLAVOR, array_stats, check_cutoff, family_keys, permutation_blocks, permutation_table
+from .permutations import position_bits, word_arrays
+from .polynomials import LaurentPoly, counted_polynomial
 
 DEFAULT_BOUNDS = {"A": 9, "B": 8, "D": 8}
 BOUND_ENV_VAR = "ARTIFACT_MAX_N"
@@ -103,17 +103,21 @@ def check_bound(group: str, n: int) -> None:
 # ----------------------------------------------------------------------
 # direct route
 # ----------------------------------------------------------------------
-def _exponent(stats: StatVector, weight: str) -> tuple[int, ...]:
-    # roster order: (s, t, q, s0, s1, t0, t1)
-    if weight == "biv":
-        return (stats.edes, stats.odes, stats.inv, 0, 0, 0, 0)
-    if weight == "hat":
-        return (stats.easc, stats.odes, stats.inv, 0, 0, 0, 0)
-    if weight == "fivevar":
-        return (0, 0, stats.inv, stats.easc, stats.oasc, stats.edes, stats.odes)
-    if weight == "q":
-        return (0, 0, stats.inv, 0, 0, 0, 0)
-    raise ValueError(f"unknown weight {weight!r}")
+# Each weight's exponents in roster order (s, t, q, s0, s1, t0, t1), one row
+# each, as integer combinations of the statistics (edes, odes, easc, oasc, inv).
+_EDES, _ODES, _EASC, _OASC, _INV, _NONE = np.eye(6, 5, dtype=np.int64)
+_WEIGHT_TABLE = {
+    "biv": np.array([_EDES, _ODES, _INV, _NONE, _NONE, _NONE, _NONE]),
+    "fivevar": np.array([_NONE, _NONE, _INV, _EASC, _OASC, _EDES, _ODES]),
+    "hat": np.array([_EASC, _ODES, _INV, _NONE, _NONE, _NONE, _NONE]),
+    "q": np.array([_NONE, _NONE, _INV, _NONE, _NONE, _NONE, _NONE]),
+}
+WEIGHTS = tuple(_WEIGHT_TABLE)
+
+
+def weighed(stats: np.ndarray, counts: np.ndarray, weight: str) -> LaurentPoly:
+    """The sum of count * x^(the weight's exponent) over int64 statistic columns (edes, odes, easc, oasc, inv)."""
+    return counted_polynomial(_WEIGHT_TABLE[weight] @ stats, counts)
 
 
 def add_counts(totals: dict[tuple[int, ...], int], keys: np.ndarray) -> None:
@@ -132,53 +136,25 @@ def poly_group_python(
     totals: dict[tuple[int, ...], int] = {}
     for words in word_arrays(group, n, i=i):
         add_counts(totals, array_stats(words, FLAVOR[group]))
-    terms: dict[tuple[int, ...], int] = {}
-    for vector, count in totals.items():
-        exp = _exponent(StatVector(*vector), weight)
-        terms[exp] = terms.get(exp, 0) + count
-    return LaurentPoly(terms)
+    stats = np.array(list(totals), dtype=np.int64).reshape(-1, 5).T
+    return weighed(stats, np.array(list(totals.values()), dtype=np.int64), weight)
 
 
 # ----------------------------------------------------------------------
 # vectorized route
 # ----------------------------------------------------------------------
-# Words per chunk: 2**k sign patterns over one slice of the permutations,
-# as many as fit in this budget and at least one.
+# Words per chunk: 2**k sign patterns over one block of the permutations
+# (``permutation_blocks``), as many as fit in this budget and at least one.
 _CHUNK_WORDS = 1 << 18
 
-# Permutations per slice: from rank 9 on, where n! is more than this, the
-# key coefficients and the chunks are built one slice of columns at a time,
+# Permutations per block: from rank 9 on, where n! is more than this, the
+# key coefficients and the chunks are built one block of columns at a time,
 # so no chunk holds more than 2**18 words.
-_SLICE_COLUMNS = 1 << 17
+_BLOCK_COLUMNS = 1 << 17
 
 # Keys fit in uint32 through this rank, where the histogram of B15 already
 # has 226 * 2**16 bins.
 _MAX_VECTOR_RANK = 15
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_rows(n: int) -> np.ndarray:
-    """Every permutation of 1..n as a column, in lexicographic order: one
-    contiguous int8 row per position.
-
-    The permutations of rank k are built from those of rank k-1: each first
-    entry f, followed by every rank-(k-1) permutation with its entries from f
-    up raised by one.
-    """
-    arr = _PERM_CACHE.get(n)
-    if arr is None:
-        arr = np.zeros((0, 1), dtype=np.int8)
-        for k in range(1, n + 1):
-            m = arr.shape[1]
-            rows = np.empty((k, k * m), dtype=np.int8)
-            for f in range(1, k + 1):
-                block = slice((f - 1) * m, f * m)
-                rows[0, block] = f
-                rows[1:, block] = arr + (arr >= f)
-            arr = rows
-        _PERM_CACHE[n] = arr
-    return arr
 
 
 def _inv_bins(flavor: str, n: int) -> int:
@@ -277,17 +253,16 @@ def _histogram(flavor: str, n: int) -> np.ndarray:
 
     Bin ``((last << n) | mask) * bins + inv`` counts the words whose last
     entry is negative (last), whose descent set is the bitmask ``mask`` and
-    whose length is ``inv``.  Each chunk is one slice of permutations under
+    whose length is ``inv``.  Each chunk is one block of permutations under
     2**low sign patterns: the low bits come from ``_low_tables`` and the high
     bits add one offset per chunk, updated by one row of K as the high bits
     step through a Gray code.
     """
-    perms = _perm_rows(n)
     length = _inv_bins(flavor, n) << (n + 1)
     free = {"A": 0, "B": n, "D": n - 1}[flavor]  # sign bits that run freely
     total = np.zeros(length, dtype=np.int64)
-    for start in range(0, perms.shape[1], _SLICE_COLUMNS):
-        const, coef = _key_coefficients(flavor, n, perms[:, start : start + _SLICE_COLUMNS])
+    for perms in permutation_blocks(n, _BLOCK_COLUMNS):
+        const, coef = _key_coefficients(flavor, n, perms)
         low = min(free, max(0, (_CHUNK_WORDS // const.size).bit_length() - 1))
         tables = _low_tables(flavor, const, coef, low)
         offset = np.zeros_like(const)
@@ -305,12 +280,12 @@ def _histogram(flavor: str, n: int) -> np.ndarray:
 
 
 def clear_histograms() -> None:
-    """Drop the cached histograms and the permutation arrays they are built from.
+    """Drop the cached histograms and the permutation tables they are built from.
 
     registry.clear_cache calls this along with dropping its polynomials.
     """
     _histogram.cache_clear()
-    _PERM_CACHE.clear()
+    permutation_table.cache_clear()
 
 
 def poly_group_numpy(group: str, n: int, weight: str, i: int | None = None) -> LaurentPoly:
@@ -332,12 +307,9 @@ def poly_group_numpy(group: str, n: int, weight: str, i: int | None = None) -> L
         folded, (np.bitwise_count(mask & even), np.bitwise_count(mask & odd)), hist[last, mask]
     )
 
-    terms: dict[tuple[int, ...], int] = {}
-    for edes, odes, inv in zip(*(axis.tolist() for axis in np.nonzero(folded))):
-        stats = StatVector(edes, odes, evens - edes, odds - odes, inv)
-        exp = _exponent(stats, weight)
-        terms[exp] = terms.get(exp, 0) + int(folded[edes, odes, inv])
-    return LaurentPoly(terms)
+    cells = np.nonzero(folded)
+    edes, odes, inv = cells
+    return weighed(np.array([edes, odes, evens - edes, odds - odes, inv]), folded[cells], weight)
 
 
 def poly_group(

@@ -19,12 +19,16 @@ Sweeps over many words at once hold them as an integer array, one word per
 row: ``word_arrays`` yields a family's words so, in the order of
 ``iterate_group``, and ``array_stats`` and ``flip_array`` are the row-wise
 forms of ``stats_A``/``stats_B``/``stats_D`` and ``flip_all``/``flip_D``.
+``permutation_blocks`` is the one source of permutations for both
+brute-force routes: lexicographic int8 columns, from a cached table up to
+rank 8 and filled block by block above it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -265,6 +269,46 @@ def check_cutoff(group: str, n: int, i: int | None) -> None:
 # permutation's sign patterns alone are more.
 _STEP_WORDS = 1 << 14
 
+# Ranks whose permutations are held whole, one cached table each; above it
+# they are built block by block.
+_TABLE_RANK = 8
+
+
+def _fill(out: np.ndarray, start: int) -> np.ndarray:
+    """``out`` with the permutations of 1..n, n = ``out.shape[0]``, from lexicographic index ``start`` on in its
+    columns: each first entry f + 1 in turn, in front of those of rank n - 1 with their entries above f raised by one."""
+    n, width = out.shape
+    size = factorial(n - 1)
+    for f in range(start // size, (start + width - 1) // size + 1):
+        lo, hi = max(start, f * size), min(start + width, (f + 1) * size)
+        lower = out[1:, lo - start : hi - start]
+        if n - 1 > _TABLE_RANK:
+            _fill(lower, lo - f * size)
+        else:
+            lower[:] = permutation_table(n - 1)[:, lo - f * size : hi - f * size]
+        lower += lower > f
+        out[0, lo - start : hi - start] = f + 1
+    return out
+
+
+@cache
+def permutation_table(n: int) -> np.ndarray:
+    """Every permutation of 1..n as an int8 column, in lexicographic order; read-only, since it is cached."""
+    table = _fill(np.empty((n, factorial(n)), dtype=np.int8), 0) if n else np.empty((0, 1), dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def permutation_blocks(n: int, columns: int) -> Iterator[np.ndarray]:
+    """The columns of ``permutation_table(n)`` in blocks of ``columns``, the last perhaps fewer: views of the table
+    up to rank ``_TABLE_RANK``, and above it each block filled on its own, so no rank above it is held whole."""
+    for start in range(0, factorial(n), columns):
+        width = min(columns, factorial(n) - start)
+        if n <= _TABLE_RANK:
+            yield permutation_table(n)[:, start : start + width]
+        else:
+            yield _fill(np.empty((n, width), dtype=np.int8), start)
+
 
 def family_keys(group: str, n: int, i: int | None) -> np.ndarray:
     """Which (last entry negative, descent mask) keys belong to the family, as a (2, 2**n) bool array.
@@ -306,9 +350,9 @@ def _member_rows(keys: np.ndarray, flavor: str, words: np.ndarray) -> np.ndarray
 def word_arrays(group: str, n: int, rows: int = _STEP_WORDS, i: int | None = None) -> Iterator[np.ndarray]:
     """The words of ``iterate_group(group, n, i)``, in its order, as int16 arrays.
 
-    Each step reads the next few permutations (lexicographic) and multiplies
-    each by every sign pattern of the flavor (``+`` before ``-``, first entry
-    slowest; for D only the even ones), so memory stays bounded at any rank.
+    Each step reads the next few permutations (``permutation_blocks``) and
+    multiplies each by every sign pattern of the flavor (``+`` before ``-``,
+    first entry slowest; for D only the even ones), so memory stays bounded.
     The family's words of one step are cut into arrays of at most ``rows``
     words, one per row; no array is empty, and none spans two steps.
     """
@@ -319,18 +363,12 @@ def word_arrays(group: str, n: int, rows: int = _STEP_WORDS, i: int | None = Non
         if not group.endswith(("+", "-")):
             yield np.zeros((1, 0), dtype=np.int16)
         return
-    flat = itertools.chain.from_iterable
-    choices = (1,) if group == "A" else (1, -1)
-    signs = np.fromiter(flat(itertools.product(choices, repeat=n)), dtype=np.int16).reshape(-1, n)
+    signs = np.array(list(itertools.product((1,) if group == "A" else (1, -1), repeat=n)), dtype=np.int16)
     if FLAVOR[group] == "D":
         signs = signs[signs.prod(axis=1) == 1]  # D_n: the even sign patterns
     keys = family_keys(group, n, i)
-    entries = flat(itertools.permutations(range(1, n + 1)))  # read step by step, never held whole
-    per_step = max(1, _STEP_WORDS // len(signs))
-    for lo in range(0, factorial(n), per_step):
-        count = min(per_step, factorial(n) - lo)
-        perms = np.fromiter(entries, dtype=np.int16, count=count * n).reshape(count, 1, n)
-        words = (perms * signs).reshape(-1, n)
+    for perms in permutation_blocks(n, max(1, _STEP_WORDS // len(signs))):
+        words = (perms.T[:, None].astype(np.int16) * signs).reshape(-1, n)
         words = words[_member_rows(keys, FLAVOR[group], words)]
         for a in range(0, len(words), rows):
             yield words[a:a + rows]

@@ -48,11 +48,10 @@ class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
     Exponents are signed integers so reciprocal substitutions stay inside the
-    ring.  Instances are immutable: nothing may mutate ``terms``, since the
-    polynomial may also hold its kernel form (``_form``, memoized the first
-    time the product kernel packs it), which would then go stale.  A
-    polynomial the kernel returns holds only its form until ``terms`` is
-    first read (see ``_KernelResult``).
+    ring.  Instances are immutable: nothing may mutate ``terms``.  A
+    polynomial the kernel returns holds only its kernel form (``_form``)
+    until ``terms`` is first read (see ``_KernelResult``); any other holds
+    only its terms, and the kernel builds their form each time it reads them.
     """
 
     __slots__ = ("terms", "_form")
@@ -312,7 +311,6 @@ _KRONECKER_MIN_PAIRS = 512
 _KRONECKER_FILL = 8
 _DECODE_CHUNK = 1 << 12  # terms of a kernel result turned into dict entries per step
 _EXP_LIMIT = 1 << 61
-_DECLINED = False  # the memoized form of a polynomial with an exponent too large for the kernel
 
 
 class _Form:
@@ -392,12 +390,12 @@ def _size(poly: LaurentPoly) -> int:
 
 
 def _form_of(poly: LaurentPoly) -> _Form | None:
-    """The kernel form of a nonzero polynomial, memoized; None when an exponent is too large."""
-    form = poly._form
-    if form is None:
-        exps = _exponent_array(poly.terms)
-        form = poly._form = _DECLINED if exps is None else _Form(exps, list(poly.terms.values()))
-    return form or None
+    """The kernel form of a nonzero polynomial: the one it holds, or one built
+    from its terms and not kept; None when an exponent is too large."""
+    if poly._form is not None:
+        return poly._form
+    exps = _exponent_array(poly.terms)
+    return None if exps is None else _Form(exps, list(poly.terms.values()))
 
 
 def _schoolbook_product(a: Terms, b: Terms) -> Terms:
@@ -550,11 +548,7 @@ def _sorted_sum(forms: list[list[_Form]], indices: list[list[np.ndarray]], shift
             key, value = run_key, run_value
         keys.append(key + shift)
         values.append(value)
-    key, value = _runs(np.concatenate(keys), np.concatenate(values))
-    nonzero = np.flatnonzero(value)
-    if not len(nonzero):
-        return LaurentPoly.zero()
-    return _decoded(key[nonzero], value[nonzero].tolist(), dims, origin)
+    return _summed(np.concatenate(keys), np.concatenate(values), dims, origin)
 
 
 def _runs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,6 +562,25 @@ def _runs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _decoded(slots: np.ndarray, coefs: list[int], dims: list[int], origin: np.ndarray) -> LaurentPoly:
     """The polynomial with these nonzero coefficients at these slots of the box from ``origin`` with sides ``dims``."""
     return _kernel_result(np.array(np.unravel_index(slots, dims)) + origin[:, None], coefs)
+
+
+def _summed(slots: np.ndarray, values: np.ndarray, dims: list[int], origin: np.ndarray) -> LaurentPoly:
+    """The polynomial with the int64 ``values`` summed at equal slots of the box of ``_decoded``, zeros dropped."""
+    slots, values = _runs(slots, values)
+    nonzero = np.flatnonzero(values)
+    if not len(nonzero):
+        return LaurentPoly.zero()
+    return _decoded(slots[nonzero], values[nonzero].tolist(), dims, origin)
+
+
+def counted_polynomial(exps: np.ndarray, counts: np.ndarray) -> LaurentPoly:
+    """The sum of c x^e over the columns e of an int64 exponent array (one row per variable) and the int64 counts c,
+    holding only its kernel form.  Equal exponents are summed in int64, with no float; every partial sum must fit."""
+    if not counts.size:
+        return LaurentPoly.zero()
+    low = exps.min(axis=1)
+    dims = (exps.max(axis=1) - low + 1).tolist()
+    return _summed(np.ravel_multi_index(exps - low[:, None], dims), counts, dims, low)
 
 
 def _shifted_sum(packed: int, bits: int, index: list[int], coefs: Iterable[int]) -> int:

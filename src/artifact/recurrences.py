@@ -111,7 +111,7 @@ def _block(odd: int, size: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, 
     marker's own factor has exponent es or et = (size - 1) // 2, the other
     size // 2.  Returns ``marker * (1-t)^et`` and ``(1-s)^es`` for the
     recurrences, then ``(s-1)^es`` and ``(t-1)^et`` for the subset expansion.
-    Cached, so each factor is built, and packed by the kernel, once.
+    Cached, so each factor is built once.
     """
     short, long = (size - 1) // 2, size // 2
     marker, es, et = (_T, long, short) if odd else (_S, short, long)

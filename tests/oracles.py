@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from artifact.bijections import SignedSubset, signed_subsets
-from artifact.enumeration import _inv_bins, _perm_rows
+from artifact.enumeration import _inv_bins
 from artifact.extension import QFraction
 from artifact.permutations import Word, iterate_group, negative_count
 from artifact.polynomials import (
@@ -129,6 +129,13 @@ def sign_codes(flavor: str, n: int) -> np.ndarray:
     return low | (np.bitwise_count(low) & 1).astype(np.int64) << (n - 1)
 
 
+@lru_cache(maxsize=1)
+def permutation_columns(n: int) -> np.ndarray:
+    """Every permutation of 1..n as an int8 column, in the order of ``itertools.permutations``."""
+    entries = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+    return np.fromiter(entries, dtype=np.int8, count=n * factorial(n)).reshape(factorial(n), n).T.copy()
+
+
 def comparison_chunk(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
     """Bincount of (last entry negative, descent mask, inv) over sign patterns lo..hi-1.
 
@@ -138,7 +145,7 @@ def comparison_chunk(flavor: str, n: int, lo: int, hi: int) -> np.ndarray:
     every pair of its entries compared.  Arrays are laid out as (sign
     pattern, permutation), one array per position.
     """
-    perms = _perm_rows(n)
+    perms = permutation_columns(n)
     bins = _inv_bins(flavor, n)
     codes = sign_codes(flavor, n)[lo:hi]
     bits = (codes[:, None] >> np.arange(n)) & 1

@@ -12,11 +12,11 @@ from artifact.enumeration import (
     FLAVOR,
     WEIGHTS,
     BoundExceeded,
-    _exponent,
     _inv_bins,
     _key_coefficients,
     poly_group,
     poly_group_python,
+    weighed,
     work_estimate,
 )
 from artifact.permutations import (
@@ -35,7 +35,7 @@ from artifact.permutations import (
     stats_D,
 )
 from artifact.polynomials import LaurentPoly
-from oracles import comparison_histogram, inv_B_definitional, inv_D_definitional
+from oracles import comparison_histogram, inv_B_definitional, inv_D_definitional, is_decoded, permutation_columns
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -104,11 +104,22 @@ def direct_stat_vector(word, flavor):
     return StatVector(edes, odes, easc, oasc, inv)
 
 
+def exponent(stats, weight):
+    """The weight's exponent (s, t, q, s0, s1, t0, t1) of one statistic vector."""
+    e, o, ea, oa, inv = stats.edes, stats.odes, stats.easc, stats.oasc, stats.inv
+    return {
+        "biv": (e, o, inv, 0, 0, 0, 0),
+        "hat": (ea, o, inv, 0, 0, 0, 0),
+        "fivevar": (0, 0, inv, ea, oa, e, o),
+        "q": (0, 0, inv, 0, 0, 0, 0),
+    }[weight]
+
+
 def weighted_sum(words, flavor, weight):
     """Sum of statistic monomials over an iterable of words."""
     terms = {}
     for word in words:
-        exp = _exponent(direct_stat_vector(word, flavor), weight)
+        exp = exponent(direct_stat_vector(word, flavor), weight)
         terms[exp] = terms.get(exp, 0) + 1
     return LaurentPoly(terms)
 
@@ -198,7 +209,7 @@ def test_routes_agree_on_every_family_cutoff_and_weight(group):
         for i in range(-1, n) if needs_cutoff else (None,):
             stats = [direct_stat_vector(w, FLAVOR[group]) for w in iterate_group(group, n, i)]
             for weight in WEIGHTS:
-                direct = LaurentPoly(Counter(_exponent(sv, weight) for sv in stats))
+                direct = LaurentPoly(Counter(exponent(sv, weight) for sv in stats))
                 vectorized = poly_group(group, n, weight, i=i, method="numpy")
                 assert direct == vectorized, (group, n, i, weight)
                 assert direct == poly_group(group, n, weight, i=i, method="python"), (group, n, i, weight)
@@ -290,16 +301,35 @@ def test_histogram_is_computed_once_until_the_cache_is_cleared(monkeypatch):
 
 
 def test_clear_cache_drops_the_permutations():
-    """registry.clear_cache leaves neither a histogram nor a permutation array behind."""
+    """registry.clear_cache leaves neither a histogram nor a permutation table behind."""
     import artifact.enumeration as enumeration
+    from artifact.permutations import permutation_table
     from artifact.registry import clear_cache
 
     clear_cache()
     poly_group("B", 7, "biv")
-    assert 7 in enumeration._PERM_CACHE
+    assert permutation_table.cache_info().currsize == 8  # ranks 0..7
     clear_cache()
-    assert enumeration._PERM_CACHE == {}
+    assert permutation_table.cache_info().currsize == 0
     assert enumeration._histogram.cache_info().currsize == 0
+
+
+def test_a_histogram_above_the_table_rank_holds_no_whole_table():
+    """A10's permutations alone take 34.6 MiB; read in blocks, its histogram
+    peaks at a sixth of that (6.2 MiB measured), the rank-8 table included."""
+    import tracemalloc
+
+    import artifact.enumeration as enumeration
+
+    enumeration.clear_histograms()
+    tracemalloc.start()
+    try:
+        enumeration._histogram("A", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        enumeration.clear_histograms()
+    assert peak < 8 << 20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.fixture(scope="module")
@@ -309,15 +339,18 @@ def comparison_histograms():
 
 
 @pytest.mark.parametrize(
-    "setting, value", [(None, None), ("_CHUNK_WORDS", 1), ("_SLICE_COLUMNS", 1000)]
+    "setting, value", [(None, None), ("_CHUNK_WORDS", 1), ("_BLOCK_COLUMNS", 1000), ("_TABLE_RANK", 3)]
 )
 def test_histogram_equals_the_comparison_kernel(monkeypatch, comparison_histograms, setting, value):
     """Entry for entry, at the default budget (several sign patterns a chunk),
-    at one sign pattern a chunk, and with the permutations read in slices."""
+    at one sign pattern a chunk, with the permutations read in blocks of 1000
+    columns, and with those of ranks 4-9 built block by block above a table
+    of rank 3."""
     import artifact.enumeration as enumeration
+    import artifact.permutations as permutations
 
     if setting:
-        monkeypatch.setattr(enumeration, setting, value)
+        monkeypatch.setattr(permutations if setting == "_TABLE_RANK" else enumeration, setting, value)
     enumeration.clear_histograms()
     for (flavor, n), want in comparison_histograms.items():
         got = enumeration._histogram(flavor, n)
@@ -350,6 +383,35 @@ def test_word_key_is_affine_in_the_sign_bits(flavor, drawn):
     assert inv == lengths(word)
     assert code & ((1 << n) - 1) == sum(1 << max(i, 0) for i in descents)  # D's -1 is bit 0
     assert code >> n == (word[-1] < 0)
+
+
+@st.composite
+def count_tables(draw):
+    """Statistic columns (edes, odes, easc, oasc, inv), many of them equal,
+    and their counts; at times one count is near 2**62, the rest small enough
+    that every sum stays inside int64."""
+    k = draw(st.integers(0, 40))
+    column = st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 20))
+    stats = draw(st.lists(column, min_size=k, max_size=k))
+    counts = draw(st.lists(st.integers(0, 2**40), min_size=k, max_size=k))
+    if k and draw(st.booleans()):
+        counts[draw(st.integers(0, k - 1))] = draw(st.integers(2**62 - 2**41, 2**62))
+    return stats, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_tables(), st.sampled_from(WEIGHTS))
+def test_the_weight_fold_equals_the_per_term_sum(table, weight):
+    """One table and one int64 merge give the polynomial that weighing each
+    column by itself and adding Python ints gives; the result holds only its form."""
+    stats, counts = table
+    expected = {}
+    for column, count in zip(stats, counts):
+        exp = exponent(StatVector(*column), weight)
+        expected[exp] = expected.get(exp, 0) + count
+    got = weighed(np.array(stats, dtype=np.int64).reshape(-1, 5).T, np.array(counts, dtype=np.int64), weight)
+    assert not is_decoded(got) or not got.terms
+    assert got.terms == {e: c for e, c in expected.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +567,21 @@ def test_bad_weight_and_group_rejected():
 
 
 def test_permutation_rows_are_in_lexicographic_order(monkeypatch):
-    """The int8 permutation array equals the itertools order, built without its tuples."""
-    import itertools
+    """The int8 permutation blocks equal the itertools order column for column,
+    built without its tuples: views of one table up to the table rank, and
+    above it (ranks 4-9 once it is patched to 3) blocks filled one at a time."""
+    from artifact import permutations
 
-    import numpy as np
-
-    from artifact import enumeration
-
-    monkeypatch.setattr(enumeration, "_PERM_CACHE", {})
-    for n in range(0, 9):
-        rows = enumeration._perm_rows(n)
-        expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8).T
-        assert rows.dtype == np.int8 and rows.flags.c_contiguous
-        assert rows.shape == expected.shape and (rows == expected).all(), n
-        assert enumeration._perm_rows(n) is rows  # cached
+    for n in range(0, 10):
+        expected = permutation_columns(n)
+        for table_rank, columns in [(8, 1 << 17), (8, 1000), (3, 1 << 17), (3, 1000)]:
+            monkeypatch.setattr(permutations, "_TABLE_RANK", table_rank)
+            blocks = list(permutations.permutation_blocks(n, columns))
+            assert all(b.dtype == np.int8 and b.shape[0] == n for b in blocks)
+            assert [b.shape[1] for b in blocks] == [min(columns, expected.shape[1] - lo)
+                                                    for lo in range(0, expected.shape[1], columns)]
+            rows = np.hstack(blocks)
+            assert rows.shape == expected.shape and (rows == expected).all(), (table_rank, columns, n)
+    table = permutations.permutation_table(7)
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert permutations.permutation_table(7) is table  # cached

@@ -509,11 +509,10 @@ def test_sorted_path_at_the_int64_coefficient_bound(m, top_a, offset, signs):
 def test_a_sparse_product_forms_its_pairs_in_blocks():
     """10^6 term pairs that sum into 3,781 terms.  Formed at once, their keys and
     coefficients alone would take 16 bytes per pair, and sorting them about 40;
-    formed in blocks of 2**18 pairs, the peak stays under 12 (10.7 measured)."""
+    formed in blocks of 2**18 pairs, the peak stays under 12, the operands' forms
+    included (10.8 measured)."""
     a = LaurentPoly({(1000 * i, 0, j, 0, 0, 0, 0): 1 + i + j for i in range(10) for j in range(100)})
     b = LaurentPoly({(1000 * i, 0, j, 0, 0, 0, 0): 20 - i for i in range(1, 11) for j in range(100)})
-    for f in (a, b):
-        polynomials._form_of(f)
     pairs = len(a.terms) * len(b.terms)
     tracemalloc.start()
     try:
@@ -719,8 +718,7 @@ def test_kernel_results_are_operands_without_being_decoded(operands, scale):
     total = _kronecker_sum([(ab, c), (c, ba, LaurentPoly.constant(-scale))])
     assert None not in (ab, ba, abc, total)
     assert not is_decoded(ab) and not is_decoded(ba)
-    form = a._form
-    assert form and _kronecker_sum([(a, c)]) is not None and a._form is form  # packed once, then reused
+    assert _kronecker_sum([(a, c)]) is not None and a._form is None  # a's form is built for the product, not kept
     expected = reduce(_schoolbook_product, (a.terms, b.terms, c.terms))
     assert abc.terms == expected
     assert total.terms == {e: v * (1 - scale) for e, v in expected.items() if scale != 1}

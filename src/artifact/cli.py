@@ -168,8 +168,13 @@ def _cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.group == "D" and args.n < 2 and ("recurrence" in methods or "hyatt" in methods):
-        print("error: type D closed routes need n >= 2", file=sys.stderr)
+    # every route's lowest rank, checked before any route runs
+    lowest = {"brute": 0, "recurrence": 0, "hyatt": 1}
+    if args.group == "D":
+        lowest.update(recurrence=2, hyatt=2)
+    need, method = max((lowest[m], m) for m in methods)
+    if args.n < need:
+        print(f"error: need n >= {need} for {method} over {args.group}, got {args.n}", file=sys.stderr)
         return 2
     polys = {}
     for method in methods:

@@ -8,9 +8,11 @@ multiplication reduces repeated generators through their squares, so elements
 are always in reduced normal form.
 
 Fractions pair an extension-element numerator with a univariate-q polynomial
-denominator whose constant term is nonzero, held factored into cyclotomic
-polynomials.  Sums and equality go over the lcm of the denominators; no
-numerator is ever divided by a polynomial.
+denominator whose constant term is nonzero, held factored.  A Poincaré
+denominator arrives as the multiplicities of its cyclotomic factors, which
+its q-integers give; one given as a polynomial is held as its integer content
+times its whole primitive part.  Sums and equality go over the lcm of the
+denominators; no numerator is ever divided by a polynomial.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .polynomials import LaurentPoly, cyclotomic, cyclotomic_factors, one_minus, sum_of_products
+from .polynomials import LaurentPoly, cyclotomic, one_minus, sum_of_products
 
 
 _s0, _s1, _t0, _t1 = map(LaurentPoly.variable, ("s0", "s1", "t0", "t1"))
@@ -215,18 +217,9 @@ def _is_q_only(poly: LaurentPoly) -> bool:
 # A denominator is held as its positive integer content times a product of
 # primitive factors, each with positive constant term.  A factor multiset is a
 # frozenset of (factor, multiplicity) pairs; a factor is d for Φ_d(q), or, for
-# the rest that no Φ_d divides, the sorted (q-exponent, coefficient) pairs of
-# that rest, kept whole.
+# a denominator given as a polynomial, the sorted (q-exponent, coefficient)
+# pairs of its primitive part, a rest kept whole.
 Factors = frozenset
-
-
-@lru_cache(maxsize=1024)
-def _factor(terms: frozenset) -> tuple[int, Factors]:
-    """Content and factor multiset of a q-only denominator given by its terms."""
-    content, mult, rest = cyclotomic_factors(LaurentPoly(dict(terms)))
-    if rest != 1:
-        mult[tuple(sorted((exp[2], c) for exp, c in rest.terms.items()))] = 1
-    return content, frozenset(mult.items())
 
 
 def _factor_poly(factor) -> LaurentPoly:
@@ -267,6 +260,9 @@ class QFraction:
 
     The denominator is held factored, as the positive integer ``content``
     times the factor multiset ``fac``, and ``den`` is derived from the two.
+    A denominator given as Φ_d multiplicities (d, k), as ``poincare_factors``
+    builds them, is taken as it is; one given as an integer or a polynomial
+    is held as its content times its primitive part, kept whole as one rest.
     Sums are taken over the lcm of the two denominators (largest
     multiplicities, lcm of the contents) and products add multiplicities; the
     numerator is never divided by a polynomial, and numerator and denominator
@@ -281,8 +277,11 @@ class QFraction:
 
     __slots__ = ("num", "content", "fac", "path")
 
-    def __init__(self, num, den: LaurentPoly | int = 1):
+    def __init__(self, num, den: LaurentPoly | int | Factors = 1):
         num = ExtElement.coerce(num)
+        if isinstance(den, Factors):
+            self._assign(num, 1, den, den)
+            return
         if isinstance(den, int):
             den = LaurentPoly.constant(den)
         if den.is_zero or not _is_q_only(den):
@@ -292,7 +291,9 @@ class QFraction:
         if den.coefficient() < 0:
             den = -den
             num = -num
-        content, fac = _factor(frozenset(den.terms.items()))
+        content = gcd(*den.terms.values())
+        rest = tuple(sorted((exp[2], c // content) for exp, c in den.terms.items()))
+        fac = Factors() if rest == ((0, 1),) else Factors({(rest, 1)})
         self._assign(num, content, fac, fac)
 
     def _assign(self, num: ExtElement, content: int, fac: Factors, path: Factors) -> None:
@@ -426,7 +427,7 @@ class QFraction:
         The sum is taken over the lcm of the products' denominators at once:
         each product's numerator is scaled once, straight to that lcm, and
         each component of the result is one ``sum_of_products`` of
-        polynomials.  Without a non-cyclotomic rest, and with every content 1
+        polynomials.  Without a rest, and with every content 1
         or every path empty, the fold's ``path`` follows from the products'
         multisets alone, kept when equal and added otherwise.  For any other
         operands the sum is the fold itself.

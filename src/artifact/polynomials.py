@@ -8,9 +8,10 @@ construction and all operations are pure functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, count
-from math import gcd, isqrt, prod
+from itertools import chain
+from math import prod
 from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
@@ -792,15 +793,11 @@ def qint(n: int) -> LaurentPoly:
     return LaurentPoly({(0, 0, k, 0, 0, 0, 0): 1 for k in range(n)})
 
 
-@lru_cache(maxsize=None)
 def qfact(n: int) -> LaurentPoly:
-    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q, the Poincaré polynomial of S_n."""
     if n < 0:
         raise ValueError("qfact requires n >= 0")
-    if n == 0:
-        return LaurentPoly.one()
-    *_, below = map(qfact, range(n))  # bottom-up: a cold call finds every lower rank cached
-    return below * qint(n)
+    return poincare("A", n)
 
 
 @lru_cache(maxsize=None)
@@ -818,27 +815,40 @@ def qbinom(n: int, k: int) -> LaurentPoly:
     return q_polynomial(qbinom_row(n)[k])
 
 
-@lru_cache(maxsize=None)
-def poincare(family: str, n: int) -> LaurentPoly:
-    """Length generating function of the rank-n group, closed product form.
+def poincare_qints(family: str, n: int) -> tuple[int, ...]:
+    """The m whose q-integers [m]_q multiply to the Poincaré polynomial of the rank-n group.
 
-    family 'A': [n]_q! over the symmetric group S_n.
-    family 'B': prod_{i=1..n} [2i]_q over signed permutations.
-    family 'D': [n]_q * prod_{i=1..n-1} [2i]_q over even-signed permutations
-                (the empty cases n=0,1 give 1).
+    family 'A': [2], ..., [n], so [n]_q! over the symmetric group S_n.
+    family 'B': [2], [4], ..., [2n] over signed permutations.
+    family 'D': [n], [2], ..., [2n-2] over even-signed permutations, and
+                none below rank 2.
     """
     if n < 0:
         raise ValueError("poincare requires n >= 0")
     if family == "A":
-        return qfact(n)
-    if family not in ("B", "D"):
-        raise ValueError(f"unknown family {family!r}")
-    if n == 0:
-        return LaurentPoly.one()
+        return tuple(range(2, n + 1))
+    if family == "B":
+        return tuple(range(2, 2 * n + 1, 2))
     if family == "D":
-        return qint(n) * poincare("B", n - 1)
-    *_, below = (poincare("B", k) for k in range(n))  # bottom-up, as in qfact
-    return below * qint(2 * n)
+        return (n, *range(2, 2 * n - 1, 2)) if n >= 2 else ()
+    raise ValueError(f"unknown family {family!r}")
+
+
+@lru_cache(maxsize=None)
+def poincare(family: str, n: int) -> LaurentPoly:
+    """Length generating function of the rank-n group: the product of its q-integers."""
+    return reduce(mul, map(qint, poincare_qints(family, n)), LaurentPoly.one())
+
+
+@lru_cache(maxsize=None)
+def poincare_factors(family: str, n: int) -> frozenset[tuple[int, int]]:
+    """``poincare(family, n)`` as the multiplicities (d, k) of its factors Φ_d(q).
+
+    [m]_q is the product of Φ_d over the divisors d > 1 of m, so nothing is
+    factored: each q-integer adds one to each of its divisors.
+    """
+    divisors = (d for m in poincare_qints(family, n) for d in range(2, m + 1) if m % d == 0)
+    return frozenset(Counter(divisors).items())
 
 
 def one_minus(name: str) -> LaurentPoly:
@@ -847,16 +857,8 @@ def one_minus(name: str) -> LaurentPoly:
 
 
 # ----------------------------------------------------------------------
-# cyclotomic factors of q-only polynomials
+# cyclotomic polynomials
 # ----------------------------------------------------------------------
-def _q_coefficients(poly: LaurentPoly) -> list[int]:
-    """The coefficients of a nonzero q-only polynomial, constant term first."""
-    out = [0] * (max(exp[2] for exp in poly.terms) + 1)
-    for exp, coef in poly.terms.items():
-        out[exp[2]] = coef
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_coefficients(d: int) -> tuple[int, ...]:
     """Φ_d for d >= 2, and 1 - q for d = 1: the factor of 1 - q^d new at d."""
@@ -873,110 +875,3 @@ def cyclotomic(d: int) -> LaurentPoly:
     if d < 1:
         raise ValueError("cyclotomic requires d >= 1")
     return q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
-
-
-@lru_cache(maxsize=None)
-def _small_totients(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Every d >= 2 with φ(d) < bound, ascending, as (d, φ(d), the primes dividing d).
-
-    A prime p divides such a d only if p - 1 <= φ(d), so the d are the
-    products of powers of the primes up to ``bound`` whose totient,
-    the product of p^(k-1) (p - 1), stays below it.
-    """
-    primes = [p for p in range(2, bound + 1) if all(p % r for r in range(2, isqrt(p) + 1))]
-    out = []
-
-    def extend(d: int, phi: int, factors: tuple[int, ...], start: int) -> None:
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if phi * (p - 1) >= bound:
-                break  # and so for every larger prime
-            q, f = d * p, phi * (p - 1)
-            while f < bound:
-                out.append((q, f, factors + (p,)))
-                extend(q, f, factors + (p,), i + 1)
-                q, f = q * p, f * p
-
-    extend(1, 1, (), 0)
-    return tuple(sorted(out))
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases, exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    for b in bases:
-        x = pow(b, odd, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _root_of_unity(d: int, factors: tuple[int, ...]) -> tuple[int, int]:
-    """The least prime l = 1 (mod d), and a primitive d-th root of unity mod l.
-
-    ``factors`` are the primes dividing d: w has order d exactly when
-    w^(d/r) != 1 for each of them.
-    """
-    ell = d + 1
-    while not _is_prime(ell):
-        ell += d
-    for x in count(2):  # the units mod l are cyclic, so some x gives order d
-        w = pow(x, (ell - 1) // d, ell)
-        if all(pow(w, d // r, ell) != 1 for r in factors):
-            return ell, w
-
-
-def _vanishes_at_root(p: list[int], d: int, factors: tuple[int, ...]) -> bool:
-    """Whether p(w) = 0 mod l at the primitive d-th root w of ``_root_of_unity``.
-
-    Φ_d(w) = 0 mod l, so this holds whenever Φ_d divides p: a d for which it
-    fails needs no division.
-    """
-    ell, w = _root_of_unity(d, factors)
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * w + c) % ell
-    return acc == 0
-
-
-def cyclotomic_factors(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentPoly]:
-    """Split a nonzero q-only polynomial as content * prod of Φ_d^k * rest.
-
-    Returns the positive integer content, the multiplicities {d: k} for
-    d >= 2, and the primitive rest, which no such Φ_d divides.  Φ_1 = q - 1
-    stays in the rest, and so does all of a polynomial with a negative power.
-    [k]_q is the product of Φ_d over the divisors d > 1 of k, so q-integers,
-    q-factorials and Poincaré polynomials leave the rest 1.
-
-    Only a Φ_d of degree φ(d) below the length of p can divide it, and only
-    one that passes ``_vanishes_at_root`` is built and divided out.
-    """
-    content = gcd(*poly.terms.values())
-    rest = LaurentPoly({e: c // content for e, c in poly.terms.items()})
-    if any(exp[2] < 0 for exp in rest.terms):
-        return content, {}, rest
-    p = _q_coefficients(rest)
-    mult: dict[int, int] = {}
-    for d, phi, factors in _small_totients(len(p)):
-        if phi >= len(p) or not _vanishes_at_root(p, d, factors):
-            continue
-        a = _cyclotomic_coefficients(d)
-        while (quotient := _exact_quotient(p, a)) is not None:
-            p = quotient
-            mult[d] = mult.get(d, 0) + 1
-    return content, mult, q_polynomial(p)

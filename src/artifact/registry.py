@@ -58,7 +58,7 @@ from .polynomials import (
     monomial_name,
     one_minus,
     poincare,
-    qfact,
+    poincare_factors,
 )
 from .recurrences import (
     c_coeff,
@@ -267,7 +267,7 @@ def _egf(group: str, weight: str, parity: str, order: int,
         p = _brute(group, n, weight)
         return p.rename_variables({"s": "t"}) if to_t else p
 
-    return series_from_polys(poly, partial(poincare, family), parity, order, start=start)
+    return series_from_polys(poly, partial(poincare_factors, family), parity, order, start=start)
 
 
 def _classical(family: str, scale, order: int) -> TruncatedSeries:
@@ -944,7 +944,8 @@ def _chk_x_lemma(max_n: int) -> dict:
     for n in range(2, max_n + 1):
         lhs = QFraction.coerce(_brute("X", n, "biv"))
         pdn = poincare("D", n)
-        rhs = QFraction(_T * _T * pdn, qfact(n - 1)) + QFraction(2 * _T * omt * pdn, qfact(n)) \
+        rhs = QFraction(_T * _T * pdn, poincare_factors("A", n - 1)) \
+            + QFraction(2 * _T * omt * pdn, poincare_factors("A", n)) \
             - QFraction.coerce(_T * omt) + QFraction.coerce(omt)
         entries.append(_witness_entry("X-lemma", n, None if lhs == rhs else str(lhs - rhs)))
     return _collect(entries)
@@ -1040,7 +1041,7 @@ def _snake_counts(group: str, max_n: int) -> list[int]:
 
 def _counts_egf(counts: list[int], parity: str, start: int) -> TruncatedSeries:
     """Sum of counts[n] u^n / n! over the ranks of ``parity`` from ``start``."""
-    return series_from_polys(lambda n: LaurentPoly.constant(counts[n]), partial(poincare, "A"),
+    return series_from_polys(lambda n: LaurentPoly.constant(counts[n]), partial(poincare_factors, "A"),
                              parity, len(counts) - 1, start=start).substitute("q", "value", 1)
 
 

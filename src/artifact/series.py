@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .extension import ExtElement, GEN_I, QFraction
-from .polynomials import LaurentPoly, poincare
+from .polynomials import LaurentPoly, poincare_factors
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -227,17 +227,20 @@ def series_make(family: str, scale=1, order: int = DEFAULT_ORDER) -> TruncatedSe
     powers = [ExtElement.one()]
     for _ in range(order):
         powers.append(powers[-1] * mult)
-    return series_from_polys(powers.__getitem__, lambda n: poincare(kind, n), parity, order)
+    return series_from_polys(powers.__getitem__, lambda n: poincare_factors(kind, n), parity, order)
 
 
 def series_from_polys(
     polys: Callable[[int], LaurentPoly | ExtElement],
-    denom: Callable[[int], LaurentPoly],
+    denom: Callable[[int], LaurentPoly | frozenset],
     parity: str,
     order: int = DEFAULT_ORDER,
     start: int | None = None,
 ) -> TruncatedSeries:
     """Series whose u**n coefficient is polys(n)/denom(n) for n of the given parity.
+
+    A denominator is a polynomial or, as ``poincare_factors`` gives it, the
+    multiplicities of its cyclotomic factors.
 
     `start` is the first u-power included (defaults to 0, or 1 for parity
     "odd"); some of the generating functions in play deliberately omit their

@@ -31,7 +31,6 @@ from artifact.polynomials import (
     LaurentPoly,
     _cyclotomic_coefficients,
     _exact_quotient,
-    _q_coefficients,
     q_polynomial,
 )
 from artifact.recurrences import reciprocal_exponents
@@ -277,9 +276,19 @@ def totient(d: int) -> int:
     return out - out // rest if rest > 1 else out
 
 
+def _q_coefficients(poly: LaurentPoly) -> list[int]:
+    """The coefficients of a nonzero q-only polynomial, constant term first."""
+    out = [0] * (max(exp[2] for exp in poly.terms) + 1)
+    for exp, coef in poly.terms.items():
+        out[exp[2]] = coef
+    return out
+
+
 def cyclotomic_factors_by_division(poly: LaurentPoly) -> tuple[int, dict[int, int], LaurentPoly]:
-    """``polynomials.cyclotomic_factors`` by trying Φ_d for every d up to
-    max(6, deg^2) whose totient is below the length of what is left."""
+    """A nonzero q-only polynomial split as content * prod of Φ_d^k * rest,
+    by trying Φ_d for every d >= 2 up to max(6, deg^2) whose totient is below
+    the length of what is left: the content, the multiplicities {d: k}, and
+    the primitive rest that no such Φ_d divides."""
     content = gcd(*poly.terms.values())
     rest = LaurentPoly({e: c // content for e, c in poly.terms.items()})
     if any(exp[2] < 0 for exp in rest.terms):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -224,6 +225,18 @@ def test_compare_negative_rank_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "need n >= 0" in err
+
+
+@pytest.mark.parametrize("group, n, methods, need", [
+    ("B", "0", "brute,hyatt", 1),
+    ("D", "1", "brute,recurrence", 2),
+    ("B", "-1", "brute", 0),
+])
+def test_compare_checks_every_route_rank_before_running_any(capsys, group, n, methods, need):
+    code, out, err = run_cli(capsys, "compare", "--group", group, "--n", n, "--methods", methods)
+    assert (code, out) == (2, "")
+    assert f"need n >= {need}" in err
+    assert not re.search(r"^\w+: [0-9.]+s$", err, re.M)  # no route ran, so none printed its time
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Square-root extension elements and q-denominator fractions."""
 
 import math
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,15 @@ from artifact.extension import (
     _has_rest,
     _is_q_only,
 )
-from artifact.polynomials import LaurentPoly, one_minus, poincare, qfact, qint
+from artifact.polynomials import LaurentPoly, cyclotomic, one_minus, poincare, poincare_factors, qfact, qint
 from artifact.series import TruncatedSeries, first_residual
-from oracles import assert_same_fraction, first_residual_loop, fold_sum, series_product
+from oracles import (
+    assert_same_fraction,
+    cyclotomic_factors_by_division,
+    first_residual_loop,
+    fold_sum,
+    series_product,
+)
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -178,13 +186,39 @@ def test_qfraction_integer_scalars_coerce():
     assert QFraction(6, 4) == QFraction(3, 2)
 
 
+def factored(poly: LaurentPoly) -> frozenset:
+    """The Φ_d multiplicities of a product of cyclotomic polynomials, found by trial division."""
+    content, mult, rest = cyclotomic_factors_by_division(poly)
+    assert (content, rest) == (1, LaurentPoly.one())
+    return frozenset(mult.items())
+
+
+def over(frac, num, den):
+    """num over den under the fraction class ``frac``; a pair (c, multiplicities)
+    stands for the integer c times a factored product."""
+    if isinstance(den, tuple):
+        return frac(num, den[0]) * frac(1, den[1])
+    return frac(num, den)
+
+
 def test_qfraction_keeps_its_denominator_factored():
-    frac = QFraction(S, 2 * poincare("B", 2)) + QFraction(T, qint(6))
+    frac = over(QFraction, S, (2, poincare_factors("B", 2))) + QFraction(T, factored(qint(6)))
     assert frac.content == 2
     assert dict(frac.fac) == {2: 2, 3: 1, 4: 1, 6: 1}  # lcm of [2][4] and [6]
     assert dict(frac.path) == {2: 3, 3: 1, 4: 1, 6: 1}  # [2][4] * [6]
     assert frac.den == 2 * _expand(frac.fac)
     assert frac.den.coefficient(q=8) == 2
+
+
+def test_a_polynomial_denominator_is_its_content_times_one_whole_rest():
+    """Nothing is factored out of a polynomial: even its cyclotomic factors stay in the rest."""
+    rest = (1 + 2 * Q) * (3 + Q * Q) * (Q - 1)  # a negative constant term: the sign moves to the numerator
+    frac = QFraction(S, 6 * qint(4) * rest)
+    assert (frac.num, frac.content) == (ExtElement.coerce(-S), 6)
+    assert frac.fac == frac.path and len(frac.fac) == 1 and frac.den == -6 * qint(4) * rest
+    laurent = QFraction(S, 2 + 2 * LaurentPoly.variable("q", -1))
+    assert laurent.content == 2 and dict(laurent.fac) == {((-1, 1), (0, 1)): 1}
+    assert not QFraction(S, 6).fac and not QFraction(S, poincare_factors("D", 1)).fac
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +231,8 @@ class CrossQFraction:
 
     def __init__(self, num, den=1):
         num = ExtElement.coerce(num)
+        if isinstance(den, frozenset):  # Φ_d multiplicities
+            den = reduce(mul, (cyclotomic(d) ** k for d, k in den), LaurentPoly.one())
         if isinstance(den, int):
             den = LaurentPoly.constant(den)
         if den.is_zero or not _is_q_only(den):
@@ -263,16 +299,18 @@ class CrossQFraction:
 
 ONE_PLUS_2Q = 1 + 2 * Q
 THREE_PLUS_Q2 = 3 + Q * Q
-# cyclotomic products, contents, signs, and rests that are not cyclotomic;
-# the last one shares factors with two others, so different factor sets
-# expand to one cross-multiplied denominator
+# factored cyclotomic products, alone and times contents, and polynomials:
+# contents, signs, and rests, cyclotomic or not.  A polynomial rest may
+# expand to a factored product, and the last rest shares factors with two
+# others, so different factor sets expand to one cross-multiplied denominator
 DENOMINATORS = (
     [LaurentPoly.constant(c) for c in (1, 2, 3, 6, -2)]
-    + [qint(k) for k in (2, 3, 4)]
-    + [qfact(k) for k in (2, 3, 4)]
-    + [poincare(family, n) for family in "BD" for n in (2, 3)]
+    + [factored(qint(k)) for k in (2, 3, 4)]
+    + [factored(qfact(k)) for k in (2, 3, 4)]
+    + [poincare_factors(family, n) for family in "BD" for n in (2, 3)]
+    + [(2, factored(qint(4))), (3, poincare_factors("B", 2))]
     + [1 + Q**i for i in (1, 2, 3)]
-    + [-(1 + Q), 2 * qint(4), ONE_PLUS_2Q, THREE_PLUS_Q2, ONE_PLUS_2Q * THREE_PLUS_Q2]
+    + [-(1 + Q), 2 * qint(4), poincare("B", 2), ONE_PLUS_2Q, THREE_PLUS_Q2, ONE_PLUS_2Q * THREE_PLUS_Q2]
 )
 
 UNARY = ("neg", "divide_rs", "q_at_one", "s_at_two")
@@ -302,7 +340,7 @@ def evaluate(tree, frac):
         num = ExtElement.coerce(poly)
         if gen is not None:
             num = num * ExtElement.generator(gen) + ExtElement.coerce(Q)
-        return frac(num, DENOMINATORS[den])
+        return over(frac, num, DENOMINATORS[den])
     args = [evaluate(arg, frac) for arg in tree[1:]]
     op = tree[0]
     if op == "neg":
@@ -343,8 +381,8 @@ def test_denominators_that_expand_alike_add_as_cross_multiplication():
 # ---------------------------------------------------------------------------
 # one sum over the lcm, against the pairwise fold
 # ---------------------------------------------------------------------------
-def _kind(den: LaurentPoly) -> str:
-    frac = QFraction(1, den)
+def _kind(den) -> str:
+    frac = over(QFraction, 1, den)
     if _has_rest(frac.fac):
         return "rest"
     return "integer" if not frac.fac else "cyclotomic" if frac.content == 1 else "content"
@@ -377,17 +415,25 @@ def test_sum_of_products_equals_the_pairwise_fold(pair_trees):
 
 def test_sum_of_products_of_nothing_and_of_zeros():
     assert_same_fraction(QFraction.sum_of_products([]), QFraction.zero())
-    zero_over = QFraction(0, poincare("B", 3))  # zero, yet over a factored denominator
-    pairs = [(zero_over, QFraction(S, qint(4))), (QFraction(T, qint(6)), zero_over)]
+    zero_over = QFraction(0, poincare_factors("B", 3))  # zero, yet over a factored denominator
+    pairs = [(zero_over, QFraction(S, factored(qint(4)))), (QFraction(T, factored(qint(6))), zero_over)]
     got = QFraction.sum_of_products(pairs)
     assert got.is_zero and dict(got.fac) == {2: 4, 3: 2, 4: 2, 6: 2}
+    assert_same_fraction(got, fold_sum(pairs))
+
+
+def test_sum_of_products_keeps_a_path_that_repeats():
+    one, b2, q6 = QFraction.one(), poincare_factors("B", 2), factored(qint(6))
+    pairs = [(QFraction(S, b2), one), (QFraction(T, b2), one), (one, QFraction(S, q6))]
+    got = QFraction.sum_of_products(pairs)
+    assert dict(got.path) == {2: 3, 3: 1, 4: 1, 6: 1}  # [2][4], kept at the repeat, then times [6]
     assert_same_fraction(got, fold_sum(pairs))
 
 
 def test_sum_of_products_folds_where_contents_or_rests_decide_the_path():
     one = QFraction.one()
     # equal paths over contents 2 and 1: the fold adds them
-    halves = [(QFraction(S, 2 * qint(4)), one), (QFraction(T, qint(4)), one)]
+    halves = [(over(QFraction, S, (2, factored(qint(4)))), one), (QFraction(T, factored(qint(4))), one)]
     # unequal rests that expand alike: the fold adds in the cross-multiplied form
     alike = [(QFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2), one), (QFraction(T, ONE_PLUS_2Q), QFraction(1, THREE_PLUS_Q2))]
     for pairs in (halves, alike):

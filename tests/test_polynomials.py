@@ -1,7 +1,6 @@
 """Exact sparse Laurent-polynomial arithmetic and the q-combinatorics helpers."""
 
 import math
-import time
 import tracemalloc
 from functools import reduce
 from unittest import mock
@@ -23,17 +22,17 @@ from artifact.polynomials import (
     _schoolbook_product,
     _size,
     cyclotomic,
-    cyclotomic_factors,
     first_difference,
     monomial_name,
     one_minus,
     poincare,
+    poincare_factors,
     qbinom,
     qfact,
     qint,
     sum_of_products,
 )
-from oracles import assert_form_agrees, cyclotomic_factors_by_division, is_decoded, totient
+from oracles import assert_form_agrees, cyclotomic_factors_by_division, is_decoded
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -894,81 +893,17 @@ def test_cyclotomic_pinned_values():
         cyclotomic(0)
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(17))
 def test_q_factorials_and_poincare_polynomials_are_cyclotomic(n):
-    # [k]_q is the product of Φ_d over the divisors d > 1 of k
-    def count(ks):
-        return {d: m for d in range(2, 2 * n + 1) if (m := sum(k % d == 0 for k in ks))}
-
-    cases = [
-        (qfact(n), count(range(1, n + 1))),
-        (poincare("B", n), count(range(2, 2 * n + 1, 2))),
-        (poincare("D", n), count([n] + list(range(2, 2 * n - 1, 2))) if n else {}),
-    ]
-    for poly, expected in cases:
-        content, mult, rest = cyclotomic_factors(poly)
-        assert (content, mult, rest) == (1, expected, LaurentPoly.one())
+    """Each family's Φ_d multiplicities, taken from its q-integers, are the
+    cyclotomic split of its Poincaré polynomial, and expand back to it."""
+    for family in "ABD":
+        mult = dict(poincare_factors(family, n))
+        assert cyclotomic_factors_by_division(poincare(family, n)) == (1, mult, LaurentPoly.one())
         back = LaurentPoly.one()
         for d, k in mult.items():
             back = back * cyclotomic(d) ** k
-        assert back == poly
-
-
-def test_cyclotomic_factors_keep_the_rest_whole():
-    rest = (1 + 2 * Q) * (3 + Q * Q) * (Q - 1)  # Φ_1 stays in the rest
-    assert cyclotomic_factors(6 * qint(4) * rest) == (6, {2: 1, 4: 1}, rest)
-    laurent = 2 + 2 * LaurentPoly.variable("q", -1)
-    assert cyclotomic_factors(laurent) == (2, {}, 1 + LaurentPoly.variable("q", -1))
-
-
-@pytest.mark.parametrize("bound", [2, 3, 7, 13, 40, 65])
-def test_small_totients_are_every_d_of_small_degree(bound):
-    listed = polynomials._small_totients(bound)
-    assert [d for d, _, _ in listed] == [d for d in range(2, max(7, bound**2)) if totient(d) < bound]
-    for d, phi, factors in listed:
-        assert phi == totient(d) and factors == tuple(p for p in range(2, d + 1) if d % p == 0 and totient(p) == p - 1)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 6, 12, 30, 97, 360])
-def test_root_of_unity_has_order_d_modulo_a_prime(d):
-    factors = tuple(p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p)))
-    ell, w = polynomials._root_of_unity(d, factors)
-    assert polynomials._is_prime(ell) and ell % d == 1
-    assert [k for k in range(1, d + 1) if pow(w, k, ell) == 1] == [d]
-    # Φ_d vanishes there, and so does every multiple of it
-    assert polynomials._vanishes_at_root(list(polynomials._cyclotomic_coefficients(d)), d, factors)
-
-
-def test_is_prime_against_trial_division():
-    assert [n for n in range(200) if polynomials._is_prime(n)] == [
-        n for n in range(2, 200) if all(n % r for r in range(2, n))]
-    assert polynomials._is_prime(2**61 - 1) and not polynomials._is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
-
-
-q_rests = st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=5), st.integers(-1, 1)).filter(
-    lambda rest: any(rest[0]))
-
-
-@given(st.lists(st.tuples(st.integers(2, 24), st.integers(1, 2)), max_size=3), st.integers(1, 12), q_rests)
-@settings(max_examples=80, deadline=None)
-def test_cyclotomic_factors_agree_with_trial_division(powers, content, rest):
-    coefs, shift = rest
-    poly = content * LaurentPoly({(0, 0, e + shift, 0, 0, 0, 0): c for e, c in enumerate(coefs)})
-    for d, k in powers:
-        poly = poly * cyclotomic(d) ** k
-    assert cyclotomic_factors(poly) == cyclotomic_factors_by_division(poly)
-
-
-def test_cyclotomic_factors_of_long_sparse_denominators_within_budget():
-    """Each took 0.33-0.74 s by trial division of every Φ_d of small degree; 0.014 s here."""
-    for poly, expected in ((1 + 2 * Q + Q**200, {2: 1}), (1 + Q + Q**300, {})):
-        polynomials._small_totients.cache_clear()
-        polynomials._root_of_unity.cache_clear()
-        started = time.perf_counter()
-        content, mult, rest = cyclotomic_factors(poly)
-        elapsed = time.perf_counter() - started
-        assert (content, mult) == (1, expected) and rest * cyclotomic(2) ** len(mult) == poly
-        assert elapsed < 0.1, f"{poly} took {elapsed:.2f}s"
+        assert back == poincare(family, n)
 
 
 def test_str_is_graded_then_lexicographic():

@@ -10,7 +10,7 @@ Three subcommands:
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 a check
 or comparison failed, 2 bad arguments or unknown check id, 3 an enumeration
-bound was exceeded.
+or route ceiling was exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import sys
 import time
 
-from .enumeration import WEIGHTS, BoundExceeded, poly_group
+from .enumeration import WEIGHTS, BoundExceeded, check_bound, poly_group
 from .permutations import GROUPS
 from .polynomials import VARIABLES, LaurentPoly, sum_of_products
 from .recurrences import hyatt_plus, reciprocal_transform, recurrence_poly
@@ -29,6 +29,9 @@ from .registry import CHECK_IDS, list_checks, run_all, run_check
 from .series import DEFAULT_ORDER
 
 _COMPARE_METHODS = ("brute", "recurrence", "hyatt")
+# The highest rank compare's closed routes take.  B with recurrence,hyatt took
+# 58 s and 635 MB (ru_maxrss) at rank 35 on a 2-core host, and 75 s at rank 36.
+_CLOSED_CEILING = 35
 
 
 def _job_count(text: str) -> int:
@@ -168,7 +171,11 @@ def _cmd_compare(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # every route's lowest rank, checked before any route runs
+    twice = next((m for m in methods if methods.count(m) > 1), None)
+    if twice:
+        print(f"error: --methods names {twice} twice", file=sys.stderr)
+        return 2
+    # every route's lowest and highest rank, checked before any route runs
     lowest = {"brute": 0, "recurrence": 0, "hyatt": 1}
     if args.group == "D":
         lowest.update(recurrence=2, hyatt=2)
@@ -176,6 +183,11 @@ def _cmd_compare(args) -> int:
     if args.n < need:
         print(f"error: need n >= {need} for {method} over {args.group}, got {args.n}", file=sys.stderr)
         return 2
+    if "brute" in methods:
+        check_bound(args.group, args.n)
+    closed = [m for m in methods if m != "brute"]
+    if closed and args.n > _CLOSED_CEILING:
+        raise BoundExceeded(args.group, args.n, _CLOSED_CEILING, args.n + 1, "ranks", route=" and ".join(closed))
     polys = {}
     for method in methods:
         started = time.perf_counter()

@@ -40,17 +40,22 @@ BOUND_ENV_VAR = "ARTIFACT_MAX_N"
 
 
 class BoundExceeded(ValueError):
-    """Raised when a brute-force request exceeds the configured ceiling.
+    """Raised when a request exceeds a route's ceiling rank.
 
-    ``estimate`` counts ``unit``s (the lemmas' insertions), or is None for
-    the words of the group at rank n; the message sets it against the words
-    of the ceiling rank.
+    For brute force, ``estimate`` counts ``unit``s (the lemmas' insertions),
+    or is None for the words of the group at rank n; the message sets it
+    against the words of the ceiling rank.  A closed route (``route``) counts
+    ``ranks``, each built from the ones below it, and its ceiling is fixed.
     """
 
-    def __init__(self, group: str, n: int, bound: int, estimate: int | None = None, unit: str = "words"):
+    def __init__(self, group: str, n: int, bound: int, estimate: int | None = None, unit: str = "words",
+                 route: str = "brute force"):
         self.group, self.n, self.bound, self.estimate, self.unit = group, n, bound, estimate, unit
+        if unit == "ranks":
+            super().__init__(f"{route} over {group} at rank {n} builds {estimate} ranks; the ceiling is rank {bound}")
+            return
         super().__init__(
-            f"brute force over {group} at rank {n} needs about {_about(group, n, estimate)} "
+            f"{route} over {group} at rank {n} needs about {_about(group, n, estimate)} "
             f"{unit}; the ceiling is rank {bound}, about {_about(group, bound)} words "
             f"(set {BOUND_ENV_VAR} to override)"
         )

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import prod
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -51,8 +51,9 @@ class LaurentPoly:
     Exponents are signed integers so reciprocal substitutions stay inside the
     ring.  Instances are immutable: nothing may mutate ``terms``.  A
     polynomial the kernel returns holds only its kernel form (``_form``)
-    until ``terms`` is first read (see ``_KernelResult``); any other holds
-    only its terms, and the kernel builds their form each time it reads them.
+    until ``terms`` is first read (see ``_KernelResult``); one made by
+    ``held_form`` holds both; any other holds only its terms, and the kernel
+    builds their form each time it reads them.
     """
 
     __slots__ = ("terms", "_form")
@@ -399,6 +400,15 @@ def _form_of(poly: LaurentPoly) -> _Form | None:
     return None if exps is None else _Form(exps, list(poly.terms.values()))
 
 
+def held_form(poly: LaurentPoly) -> LaurentPoly:
+    """A nonzero polynomial that holds its kernel form beside its terms: for a
+    small constant the kernel reads at every call, built once."""
+    form = _form_of(poly)
+    out = _poly(dict(poly.terms))
+    out._form = form
+    return out
+
+
 def _schoolbook_product(a: Terms, b: Terms) -> Terms:
     """The term-by-term product; the fallback and the reference for the kernel."""
     out: Terms = {}
@@ -432,88 +442,107 @@ def _exponent_array(terms: Terms) -> np.ndarray | None:
     return flat.reshape(len(terms), NVARS).T
 
 
-def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]]) -> LaurentPoly:
-    """The sum of the products of two or more factors, with one kernel call for all of them.
+def sum_of_products(products: Iterable[tuple[LaurentPoly, ...]], links: Iterable[LaurentPoly] = ()) -> LaurentPoly:
+    """The sum over k of products[k]'s two or more factors times links[0] ...
+    links[k-1] (a link past the end of ``links`` is 1), with one kernel call.
 
-    The products share one exponent box.  On a dense box they are packed
-    into integers that add as integers, and the sum is decoded once; on a
-    sparse one every product's slot indices are summed by sorting, and the
-    products are reduced together (see ``_kronecker_sum``).  When the first
-    two factors hold fewer than _KRONECKER_MIN_PAIRS term pairs in all, or
-    the kernel declines the sum, it is taken through the product and sum
-    operators.  Factors are counted from their forms, so a kernel result
-    stays undecoded.
+    It is taken by Horner's rule from the last product down: the sum so far
+    is multiplied by the link before it, then product k is added.  The
+    products share one exponent box (see ``_kronecker_sum``).  When the first
+    two factors hold fewer than _KRONECKER_MIN_PAIRS term pairs in all, a
+    linked sum has a zero factor or link, or the kernel declines the sum, it
+    is taken through the product and sum operators.  Factors are counted
+    from their forms, so a kernel result stays undecoded.
     """
-    products = [p for p in products if all(map(_size, p))]
-    out = None
-    if sum(_size(a) * _size(b) for a, b, *_ in products) >= _KRONECKER_MIN_PAIRS:
-        out = _kronecker_sum(products)
-    if out is None and products:
-        out = reduce(add, (reduce(mul, p) for p in products))
-    return LaurentPoly.zero() if out is None else out
+    products = list(products)
+    links = list(links)[:max(len(products) - 1, 0)]
+    if not links:
+        products = [p for p in products if all(map(_size, p))]
+    nonzero = all(map(_size, chain(links, *products)))
+    pairs = sum(_size(a) * _size(b) for a, b, *_ in products)
+    if nonzero and pairs >= _KRONECKER_MIN_PAIRS and (out := _kronecker_sum(products, links)) is not None:
+        return out
+    out = LaurentPoly.zero()
+    for k in reversed(range(len(products))):
+        if k < len(links):
+            out = out * links[k]
+        out = out + reduce(mul, products[k])
+    return out
 
 
-def _kronecker_sum(products: list[tuple[LaurentPoly, ...]]) -> LaurentPoly | None:
-    """Sum of products of nonzero factors in one exponent box, or None when the kernel declines it.
+def _kronecker_sum(products: list[tuple[LaurentPoly, ...]], links: list[LaurentPoly] = ()) -> LaurentPoly | None:
+    """The sum of ``sum_of_products`` over nonzero factors and fewer links
+    than products, in one exponent box, or None when the kernel declines it.
 
-    Every product lands in one shared box, which spans from the smallest sum
-    of its factors' minima to the largest sum of their maxima.  Each exponent
-    vector, shifted by its factor's per-variable minimum, is a slot index in
-    that box (row-major, so the index of a sum is the sum of the indices),
-    and each product moves up by the slot index of its own minima's sum.
+    Product k is multiplied by the links before it, so its corner is the sum
+    of its factors' minima and of those links' minima, and its top likewise;
+    the shared box spans from the smallest corner to the largest top.  Each
+    exponent vector, shifted by its factor's per-variable minimum, is a slot
+    index in that box (row-major, so the index of a sum is the sum of the
+    indices), and each product moves up by the slot index of its corner.
 
     A coefficient of a * b * f * ... is at most max|a| max|b| min(|a|, |b|)
-    times, for each further factor f, the sum of the absolute values of f's
-    coefficients; ``bound`` sums that over the products, so it bounds every
-    coefficient of the sum and every partial sum on the way to one.
+    times, for each further factor and each link before it, the sum of the
+    absolute values of its coefficients; ``bound`` sums that over the
+    products, so it bounds every coefficient of the sum and every partial
+    sum on the way to one.
 
     When the box has at most _KRONECKER_FILL slots per term of the first two
     factors, it is packed densely: the first two factors of a product are
-    packed and multiplied, and each further factor f multiplies that integer
-    by shifted adds, one per term.  Slots are ``width`` bytes wide, with
-    ``width`` sized so ``bound``, plus two guard bits, fits in a slot: then
-    the shifted big-integer products add up to all coefficients at once.
-    Only the final sum is decoded, so the integers in between need no bound.
+    packed and multiplied, and each further factor, and each link on the sum
+    so far, multiplies an integer by shifted adds, one per term.  Slots are
+    ``width`` bytes wide, with ``width`` sized so ``bound``, plus two guard
+    bits, fits in a slot: then the shifted big-integer products add up to
+    all coefficients at once.  Only the final sum is decoded, so the
+    integers in between need no bound.
 
     A sparser box takes ``_sorted_sum``, which needs only that a slot index
     and ``bound`` fit in int64, so the kernel declines a sparse box of 2**61
-    slots or more, or with a bound of 2**63 or more.  It declines a factor
-    with an exponent of 2**61 or more in magnitude on either path.  Factors
-    are read through their forms only, and the result holds only its form,
-    with its terms in slot order on either path.
+    slots or more, or with a bound of 2**63 or more, or with links.  It
+    declines a factor or link with an exponent of 2**61 or more in magnitude
+    on either path.  Factors are read through their forms only, and the
+    result holds only its form, with its terms in slot order on either path.
     """
     if not products:
         return LaurentPoly.zero()
     forms = [[_form_of(f) for f in p] for p in products]
-    if not all(map(all, forms)):
+    link_forms = [_form_of(f) for f in links]
+    if not all(map(all, forms)) or not all(link_forms):
         return None
-    corners = [sum((f.low for f in fs[1:]), fs[0].low) for fs in forms]
+    lifts = [(np.zeros(NVARS, dtype=np.int64),) * 2 + (1,)]
+    for f in link_forms:  # the minima, maxima and coefficient sum that the links before a product add to it
+        low, high, mass = lifts[-1]
+        lifts.append((low + f.low, high + f.high, mass * f.mass))
+    lifts += lifts[-1:] * (len(forms) - len(lifts))
+    corners = [sum((f.low for f in fs), low) for fs, (low, _, _) in zip(forms, lifts)]
     origin = np.min(corners, axis=0)
-    top = np.max([sum((f.high for f in fs[1:]), fs[0].high) for fs in forms], axis=0)
+    top = np.max([sum((f.high for f in fs), high) for fs, (_, high, _) in zip(forms, lifts)], axis=0)
     dims = (top - origin + 1).tolist()
     bound = sum(
-        a.top * b.top * min(len(a.coefs), len(b.coefs)) * prod(f.mass for f in more)
-        for a, b, *more in forms
+        a.top * b.top * min(len(a.coefs), len(b.coefs)) * prod(f.mass for f in more) * mass
+        for (a, b, *more), (_, _, mass) in zip(forms, lifts)
     )
     slots = prod(dims)
     dense = slots <= _KRONECKER_FILL * sum(len(a.coefs) + len(b.coefs) for a, b, *_ in forms)
-    if not dense and (slots >= _EXP_LIMIT or bound >= 1 << 63):
+    if not dense and (links or slots >= _EXP_LIMIT or bound >= 1 << 63):
         return None
-    indices = [[np.ravel_multi_index(f.exps - f.low[:, None], dims) for f in fs] for fs in forms]
+    indices = [[np.ravel_multi_index(f.exps - f.low[:, None], dims) for f in fs] for fs in forms + [link_forms]]
     shifts = [int(np.ravel_multi_index(tuple(corner - origin), dims)) for corner in corners]
+    link_index = indices.pop()
     if not dense:
         return _sorted_sum(forms, indices, shifts, dims, origin)
     width = (bound.bit_length() + 2 + 7) // 8
-    total = nslots = 0
-    for (a, b, *more), (ia, ib, *imore), shift in zip(forms, indices, shifts):
-        high = shift + int(ia.max() + ib.max())
+    total = 0
+    for k in reversed(range(len(forms))):
+        if k < len(links):
+            total = _shifted_sum(total, 8 * width, link_index[k].tolist(), link_forms[k].coefs)
+        (a, b, *more), (ia, ib, *imore) = forms[k], indices[k]
         packed = _pack(ia, a.coefs, width) * _pack(ib, b.coefs, width)
         for f, index in zip(more, imore):
-            high += int(index.max())
             packed = _shifted_sum(packed, 8 * width, index.tolist(), f.coefs)
-        nslots = max(nslots, high + 1)
-        total += packed << (8 * width * shift)
-    del indices, ia, ib
+        total += packed << (8 * width * shifts[k])
+    del indices, ia, ib, packed
+    nslots = -(-(total.bit_length() + 1) // (8 * width))  # whole slots, with room for the sign
     buf = total.to_bytes(width * nslots, "little", signed=True)
     del total  # hold one copy of the sum while decoding
     return _unpack(buf, width, dims, origin)
@@ -605,19 +634,21 @@ def _pack(index: np.ndarray, coefs: list[int], width: int) -> int:
     carries a borrow of one, so empty slots there are all ones and a term's
     slot holds its coefficient minus one.  Read as one signed little-endian
     integer, the bytes are the exact signed sum.  When every coefficient
-    lies within ±2**62, each digit fits in int64 and NumPy builds the slots;
-    otherwise a loop over the terms does.
+    lies within ±2**62, each digit fits in int64 and NumPy builds the slots,
+    with no borrow pass when no coefficient is negative; otherwise a loop
+    over the terms does.
     """
     try:
         values = np.array(coefs, dtype=np.int64)
     except OverflowError:
         values = None
-    if values is not None and -(1 << 62) <= values.min() and values.max() <= 1 << 62:
+    if values is not None and -(1 << 62) <= (least := values.min()) and values.max() <= 1 << 62:
         digits = np.zeros(int(index.max()) + 1, dtype="<i8")
         digits[index] = values
-        # the sign of the last nonzero slot at or below each slot; slot 0 when none is
-        last = np.maximum.accumulate(np.where(digits != 0, np.arange(len(digits)), 0))
-        digits[1:] -= digits[last[:-1]] < 0
+        if least < 0:
+            # the sign of the last nonzero slot at or below each slot; slot 0 when none is
+            last = np.maximum.accumulate(np.where(digits != 0, np.arange(len(digits)), 0))
+            digits[1:] -= digits[last[:-1]] < 0
         raw = _resize_slots(digits.view(np.uint8).reshape(-1, 8), width)
         return int.from_bytes(raw.tobytes(), "little", signed=True)
     order = np.argsort(index)

@@ -9,11 +9,20 @@ The q-only coefficients are rows of coefficient lists, each entry built from
 the one before it by an exact ratio step (``polynomials.q_ratio_row``):
 [n, j]_q = [n, j-1]_q (1 - q^m) / (1 - q^j) with m = n - j + 1, and likewise
 c(n, j) by (1 - q^(2m)) / (1 - q^j) and cd(n, j) by (1 - q^m)(1 + q^(m-1)) /
-(1 - q^j).  No polynomial product builds them.  Each rank is one kernel sum
-of products, and the ranks below it are filled bottom-up, so no call
-recurses once per rank.  ``reciprocal_transform`` maps the rows of a kernel
-result's exponent array, so ``compare``'s routes, their sum and the kernel
-difference its verdict reads never build a term dict.
+(1 - q^j).  No polynomial product builds them.
+
+Each rank is one linked kernel sum (``polynomials.sum_of_products`` with
+links).  In a rank-n sum the block of size k is marked by m_k, which is s
+when n - k is even and t when it is odd, and the block's factor in s and t
+is a chain: m_k times the product of 1 - m_j over the sizes j < k in the
+recurrences, and the product of m_j - 1 over j < k in the subset expansion.
+So each block's product is (q-coefficient, lower rank, m_k), and each size
+links it to the next by one factor 1 - m_k or m_k - 1, which the kernel
+applies once to the sum so far, by Horner's rule.  The marks and links are
+module constants held in kernel form.  The ranks below each rank are filled
+bottom-up, so no call recurses once per rank.  ``reciprocal_transform`` maps
+the rows of a kernel result's exponent array, so ``compare``'s routes, their
+sum and the kernel difference its verdict reads never build a term dict.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Callable
 
 from .polynomials import (
     LaurentPoly,
-    one_minus,
+    held_form,
     q_polynomial,
     q_ratio_row,
     qbinom_row,
@@ -48,9 +57,11 @@ __all__ = [
     "reciprocal_transform",
 ]
 
-_S = LaurentPoly.variable("s")
-_T = LaurentPoly.variable("t")
-_ONE = LaurentPoly.one()
+_S, _T, _ONE = map(held_form, (LaurentPoly.variable("s"), LaurentPoly.variable("t"), LaurentPoly.one()))
+# by (n - k) % 2, the mark m_k of a size-k block in a rank-n sum, and its links 1 - m_k and m_k - 1
+_MARKS = (_S, _T)
+_FALLS = tuple(held_form(_ONE - m) for m in _MARKS)
+_RISES = tuple(held_form(m - _ONE) for m in _MARKS)
 
 
 @lru_cache(maxsize=None)
@@ -103,22 +114,6 @@ def pd_product(n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _block(odd: int, size: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
-    """The factors of a block of ``size`` entries in a rank-n recurrence,
-    where ``odd`` is (n - size) % 2.
-
-    s marks the block when n - size is even and t when it is odd; the
-    marker's own factor has exponent es or et = (size - 1) // 2, the other
-    size // 2.  Returns ``marker * (1-t)^et`` and ``(1-s)^es`` for the
-    recurrences, then ``(s-1)^es`` and ``(t-1)^et`` for the subset expansion.
-    Cached, so each factor is built once.
-    """
-    short, long = (size - 1) // 2, size // 2
-    marker, es, et = (_T, long, short) if odd else (_S, short, long)
-    return marker * one_minus("t") ** et, one_minus("s") ** es, (_S - _ONE) ** es, (_T - _ONE) ** et
-
-
-@lru_cache(maxsize=None)
 def recur_B(n: int) -> LaurentPoly:
     """Bivariate polynomial for the full hyperoctahedral group via recurrence.
 
@@ -132,11 +127,10 @@ def recur_B(n: int) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     lower = list(map(recur_B, range(n)))  # bottom-up: a cold call finds every lower rank cached
-    products = [(one_minus("t") ** (n // 2) * one_minus("s") ** ((n + 1) // 2), _ONE)]
-    for size in range(1, n + 1):
-        marked, s_factor, _, _ = _block((n - size) % 2, size)
-        products.append((c_coeff(n, size), lower[n - size], marked, s_factor))
-    return sum_of_products(products)
+    sizes = range(1, n + 1)
+    products = [(c_coeff(n, k), lower[n - k], _MARKS[(n - k) % 2]) for k in sizes]
+    # the term with no block is the product of every link, (1 - s)^((n+1)//2) (1 - t)^(n//2)
+    return sum_of_products(products + [(_ONE, _ONE)], [_FALLS[(n - k) % 2] for k in sizes])
 
 
 @lru_cache(maxsize=None)
@@ -150,20 +144,12 @@ def recur_D(n: int) -> LaurentPoly:
     if n < 2:
         return LaurentPoly.one()
     lower = list(map(recur_D, range(n)))  # bottom-up, as in recur_B
-    oms = one_minus("s")
-    omt = one_minus("t")
-    pd = pd_product(n)
-    k = n // 2
-    head = oms ** ((n - 1) // 2)  # the s factor of the three leading terms
-    products = [
-        (omt ** (k + 1) * head, _ONE),
-        (2 * _T * omt**k * head, pd),
-        (_T * _T * omt ** (k - 1) * head * qint(n), pd),
-    ]
-    for size in range(1, n - 1):
-        marked, s_factor, _, _ = _block((n - size) % 2, size)
-        products.append((cd_coeff(n, size), lower[n - size], marked, s_factor))
-    return sum_of_products(products)
+    sizes = range(1, n - 1)
+    products = [(cd_coeff(n, k), lower[n - k], _MARKS[(n - k) % 2]) for k in sizes]
+    # the three terms with no block share every link, (1 - s)^((n-1)//2) (1 - t)^(n//2 - 1)
+    omt, pd = _FALLS[1], pd_product(n)
+    products += [(omt, omt), (2 * _T * omt, pd), (_T * _T * qint(n), pd)]
+    return sum_of_products(products, [_FALLS[(n - k) % 2] for k in sizes])
 
 
 def recurrence_poly(family: str, n: int) -> LaurentPoly:
@@ -187,11 +173,9 @@ def hyatt_plus(family: str, n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     row = qbinom_row(n)
-    products = []
-    for size in range(1, n + 1):
-        _, _, s_factor, t_factor = _block((n - size) % 2, size)
-        products.append((q_polynomial(row[size], comb(size, 2)), base(n - size), s_factor, t_factor))
-    return sum_of_products(products)
+    sizes = range(1, n + 1)
+    products = [(q_polynomial(row[k], comb(k, 2)), base(n - k)) for k in sizes]
+    return sum_of_products(products, [_RISES[(n - k) % 2] for k in sizes])
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +220,8 @@ def reiner_recurrence_rhs(n: int, polys: Callable[[int], LaurentPoly] = reiner_p
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    omt = one_minus("t")
-    products = [(omt ** (n + 1), _ONE)]
-    for k in range(n + 1):
-        products.append((c_coeff(n, k), polys(n - k), _T * omt**k))
-    return sum_of_products(products)
+    products = [(c_coeff(n, k), polys(n - k), _T) for k in range(n + 1)]
+    return sum_of_products(products + [(_ONE, _ONE)], [_FALLS[1]] * (n + 1))
 
 
 def reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:

@@ -24,6 +24,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the two steps of each product in the dense loop of polynomials._kronecker_sum
+_LINK_STEP = """\
+        if k < len(links):
+            total = _shifted_sum(total, 8 * width, link_index[k].tolist(), link_forms[k].coefs)
+"""
+_PRODUCT_STEP = """\
+        (a, b, *more), (ia, ib, *imore) = forms[k], indices[k]
+        packed = _pack(ia, a.coefs, width) * _pack(ib, b.coefs, width)
+        for f, index in zip(more, imore):
+            packed = _shifted_sum(packed, 8 * width, index.tolist(), f.coefs)
+        total += packed << (8 * width * shifts[k])
+"""
+
 # (name, file under src/artifact, old text, new text, the tests that must fail)
 MUTANTS = [
     (
@@ -86,8 +99,8 @@ MUTANTS = [
     (
         "the sorted path's int64 coefficient guard removed",
         "polynomials.py",
-        "not dense and (slots >= _EXP_LIMIT or bound >= 1 << 63)",
-        "not dense and slots >= _EXP_LIMIT",
+        "not dense and (links or slots >= _EXP_LIMIT or bound >= 1 << 63)",
+        "not dense and (links or slots >= _EXP_LIMIT)",
         ["tests/test_polynomials.py::test_sorted_path_at_the_int64_coefficient_bound"],
     ),
     (
@@ -113,6 +126,33 @@ MUTANTS = [
         "partial(poincare_factors, family)",
         "partial(poincare, family)",
         ["tests/test_registry.py::test_every_check_builds_its_fractions_over_factored_denominators"],
+    ),
+    (
+        "a link applied after adding product k instead of before",
+        "polynomials.py",
+        _LINK_STEP + _PRODUCT_STEP,
+        _PRODUCT_STEP + _LINK_STEP,
+        ["tests/test_polynomials.py::test_linked_sums_match_the_schoolbook_horner_rule",
+         "tests/test_polynomials.py::test_a_linked_sum_takes_one_kernel_call_and_no_product_operator",
+         "tests/test_recurrences.py::test_recurrences_keep_their_pinned_digests[B]",
+         "tests/test_recurrences.py::test_linked_sums_equal_the_whole_block_factors[12]"],
+    ),
+    (
+        "the borrow pass skipped for a factor with a negative coefficient",
+        "polynomials.py",
+        "        if least < 0:\n",
+        "        if False:\n",
+        ["tests/test_polynomials.py::test_pack_takes_no_borrow_pass_without_a_negative_coefficient",
+         "tests/test_polynomials.py::test_pack_round_trips_at_every_slot_width[False-1]",
+         "tests/test_polynomials.py::test_sum_of_products_matches_schoolbook"],
+    ),
+    (
+        "the division by i skipped in _classical",
+        "registry.py",
+        'series = series.divide_by_generator("i")',
+        "series = series",
+        ["tests/test_registry.py::test_classical_families_match_the_taylor_table[1-5]",
+         "tests/test_registry.py::test_b_alternating_corollary"],
     ),
 ]
 

@@ -9,8 +9,9 @@ form, and
 the Taylor coefficients of cos and sin at an integer multiple of u, the
 pairwise folds of q-fractions that series products and residuals equal,
 the cyclotomic split by trial division of every Φ_d of small degree, the
-recurrences' q-coefficients as the products they were first stated as, and
-the reflection law term by term.
+recurrences' q-coefficients as the products they were first stated as, the
+recurrences and the subset expansion with each block's factors in s and t
+stated whole, and the reflection law term by term.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ from artifact.polynomials import (
     LaurentPoly,
     _cyclotomic_coefficients,
     _exact_quotient,
+    one_minus,
     q_polynomial,
+    qbinom_row,
+    qint,
+    sum_of_products,
 )
-from artifact.recurrences import reciprocal_exponents
+from artifact.recurrences import c_coeff, cd_coeff, pd_product, reciprocal_exponents
 from artifact.series import TruncatedSeries
 
 
@@ -346,3 +351,61 @@ def reflect_terms(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
         (spow - es, tpow - et, qpow - eq, s0, s1, t0, t1): coef
         for (es, et, eq, s0, s1, t0, t1), coef in poly.terms.items()
     })
+
+
+_S, _T, _ONE = LaurentPoly.variable("s"), LaurentPoly.variable("t"), LaurentPoly.one()
+
+
+def block_factors(odd: int, size: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The factors in s and t of a block of ``size`` entries in a rank-n sum, where ``odd`` is (n - size) % 2.
+
+    s marks the block when n - size is even and t when it is odd; the
+    marker's own factor has exponent (size - 1) // 2, the other size // 2.
+    Returns marker * (1-t)^et and (1-s)^es for the recurrences, then
+    (s-1)^es and (t-1)^et for the subset expansion.
+    """
+    short, long = (size - 1) // 2, size // 2
+    marker, es, et = (_T, long, short) if odd else (_S, short, long)
+    return marker * one_minus("t") ** et, one_minus("s") ** es, (_S - _ONE) ** es, (_T - _ONE) ** et
+
+
+def recur_B_blocks(n: int, lower: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """The rank-n type B recurrence over the ranks ``lower`` gives, each block's factors stated whole."""
+    products = [(one_minus("t") ** (n // 2) * one_minus("s") ** ((n + 1) // 2), _ONE)]
+    for size in range(1, n + 1):
+        marked, s_factor, _, _ = block_factors((n - size) % 2, size)
+        products.append((c_coeff(n, size), lower(n - size), marked, s_factor))
+    return sum_of_products(products)
+
+
+def recur_D_blocks(n: int, lower: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """The rank-n type D recurrence (n >= 2) over the ranks ``lower`` gives, each block's factors stated whole."""
+    omt, pd, k = one_minus("t"), pd_product(n), n // 2
+    head = one_minus("s") ** ((n - 1) // 2)
+    products = [
+        (omt ** (k + 1) * head, _ONE),
+        (2 * _T * omt**k * head, pd),
+        (_T * _T * omt ** (k - 1) * head * qint(n), pd),
+    ]
+    for size in range(1, n - 1):
+        marked, s_factor, _, _ = block_factors((n - size) % 2, size)
+        products.append((cd_coeff(n, size), lower(n - size), marked, s_factor))
+    return sum_of_products(products)
+
+
+def hyatt_plus_blocks(n: int, base: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """The rank-n subset expansion (n >= 1) over the full-group ranks ``base`` gives, each block's factors stated whole."""
+    row = qbinom_row(n)
+    products = []
+    for size in range(1, n + 1):
+        _, _, s_factor, t_factor = block_factors((n - size) % 2, size)
+        products.append((q_polynomial(row[size], size * (size - 1) // 2), base(n - size), s_factor, t_factor))
+    return sum_of_products(products)
+
+
+def reiner_rhs_blocks(n: int, polys: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """t * sum_k B_(n-k)(t,q) (1-t)^k C_k(n) + (1-t)^(n+1), each (1-t)^k stated whole."""
+    omt = one_minus("t")
+    products = [(omt ** (n + 1), _ONE)]
+    products += [(c_coeff(n, k), polys(n - k), _T * omt**k) for k in range(n + 1)]
+    return sum_of_products(products)

@@ -239,6 +239,53 @@ def test_compare_checks_every_route_rank_before_running_any(capsys, group, n, me
     assert not re.search(r"^\w+: [0-9.]+s$", err, re.M)  # no route ran, so none printed its time
 
 
+def _routes_that_raise(monkeypatch):
+    import artifact.cli as cli_mod
+
+    def run(*args):
+        raise AssertionError(f"a route ran: {args}")
+
+    for name in ("poly_group", "recurrence_poly", "hyatt_plus"):
+        monkeypatch.setattr(cli_mod, name, run)
+
+
+@pytest.mark.parametrize("methods", ["recurrence,recurrence", "brute,hyatt,brute"])
+def test_compare_refuses_a_method_named_twice(capsys, monkeypatch, methods):
+    """A route compared with itself would only agree with itself."""
+    _routes_that_raise(monkeypatch)
+    code, out, err = run_cli(capsys, "compare", "--group", "B", "--n", "5", "--methods", methods)
+    assert (code, out) == (2, "")
+    assert err == f"error: --methods names {methods.split(',')[0]} twice\n"
+
+
+@pytest.mark.parametrize("methods, route", [
+    ("recurrence", "recurrence"),
+    ("hyatt", "hyatt"),
+    ("recurrence,hyatt", "recurrence and hyatt"),
+])
+def test_compare_refuses_a_closed_route_above_its_ceiling(capsys, monkeypatch, methods, route):
+    """Rank 600 is refused before any route runs, with exit 3 and a count of ranks."""
+    from artifact.cli import _CLOSED_CEILING
+
+    _routes_that_raise(monkeypatch)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare", "--group", "B", "--n", "600", "--methods", methods)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: {route} over B at rank 600 builds 601 ranks; the ceiling is rank {_CLOSED_CEILING}\n"
+
+
+def test_compare_takes_the_closed_routes_up_to_their_ceiling(capsys, monkeypatch):
+    import artifact.cli as cli_mod
+
+    ranks = []
+    monkeypatch.setattr(cli_mod, "recurrence_poly", lambda g, n: ranks.append(n) or LaurentPoly.one())
+    monkeypatch.setattr(cli_mod, "_CLOSED_CEILING", 20)
+    assert run_cli(capsys, "compare", "--group", "D", "--n", "20", "--methods", "recurrence")[0] == 0
+    assert run_cli(capsys, "compare", "--group", "D", "--n", "21", "--methods", "recurrence")[0] == 3
+    assert ranks == [20]
+
+
 # ---------------------------------------------------------------------------
 # argument and environment validation
 # ---------------------------------------------------------------------------

@@ -698,6 +698,102 @@ def test_multi_factor_sums_match_schoolbook(products):
     assert sum_of_products(products).terms == expected
 
 
+@st.composite
+def linked_sums(draw):
+    """Products from ``multi_factor_sums`` and links for ``sum_of_products``.
+
+    There is a link between each two products, or fewer (a missing link is
+    1).  A link is a constant, or one to three terms in the variables the
+    pairs spread over at offsets -2 to 2, so it may have negative exponents.
+    At random one product gets a zero factor, and every product is followed
+    by its copy with the first factor negated, the pair joined by a constant
+    link c and the product scaled by c, so the sum cancels to zero.
+    """
+    products = draw(multi_factor_sums())
+    spread = [var for var in range(NVARS) if any(len({e[var] for e in f.terms}) > 1 for p in products for f in p)]
+
+    def link():
+        if draw(st.booleans()):
+            return LaurentPoly.constant(draw(st.sampled_from([1, -1, 2, -3])))
+        exps = [tuple(draw(st.integers(-2, 2)) if var in spread else 0 for var in range(NVARS))
+                for _ in range(draw(st.integers(1, 3)))]
+        return LaurentPoly({exp: draw(st.sampled_from([1, -1, 2])) for exp in exps})
+
+    links = [link() for _ in range(draw(st.integers(0, max(len(products) - 1, 0))))]
+    if products and draw(st.booleans()):
+        k = draw(st.integers(0, len(products) - 1))
+        products[k] = (products[k][0], LaurentPoly.zero(), *products[k][2:])
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([1, -1, 2]))
+        pairs = [((c * a, *rest), (-a, *rest)) for a, *rest in products]
+        products = [p for pair in pairs for p in pair]
+        padded = links + [LaurentPoly.one()] * (len(pairs) - len(links))
+        links = [x for link in padded for x in (LaurentPoly.constant(c), link)]
+    return products, links
+
+
+def _schoolbook_horner(products, links):
+    """The linked sum from the last product down: the sum so far times the link before it, plus the product."""
+    out = {}
+    for k in reversed(range(len(products))):
+        if k < len(links):
+            out = _schoolbook_product(out, links[k].terms)
+        out = (LaurentPoly(out) + LaurentPoly(reduce(_schoolbook_product, (f.terms for f in products[k])))).terms
+    return out
+
+
+@given(linked_sums())
+@settings(max_examples=200, deadline=None)
+def test_linked_sums_match_the_schoolbook_horner_rule(drawn):
+    products, links = drawn
+    expected = _schoolbook_horner(products, links)
+    out = _kronecker_sum(products, links[:max(len(products) - 1, 0)]) if all(map(all, products)) else None
+    assert out is None or out.terms == expected  # None: a sparse box, which the kernel takes without links only
+    assert out is None or all(out.terms.values())
+    assert sum_of_products(products, links).terms == expected
+    full = links + [LaurentPoly.one()] * (len(products) - 1 - len(links))
+    assert sum_of_products(products, full + [Q, S]).terms == expected  # a link after the last product is not read
+
+
+def test_a_linked_sum_takes_one_kernel_call_and_no_product_operator(monkeypatch):
+    """A recurrence-shaped linked sum is one dense kernel call; a sparse one,
+    or one below the pair gate, is taken by Horner's rule through the operators."""
+    products = [(qint(10 + k), (1 + S * Q) ** (6 - k) * qint(20), S if k % 2 else T) for k in range(6)]
+    links = [1 - T if k % 2 else 1 - S for k in range(5)]
+    expected = _schoolbook_horner(products, links)
+    calls = []
+    kernel = polynomials._kronecker_sum
+    monkeypatch.setattr(polynomials, "_kronecker_sum", lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(LaurentPoly, "__mul__", None)  # unreachable here
+    assert sum_of_products(products, links).terms == expected
+    assert len(calls) == 1
+    monkeypatch.undo()
+    far = [(qint(3), products[0][1], LaurentPoly.monomial(1, s=10**6))]
+    assert _kronecker_sum(products + far, links) is None
+    assert sum_of_products(products + far, links).terms == _schoolbook_horner(products + far, links)
+    small = [(1 + S, 1 - T), (Q, 1 + Q), (T, T)]
+    assert sum_of_products(small, [S - 1, 1 - S]) == (1 + S) * (1 - T) + (S - 1) * (Q + Q**2 + (1 - S) * T * T)
+
+
+def test_the_recurrence_routes_apply_no_factor_coefficient_but_one(monkeypatch):
+    """compare's B and D routes at rank 14 shift-add only the marks and links,
+    whose coefficients are 1 and -1; no packed sum is multiplied by a binomial."""
+    from artifact import recurrences
+
+    seen = set()
+    shifted = polynomials._shifted_sum
+    monkeypatch.setattr(polynomials, "_shifted_sum",
+                        lambda packed, bits, index, coefs: seen.update(coefs) or shifted(packed, bits, index, coefs))
+    recurrences.recur_B.cache_clear()
+    recurrences.recur_D.cache_clear()
+    for family in "BD":
+        recurrences.recurrence_poly(family, 14)
+        recurrences.hyatt_plus(family, 14)
+    assert seen == {1, -1}
+    recurrences.recur_B.cache_clear()
+    recurrences.recur_D.cache_clear()
+
+
 @given(dense_pairs(count=3), st.sampled_from([1, -1, 2**64 + 1, -(2**130)]))
 @settings(max_examples=150, deadline=None)
 def test_kernel_results_are_operands_without_being_decoded(operands, scale):
@@ -742,6 +838,35 @@ def test_further_factors_are_bounded_by_their_coefficient_sums(monkeypatch):
 
 
 _INT64_EDGES = [-(2**63), 2**62 - 1, -(2**62 - 1), 2**62, -(2**62), 1, -1]
+
+
+@given(st.data(), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_pack_takes_no_borrow_pass_without_a_negative_coefficient(data, width):
+    """Nonnegative coefficients pack to the exact sum with no borrow pass, and
+    to what the balanced path gives the same terms beside one -1 in a slot
+    above them; mixed signs pack to the exact sum through the borrow pass.
+    Coefficients reach ±2**62 where the slot holds them."""
+    most = min(2 ** (8 * width - 2) - 1, 2**62)
+    magnitudes = st.one_of(st.integers(0, 3), st.sampled_from([most, most - 1]), st.integers(0, most))
+    size = data.draw(st.integers(1, 12))
+    index = np.array(data.draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True)), dtype=np.int64)
+    coefs = data.draw(st.lists(magnitudes, min_size=size, max_size=size))
+    assume(any(coefs))
+    bits = 8 * width
+
+    def exact(index, coefs):
+        return sum(c << (bits * int(k)) for c, k in zip(coefs, index))
+
+    packed = polynomials._pack(index, coefs, width)
+    assert packed == exact(index, coefs)
+    above = int(index.max()) + 1 + data.draw(st.integers(0, 3))
+    balanced = polynomials._pack(np.append(index, above), coefs + [-1], width)
+    assert balanced + (1 << (bits * above)) == packed
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    mixed = [s * c for s, c in zip(signs, coefs)]
+    assume(any(mixed))
+    assert polynomials._pack(index, mixed, width) == exact(index, mixed)
 
 
 @pytest.mark.parametrize("width", range(1, 18))

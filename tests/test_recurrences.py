@@ -29,10 +29,14 @@ from oracles import (
     assert_form_agrees,
     c_coeff_product,
     cd_coeff_product,
+    hyatt_plus_blocks,
     is_decoded,
     one_plus_q_run,
     qbinom_pascal,
+    recur_B_blocks,
+    recur_D_blocks,
     reflect_terms,
+    reiner_rhs_blocks,
 )
 
 S = LaurentPoly.variable("s")
@@ -106,6 +110,22 @@ def digest(poly):
 def test_recurrences_keep_their_pinned_digests(family):
     assert [digest(recurrence_poly(family, n)) for n in range(19)] == RECUR_DIGESTS[family]
     assert [digest(hyatt_plus(family, n)) for n in range(1, 13)] == HYATT_DIGESTS[family]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_linked_sums_equal_the_whole_block_factors(n):
+    """Each rank of the recurrences, the subset expansion and the unrefined
+    right side, summed with one link per block size, equals the same sum
+    with each block's factors in s and t multiplied out, over the same lower
+    ranks."""
+    assert recur_B(n) == recur_B_blocks(n, recur_B)
+    if n >= 2:
+        assert recur_D(n) == recur_D_blocks(n, recur_D)
+    if n >= 1:
+        assert hyatt_plus("B", n) == hyatt_plus_blocks(n, recur_B)
+        assert reiner_recurrence_rhs(n) == reiner_rhs_blocks(n, reiner_poly)
+    if n >= 2:
+        assert hyatt_plus("D", n) == hyatt_plus_blocks(n, recur_D)
 
 
 def test_lower_ranks_stay_undecoded_kernel_results(monkeypatch):

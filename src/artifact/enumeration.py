@@ -32,8 +32,8 @@ from math import factorial, lgamma, log, log10
 import numpy as np
 
 from .permutations import FLAVOR, array_stats, check_cutoff, family_keys, permutation_blocks, permutation_table
-from .permutations import position_bits, word_arrays
-from .polynomials import LaurentPoly, counted_polynomial
+from .permutations import even_odd_positions, position_bits, word_arrays
+from .polynomials import NVARS, LaurentPoly, exponent_image, term_sum
 
 DEFAULT_BOUNDS = {"A": 9, "B": 8, "D": 8}
 BOUND_ENV_VAR = "ARTIFACT_MAX_N"
@@ -122,7 +122,15 @@ WEIGHTS = tuple(_WEIGHT_TABLE)
 
 def weighed(stats: np.ndarray, counts: np.ndarray, weight: str) -> LaurentPoly:
     """The sum of count * x^(the weight's exponent) over int64 statistic columns (edes, odes, easc, oasc, inv)."""
-    return counted_polynomial(_WEIGHT_TABLE[weight] @ stats, counts)
+    return term_sum(_WEIGHT_TABLE[weight] @ stats, counts.tolist())
+
+
+def weight_image(poly: LaurentPoly, flavor: str, n: int, weight: str) -> LaurentPoly:
+    """A rank-n polynomial of B or D in s^edes t^odes q^inv, such as ``recur_B(n)``, in the weight's exponents: every
+    position is a descent or an ascent, so easc = E - edes and oasc = O - odes, with E even and O odd positions."""
+    table = _WEIGHT_TABLE[weight]
+    stats = np.eye(NVARS, dtype=np.int64)[[0, 1, 0, 1, 2]] * [[1], [1], [-1], [-1], [1]]  # the rows of the statistics
+    return exponent_image(poly, table @ stats, table @ [0, 0, *even_odd_positions(flavor, n), 0])
 
 
 def add_counts(totals: dict[tuple[int, ...], int], keys: np.ndarray) -> None:

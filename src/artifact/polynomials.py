@@ -40,11 +40,6 @@ def _exp_of(powers: Mapping[str, int]) -> tuple[int, ...]:
 _ZERO_EXP = (0,) * NVARS
 
 
-def _signpow(exponent: int) -> int:
-    """(-1)**exponent for any integer exponent, staying in int arithmetic."""
-    return -1 if exponent % 2 else 1
-
-
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
@@ -185,35 +180,20 @@ class LaurentPoly:
                            variable occurs with negative exponent).
         """
         idx = _var_index(name)
-        out: dict[tuple[int, ...], int] = {}
         if mode == "reciprocal":
-            return reciprocal_image(self, **{name: 0})
+            return exponent_image(self, np.diag([1 - 2 * (i == idx) for i in range(NVARS)]), _ZERO_EXP)
         if mode == "negation":
-            for exp, coef in self.terms.items():
-                out[exp] = out.get(exp, 0) + coef * _signpow(exp[idx])
-            return LaurentPoly(out)
+            return _poly({exp: -coef if exp[idx] % 2 else coef for exp, coef in self.terms.items()})
         if mode == "value":
             if value is None:
                 raise ValueError("mode 'value' requires a value")
             v = int(value)
+            out: Terms = {}
             for exp, coef in self.terms.items():
-                e = exp[idx]
-                if e < 0 and abs(v) != 1:
-                    raise ValueError(
-                        f"cannot substitute {name}={v} into a negative power"
-                    )
-                if v == 0:
-                    if e > 0:
-                        continue
-                    scaled = coef
-                elif abs(v) == 1:
-                    scaled = coef * _signpow(e) if v == -1 else coef
-                else:
-                    scaled = coef * v**e
-                new = list(exp)
-                new[idx] = 0
-                key = tuple(new)
-                out[key] = out.get(key, 0) + scaled
+                if exp[idx] < 0 and abs(v) != 1:
+                    raise ValueError(f"cannot substitute {name}={v} into a negative power")
+                key = exp[:idx] + (0,) + exp[idx + 1:]
+                out[key] = out.get(key, 0) + coef * v ** abs(exp[idx])  # a negative power only of ±1, its own inverse
             return LaurentPoly(out)
         raise ValueError(f"unknown substitution mode {mode!r}")
 
@@ -228,17 +208,9 @@ class LaurentPoly:
 
         All renames happen simultaneously, so swaps are sound.
         """
-        src = [(_var_index(a), _var_index(b)) for a, b in mapping.items()]
-        out: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
-            new = list(exp)
-            for a, _ in src:
-                new[a] = 0
-            for a, b in src:
-                new[b] += exp[a]
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coef
-        return LaurentPoly(out)
+        target = {_var_index(a): _var_index(b) for a, b in mapping.items()}
+        matrix = [[int(target.get(j, j) == i) for j in range(NVARS)] for i in range(NVARS)]  # column j: a 1 at j's target
+        return exponent_image(self, matrix, _ZERO_EXP)
 
     def coefficient(self, **powers: int) -> int:
         return self.terms.get(_exp_of(powers), 0)
@@ -285,13 +257,21 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
+        """The polynomial of ``to_json_dict``'s layout.  A name listed twice, an
+        exponent list of another length than the names, or an exponent that is
+        no integer raises ValueError."""
         names = list(data.get("vars", VARIABLES))
         positions = [_var_index(name) for name in names]
+        if len(set(names)) < len(names):
+            raise ValueError(f"a variable is listed twice in {names}")
         terms: dict[tuple[int, ...], int] = {}
         for item in data["terms"]:
+            powers = item["exp"]
+            if len(powers) != len(names) or not all(type(e) is int for e in powers):
+                raise ValueError(f"exponents {powers!r} are not one integer for each of {names}")
             exp = [0] * NVARS
-            for pos, e in zip(positions, item["exp"]):
-                exp[pos] = int(e)
+            for pos, e in zip(positions, powers):
+                exp[pos] = e
             key = tuple(exp)
             terms[key] = terms.get(key, 0) + int(item["coef"])
         return cls(terms)
@@ -401,11 +381,13 @@ def _form_of(poly: LaurentPoly) -> _Form | None:
 
 
 def held_form(poly: LaurentPoly) -> LaurentPoly:
-    """A nonzero polynomial that holds its kernel form beside its terms: for a
-    small constant the kernel reads at every call, built once."""
-    form = _form_of(poly)
-    out = _poly(dict(poly.terms))
-    out._form = form
+    """The polynomial holding its kernel form, for one the kernel reads again
+    and again: one that holds its form already, or is zero, is returned as it
+    is, and any other gets its form built once, beside its terms."""
+    if poly._form is not None or not poly.terms:
+        return poly
+    out = _poly(poly.terms)
+    out._form = _form_of(poly)
     return out
 
 
@@ -578,7 +560,9 @@ def _sorted_sum(forms: list[list[_Form]], indices: list[list[np.ndarray]], shift
             key, value = run_key, run_value
         keys.append(key + shift)
         values.append(value)
-    return _summed(np.concatenate(keys), np.concatenate(values), dims, origin)
+    slots, values = _runs(np.concatenate(keys), np.concatenate(values))
+    nonzero = np.flatnonzero(values)
+    return _decoded(slots[nonzero], values[nonzero].tolist(), dims, origin) if len(nonzero) else LaurentPoly.zero()
 
 
 def _runs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,23 +578,15 @@ def _decoded(slots: np.ndarray, coefs: list[int], dims: list[int], origin: np.nd
     return _kernel_result(np.array(np.unravel_index(slots, dims)) + origin[:, None], coefs)
 
 
-def _summed(slots: np.ndarray, values: np.ndarray, dims: list[int], origin: np.ndarray) -> LaurentPoly:
-    """The polynomial with the int64 ``values`` summed at equal slots of the box of ``_decoded``, zeros dropped."""
-    slots, values = _runs(slots, values)
-    nonzero = np.flatnonzero(values)
-    if not len(nonzero):
-        return LaurentPoly.zero()
-    return _decoded(slots[nonzero], values[nonzero].tolist(), dims, origin)
-
-
-def counted_polynomial(exps: np.ndarray, counts: np.ndarray) -> LaurentPoly:
-    """The sum of c x^e over the columns e of an int64 exponent array (one row per variable) and the int64 counts c,
-    holding only its kernel form.  Equal exponents are summed in int64, with no float; every partial sum must fit."""
-    if not counts.size:
-        return LaurentPoly.zero()
-    low = exps.min(axis=1)
-    dims = (exps.max(axis=1) - low + 1).tolist()
-    return _summed(np.ravel_multi_index(exps - low[:, None], dims), counts, dims, low)
+def term_sum(exps: np.ndarray, coefs: list[int]) -> LaurentPoly:
+    """The sum of c x^e over the columns e of an int64 exponent array (one row per variable) and the coefficients c,
+    holding only its kernel form: equal columns are summed in Python ints after a stable sort, and zeros dropped."""
+    order = np.lexsort(exps[::-1])  # the first variable's row sorts first, as in a box's slot order
+    exps, coefs = exps[:, order], [coefs[i] for i in order.tolist()]
+    starts = np.flatnonzero(np.r_[True, (exps[:, 1:] != exps[:, :-1]).any(axis=0)]).tolist()
+    sums = [sum(coefs[a:b]) for a, b in zip(starts, starts[1:] + [len(coefs)])]
+    kept = [k for k, c in enumerate(sums) if c]
+    return _kernel_result(exps[:, [starts[k] for k in kept]], [sums[k] for k in kept]) if kept else LaurentPoly.zero()
 
 
 def _shifted_sum(packed: int, bits: int, index: list[int], coefs: Iterable[int]) -> int:
@@ -703,28 +679,38 @@ def _unpack(buf: bytes, width: int, dims: list[int], origin: np.ndarray) -> Laur
     return _decoded(nonzero, coefs, dims, origin)
 
 
-def reciprocal_image(poly: LaurentPoly, **powers: int) -> LaurentPoly:
-    """The image of a polynomial under x -> 1/x for each named variable x, times x^power.
+def exponent_image(poly: LaurentPoly, matrix: Iterable[Iterable[int]], offset: Iterable[int]) -> LaurentPoly:
+    """The sum of c x^(matrix e + offset) over the terms c x^e of a polynomial, for a 7x7 integer matrix.
 
-    An exponent e of a named variable becomes power - e.  A polynomial with
-    a kernel form is mapped row by row on it and the result holds only its
-    form, so a kernel result stays undecoded; one whose exponents the kernel
-    declines is mapped term by term.
+    A kernel form's rows are mapped by one int64 matrix product, the
+    Python-int coefficients kept, and the result holds only its form.  Terms
+    are merged (``term_sum``) unless the columns of the variables the form
+    varies in are nonzero with disjoint supports, so no two can meet.  A
+    polynomial with no form, or whose image an exponent bound in Python ints
+    cannot keep below _EXP_LIMIT, is mapped term by term: int64 never wraps.
     """
-    rows = [_var_index(name) for name in powers]
-    corner = list(powers.values())
-    if _size(poly) and max(map(abs, corner), default=0) < _EXP_LIMIT and (form := _form_of(poly)):
-        exps = form.exps.copy()
-        exps[rows] = np.array(corner, dtype=np.int64)[:, None] - exps[rows]
-        if -_EXP_LIMIT < exps.min() and exps.max() < _EXP_LIMIT:
-            return _kernel_result(exps, form.coefs)
+    matrix, offset = [list(map(int, row)) for row in matrix], list(map(int, offset))
+    if len(matrix) != NVARS or {len(row) for row in matrix} != {NVARS} or len(offset) != NVARS:
+        raise ValueError(f"an exponent map needs a {NVARS}x{NVARS} matrix and {NVARS} offsets")
+    if not _size(poly):
+        return LaurentPoly.zero()
+    form = _form_of(poly)
+    if form is not None:
+        spans = list(zip(form.low.tolist(), form.high.tolist()))
+        reach = [max(abs(low), abs(high), 1) for low, high in spans]  # at least 1, so it bounds each entry too
+        if max(sum(map(mul, map(abs, row), reach)) + abs(o) for row, o in zip(matrix, offset)) < _EXP_LIMIT:
+            exps = np.array(matrix, dtype=np.int64) @ form.exps
+            exps += np.array(offset, dtype=np.int64)[:, None]
+            varied = [j for j, (low, high) in enumerate(spans) if low < high]
+            supports = [{i for i, row in enumerate(matrix) if row[j]} for j in varied]
+            if all(supports) and len(set().union(*supports)) == sum(map(len, supports)):
+                return _kernel_result(exps, form.coefs)
+            return term_sum(exps, form.coefs)
     out: Terms = {}
     for exp, coef in poly.terms.items():
-        new = list(exp)
-        for row, power in zip(rows, corner):
-            new[row] = power - new[row]
-        out[tuple(new)] = coef
-    return _poly(out)
+        key = tuple(sum(map(mul, row, exp)) + o for row, o in zip(matrix, offset))
+        out[key] = out.get(key, 0) + coef
+    return LaurentPoly(out)
 
 
 def first_difference(

@@ -19,10 +19,12 @@ recurrences, and the product of m_j - 1 over j < k in the subset expansion.
 So each block's product is (q-coefficient, lower rank, m_k), and each size
 links it to the next by one factor 1 - m_k or m_k - 1, which the kernel
 applies once to the sum so far, by Horner's rule.  The marks and links are
-module constants held in kernel form.  The ranks below each rank are filled
-bottom-up, so no call recurses once per rank.  ``reciprocal_transform`` maps
-the rows of a kernel result's exponent array, so ``compare``'s routes, their
-sum and the kernel difference its verdict reads never build a term dict.
+module constants held in kernel form, and so is every rank, including one
+below the kernel's pair gate, so no later rank builds its form again.  The
+ranks below each rank are filled bottom-up, so no call recurses once per
+rank.  ``reciprocal_transform`` is an exponent map on a kernel result's
+form (``polynomials.exponent_image``), so ``compare``'s routes, their sum
+and the kernel difference its verdict reads never build a term dict.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ from functools import lru_cache
 from math import comb
 from typing import Callable
 
+import numpy as np
+
 from .polynomials import (
     LaurentPoly,
+    exponent_image,
     held_form,
     q_polynomial,
     q_ratio_row,
     qbinom_row,
     qint,
-    reciprocal_image,
     sum_of_products,
 )
 
@@ -125,12 +129,12 @@ def recur_B(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
-        return LaurentPoly.one()
+        return _ONE
     lower = list(map(recur_B, range(n)))  # bottom-up: a cold call finds every lower rank cached
     sizes = range(1, n + 1)
     products = [(c_coeff(n, k), lower[n - k], _MARKS[(n - k) % 2]) for k in sizes]
     # the term with no block is the product of every link, (1 - s)^((n+1)//2) (1 - t)^(n//2)
-    return sum_of_products(products + [(_ONE, _ONE)], [_FALLS[(n - k) % 2] for k in sizes])
+    return held_form(sum_of_products(products + [(_ONE, _ONE)], [_FALLS[(n - k) % 2] for k in sizes]))
 
 
 @lru_cache(maxsize=None)
@@ -142,14 +146,14 @@ def recur_D(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n < 2:
-        return LaurentPoly.one()
+        return _ONE
     lower = list(map(recur_D, range(n)))  # bottom-up, as in recur_B
     sizes = range(1, n - 1)
     products = [(cd_coeff(n, k), lower[n - k], _MARKS[(n - k) % 2]) for k in sizes]
     # the three terms with no block share every link, (1 - s)^((n-1)//2) (1 - t)^(n//2 - 1)
     omt, pd = _FALLS[1], pd_product(n)
     products += [(omt, omt), (2 * _T * omt, pd), (_T * _T * qint(n), pd)]
-    return sum_of_products(products, [_FALLS[(n - k) % 2] for k in sizes])
+    return held_form(sum_of_products(products, [_FALLS[(n - k) % 2] for k in sizes]))
 
 
 def recurrence_poly(family: str, n: int) -> LaurentPoly:
@@ -245,4 +249,4 @@ def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
     and the full-group polynomial to itself.
     """
     qpow, spow, tpow = reciprocal_exponents(family, n)
-    return reciprocal_image(poly, s=spow, t=tpow, q=qpow)
+    return exponent_image(poly, np.diag([-1, -1, -1, 1, 1, 1, 1]), (spow, tpow, qpow, 0, 0, 0, 0))

@@ -154,6 +154,25 @@ MUTANTS = [
         ["tests/test_registry.py::test_classical_families_match_the_taylor_table[1-5]",
          "tests/test_registry.py::test_b_alternating_corollary"],
     ),
+    (
+        "an entry f + 1 left unraised above the table rank in permutations._fill",
+        "permutations.py",
+        "lower > f",
+        "lower > f + (n > _TABLE_RANK)",
+        ["tests/test_enumeration.py::test_histogram_equals_the_comparison_kernel[None-None]",
+         "tests/test_enumeration.py::test_histogram_equals_the_comparison_kernel[_CHUNK_WORDS-1]",
+         "tests/test_enumeration.py::test_histogram_equals_the_comparison_kernel[_BLOCK_COLUMNS-1000]",
+         "tests/test_enumeration.py::test_histogram_equals_the_comparison_kernel[_TABLE_RANK-3]",
+         "tests/test_enumeration.py::test_permutation_rows_are_in_lexicographic_order"],
+    ),
+    (
+        "term_sum, the merge of exponent_image, keeps a run's first coefficient instead of its sum",
+        "polynomials.py",
+        "sums = [sum(coefs[a:b]) for a, b in",
+        "sums = [coefs[a] for a, b in",
+        ["tests/test_polynomials.py::test_exponent_image_matches_the_term_by_term_map",
+         "tests/test_polynomials.py::test_exponent_image_of_zero_and_of_colliding_terms"],
+    ),
 ]
 
 

@@ -11,7 +11,8 @@ pairwise folds of q-fractions that series products and residuals equal,
 the cyclotomic split by trial division of every Φ_d of small degree, the
 recurrences' q-coefficients as the products they were first stated as, the
 recurrences and the subset expansion with each block's factors in s and t
-stated whole, and the reflection law term by term.
+stated whole, the reflection law term by term, and an affine exponent map
+term by term.
 """
 
 from __future__ import annotations
@@ -351,6 +352,16 @@ def reflect_terms(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:
         (spow - es, tpow - et, qpow - eq, s0, s1, t0, t1): coef
         for (es, et, eq, s0, s1, t0, t1), coef in poly.terms.items()
     })
+
+
+def exponent_image_terms(poly: LaurentPoly, matrix, offset) -> LaurentPoly:
+    """``polynomials.exponent_image`` on the term dict: each term c x^e adds c
+    at x^(matrix e + offset), in Python ints."""
+    out: dict[tuple[int, ...], int] = {}
+    for exp, coef in poly.terms.items():
+        key = tuple(sum(int(m) * e for m, e in zip(row, exp)) + int(o) for row, o in zip(matrix, offset))
+        out[key] = out.get(key, 0) + coef
+    return LaurentPoly(out)
 
 
 _S, _T, _ONE = LaurentPoly.variable("s"), LaurentPoly.variable("t"), LaurentPoly.one()

@@ -22,7 +22,9 @@ from artifact.polynomials import (
     _schoolbook_product,
     _size,
     cyclotomic,
+    exponent_image,
     first_difference,
+    held_form,
     monomial_name,
     one_minus,
     poincare,
@@ -32,7 +34,7 @@ from artifact.polynomials import (
     qint,
     sum_of_products,
 )
-from oracles import assert_form_agrees, cyclotomic_factors_by_division, is_decoded
+from oracles import assert_form_agrees, cyclotomic_factors_by_division, exponent_image_terms, is_decoded
 
 S = LaurentPoly.variable("s")
 T = LaurentPoly.variable("t")
@@ -105,6 +107,19 @@ def test_reciprocal_substitution_is_involutive(a):
 @settings(max_examples=100)
 def test_json_round_trip(a):
     assert LaurentPoly.from_json_dict(a.to_json_dict()) == a
+
+
+@pytest.mark.parametrize("data", [
+    {"vars": ["s", "t"], "terms": [{"exp": [1], "coef": "2"}]},
+    {"vars": ["s"], "terms": [{"exp": [1, 3], "coef": "2"}]},
+    {"vars": ["s", "s"], "terms": [{"exp": [1, 5], "coef": "2"}]},
+    {"vars": ["s"], "terms": [{"exp": [1.7], "coef": "2"}]},
+], ids=["exponents-short", "exponents-long", "name-repeated", "exponent-not-integer"])
+def test_json_reading_refuses_malformed_exponents(data):
+    """A short exponent list would zero the missing powers, a long one be cut,
+    a repeated name overwrite the first, and 1.7 be read as 1."""
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_dict(data)
 
 
 def test_substitutions_store_no_zero_term():
@@ -921,6 +936,93 @@ def test_value_substitution_keeps_exactness():
 def test_rename_variables_merges_terms():
     p = S * Q + T * Q
     assert p.rename_variables({"s": "t"}) == 2 * T * Q
+
+
+# ---------------------------------------------------------------------------
+# the affine exponent map
+# ---------------------------------------------------------------------------
+_IDENTITY = np.eye(NVARS, dtype=np.int64)
+
+
+@st.composite
+def exponent_maps(draw):
+    """A polynomial, a 7x7 matrix and an offset.  Its small exponents and the
+    matrix's small entries make terms collide, and often cancel; its
+    coefficients may pass 2**63, and one variable may be shifted near ±2**61,
+    where the image leaves int64's reach and is mapped term by term.  The
+    polynomial holds its terms, its terms and its form, or only its form."""
+    coefs = st.integers(-3, 3) | st.integers(1 << 63, 1 << 66) | st.integers(-(1 << 66), -(1 << 63))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * NVARS), coefs, max_size=8))
+    row = draw(st.integers(0, NVARS - 1))
+    shift = draw(st.sampled_from([0, 0, 1 << 60, -(1 << 60), polynomials._EXP_LIMIT - 3, polynomials._EXP_LIMIT]))
+    poly = LaurentPoly({exp[:row] + (exp[row] + shift,) + exp[row + 1:]: c for exp, c in terms.items()})
+    holding = draw(st.sampled_from(["terms", "both", "form"]))
+    if holding == "both":
+        poly = held_form(poly)
+    elif holding == "form":
+        poly = exponent_image(poly, _IDENTITY, [0] * NVARS)
+    entries = st.integers(-1, 2) if draw(st.booleans()) else st.sampled_from([0, 0, 0, 1])
+    matrix = draw(st.lists(st.lists(entries, min_size=NVARS, max_size=NVARS), min_size=NVARS, max_size=NVARS))
+    if draw(st.booleans()):  # a signed permutation, which merges no terms
+        order, signs = draw(st.permutations(range(NVARS))), draw(st.lists(st.sampled_from([-1, 1]), min_size=NVARS,
+                                                                          max_size=NVARS))
+        matrix = [[signs[i] * (order[i] == j) for j in range(NVARS)] for i in range(NVARS)]
+    offset = draw(st.lists(st.integers(-3, 3) | st.sampled_from([-(1 << 60), 1 << 60]), min_size=NVARS,
+                           max_size=NVARS))
+    return poly, matrix, offset
+
+
+@given(exponent_maps())
+@settings(max_examples=300, deadline=None)
+def test_exponent_image_matches_the_term_by_term_map(case):
+    poly, matrix, offset = case
+    got = exponent_image(poly, matrix, offset)
+    assert got == exponent_image_terms(poly, matrix, offset)
+    if not is_decoded(got):
+        assert_form_agrees(got)
+
+
+def test_exponent_image_of_zero_and_of_colliding_terms():
+    rename = [[int(i == (1 if j == 0 else j)) for j in range(NVARS)] for i in range(NVARS)]  # s -> t
+    assert exponent_image(LaurentPoly.zero(), rename, [0] * NVARS) == LaurentPoly.zero()
+    assert exponent_image(held_form(S - T), rename, [0] * NVARS) == LaurentPoly.zero()
+    big = (1 << 64) + 1
+    image = exponent_image(held_form(big * S * Q + big * T * Q - S), rename, [0, 0, 0, 0, 0, 0, -1])
+    assert not is_decoded(image)
+    assert image.terms == {(0, 1, 1, 0, 0, 0, -1): 2 * big, (0, 1, 0, 0, 0, 0, -1): -1}
+
+
+def test_exponent_image_past_the_int64_bound_is_exact():
+    """Images of 2**60 at 2**61, and at 2**63, which int64 would wrap, are past
+    the bound: the map goes term by term and keeps the exact Python-int exponents."""
+    poly = held_form(LaurentPoly.monomial(3, s=1 << 60) + LaurentPoly.monomial(-1, s=-(1 << 60), t=1))
+    double = 2 * _IDENTITY
+    assert exponent_image(poly, double, [0] * NVARS).terms == {
+        (1 << 61, 0, 0, 0, 0, 0, 0): 3, (-(1 << 61), 2, 0, 0, 0, 0, 0): -1,
+    }
+    assert exponent_image(poly, 8 * _IDENTITY, [0] * NVARS).terms == {
+        (1 << 63, 0, 0, 0, 0, 0, 0): 3, (-(1 << 63), 8, 0, 0, 0, 0, 0): -1,
+    }
+    with pytest.raises(ValueError):
+        exponent_image(poly, double[:3], [0] * NVARS)
+    with pytest.raises(ValueError):
+        exponent_image(poly, double, [0] * 3)
+
+
+def test_a_map_that_cannot_merge_terms_does_no_sort(monkeypatch):
+    """Nonzero columns with disjoint supports on the varied variables (the
+    reciprocal map, and s -> t where s does not vary) keep the terms as they
+    are; s -> t where both vary sorts and merges."""
+    merges = []
+    real = polynomials.term_sum
+    monkeypatch.setattr(polynomials, "term_sum", lambda exps, coefs: merges.append(1) or real(exps, coefs))
+    p = held_form((1 + S + T * Q) ** 3)
+    assert p.substitute("t", "reciprocal").substitute("q", "reciprocal") == exponent_image_terms(
+        p, np.diag([1, -1, -1, 1, 1, 1, 1]), [0] * NVARS)
+    assert held_form(S * (1 + T) ** 2).rename_variables({"s": "t"}) == T * (1 + T) ** 2
+    assert not merges
+    assert p.rename_variables({"s": "t"}) == (1 + T + T * Q) ** 3
+    assert merges == [1]
 
 
 def test_coefficient_lookup():

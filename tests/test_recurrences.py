@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact.polynomials as polynomials
-from artifact.enumeration import poly_group
+from artifact.enumeration import WEIGHTS, poly_group, weight_image
 from artifact.polynomials import LaurentPoly, one_minus, poincare, q_ratio_row, qbinom, qfact
 from artifact.recurrences import (
     c_coeff,
@@ -144,6 +144,32 @@ def test_lower_ranks_stay_undecoded_kernel_results(monkeypatch):
         assert_form_agrees(recur_B(k))
     assert [digest(recur_B(k)) for k in range(13)] == RECUR_DIGESTS["B"][:13]
     recur_B.cache_clear()
+
+
+def test_every_rank_builds_its_kernel_form_once(monkeypatch):
+    """A rank below the kernel's pair gate comes back from the operators as a
+    term dict and is held with its form, so a cold recur_B(14) builds each
+    such form once (50 builds when later ranks rebuilt them) and no other."""
+    built = []
+    exponent_array = polynomials._exponent_array
+    monkeypatch.setattr(polynomials, "_exponent_array", lambda terms: built.append(1) or exponent_array(terms))
+    recur_B.cache_clear()
+    c_coeff.cache_clear()  # a q-coefficient whose terms an earlier caller read holds no form either
+    recur_B(14)
+    ranks = [recur_B(n) for n in range(1, 15)]  # rank 0 is a module constant, held at import
+    assert all(p._form is not None for p in ranks)
+    assert 0 < len(built) == sum(map(is_decoded, ranks)) <= 5
+    recur_B.cache_clear()
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+def test_the_recurrences_map_to_every_weight(weight):
+    """easc = E - edes and oasc = O - odes, with E and O the even and odd
+    positions, so each weight of B and D is an exponent map of recur_B and
+    recur_D, at every rank from 0 to 7."""
+    for family, recur in (("B", recur_B), ("D", recur_D)):
+        for n in range(8):
+            assert weight_image(recur(n), family, n, weight) == poly_group(family, n, weight), (family, n)
 
 
 def test_recurrence_poly_dispatch():

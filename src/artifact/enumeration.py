@@ -272,7 +272,7 @@ def _histogram(flavor: str, n: int) -> np.ndarray:
     step through a Gray code.
     """
     length = _inv_bins(flavor, n) << (n + 1)
-    free = {"A": 0, "B": n, "D": n - 1}[flavor]  # sign bits that run freely
+    free = _sign_bits(flavor, n)  # sign bits that run freely
     total = np.zeros(length, dtype=np.int64)
     for perms in permutation_blocks(n, _BLOCK_COLUMNS):
         const, coef = _key_coefficients(flavor, n, perms)

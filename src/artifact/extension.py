@@ -7,12 +7,14 @@ is a sum of components indexed by squarefree generator products (bitmask);
 multiplication reduces repeated generators through their squares, so elements
 are always in reduced normal form.
 
-Fractions pair an extension-element numerator with a univariate-q polynomial
-denominator whose constant term is nonzero, held factored.  A Poincaré
-denominator arrives as the multiplicities of its cyclotomic factors, which
-its q-integers give; one given as a polynomial is held as its integer content
-times its whole primitive part.  Sums and equality go over the lcm of the
-denominators; no numerator is ever divided by a polynomial.
+Fractions pair an extension-element numerator with a denominator in q held
+factored: a positive integer content times cyclotomic polynomials Φ_d(q).  A
+denominator is given as an integer, as the Φ_d multiplicities that the
+q-integers of a Poincaré polynomial give, or as a polynomial that is such a
+product, found by trial division; any other polynomial is refused.  Every
+operation stays inside such denominators, q = value included, which leaves
+an integer.  Sums and equality go over the lcm of the denominators; no
+numerator is ever divided by a polynomial.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Iterator, Mapping
 
-from .polynomials import LaurentPoly, cyclotomic, one_minus, sum_of_products
+from .polynomials import LaurentPoly, cyclotomic, cyclotomic_multiplicities, one_minus, sum_of_products
 
 
 _s0, _s1, _t0, _t1 = map(LaurentPoly.variable, ("s0", "s1", "t0", "t1"))
@@ -178,15 +180,9 @@ class ExtElement:
             out[mask ^ bit] = poly
         return ExtElement(out)
 
-    def substitute(self, name: str, mode: str, value: int | None = None) -> "ExtElement":
-        """Variable substitution applied componentwise.
-
-        Sound whenever the substituted variable does not appear in the square
-        of any generator the element carries (e.g. q never does).
-        """
-        return ExtElement(
-            {m: p.substitute(name, mode, value) for m, p in self.parts.items()}
-        )
+    def at_q(self, value: int) -> "ExtElement":
+        """The element at q = value, componentwise: no generator's square holds q."""
+        return ExtElement({m: p.substitute("q", "value", value) for m, p in self.parts.items()})
 
     # ------------------------------------------------------------------
     # presentation
@@ -208,32 +204,18 @@ class ExtElement:
         return f"ExtElement({self})"
 
 
-def _is_q_only(poly: LaurentPoly) -> bool:
-    return all(
-        all(e == 0 for i, e in enumerate(exp) if i != 2) for exp in poly.terms
-    )
-
-
 # A denominator is held as its positive integer content times a product of
-# primitive factors, each with positive constant term.  A factor multiset is a
-# frozenset of (factor, multiplicity) pairs; a factor is d for Φ_d(q), or, for
-# a denominator given as a polynomial, the sorted (q-exponent, coefficient)
-# pairs of its primitive part, a rest kept whole.
+# cyclotomic polynomials: a factor multiset is a frozenset of (d, multiplicity)
+# pairs, d standing for Φ_d(q).
 Factors = frozenset
-
-
-def _factor_poly(factor) -> LaurentPoly:
-    if isinstance(factor, int):
-        return cyclotomic(factor)
-    return LaurentPoly({(0, 0, e, 0, 0, 0, 0): c for e, c in factor})
 
 
 @lru_cache(maxsize=1024)
 def _expand(factors: Factors) -> LaurentPoly:
     """The product of a factor multiset."""
     out = LaurentPoly.one()
-    for factor, k in factors:
-        out = out * _factor_poly(factor) ** k
+    for d, k in factors:
+        out = out * cyclotomic(d) ** k
     return out
 
 
@@ -244,10 +226,6 @@ def _merge(a: Factors, b: Factors, op) -> Factors:
     return frozenset(out.items())
 
 
-def _has_rest(factors: Factors) -> bool:
-    return any(not isinstance(f, int) for f, _ in factors)
-
-
 def _lift(content: int, fac: Factors, to_content: int, to_fac: Factors) -> LaurentPoly:
     """The factor that takes content * prod fac to its multiple to_content * prod to_fac."""
     have = dict(fac)
@@ -256,45 +234,40 @@ def _lift(content: int, fac: Factors, to_content: int, to_fac: Factors) -> Laure
 
 
 class QFraction:
-    """numerator / (univariate-q denominator with nonzero constant term).
+    """numerator / (integer content times cyclotomic polynomials in q).
 
     The denominator is held factored, as the positive integer ``content``
     times the factor multiset ``fac``, and ``den`` is derived from the two.
-    A denominator given as Φ_d multiplicities (d, k), as ``poincare_factors``
-    builds them, is taken as it is; one given as an integer or a polynomial
-    is held as its content times its primitive part, kept whole as one rest.
-    Sums are taken over the lcm of the two denominators (largest
-    multiplicities, lcm of the contents) and products add multiplicities; the
-    numerator is never divided by a polynomial, and numerator and denominator
-    share no integer content.
+    It is given as a nonzero integer, as Φ_d multiplicities (d, k), as
+    ``poincare_factors`` builds them, or as a polynomial that is an integer
+    times such factors; any other polynomial is refused.  Sums are
+    taken over the lcm of the two denominators (largest multiplicities, lcm
+    of the contents) and products add multiplicities; the numerator is never
+    divided by a polynomial, and numerator and denominator share no integer
+    content.
 
     ``path`` is the multiset that plain cross-multiplication, which puts a sum
     over the product of unequal denominators, would have built.  The
     cross-multiplied fraction is this one times prod fac^(path - fac) over
     itself, with the same content (Gauss's lemma), and that is the form that
-    ``str`` prints and that ``substitute`` on q works on.
+    ``str`` prints and that ``at_q`` works on.
     """
 
     __slots__ = ("num", "content", "fac", "path")
 
-    def __init__(self, num, den: LaurentPoly | int | Factors = 1):
+    def __init__(self, num, den: int | Factors | LaurentPoly = 1):
         num = ExtElement.coerce(num)
         if isinstance(den, Factors):
-            self._assign(num, 1, den, den)
-            return
-        if isinstance(den, int):
-            den = LaurentPoly.constant(den)
-        if den.is_zero or not _is_q_only(den):
-            raise ValueError("denominator must be a nonzero q-only polynomial")
-        if den.coefficient() == 0:
-            raise ValueError("denominator constant term must be nonzero")
-        if den.coefficient() < 0:
-            den = -den
-            num = -num
-        content = gcd(*den.terms.values())
-        rest = tuple(sorted((exp[2], c // content) for exp, c in den.terms.items()))
-        fac = Factors() if rest == ((0, 1),) else Factors({(rest, 1)})
-        self._assign(num, content, fac, fac)
+            den, fac = 1, den
+        elif isinstance(den, LaurentPoly):
+            den, fac = cyclotomic_multiplicities(den)
+        elif not isinstance(den, int):
+            raise ValueError(f"a denominator is an int, Φ_d multiplicities or a polynomial, not a {type(den).__name__}")
+        elif den == 0:
+            raise ValueError("a denominator must be nonzero")
+        else:
+            fac = Factors()
+        self._assign(num if den > 0 else -num, abs(den), fac, fac)
 
     def _assign(self, num: ExtElement, content: int, fac: Factors, path: Factors) -> None:
         if content > 1:
@@ -377,16 +350,8 @@ class QFraction:
         except TypeError:
             return NotImplemented
         # cross-multiplication keeps a denominator that both terms share
-        if self.content != other.content:
-            path = _merge(self.path, other.path, add)
-        elif self.path == other.path:
+        if self.content == other.content and self.path == other.path:
             path = self.path
-        elif (_has_rest(self.path) or _has_rest(other.path)) and _expand(self.path) == _expand(other.path):
-            # Rests may share factors, so different multisets can expand to
-            # one denominator: add in the cross-multiplied form.
-            return QFraction._make(
-                self._crossed()[0] + other._crossed()[0], self.content, self.path, self.path
-            )
         else:
             path = _merge(self.path, other.path, add)
         content = lcm(self.content, other.content)
@@ -427,15 +392,15 @@ class QFraction:
         The sum is taken over the lcm of the products' denominators at once:
         each product's numerator is scaled once, straight to that lcm, and
         each component of the result is one ``sum_of_products`` of
-        polynomials.  Without a rest, and with every content 1
-        or every path empty, the fold's ``path`` follows from the products'
-        multisets alone, kept when equal and added otherwise.  For any other
-        operands the sum is the fold itself.
+        polynomials.  With every content 1 or every path empty, the fold's
+        ``path`` follows from the products' multisets alone, kept when equal
+        and added otherwise.  For any other operands the sum is the fold
+        itself.
         """
         if len(pairs) < 2:  # the fold adds a lone product to zero, which leaves it as it is
             return pairs[0][0] * pairs[0][1] if pairs else _ZERO
         paths = [f.path for pair in pairs for f in pair]
-        if any(map(_has_rest, paths)) or (any(paths) and any(f.content > 1 for pair in pairs for f in pair)):
+        if any(paths) and any(f.content > 1 for pair in pairs for f in pair):
             return sum((a * b for a, b in pairs), QFraction.zero())
         facs = [_merge(a.fac, b.fac, add) for a, b in pairs]
         contents = [a.content * b.content for a, b in pairs]
@@ -458,11 +423,10 @@ class QFraction:
     def divide_by_generator(self, name: str) -> "QFraction":
         return QFraction._make(self.num.divide_by_generator(name), self.content, self.fac, self.path)
 
-    def substitute(self, name: str, mode: str, value: int | None = None) -> "QFraction":
-        if name != "q":
-            return QFraction._make(self.num.substitute(name, mode, value), self.content, self.fac, self.path)
+    def at_q(self, value: int) -> "QFraction":
+        """The fraction at q = value, over the integer its cross-multiplied denominator takes there."""
         num, den = self._crossed()
-        return QFraction(num.substitute(name, mode, value), den.substitute(name, mode, value))
+        return QFraction(num.at_q(value), den.substitute("q", "value", value).coefficient())
 
     def __str__(self) -> str:
         num, den = self._crossed()

@@ -175,15 +175,12 @@ class LaurentPoly:
         """Substitute one variable.
 
         mode 'reciprocal': x -> 1/x (negates that exponent).
-        mode 'negation':   x -> -x.
         mode 'value':      x -> value (an integer; |value| must be 1 when the
                            variable occurs with negative exponent).
         """
         idx = _var_index(name)
         if mode == "reciprocal":
             return exponent_image(self, np.diag([1 - 2 * (i == idx) for i in range(NVARS)]), _ZERO_EXP)
-        if mode == "negation":
-            return _poly({exp: -coef if exp[idx] % 2 else coef for exp, coef in self.terms.items()})
         if mode == "value":
             if value is None:
                 raise ValueError("mode 'value' requires a value")
@@ -892,3 +889,26 @@ def cyclotomic(d: int) -> LaurentPoly:
     if d < 1:
         raise ValueError("cyclotomic requires d >= 1")
     return q_polynomial(_cyclotomic_coefficients(d) if d > 1 else (-1, 1))
+
+
+def cyclotomic_multiplicities(poly: LaurentPoly) -> tuple[int, frozenset[tuple[int, int]]]:
+    """(c, m) with poly = c * prod Φ_d(q)^k over the pairs (d, k) of m, each d >= 2.
+
+    Trial division from d = 2 up: Φ_d has degree φ(d) >= sqrt(d / 2), so no d
+    past twice the square of the degree left divides.  A polynomial that is
+    not an integer times such factors raises ValueError.
+    """
+    if not poly or any(e for exp in poly.terms for i, e in enumerate(exp) if i != 2 or e < 0):
+        raise ValueError(f"{poly} is no polynomial in q")
+    coefs = [poly.coefficient(q=e) for e in range(max(exp[2] for exp in poly.terms) + 1)]
+    mult, d = Counter(), 2
+    while len(coefs) > 1 and d <= 2 * (len(coefs) - 1) ** 2:
+        quotient = _exact_quotient(coefs, _cyclotomic_coefficients(d))
+        if quotient is None:
+            d += 1
+        else:
+            coefs = quotient
+            mult[d] += 1
+    if len(coefs) > 1:
+        raise ValueError(f"{poly} is not an integer times cyclotomic polynomials Φ_d(q), d >= 2")
+    return coefs[0], frozenset(mult.items())

@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .permutations import even_odd_positions
 from .polynomials import (
     LaurentPoly,
     exponent_image,
@@ -232,13 +233,17 @@ def reciprocal_exponents(family: str, n: int) -> tuple[int, int, int]:
     """(q power, s power, t power) prefactor exponents for the reciprocity laws.
 
     They are also the constant sums of inv, edes and odes over a word and its
-    entrywise negation, which the sign-flip laws state.
+    entrywise negation, which the sign-flip laws state: inv sums to the
+    longest length, and edes and odes to the even and the odd descent
+    positions, each a descent of exactly one of the two words.
     """
     if family == "B":
-        return n * n, (n + 1) // 2, n // 2
-    if family == "D":
-        return n * (n - 1), (n - 1) // 2, n // 2 + 1
-    raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
+        longest = n * n
+    elif family == "D":
+        longest = n * (n - 1)
+    else:
+        raise ValueError(f"unknown family {family!r}; expected 'B' or 'D'")
+    return (longest, *even_odd_positions(family, n))
 
 
 def reciprocal_transform(family: str, n: int, poly: LaurentPoly) -> LaurentPoly:

@@ -275,7 +275,7 @@ def _classical(family: str, scale, order: int) -> TruncatedSeries:
     series = series_make(family, scale, order)
     if family.startswith("sin_"):
         series = series.divide_by_generator("i")
-    return series.substitute("q", "value", 1)
+    return series.at_q(1)
 
 
 def _hyperbolic_kit(scale, order: int, family: str) -> dict:
@@ -368,8 +368,8 @@ _register(
 def _chk_b_biv_q1(order: int) -> dict:
     # setting q to 1 turns the group normalizers into 2^n n!, and the closed
     # forms collapse to classical hyperbolic fractions evaluated at u/2
-    lhs_even = _egf("B", "biv", "even", order).substitute("q", "value", 1)
-    lhs_odd = _egf("B", "biv", "odd", order).substitute("q", "value", 1)
+    lhs_even = _egf("B", "biv", "even", order).at_q(1)
+    lhs_odd = _egf("B", "biv", "odd", order).at_q(1)
     half = QFraction(1, 2)
     cosh_h = _classical("cosh_q", GEN_M, order).scale_u(half)
     sinh_h = _classical("sinh_q", GEN_M, order).scale_u(half)
@@ -432,7 +432,7 @@ def _chk_b_alt_corollary(order: int) -> dict:
     # both sides here are ordinary (n!) exponential generating functions: at
     # q = 1 the egf's denominators are 2^n n!, and u -> 2u leaves n!
     def lhs_at(to_t: bool) -> TruncatedSeries:
-        return _egf("B", "hat", "all", order, to_t=to_t).substitute("q", "value", 1).scale_u(2)
+        return _egf("B", "hat", "all", order, to_t=to_t).at_q(1).scale_u(2)
 
     lhs = lhs_at(False)
     one = TruncatedSeries.one(order)
@@ -1042,7 +1042,7 @@ def _snake_counts(group: str, max_n: int) -> list[int]:
 def _counts_egf(counts: list[int], parity: str, start: int) -> TruncatedSeries:
     """Sum of counts[n] u^n / n! over the ranks of ``parity`` from ``start``."""
     return series_from_polys(lambda n: LaurentPoly.constant(counts[n]), partial(poincare_factors, "A"),
-                             parity, len(counts) - 1, start=start).substitute("q", "value", 1)
+                             parity, len(counts) - 1, start=start).at_q(1)
 
 
 @_register(

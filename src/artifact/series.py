@@ -157,10 +157,9 @@ class TruncatedSeries:
             self.order, [c.divide_by_generator(name) for c in self.coeffs]
         )
 
-    def substitute(self, name: str, mode: str, value: int | None = None) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, [c.substitute(name, mode, value) for c in self.coeffs]
-        )
+    def at_q(self, value: int) -> "TruncatedSeries":
+        """Every coefficient at q = value."""
+        return TruncatedSeries(self.order, [c.at_q(value) for c in self.coeffs])
 
     # ------------------------------------------------------------------
     # presentation
@@ -232,15 +231,15 @@ def series_make(family: str, scale=1, order: int = DEFAULT_ORDER) -> TruncatedSe
 
 def series_from_polys(
     polys: Callable[[int], LaurentPoly | ExtElement],
-    denom: Callable[[int], LaurentPoly | frozenset],
+    denom: Callable[[int], int | frozenset],
     parity: str,
     order: int = DEFAULT_ORDER,
     start: int | None = None,
 ) -> TruncatedSeries:
     """Series whose u**n coefficient is polys(n)/denom(n) for n of the given parity.
 
-    A denominator is a polynomial or, as ``poincare_factors`` gives it, the
-    multiplicities of its cyclotomic factors.
+    A denominator is an int or, as ``poincare_factors`` gives it, the Φ_d
+    multiplicities of a product of cyclotomic polynomials.
 
     `start` is the first u-power included (defaults to 0, or 1 for parity
     "odd"); some of the generating functions in play deliberately omit their

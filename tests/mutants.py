@@ -3,7 +3,8 @@
 Each mutant replaces one text, which must occur exactly once in its file, in
 a copy of ``src/``.  The tests named for it must all pass on the clean tree
 and all fail on the mutated copy.  The names are those CHANGES.md records
-for the mutation.  pytest does not collect this file; run it from anywhere:
+for the mutation.  The clean tree and the mutants take turns on two pytest
+processes at once.  pytest does not collect this file; run it from anywhere:
 
     python3 tests/mutants.py
 
@@ -20,9 +21,12 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # pytest processes at once: the clean tree and the mutants share them
 
 # the two steps of each product in the dense loop of polynomials._kronecker_sum
 _LINK_STEP = """\
@@ -46,6 +50,13 @@ MUTANTS = [
         "            path = _merge(path, step, add)\n",
         ["tests/test_extension.py::test_sum_of_products_keeps_a_path_that_repeats",
          "tests/test_extension.py::test_sum_of_products_equals_the_pairwise_fold"],
+    ),
+    (
+        "equal paths kept over unequal contents in QFraction.__add__",
+        "extension.py",
+        "if self.content == other.content and self.path == other.path:",
+        "if self.path == other.path:",
+        ["tests/test_extension.py::test_sum_of_products_folds_where_contents_or_rests_decide_the_path"],
     ),
     (
         "the lcm of the contents replaced by max in QFraction.sum_of_products",
@@ -121,11 +132,12 @@ MUTANTS = [
          "tests/test_registry.py::test_every_series_check_passes_at_order_one"],
     ),
     (
-        "_egf left on polynomial Poincaré denominators",
-        "registry.py",
-        "partial(poincare_factors, family)",
-        "partial(poincare, family)",
-        ["tests/test_registry.py::test_every_check_builds_its_fractions_over_factored_denominators"],
+        "a repeated cyclotomic factor counted once in cyclotomic_multiplicities",
+        "polynomials.py",
+        "mult[d] += 1",
+        "mult[d] = 1",
+        ["tests/test_extension.py::test_a_polynomial_denominator_is_taken_as_its_cyclotomic_factors",
+         "tests/test_polynomials.py::test_cyclotomic_multiplicities_agree_with_the_division_oracle"],
     ),
     (
         "a link applied after adding product k instead of before",
@@ -212,6 +224,17 @@ def outcomes(src: Path, tests: list[str]) -> dict[str, str]:
         return out
 
 
+def replay(tmp: Path, index: int) -> list[str]:
+    """The tests named for mutant ``index`` that do not fail on its mutated copy of ``src/``."""
+    _, file, old, new, tests = MUTANTS[index]
+    src = tmp / str(index) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "artifact" / file
+    path.write_text(path.read_text().replace(old, new))
+    got = outcomes(src, tests)
+    return [f"{test} {got.get(test, 'did not run')}" for test in tests if got.get(test) != "failed"]
+
+
 def main() -> int:
     started = time.perf_counter()
     problems = []
@@ -224,22 +247,16 @@ def main() -> int:
         return 1
 
     named = sorted({test for *_, tests in MUTANTS for test in tests})
-    clean = outcomes(ROOT / "src", named)
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(WORKERS) as pool:
+        clean = pool.submit(outcomes, ROOT / "src", named)
+        missed = pool.map(partial(replay, Path(tmp)), range(len(MUTANTS)))
+        for (name, *_, tests), misses in zip(MUTANTS, missed):
+            problems.extend(f"{name}: {miss}" for miss in misses)
+            print(f"{'caught' if not misses else 'MISSED'}: {name} ({len(tests) - len(misses)}/{len(tests)} tests fail)")
+        clean = clean.result()
     for test in named:
         if clean.get(test) != "passed":
             problems.append(f"clean tree: {test} {clean.get(test, 'did not run')}")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, file, old, new, tests in MUTANTS:
-            src = Path(tmp) / "src"
-            shutil.rmtree(src, ignore_errors=True)
-            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-            path = src / "artifact" / file
-            path.write_text(path.read_text().replace(old, new))
-            got = outcomes(src, tests)
-            missed = [f"{test} {got.get(test, 'did not run')}" for test in tests if got.get(test) != "failed"]
-            problems.extend(f"{name}: {miss}" for miss in missed)
-            print(f"{'caught' if not missed else 'MISSED'}: {name} ({len(tests) - len(missed)}/{len(tests)} tests fail)")
 
     print("\n".join(problems))
     print(f"{len(MUTANTS)} mutants, {len(problems)} problems, {time.perf_counter() - started:.1f}s")

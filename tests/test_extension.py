@@ -19,8 +19,6 @@ from artifact.extension import (
     ExtElement,
     QFraction,
     _expand,
-    _has_rest,
-    _is_q_only,
 )
 from artifact.polynomials import LaurentPoly, cyclotomic, one_minus, poincare, poincare_factors, qfact, qint
 from artifact.series import TruncatedSeries, first_residual
@@ -111,8 +109,7 @@ def test_divide_by_generator_rejects_free_part():
 
 def test_ext_substitution_reaches_all_parts():
     elem = ExtElement.coerce(S * Q) + ExtElement.coerce(T * Q) * GEN_I
-    shifted = elem.substitute("q", "negation")
-    assert shifted == ExtElement.coerce(-1 * S * Q) + ExtElement.coerce(-1 * T * Q) * GEN_I
+    assert elem.at_q(-1) == ExtElement.coerce(-1 * S) + ExtElement.coerce(-1 * T) * GEN_I
 
 
 def test_foreign_types_are_rejected_not_crashed():
@@ -136,56 +133,8 @@ def test_rejected_operands_are_named_by_type_not_rendered(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fractions with q-only denominators
+# fractions over factored denominators in q
 # ---------------------------------------------------------------------------
-def test_qfraction_cross_multiplied_equality():
-    half_ish = QFraction(1 + Q, qint(2))  # (1+q)/(1+q)
-    assert half_ish == QFraction(1, 1)
-    assert QFraction(S * (1 + Q), 1 + Q) == QFraction(S, 1)
-
-
-@given(small_polys, st.integers(1, 3), st.integers(1, 3))
-@settings(max_examples=100)
-def test_qfraction_common_factor_cancels(a, i, j):
-    num = ExtElement.coerce(a)
-    assert QFraction(num * qint(i), qint(j) * qint(i)) == QFraction(num, qint(j))
-
-
-def test_qfraction_denominator_must_be_q_only():
-    with pytest.raises(ValueError):
-        QFraction(1, S)
-
-
-def test_qfraction_denominator_must_be_nonzero():
-    with pytest.raises(ValueError):
-        QFraction(1, 0)
-
-
-def test_qfraction_arithmetic():
-    a = QFraction(1, qint(2))
-    b = QFraction(Q, qint(2))
-    assert a + b == QFraction(1 + Q, 1 + Q) == QFraction(1, 1)
-    assert a * b == QFraction(Q, (1 + Q) ** 2)
-    assert a - a == QFraction(0, 1)
-
-
-def test_qfraction_substitute_value():
-    frac = QFraction(S * (1 + Q), qint(3))
-    at_one = frac.substitute("q", "value", 1)
-    assert at_one == QFraction(2 * S, 3)
-
-
-def test_qfraction_divide_by_generator():
-    frac = QFraction(ExtElement.coerce(T) * GEN_I, qint(2))
-    assert frac.divide_by_generator("i") == QFraction(T, qint(2))
-
-
-def test_qfraction_integer_scalars_coerce():
-    assert QFraction.coerce(3) == QFraction(3, 1)
-    assert QFraction.coerce(Q) == QFraction(Q, 1)
-    assert QFraction(6, 4) == QFraction(3, 2)
-
-
 def factored(poly: LaurentPoly) -> frozenset:
     """The Φ_d multiplicities of a product of cyclotomic polynomials, found by trial division."""
     content, mult, rest = cyclotomic_factors_by_division(poly)
@@ -201,6 +150,58 @@ def over(frac, num, den):
     return frac(num, den)
 
 
+def test_qfraction_cross_multiplied_equality():
+    half_ish = QFraction(1 + Q, factored(qint(2)))  # (1+q)/(1+q)
+    assert half_ish == QFraction(1, 1)
+    assert QFraction(S * (1 + Q), factored(1 + Q)) == QFraction(S, 1)
+
+
+@given(small_polys, st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=100)
+def test_qfraction_common_factor_cancels(a, i, j):
+    num = ExtElement.coerce(a)
+    assert QFraction(num * qint(i), factored(qint(j) * qint(i))) == QFraction(num, factored(qint(j)))
+
+
+def test_qfraction_denominator_must_be_q_only():
+    with pytest.raises(ValueError):
+        QFraction(1, S)
+
+
+def test_qfraction_denominator_must_be_nonzero():
+    with pytest.raises(ValueError):
+        QFraction(1, 0)
+
+
+def test_qfraction_arithmetic():
+    a = QFraction(1, factored(qint(2)))
+    b = QFraction(Q, factored(qint(2)))
+    assert a + b == QFraction(1 + Q, factored(1 + Q)) == QFraction(1, 1)
+    assert a * b == QFraction(Q, factored((1 + Q) ** 2))
+    assert a - a == QFraction(0, 1)
+
+
+def test_qfraction_substitute_value():
+    frac = QFraction(S * (1 + Q), factored(qint(3)))
+    assert frac.at_q(1) == QFraction(2 * S, 3)
+    assert frac.at_q(-1).is_zero
+    at_two = frac.at_q(2)  # 3s over [3] at q = 2, which is 7
+    assert (at_two.num, at_two.content, at_two.fac, at_two.path) == (ExtElement.coerce(3 * S), 7, frozenset(), frozenset())
+    with pytest.raises(ValueError):
+        QFraction(S, factored(1 + Q)).at_q(-1)  # the denominator vanishes there
+
+
+def test_qfraction_divide_by_generator():
+    frac = QFraction(ExtElement.coerce(T) * GEN_I, factored(qint(2)))
+    assert frac.divide_by_generator("i") == QFraction(T, factored(qint(2)))
+
+
+def test_qfraction_integer_scalars_coerce():
+    assert QFraction.coerce(3) == QFraction(3, 1)
+    assert QFraction.coerce(Q) == QFraction(Q, 1)
+    assert QFraction(6, 4) == QFraction(3, 2)
+
+
 def test_qfraction_keeps_its_denominator_factored():
     frac = over(QFraction, S, (2, poincare_factors("B", 2))) + QFraction(T, factored(qint(6)))
     assert frac.content == 2
@@ -210,20 +211,34 @@ def test_qfraction_keeps_its_denominator_factored():
     assert frac.den.coefficient(q=8) == 2
 
 
-def test_a_polynomial_denominator_is_its_content_times_one_whole_rest():
-    """Nothing is factored out of a polynomial: even its cyclotomic factors stay in the rest."""
-    rest = (1 + 2 * Q) * (3 + Q * Q) * (Q - 1)  # a negative constant term: the sign moves to the numerator
-    frac = QFraction(S, 6 * qint(4) * rest)
-    assert (frac.num, frac.content) == (ExtElement.coerce(-S), 6)
-    assert frac.fac == frac.path and len(frac.fac) == 1 and frac.den == -6 * qint(4) * rest
-    laurent = QFraction(S, 2 + 2 * LaurentPoly.variable("q", -1))
-    assert laurent.content == 2 and dict(laurent.fac) == {((-1, 1), (0, 1)): 1}
-    assert not QFraction(S, 6).fac and not QFraction(S, poincare_factors("D", 1)).fac
+def test_a_polynomial_denominator_is_taken_as_its_cyclotomic_factors():
+    """A polynomial denominator is split into its content and Φ_d multiplicities;
+    one that is no such product is refused, so no fraction holds anything else."""
+    taken = (
+        (qint(4), S, 1, factored(qint(4))),
+        (LaurentPoly.constant(6), S, 6, frozenset()),
+        (-3 * poincare("B", 2), -S, 3, poincare_factors("B", 2)),  # the sign moves to the numerator
+    )
+    for den, num, content, fac in taken:
+        frac = QFraction(S, den)
+        assert (frac.num, frac.content, frac.fac, frac.path) == (ExtElement.coerce(num), content, fac, fac)
+    # Φ_1 = q - 1 is no factor that the split takes, so 1 - q is refused too
+    laurent = 2 + 2 * LaurentPoly.variable("q", -1)
+    for den in ((1 + 2 * Q) * (1 + Q), Q * qint(3), 1 - Q, laurent, LaurentPoly.zero()):
+        with pytest.raises(ValueError):
+            QFraction(S, den)
+    negative = QFraction(S, -6)
+    assert (negative.num, negative.content, negative.fac) == (ExtElement.coerce(-S), 6, frozenset())
+    assert not QFraction(S, poincare_factors("D", 1)).fac
 
 
 # ---------------------------------------------------------------------------
 # the cross-multiplying fraction, kept as the reference oracle
 # ---------------------------------------------------------------------------
+def _is_q_only(poly: LaurentPoly) -> bool:
+    return all(e == 0 for exp in poly.terms for i, e in enumerate(exp) if i != 2)
+
+
 class CrossQFraction:
     """The fraction that factored denominators replaced: sums cross-multiply."""
 
@@ -287,9 +302,8 @@ class CrossQFraction:
     def divide_by_generator(self, name):
         return CrossQFraction(self.num.divide_by_generator(name), self.den)
 
-    def substitute(self, name, mode, value=None):
-        den = self.den.substitute(name, mode, value) if name == "q" else self.den
-        return CrossQFraction(self.num.substitute(name, mode, value), den)
+    def at_q(self, value):
+        return CrossQFraction(self.num.at_q(value), self.den.substitute("q", "value", value))
 
     def __str__(self):
         if self.den == LaurentPoly.one():
@@ -297,23 +311,18 @@ class CrossQFraction:
         return f"({self.num}) / ({self.den})"
 
 
-ONE_PLUS_2Q = 1 + 2 * Q
-THREE_PLUS_Q2 = 3 + Q * Q
-# factored cyclotomic products, alone and times contents, and polynomials:
-# contents, signs, and rests, cyclotomic or not.  A polynomial rest may
-# expand to a factored product, and the last rest shares factors with two
-# others, so different factor sets expand to one cross-multiplied denominator
+# integers, with a sign, and factored cyclotomic products, alone and times
+# contents, with a sign
 DENOMINATORS = (
-    [LaurentPoly.constant(c) for c in (1, 2, 3, 6, -2)]
+    [1, 2, 3, 6, -2]
     + [factored(qint(k)) for k in (2, 3, 4)]
     + [factored(qfact(k)) for k in (2, 3, 4)]
+    + [factored(1 + Q**i) for i in (1, 2, 3)]
     + [poincare_factors(family, n) for family in "BD" for n in (2, 3)]
-    + [(2, factored(qint(4))), (3, poincare_factors("B", 2))]
-    + [1 + Q**i for i in (1, 2, 3)]
-    + [-(1 + Q), 2 * qint(4), poincare("B", 2), ONE_PLUS_2Q, THREE_PLUS_Q2, ONE_PLUS_2Q * THREE_PLUS_Q2]
+    + [(2, factored(qint(4))), (3, poincare_factors("B", 2)), (-1, factored(1 + Q))]
 )
 
-UNARY = ("neg", "divide_rs", "q_at_one", "s_at_two")
+UNARY = ("neg", "divide_rs", "q_at_one")
 BINARY = ("add", "sub", "mul")
 
 
@@ -348,9 +357,7 @@ def evaluate(tree, frac):
     if op == "divide_rs":  # no leaf carries rs, so every component of the product does
         return (args[0] * GEN_ROOT_S).divide_by_generator("rs")
     if op == "q_at_one":
-        return args[0].substitute("q", "value", 1)
-    if op == "s_at_two":
-        return args[0].substitute("s", "value", 2)
+        return args[0].at_q(1)
     if op == "add":
         return args[0] + args[1]
     if op == "sub":
@@ -370,21 +377,11 @@ def test_factored_fractions_print_and_compare_as_cross_multiplication(a, b):
     assert (x + y) - y == x
 
 
-def test_denominators_that_expand_alike_add_as_cross_multiplication():
-    a, b = QFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2), QFraction(T, ONE_PLUS_2Q) * QFraction(1, THREE_PLUS_Q2)
-    oa = CrossQFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2)
-    ob = CrossQFraction(T, ONE_PLUS_2Q) * CrossQFraction(1, THREE_PLUS_Q2)
-    assert a.path != b.path and a.den == b.den
-    assert str(a + b) == str(oa + ob) == f"({S + T}) / ({ONE_PLUS_2Q * THREE_PLUS_Q2})"
-
-
 # ---------------------------------------------------------------------------
 # one sum over the lcm, against the pairwise fold
 # ---------------------------------------------------------------------------
 def _kind(den) -> str:
     frac = over(QFraction, 1, den)
-    if _has_rest(frac.fac):
-        return "rest"
     return "integer" if not frac.fac else "cyclotomic" if frac.content == 1 else "content"
 
 
@@ -401,15 +398,17 @@ pair_lists = st.sampled_from(KINDS).flatmap(
 )
 
 
-def test_denominator_kinds_cover_contents_rests_and_cyclotomic_products():
-    assert {_kind(den) for den in DENOMINATORS} == {"integer", "cyclotomic", "content", "rest"}
+def test_denominator_kinds_cover_contents_and_cyclotomic_products():
+    assert {_kind(den) for den in DENOMINATORS} == {"integer", "cyclotomic", "content"}
     assert all(len(kind) > 3 for kind in KINDS)
 
 
-@given(pair_lists)
+@given(pair_lists, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_sum_of_products_equals_the_pairwise_fold(pair_trees):
+def test_sum_of_products_equals_the_pairwise_fold(pair_trees, twice):
+    """``twice`` repeats the first pair in place, so that a product's path meets itself."""
     pairs = [(evaluate(a, QFraction), evaluate(b, QFraction)) for a, b in pair_trees]
+    pairs[:1] *= 1 + twice
     assert_same_fraction(QFraction.sum_of_products(pairs), fold_sum(pairs))
 
 
@@ -431,15 +430,13 @@ def test_sum_of_products_keeps_a_path_that_repeats():
 
 
 def test_sum_of_products_folds_where_contents_or_rests_decide_the_path():
-    one = QFraction.one()
-    # equal paths over contents 2 and 1: the fold adds them
-    halves = [(over(QFraction, S, (2, factored(qint(4)))), one), (QFraction(T, factored(qint(4))), one)]
-    # unequal rests that expand alike: the fold adds in the cross-multiplied form
-    alike = [(QFraction(S, ONE_PLUS_2Q * THREE_PLUS_Q2), one), (QFraction(T, ONE_PLUS_2Q), QFraction(1, THREE_PLUS_Q2))]
-    for pairs in (halves, alike):
-        assert_same_fraction(QFraction.sum_of_products(pairs), fold_sum(pairs))
-    assert dict(QFraction.sum_of_products(halves).path) == {2: 2, 4: 2}
-    assert len(QFraction.sum_of_products(alike).fac) == 1
+    """Equal paths over contents 2 and 1: the fold adds them, as cross-multiplication does."""
+    one, q4 = QFraction.one(), factored(qint(4))
+    halves = [(over(QFraction, S, (2, q4)), one), (QFraction(T, q4), one)]
+    got = QFraction.sum_of_products(halves)
+    assert_same_fraction(got, fold_sum(halves))
+    assert dict(got.path) == {2: 2, 4: 2}
+    assert str(got) == str(over(CrossQFraction, S, (2, q4)) + CrossQFraction(T, q4))
 
 
 series_cases = st.tuples(st.integers(0, 3), st.sampled_from(KINDS)).flatmap(

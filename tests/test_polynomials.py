@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -22,6 +23,7 @@ from artifact.polynomials import (
     _schoolbook_product,
     _size,
     cyclotomic,
+    cyclotomic_multiplicities,
     exponent_image,
     first_difference,
     held_form,
@@ -924,10 +926,6 @@ def test_reciprocal_flips_exponents():
     assert p.substitute("s", "reciprocal") == LaurentPoly.monomial(1, s=-2, t=1)
 
 
-def test_negation_substitution():
-    assert (1 + S * Q).substitute("q", "negation") == 1 - S * Q
-
-
 def test_value_substitution_keeps_exactness():
     p = (1 + S * Q) ** 3
     assert p.subs_values({"s": 1, "q": 1}) == 8
@@ -1131,6 +1129,21 @@ def test_q_factorials_and_poincare_polynomials_are_cyclotomic(n):
         for d, k in mult.items():
             back = back * cyclotomic(d) ** k
         assert back == poincare(family, n)
+
+
+@given(st.integers(-6, 6).filter(bool), st.lists(st.integers(2, 30), max_size=5), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cyclotomic_multiplicities_agree_with_the_division_oracle(content, divisors, rest):
+    """An integer times Φ_d factors is split into the two; anything else is refused."""
+    poly = reduce(lambda p, d: p * cyclotomic(d), divisors, LaurentPoly.constant(content))
+    if rest:
+        poly = poly * (1 + 2 * Q)
+        with pytest.raises(ValueError, match="cyclotomic"):
+            cyclotomic_multiplicities(poly)
+        return
+    want = dict(Counter(divisors))
+    assert cyclotomic_multiplicities(poly) == (content, frozenset(want.items()))
+    assert cyclotomic_factors_by_division(poly) == (abs(content), want, LaurentPoly.constant(content // abs(content)))
 
 
 def test_str_is_graded_then_lexicographic():

@@ -334,6 +334,14 @@ def test_reciprocal_transform_pinned_rank_two():
 
 
 @pytest.mark.parametrize("family", ["B", "D"])
+def test_reciprocal_transform_maps_the_full_group_polynomial_to_itself(family):
+    """At every rank, 0 and 1 included, where a type D word has no descent position."""
+    for n in range(9):
+        whole = recurrence_poly(family, n)
+        assert reciprocal_transform(family, n, whole) == whole, n
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
 def test_reflection_maps_the_kernel_form_like_the_terms(family):
     """The reflection maps the rows of the kernel form: an undecoded kernel
     result stays undecoded, and the image holds only its form, whose terms

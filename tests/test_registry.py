@@ -346,7 +346,7 @@ def test_q_one_left_sides_equal_their_former_constructions(order):
     from math import factorial
 
     import artifact.registry as registry
-    from artifact.polynomials import LaurentPoly, poincare
+    from artifact.polynomials import poincare
     from artifact.series import series_from_polys
 
     def at_q1(poly):
@@ -358,15 +358,15 @@ def test_q_one_left_sides_equal_their_former_constructions(order):
 
     for parity in ("even", "odd"):
         old = series_from_polys(lambda n: at_q1(registry._brute("B", n, "biv")),
-                                lambda n: at_q1(poincare("B", n)), parity, order)
-        same(registry._egf("B", "biv", parity, order).substitute("q", "value", 1), old)
+                                lambda n: at_q1(poincare("B", n)).coefficient(), parity, order)
+        same(registry._egf("B", "biv", parity, order).at_q(1), old)
     for to_t in (False, True):
         def hat(n):
             poly = at_q1(registry._brute("B", n, "hat"))
             return poly.rename_variables({"s": "t"}) if to_t else poly
 
-        old = series_from_polys(hat, lambda n: LaurentPoly.constant(factorial(n)), "all", order, start=0)
-        same(registry._egf("B", "hat", "all", order, to_t=to_t).substitute("q", "value", 1).scale_u(2), old)
+        old = series_from_polys(hat, factorial, "all", order, start=0)
+        same(registry._egf("B", "hat", "all", order, to_t=to_t).at_q(1).scale_u(2), old)
 
 
 @pytest.mark.parametrize("order", range(11))
@@ -471,30 +471,3 @@ def test_fraction_products_stay_off_the_schoolbook_loop(monkeypatch):
         assert run_check(cid)["status"] == "pass"
         largest[cid] = max(pairs)
     assert all(count < 10_000 for count in largest.values()), largest
-
-
-def test_every_check_builds_its_fractions_over_factored_denominators(monkeypatch):
-    """No fraction of the catalogue is built over a non-constant polynomial or
-    holds a rest: a caller left on a polynomial denominator would quietly send
-    ``QFraction.sum_of_products`` to the pairwise fold."""
-    from artifact.extension import QFraction, _has_rest
-    from artifact.polynomials import LaurentPoly
-
-    init, assign = QFraction.__init__, QFraction._assign
-    strays = []
-
-    def watched_init(self, num, den=1):
-        if isinstance(den, LaurentPoly) and any(exp[2] for exp in den.terms):
-            strays.append(f"built over {den}")
-        init(self, num, den)
-
-    def watched_assign(self, num, content, fac, path):
-        if _has_rest(fac) or _has_rest(path):
-            strays.append(f"a rest in {sorted(map(str, fac))} or {sorted(map(str, path))}")
-        assign(self, num, content, fac, path)
-
-    monkeypatch.setattr(QFraction, "__init__", watched_init)
-    monkeypatch.setattr(QFraction, "_assign", watched_assign)
-    reports = run_all() + [run_check(cid, order=8) for cid in ("typeB-biv-q1-classical", "typeB-biv-altdesc-corollary")]
-    assert all(report["status"] == "pass" for report in reports)
-    assert not strays, strays[:3]
